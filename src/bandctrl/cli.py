@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -37,7 +38,6 @@ from . import __version__
 from .extremal import (
     AbnormalRegimeError,
     classify_normality_classic,
-    classify_normality_freq,
     lift_from_solver,
     verify_pmp,
 )
@@ -68,6 +68,12 @@ from .spectrum import SupportSpec, forward_dft, uncertainty_check
 __all__ = ["run", "main", "parse_problem", "serialize_problem", "spectrum_report", "BUILTINS"]
 
 SOLVERS = ("riccati", "lq_pmp", "transfer", "transfer_freq", "shooting")
+# options that must be positive: (name, "number" or "integer")
+POSITIVE_OPTIONS = (
+    ("tolerance", "number"),
+    ("newton_tolerance", "number"),
+    ("max_iterations", "integer"),
+)
 
 
 def _affine_toy() -> ControlAffineDynamics:
@@ -99,16 +105,26 @@ class CliProblem:
     banned: list
 
 
+def _numeric(value, label, what, errors):
+    """``value`` as a float array, or None with an error when it is not
+    numeric or has a non-finite entry."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        errors.append(f"{label}: not a numeric {what}")
+        return None
+    if not np.all(np.isfinite(arr)):
+        errors.append(f"{label}: entries must be finite")
+        return None
+    return arr
+
+
 def _matrix(doc, key, errors, field):
     value = doc.get(key)
     if value is None:
         errors.append(f"{field}.{key}: missing")
         return None
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        errors.append(f"{field}.{key}: not a numeric matrix")
-        return None
+    return _numeric(value, f"{field}.{key}", "matrix", errors)
 
 
 def _parse_set(entry, label, errors):
@@ -146,7 +162,7 @@ def parse_problem(doc: dict) -> CliProblem:
     errors: list[str] = []
 
     horizon = doc.get("horizon")
-    if not isinstance(horizon, int) or horizon < 1:
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         errors.append(f"horizon: must be a positive integer, got {horizon!r}")
         horizon = 1
 
@@ -196,24 +212,28 @@ def parse_problem(doc: dict) -> CliProblem:
     if not isinstance(boundary, dict) or boundary.get("x0") is None:
         errors.append("boundary.x0: missing")
     else:
-        try:
-            x0 = np.asarray(boundary["x0"], dtype=float).ravel()
-        except (TypeError, ValueError):
-            errors.append("boundary.x0: not a numeric vector")
+        x0 = _numeric(boundary["x0"], "boundary.x0", "vector", errors)
+        x0 = None if x0 is None else x0.ravel()
         xf_doc = boundary.get("xf")
         if xf_doc is not None and xf_doc != "free":
-            try:
-                xf = np.asarray(xf_doc, dtype=float).ravel()
-            except (TypeError, ValueError):
-                errors.append("boundary.xf: not a numeric vector")
+            xf = _numeric(xf_doc, "boundary.xf", "vector", errors)
+            xf = None if xf is None else xf.ravel()
 
     solver = doc.get("solver")
     if solver not in SOLVERS:
         errors.append(f"solver: expected one of {SOLVERS}, got {solver!r}")
     banned = doc.get("banned_frequencies") or []
-    if banned and not all(isinstance(chan, (list, tuple)) for chan in banned):
+    if not isinstance(banned, (list, tuple)) or not all(
+        isinstance(chan, (list, tuple)) for chan in banned
+    ):
         errors.append("banned_frequencies: expected one integer list per channel")
         banned = []
+    for k, chan in enumerate(banned):
+        for i, xi in enumerate(chan):
+            if isinstance(xi, bool) or not isinstance(xi, int):
+                errors.append(
+                    f"banned_frequencies[{k}][{i}]: expected an integer frequency index, got {xi!r}"
+                )
     if solver in ("riccati", "lq_pmp", "transfer") and any(len(chan) for chan in banned):
         errors.append(
             f"banned_frequencies: solver {solver!r} does not support frequency "
@@ -228,6 +248,11 @@ def parse_problem(doc: dict) -> CliProblem:
     if not isinstance(options, dict):
         errors.append("options: not an object")
         options = {}
+    for key, kind in POSITIVE_OPTIONS:
+        value = options.get(key, 1)
+        types = (int,) if kind == "integer" else (int, float)
+        if isinstance(value, bool) or not isinstance(value, types) or not 0 < value < math.inf:
+            errors.append(f"options.{key}: expected a positive {kind}, got {value!r}")
 
     if errors or dynamics is None or cost is None or x0 is None:
         raise ProblemValidationError(errors or ["problem document incomplete"])
@@ -421,6 +446,10 @@ def run(input_path: str, output_path: str, overrides=(), quiet: bool = True) -> 
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: cannot parse {input_path}: {exc}", file=sys.stderr)
         return 1
+    if not isinstance(doc, dict):
+        kind = type(doc).__name__
+        print(f"error: problem document: expected a JSON object, got {kind}", file=sys.stderr)
+        return 1
 
     try:
         doc = apply_overrides(doc, overrides)
@@ -496,7 +525,7 @@ def run(input_path: str, output_path: str, overrides=(), quiet: bool = True) -> 
                 sol = lq_transfer_freq_solve(
                     A, B, spec.cost.Q, spec.cost.R, spec.horizon, x0, xf, spec.frequency_constraint
                 )
-                normality = classify_normality_freq(A, B, spec.horizon, spec.frequency_constraint)
+                normality = sol.normality
             diagnostics["ls_residual"] = sol.ls_residual
             if sol.status is SolveStatus.INFEASIBLE:
                 result["status"] = "INFEASIBLE"
@@ -528,8 +557,7 @@ def run(input_path: str, output_path: str, overrides=(), quiet: bool = True) -> 
             diagnostics["final_residual"] = shot.final_residual
             diagnostics["init_warning"] = shot.init_warning
             diagnostics["trace"] = [list(step) for step in shot.trace]
-            if isinstance(spec.dynamics, LtiDynamics):
-                normality = classify_normality_freq(A, B, spec.horizon, spec.frequency_constraint)
+            normality = shot.normality
             if not shot.converged:
                 result["status"] = "NOT_CONVERGED"
                 if normality is not None:

@@ -177,6 +177,8 @@ class PmpCertificate:
     magnitude among the terms entering that condition.
     ``hamiltonian_vi_worst`` is the most positive directional derivative of the
     Hamiltonian along feasible control directions (nonpositive at an extremal).
+    ``set_violation`` is the largest max-norm distance of a state or control
+    outside its stage set.
     """
 
     nonneg: bool
@@ -186,6 +188,7 @@ class PmpCertificate:
     transversality_residual: float
     hamiltonian_vi_worst: float
     freq_residual: float
+    set_violation: float
     tol: float
     condition_passed: dict
     passed: bool
@@ -201,6 +204,7 @@ class PmpCertificate:
             "transversality_residual": self.transversality_residual,
             "hamiltonian_vi_worst": self.hamiltonian_vi_worst,
             "freq_residual": self.freq_residual,
+            "set_violation": self.set_violation,
             "condition_passed": dict(self.condition_passed),
         }
 
@@ -227,6 +231,32 @@ def _dual_cone_violation(stage_set, point: np.ndarray, mult: np.ndarray, active_
         return worst
     # free set: dual cone is {0}
     return _inf(mult)
+
+
+def _set_violation(stage_set, point: np.ndarray) -> float:
+    """Max-norm distance by which ``point`` lies outside the stage set."""
+    if isinstance(stage_set, Fixed):
+        return _inf(point - stage_set.point)
+    if isinstance(stage_set, Box):
+        outside = np.maximum(stage_set.lower - point, point - stage_set.upper)
+        return max(float(np.max(outside)), 0.0)
+    return 0.0
+
+
+def _rollout_drift(jx, ju, traj: Trajectory) -> float:
+    """Rounding that an open-loop rollout can leave in x_N: one ulp of the
+    terms of every dynamics row, carried to step N by the transition matrices
+    J_{N-1} ... J_{t+1} (J_t = df_t/dx)."""
+    def norm(a):
+        return float(np.linalg.norm(a, np.inf))
+
+    phi = np.eye(traj.n)
+    drift = 0.0
+    for t in range(traj.horizon - 1, -1, -1):
+        x, u = traj.states[t], traj.controls[t]
+        drift += norm(phi) * (norm(jx[t]) * _inf(x) + norm(ju[t]) * _inf(u))
+        phi = phi @ jx[t]
+    return float(np.finfo(float).eps) * drift
 
 
 def _feasible_directions(control_set, point: np.ndarray, active_tol: float):
@@ -259,11 +289,15 @@ def verify_pmp(
     trajectory and lift.
 
     Checks, in order: (i) eta_c >= 0, (ii) the adjoints and the pair
-    (eta_c, nu) do not all vanish, (iii) state and adjoint recursions plus
-    dual-cone membership of the interior state multipliers, (iv) both
-    transversality conditions plus endpoint multiplier membership, (v) the
-    Hamiltonian variational inequality on feasible coordinate directions
-    (gradient norm for free control sets), (vi) the frequency residual.
+    (eta_c, nu) do not all vanish, (iii) state and adjoint recursions, the
+    interior states inside their stage sets, and dual-cone membership of the
+    interior state multipliers, (iv) both transversality conditions, x_0 and
+    x_N inside their stage sets, and endpoint multiplier membership, (v) the
+    controls inside their stage sets and the Hamiltonian variational
+    inequality on feasible coordinate directions (gradient norm for free
+    control sets), (vi) the frequency residual.  Set membership is judged
+    against the state (or control) scale; x_N may in addition carry the
+    rounding of an open-loop rollout, amplified along the trajectory.
     """
     horizon, n, m = traj.horizon, traj.n, traj.m
     blocks = _freq_blocks(spec)
@@ -296,11 +330,12 @@ def verify_pmp(
     state_scale = max(_inf(traj.states), _inf(f_all))
 
     # (iii) adjoint recursion and interior multiplier membership
+    jx = [spec.dynamics.jac_x(t, traj.states[t], traj.controls[t]) for t in range(horizon)]
     adj_res = 0.0
     adj_scale = _inf(p_s)
     for t in range(1, horizon):
         x, u = traj.states[t], traj.controls[t]
-        jxp = spec.dynamics.jac_x(t, x, u).T @ p_s[t]
+        jxp = jx[t].T @ p_s[t]
         cgrad = eta_s * spec.cost.grad_x(t, x, u)
         adj_res = max(adj_res, _inf(p_s[t - 1] - (jxp - cgrad - etax_s[t])))
         adj_res = max(
@@ -310,7 +345,7 @@ def verify_pmp(
 
     # (iv) transversality at both ends
     x0, u0 = traj.states[0], traj.controls[0]
-    dh_dx0 = spec.dynamics.jac_x(0, x0, u0).T @ p_s[0] - eta_s * spec.cost.grad_x(0, x0, u0)
+    dh_dx0 = jx[0].T @ p_s[0] - eta_s * spec.cost.grad_x(0, x0, u0)
     trans_res = max(
         _inf(dh_dx0 - etax_s[0]),
         _inf(p_s[horizon - 1] + etax_s[horizon]),
@@ -322,11 +357,12 @@ def verify_pmp(
     trans_scale = max(_inf(dh_dx0), _inf(etax_s[0]), _inf(p_s[horizon - 1]), _inf(etax_s[horizon]))
 
     # (v) Hamiltonian variational inequality
+    ju = [spec.dynamics.jac_u(t, traj.states[t], traj.controls[t]) for t in range(horizon)]
     vi_worst = -np.inf
     vi_scale = 0.0
     for t in range(horizon):
         x, u = traj.states[t], traj.controls[t]
-        grad = spec.dynamics.jac_u(t, x, u).T @ p_s[t] - eta_s * spec.cost.grad_u(t, x, u)
+        grad = ju[t].T @ p_s[t] - eta_s * spec.cost.grad_u(t, x, u)
         if q:
             grad = grad - blocks[t].T @ nu_s
         vi_scale = max(vi_scale, _inf(grad))
@@ -340,12 +376,31 @@ def verify_pmp(
     freq_res = _inf(freq_terms.sum(axis=0)) if q else 0.0
     freq_scale = _inf(freq_terms)
 
+    # stage-set membership of the trajectory itself
+    state_tol = tol * (1 + state_scale)
+    interior_gap = max(
+        (_set_violation(spec.state_sets[t], traj.states[t]) for t in range(1, horizon)),
+        default=0.0,
+    )
+    start_gap = _set_violation(spec.state_sets[0], traj.states[0])
+    end_gap = _set_violation(spec.state_sets[horizon], traj.states[horizon])
+    control_gap = max(
+        _set_violation(spec.control_sets[t], traj.controls[t]) for t in range(horizon)
+    )
+    # x_N may also carry the rounding of its rollout (computed only when needed)
+    end_ok = end_gap <= state_tol or end_gap <= state_tol + _rollout_drift(jx, ju, traj)
+
     condition_passed = {
         "i": bool(nonneg),
         "ii": bool(nontrivial),
-        "iii": bool(state_res <= tol * (1 + state_scale) and adj_res <= tol * (1 + adj_scale)),
-        "iv": bool(trans_res <= tol * (1 + trans_scale)),
-        "v": bool(vi_worst <= tol * (1 + vi_scale)),
+        "iii": bool(
+            state_res <= state_tol and adj_res <= tol * (1 + adj_scale) and interior_gap <= state_tol
+        ),
+        "iv": bool(trans_res <= tol * (1 + trans_scale) and start_gap <= state_tol and end_ok),
+        "v": bool(
+            vi_worst <= tol * (1 + vi_scale)
+            and control_gap <= tol * (1 + _inf(traj.controls))
+        ),
         "vi": bool(freq_res <= tol * (1 + freq_scale)),
     }
     return PmpCertificate(
@@ -356,6 +411,7 @@ def verify_pmp(
         transversality_residual=trans_res,
         hamiltonian_vi_worst=float(vi_worst),
         freq_residual=freq_res,
+        set_violation=max(interior_gap, start_gap, end_gap, control_gap),
         tol=tol,
         condition_passed=condition_passed,
         passed=all(condition_passed.values()),

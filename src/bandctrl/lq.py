@@ -11,6 +11,7 @@ Four entry points, all for x_{t+1} = A x_t + B u_t with stage cost
 * :func:`lq_transfer_freq_solve` - fixed endpoints plus the banned-frequency
   equality constraint sum_t F_t u_t = 0, with its multiplier nu.
 
+The last three build their first-order system with :mod:`bandctrl.kkt`.
 The transfer systems are square; they are solved directly, with a least
 squares fallback (minimum-norm over the whole stacked vector, hence over the
 multipliers when those are non-unique).  A least-squares residual above
@@ -24,7 +25,14 @@ from enum import Enum
 
 import numpy as np
 
-from .extremal import AbnormalRegimeError, NormalityClass, classify_normality_freq
+from . import kkt
+from .extremal import (
+    AbnormalRegimeError,
+    NormalityClass,
+    NormalityVerdict,
+    _inf,
+    classify_normality_freq,
+)
 from .problem import LtiDynamics, QuadraticCost, Trajectory, rollout, trajectory_cost
 from .spectrum import FrequencyConstraint
 
@@ -49,12 +57,7 @@ class SolveStatus(Enum):
     SINGULAR = "SINGULAR"
 
 
-def _inf(a) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def _as_lq(A, B, Q, R):
+def _as_lq(A, B, Q, R, horizon, x0):
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -64,7 +67,9 @@ def _as_lq(A, B, Q, R):
         raise ValueError(
             f"inconsistent shapes: A{A.shape} B{B.shape} Q{Q.shape} R{R.shape}"
         )
-    return A, B, Q, R, n, m
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    return A, B, Q, R, n, m, np.asarray(x0, dtype=float).reshape(n)
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,7 @@ class LqSolution:
     status: SolveStatus
     ls_residual: float = 0.0
     endpoint_gap: float = 0.0
+    normality: NormalityVerdict | None = None
 
 
 def riccati_solve(A, B, Q, R, horizon: int, x0) -> tuple[RiccatiSolution, Trajectory | None]:
@@ -95,10 +101,7 @@ def riccati_solve(A, B, Q, R, horizon: int, x0) -> tuple[RiccatiSolution, Trajec
     S_N = 0;  K_t = -(R + B'S_{t+1}B)^(-1) B'S_{t+1}A;
     S_t = (A + B K_t)' S_{t+1} (A + B K_t) + K_t' R K_t + Q;  u_t = K_t x_t.
     """
-    A, B, Q, R, n, m = _as_lq(A, B, Q, R)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    x0 = np.asarray(x0, dtype=float).reshape(n)
+    A, B, Q, R, n, m, x0 = _as_lq(A, B, Q, R, horizon, x0)
     S = np.zeros((horizon + 1, n, n))
     K = np.zeros((horizon, m, n))
     for t in range(horizon - 1, -1, -1):
@@ -139,14 +142,11 @@ def _solve_stacked(M: np.ndarray, rhs: np.ndarray):
     and consistency uses INFEASIBILITY_TOL * (1 + |rhs|).
     """
     threshold = INFEASIBILITY_TOL * (1.0 + _inf(rhs))
-    z = None
     try:
-        cand = np.linalg.solve(M, rhs)
-        if np.all(np.isfinite(cand)):
-            z = cand
+        z = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
-        z = None
-    if z is None or _inf(M @ z - rhs) > threshold:
+        z = np.full(rhs.size, np.nan)
+    if not np.all(np.isfinite(z)) or _inf(M @ z - rhs) > threshold:
         z = np.linalg.lstsq(M, rhs, rcond=None)[0]
     # one step of iterative refinement sharpens consistent solves to machine level
     try:
@@ -157,118 +157,62 @@ def _solve_stacked(M: np.ndarray, rhs: np.ndarray):
     return z, residual, residual <= threshold
 
 
+def _lq_system(A, B, Q, R, N, x0, xf, blocks):
+    """First-order system of the LQ problem as (J, -r(0)); xf None frees the
+    final state."""
+    n, m = B.shape
+    M = kkt.assemble(
+        np.broadcast_to(A, (N, n, n)), np.broadcast_to(B, (N, n, m)), Q, R, blocks,
+        free_end=xf is None,
+    )
+    return M, kkt.boundary_rhs(A @ x0, xf, n, m, N, blocks.shape[1])
+
+
 def lq_pmp_solve(A, B, Q, R, horizon: int, x0) -> LqSolution:
     """Free-final-state LQ problem through its first-order system.
 
-    Stacks x_1..x_N, u_0..u_{N-1}, p_0..p_{N-1} and solves
+    Solves the system of :mod:`bandctrl.kkt` with x_N free, that is
 
-        x_{t+1} = A x_t + B u_t,       x_0 = x0,
+        x_{t+1} = A x_t + B u_t,       x_0 = x0,   t = 0..N-2,
         p_{t-1} = A'p_t - Q x_t,       t = 1..N-1,
-        R u_t   = B'p_t,               p_{N-1} = 0.
+        R u_t   = B'p_t,               p_{N-1} = 0,
 
-    eta_c = 1 throughout: the free-endpoint problem has no abnormal extremals
-    (a zero cost multiplier forces the whole adjoint sequence to zero).
+    as one linear system.  eta_c = 1 throughout: the free-endpoint problem has
+    no abnormal extremals (a zero cost multiplier forces the whole adjoint
+    sequence to zero).
     """
-    A, B, Q, R, n, m = _as_lq(A, B, Q, R)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    x0 = np.asarray(x0, dtype=float).reshape(n)
+    A, B, Q, R, n, m, x0 = _as_lq(A, B, Q, R, horizon, x0)
     N = horizon
-    off_x, off_u, off_p = 0, N * n, N * n + N * m
-    size = 2 * N * n + N * m
-    M = np.zeros((size, size))
-    rhs = np.zeros(size)
-    row = 0
-    eye = np.eye(n)
-    for t in range(N):  # dynamics
-        M[row : row + n, off_x + t * n : off_x + (t + 1) * n] += eye
-        if t >= 1:
-            M[row : row + n, off_x + (t - 1) * n : off_x + t * n] -= A
-        else:
-            rhs[row : row + n] += A @ x0
-        M[row : row + n, off_u + t * m : off_u + (t + 1) * m] -= B
-        row += n
-    for t in range(1, N):  # adjoint recursion
-        M[row : row + n, off_p + (t - 1) * n : off_p + t * n] += eye
-        M[row : row + n, off_p + t * n : off_p + (t + 1) * n] -= A.T
-        M[row : row + n, off_x + (t - 1) * n : off_x + t * n] += Q
-        row += n
-    for t in range(N):  # stationarity
-        M[row : row + m, off_u + t * m : off_u + (t + 1) * m] += R
-        M[row : row + m, off_p + t * n : off_p + (t + 1) * n] -= B.T
-        row += m
-    M[row : row + n, off_p + (N - 1) * n : off_p + N * n] += eye  # p_{N-1} = 0
+    M, rhs = _lq_system(A, B, Q, R, N, x0, None, np.zeros((N, 0, m)))
     try:
         z = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
-        return LqSolution(None, None, np.zeros(0), float("nan"), SolveStatus.SINGULAR)
+        z = np.full(rhs.size, np.nan)
     if not np.all(np.isfinite(z)):
         return LqSolution(None, None, np.zeros(0), float("nan"), SolveStatus.SINGULAR)
-    controls = z[off_u:off_p].reshape(N, m)
-    adjoints = z[off_p:].reshape(N, n)
-    traj = rollout(LtiDynamics(A, B), x0, controls)
+    unknowns = kkt.StackedUnknowns(z, n, m, N, 0)
+    traj = rollout(LtiDynamics(A, B), x0, unknowns.controls())
     cost = trajectory_cost(QuadraticCost(Q, R), traj)
-    return LqSolution(traj, adjoints, np.zeros(0), cost, SolveStatus.SOLVED)
+    return LqSolution(traj, unknowns.adjoints(), np.zeros(0), cost, SolveStatus.SOLVED)
 
 
-def _transfer_system(A, B, Q, R, N, n, m, x0, xf, blocks):
-    """Square first-order system for the fixed-endpoint transfer, with the
-    frequency rows appended when blocks has q > 0 rows."""
-    q = blocks.shape[1]
-    off_x, off_u = 0, (N - 1) * n
-    off_p = off_u + N * m
-    off_v = off_p + N * n
-    size = off_v + q
-    M = np.zeros((size, size))
-    rhs = np.zeros(size)
-    eye = np.eye(n)
-    row = 0
-    for t in range(N):  # dynamics, endpoints substituted
-        if t + 1 <= N - 1:
-            M[row : row + n, off_x + t * n : off_x + (t + 1) * n] += eye
-        else:
-            rhs[row : row + n] -= xf
-        if 1 <= t:
-            M[row : row + n, off_x + (t - 1) * n : off_x + t * n] -= A
-        else:
-            rhs[row : row + n] += A @ x0
-        M[row : row + n, off_u + t * m : off_u + (t + 1) * m] -= B
-        row += n
-    for t in range(1, N):  # adjoint recursion (interior states only)
-        M[row : row + n, off_p + (t - 1) * n : off_p + t * n] += eye
-        M[row : row + n, off_p + t * n : off_p + (t + 1) * n] -= A.T
-        M[row : row + n, off_x + (t - 1) * n : off_x + t * n] += Q
-        row += n
-    for t in range(N):  # stationarity R u = B'p - F'nu
-        M[row : row + m, off_u + t * m : off_u + (t + 1) * m] += R
-        M[row : row + m, off_p + t * n : off_p + (t + 1) * n] -= B.T
-        if q:
-            M[row : row + m, off_v:] += blocks[t].T
-        row += m
-    if q:  # frequency residual
-        for t in range(N):
-            M[row : row + q, off_u + t * m : off_u + (t + 1) * m] += blocks[t]
-    return M, rhs, (off_x, off_u, off_p, off_v)
-
-
-def _solve_transfer(A, B, Q, R, horizon, x0, xf, blocks) -> LqSolution:
-    A, B, Q, R, n, m = _as_lq(A, B, Q, R)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    x0 = np.asarray(x0, dtype=float).reshape(n)
+def _solve_transfer(A, B, Q, R, N, x0, xf, blocks, normality=None) -> LqSolution:
+    A, B, Q, R, n, m, x0 = _as_lq(A, B, Q, R, N, x0)
     xf = np.asarray(xf, dtype=float).reshape(n)
-    N = horizon
-    M, rhs, (off_x, off_u, off_p, off_v) = _transfer_system(A, B, Q, R, N, n, m, x0, xf, blocks)
+    M, rhs = _lq_system(A, B, Q, R, N, x0, xf, blocks)
     z, residual, consistent = _solve_stacked(M, rhs)
-    nu = z[off_v:].copy()
+    unknowns = kkt.StackedUnknowns(z, n, m, N, blocks.shape[1])
+    nu = unknowns.nu().copy()
     if not consistent:
-        return LqSolution(None, None, nu, float("nan"), SolveStatus.INFEASIBLE, residual)
-    controls = z[off_u:off_p].reshape(N, m)
-    adjoints = z[off_p:off_v].reshape(N, n)
-    traj = rollout(LtiDynamics(A, B), x0, controls)
+        return LqSolution(
+            None, None, nu, float("nan"), SolveStatus.INFEASIBLE, residual, normality=normality
+        )
+    traj = rollout(LtiDynamics(A, B), x0, unknowns.controls())
     cost = trajectory_cost(QuadraticCost(Q, R), traj)
     gap = _inf(traj.states[N] - xf)
-    return LqSolution(traj, adjoints, nu, cost, SolveStatus.SOLVED, residual, gap)
+    return LqSolution(
+        traj, unknowns.adjoints(), nu, cost, SolveStatus.SOLVED, residual, gap, normality
+    )
 
 
 def lq_transfer_solve(A, B, Q, R, horizon: int, x0, xf) -> LqSolution:
@@ -287,7 +231,8 @@ def lq_transfer_freq_solve(
     Adds the multiplier nu to the unknowns, F_t' nu to the stationarity rows,
     and the frequency residual rows to the system; solved in normal form
     (eta_c = 1).  Refuses to run when :func:`classify_normality_freq` reports
-    an all-abnormal regime, raising :class:`AbnormalRegimeError`.  When the
+    an all-abnormal regime, raising :class:`AbnormalRegimeError`; otherwise
+    the verdict is returned as ``LqSolution.normality``.  When the
     multiplier is non-unique the least-squares path returns the minimum-norm
     stacked solution, so nu is the minimum-norm multiplier consistent with the
     (unique) optimal controls.
@@ -297,4 +242,4 @@ def lq_transfer_freq_solve(
     verdict = classify_normality_freq(A, B, horizon, constraint)
     if verdict.classification is NormalityClass.ALL_ABNORMAL:
         raise AbnormalRegimeError(verdict)
-    return _solve_transfer(A, B, Q, R, horizon, x0, xf, constraint.blocks)
+    return _solve_transfer(A, B, Q, R, horizon, x0, xf, constraint.blocks, verdict)

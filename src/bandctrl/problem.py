@@ -449,9 +449,7 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     return dataclasses.replace(spec, frequency_constraint=constraint)
 
 
-def lti_spec(A, B, Q, R, horizon: int, x0=None, xf=None, banned=None) -> ProblemSpec:
-    """Validated LTI/quadratic spec with fixed endpoints where given, free sets elsewhere."""
-    dynamics = LtiDynamics(A, B)
+def _quadratic_spec(dynamics, Q, R, horizon: int, x0, xf, banned) -> ProblemSpec:
     n, m = dynamics.n, dynamics.m
     state_sets = [FREE] * (horizon + 1)
     if x0 is not None:
@@ -475,29 +473,16 @@ def lti_spec(A, B, Q, R, horizon: int, x0=None, xf=None, banned=None) -> Problem
     )
 
 
+def lti_spec(A, B, Q, R, horizon: int, x0=None, xf=None, banned=None) -> ProblemSpec:
+    """Validated LTI/quadratic spec with fixed endpoints where given, free sets elsewhere."""
+    return _quadratic_spec(LtiDynamics(A, B), Q, R, horizon, x0, xf, banned)
+
+
 def control_affine_spec(
     dynamics: ControlAffineDynamics, Q, R, horizon: int, x0, xf, banned=None
 ) -> ProblemSpec:
     """Validated control-affine/quadratic spec with fixed endpoints."""
-    n, m = dynamics.n, dynamics.m
-    state_sets = [FREE] * (horizon + 1)
-    state_sets[0] = Fixed(np.asarray(x0, dtype=float).reshape(n))
-    state_sets[horizon] = Fixed(np.asarray(xf, dtype=float).reshape(n))
-    supports = (
-        SupportSpec.from_banned(banned, horizon)
-        if banned is not None
-        else SupportSpec.all_allowed(horizon, m)
-    )
-    return validate(
-        ProblemSpec(
-            horizon=horizon,
-            dynamics=dynamics,
-            cost=QuadraticCost(Q, R),
-            state_sets=tuple(state_sets),
-            control_sets=(FREE,) * horizon,
-            supports=supports,
-        )
-    )
+    return _quadratic_spec(dynamics, Q, R, horizon, x0, xf, banned)
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,13 @@
 
 For control-affine (or LTI) dynamics with fixed endpoints, free interior
 states, free controls, and the banned-frequency constraint, the first-order
-conditions in normal form (eta_c = 1) are a square algebraic system in the
-stacked unknowns z = (x_1..x_{N-1}, u_0..u_{N-1}, p_0..p_{N-1}, nu):
-
-    x_{t+1} - f_t(x_t, u_t) = 0          (x_0, x_N substituted)
-    p_{t-1} - (df_t/dx)'p_t + dc_t/dx = 0     t = 1..N-1
-    -dc_t/du + (df_t/du)'p_t - F_t'nu = 0     t = 0..N-1
-    sum_t F_t u_t = 0
-
-Since both endpoints are fixed, the transversality conditions place no
-restriction on p_0 and p_{N-1}; they stay free unknowns, which makes the
-system exactly square.  The Newton iteration backtracks on the residual
-max-norm; for LTI dynamics the residual is affine in z, so one undamped step
-solves the system from any starting point.
+conditions in normal form (eta_c = 1) are the square system of
+:mod:`bandctrl.kkt`, which owns the layout of the unknowns and assembles the
+Jacobian.  Since both endpoints are fixed, the transversality conditions
+place no restriction on p_0 and p_{N-1}; they stay free unknowns.  The Newton
+iteration backtracks on the residual max-norm; for LTI dynamics the residual
+is affine in z, so one undamped step solves the system from any starting
+point.
 
 The analytic residual Jacobian uses first derivatives of the dynamics plus
 the gain's state Jacobian; second derivatives of the drift and gain are taken
@@ -30,13 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kkt
 from .extremal import (
     AbnormalRegimeError,
     ExtremalLift,
     NormalityClass,
+    NormalityVerdict,
+    _inf,
     classify_normality_freq,
     lift_from_solver,
 )
+from .kkt import StackedUnknowns
 from .lq import SolveStatus, lq_transfer_freq_solve
 from .problem import (
     ControlAffineDynamics,
@@ -63,73 +61,6 @@ __all__ = [
 ]
 
 
-def _inf(a) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-@dataclass(frozen=True)
-class StackedUnknowns:
-    """Flat vector of interior states, controls, adjoints, and the frequency
-    multiplier, with the layout recorded."""
-
-    z: np.ndarray
-    n: int
-    m: int
-    horizon: int
-    q: int
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float).ravel()
-        expected = (self.horizon - 1) * self.n + self.horizon * self.m + self.horizon * self.n + self.q
-        if z.size != expected:
-            raise ValueError(f"flat vector has length {z.size}, layout requires {expected}")
-        object.__setattr__(self, "z", z)
-
-    @property
-    def segments(self) -> dict[str, slice]:
-        n, m, N, q = self.n, self.m, self.horizon, self.q
-        ox, ou = 0, (N - 1) * n
-        op = ou + N * m
-        ov = op + N * n
-        return {
-            "states": slice(ox, ou),
-            "controls": slice(ou, op),
-            "adjoints": slice(op, ov),
-            "nu": slice(ov, ov + q),
-        }
-
-    def states(self) -> np.ndarray:
-        return self.z[self.segments["states"]].reshape(self.horizon - 1, self.n)
-
-    def controls(self) -> np.ndarray:
-        return self.z[self.segments["controls"]].reshape(self.horizon, self.m)
-
-    def adjoints(self) -> np.ndarray:
-        return self.z[self.segments["adjoints"]].reshape(self.horizon, self.n)
-
-    def nu(self) -> np.ndarray:
-        return self.z[self.segments["nu"]]
-
-    @classmethod
-    def pack(cls, interior_states, controls, adjoints, nu) -> "StackedUnknowns":
-        xs = np.atleast_2d(np.asarray(interior_states, dtype=float))
-        us = np.atleast_2d(np.asarray(controls, dtype=float))
-        ps = np.atleast_2d(np.asarray(adjoints, dtype=float))
-        nu = np.atleast_1d(np.asarray(nu, dtype=float))
-        N, m = us.shape
-        n = ps.shape[1]
-        if N == 1:
-            xs = np.zeros((0, n))
-        flat = np.concatenate([xs.ravel(), us.ravel(), ps.ravel(), nu])
-        return cls(flat, n=n, m=m, horizon=N, q=nu.size)
-
-    @classmethod
-    def zeros(cls, n: int, m: int, horizon: int, q: int) -> "StackedUnknowns":
-        size = (horizon - 1) * n + horizon * m + horizon * n + q
-        return cls(np.zeros(size), n=n, m=m, horizon=horizon, q=q)
-
-
 @dataclass(frozen=True)
 class NewtonOptions:
     max_iterations: int = 60
@@ -152,6 +83,7 @@ class ShootingResult:
     converged: bool
     trace: tuple  # (iteration, residual max-norm, accepted step)
     init_warning: bool = False
+    normality: NormalityVerdict | None = None  # LTI specs only
 
 
 class SingularJacobianError(RuntimeError):
@@ -194,33 +126,23 @@ def _check_supported(spec: ProblemSpec) -> None:
         raise ValueError("spec must be validated first (frequency constraint missing)")
 
 
-def _layout(spec: ProblemSpec):
+def _unpack(zvec: np.ndarray, spec: ProblemSpec, x0, xf):
+    """States x_0..x_N, controls, adjoints and nu of a flat iterate."""
     n, m, N = spec.n, spec.m, spec.horizon
-    q = spec.frequency_constraint.row_count if spec.frequency_constraint else 0
-    ox, ou = 0, (N - 1) * n
-    op = ou + N * m
-    ov = op + N * n
-    return n, m, N, q, ox, ou, op, ov
-
-
-def _full_states(zvec, spec, x0, xf):
-    n, m, N, q, ox, ou, op, ov = _layout(spec)
-    states = np.empty((N + 1, n))
-    states[0] = x0
-    if N > 1:
-        states[1:N] = zvec[ox:ou].reshape(N - 1, n)
-    states[N] = xf
-    return states
+    seg = kkt.segments(n, m, N, spec.frequency_constraint.row_count)
+    states = np.concatenate([np.reshape(x0, n), zvec[seg["states"]], np.reshape(xf, n)])
+    states = states.reshape(N + 1, n)
+    return (
+        states,
+        zvec[seg["controls"]].reshape(N, m),
+        zvec[seg["adjoints"]].reshape(N, n),
+        zvec[seg["nu"]],
+    )
 
 
 def _residual_vec(zvec: np.ndarray, spec: ProblemSpec, x0, xf) -> np.ndarray:
-    n, m, N, q, ox, ou, op, ov = _layout(spec)
-    x0 = np.asarray(x0, dtype=float).reshape(n)
-    xf = np.asarray(xf, dtype=float).reshape(n)
-    states = _full_states(zvec, spec, x0, xf)
-    controls = zvec[ou:op].reshape(N, m)
-    adjoints = zvec[op:ov].reshape(N, n)
-    nu = zvec[ov:]
+    n, m, N = spec.n, spec.m, spec.horizon
+    states, controls, adjoints, nu = _unpack(zvec, spec, x0, xf)
     blocks = spec.frequency_constraint.blocks
     dyn, cost = spec.dynamics, spec.cost
 
@@ -237,13 +159,13 @@ def _residual_vec(zvec: np.ndarray, spec: ProblemSpec, x0, xf) -> np.ndarray:
         )
         row += n
     for t in range(N):  # (c) stationarity dH/du
-        g = -cost.grad_u(t, states[t], controls[t]) + dyn.jac_u(t, states[t], controls[t]).T @ adjoints[t]
-        if q:
-            g = g - blocks[t].T @ nu
-        res[row : row + m] = g
+        res[row : row + m] = (
+            -cost.grad_u(t, states[t], controls[t])
+            + dyn.jac_u(t, states[t], controls[t]).T @ adjoints[t]
+            - blocks[t].T @ nu
+        )
         row += m
-    if q:  # (d) frequency residual
-        res[row : row + q] = np.einsum("tqm,tm->q", blocks, controls)
+    res[row:] = np.einsum("tqm,tm->q", blocks, controls)  # (d) frequency residual
     return res
 
 
@@ -255,7 +177,7 @@ def assemble_residual(z: StackedUnknowns, spec: ProblemSpec, x0, xf) -> np.ndarr
     extremal of the fixed-endpoint problem.
     """
     _check_supported(spec)
-    n, m, N, q, *_ = _layout(spec)
+    n, m, N, q = spec.n, spec.m, spec.horizon, spec.frequency_constraint.row_count
     if (z.n, z.m, z.horizon, z.q) != (n, m, N, q):
         raise ValueError(
             f"unknown layout ({z.n}, {z.m}, {z.horizon}, {z.q}) does not match the "
@@ -264,58 +186,22 @@ def assemble_residual(z: StackedUnknowns, spec: ProblemSpec, x0, xf) -> np.ndarr
     return _residual_vec(z.z, spec, x0, xf)
 
 
-def _gain_state_jac(dyn, t, x):
-    if isinstance(dyn, ControlAffineDynamics):
-        return dyn.gain_state_jacobian(t, x)
-    return np.zeros((dyn.n, dyn.m, dyn.n))
-
-
 def _jacobian_analytic(zvec, spec, x0, xf) -> np.ndarray:
-    n, m, N, q, ox, ou, op, ov = _layout(spec)
-    states = _full_states(zvec, spec, np.asarray(x0, float).reshape(n), np.asarray(xf, float).reshape(n))
-    controls = zvec[ou:op].reshape(N, m)
-    adjoints = zvec[op:ov].reshape(N, n)
-    blocks = spec.frequency_constraint.blocks
-    dyn, cost = spec.dynamics, spec.cost
-    Q, R = cost.Q, cost.R
-
-    size = zvec.size
-    jac = np.zeros((size, size))
-    eye = np.eye(n)
-    row = 0
-    for t in range(N):  # (a)
-        if t + 1 <= N - 1:
-            jac[row : row + n, ox + t * n : ox + (t + 1) * n] += eye
-        if 1 <= t:
-            jac[row : row + n, ox + (t - 1) * n : ox + t * n] -= dyn.jac_x(t, states[t], controls[t])
-        jac[row : row + n, ou + t * m : ou + (t + 1) * m] -= dyn.jac_u(t, states[t], controls[t])
-        row += n
-    for t in range(1, N):  # (b); drift/gain second derivatives taken as zero
-        jac[row : row + n, op + (t - 1) * n : op + t * n] += eye
-        jac[row : row + n, op + t * n : op + (t + 1) * n] -= dyn.jac_x(t, states[t], controls[t]).T
-        jac[row : row + n, ox + (t - 1) * n : ox + t * n] += Q
-        gj = _gain_state_jac(dyn, t, states[t])
-        if np.any(gj):
-            jac[row : row + n, ou + t * m : ou + (t + 1) * m] -= np.einsum(
-                "ijl,i->lj", gj, adjoints[t]
-            )
-        row += n
-    for t in range(N):  # (c)
-        jac[row : row + m, ou + t * m : ou + (t + 1) * m] -= R
-        jac[row : row + m, op + t * n : op + (t + 1) * n] += dyn.jac_u(t, states[t], controls[t]).T
-        if 1 <= t <= N - 1:
-            gj = _gain_state_jac(dyn, t, states[t])
-            if np.any(gj):
-                jac[row : row + m, ox + (t - 1) * n : ox + t * n] += np.einsum(
-                    "ijl,i->jl", gj, adjoints[t]
-                )
-        if q:
-            jac[row : row + m, ov:] -= blocks[t].T
-        row += m
-    if q:  # (d)
-        for t in range(N):
-            jac[row : row + q, ou + t * m : ou + (t + 1) * m] += blocks[t]
-    return jac
+    """Evaluate each stage's derivatives once and assemble the Jacobian;
+    second derivatives of the drift and gain are taken as zero."""
+    states, controls, adjoints, _ = _unpack(zvec, spec, x0, xf)
+    dyn, N = spec.dynamics, spec.horizon
+    jx = np.zeros((N, spec.n, spec.n))
+    ju = np.array([dyn.jac_u(t, states[t], controls[t]) for t in range(N)])
+    affine = isinstance(dyn, ControlAffineDynamics)
+    cross = np.zeros((N, spec.m, spec.n)) if affine else None
+    for t in range(1, N):
+        jx[t] = dyn.jac_x(t, states[t], controls[t])
+        if affine:
+            cross[t] = np.einsum("ijl,i->jl", dyn.gain_state_jacobian(t, states[t]), adjoints[t])
+    return kkt.assemble(
+        jx, ju, spec.cost.Q, spec.cost.R, spec.frequency_constraint.blocks, cross
+    )
 
 
 def _jacobian_fd(zvec, spec, x0, xf) -> np.ndarray:
@@ -341,16 +227,11 @@ def residual_jacobian(
     return _jacobian_analytic(z.z, spec, x0, xf)
 
 
-def default_initialization(spec: ProblemSpec, x0, xf) -> tuple[StackedUnknowns, bool]:
-    """Initial iterate from the exactly-solved linearized problem.
-
-    LTI specs initialize at their own exact solution.  Control-affine specs
-    linearize about (x0, 0) and lift the resulting LTI solution.  If that
-    transfer is infeasible or in an abnormal regime (for instance a vanishing
-    linearized gain), falls back to the zero iterate and sets the warning flag.
-    """
-    _check_supported(spec)
-    n, m, N, q, *_ = _layout(spec)
+def _initialize(spec: ProblemSpec, x0, xf):
+    """:func:`default_initialization`, plus the normality verdict of the
+    linearized transfer (for an LTI spec, the spec's own verdict)."""
+    n, m, N = spec.n, spec.m, spec.horizon
+    zeros = StackedUnknowns.zeros(n, m, N, spec.frequency_constraint.row_count)
     x0 = np.asarray(x0, dtype=float).reshape(n)
     xf = np.asarray(xf, dtype=float).reshape(n)
     dyn = spec.dynamics
@@ -363,15 +244,26 @@ def default_initialization(spec: ProblemSpec, x0, xf) -> tuple[StackedUnknowns, 
         Q, R = np.eye(n), np.eye(m)
     try:
         sol = lq_transfer_freq_solve(A, B, Q, R, N, x0, xf, spec.frequency_constraint)
-    except AbnormalRegimeError:
-        return StackedUnknowns.zeros(n, m, N, q), True
+    except AbnormalRegimeError as exc:
+        return zeros, True, exc.verdict
     if sol.status is not SolveStatus.SOLVED:
-        return StackedUnknowns.zeros(n, m, N, q), True
-    interior = sol.trajectory.states[1:N] if N > 1 else np.zeros((0, n))
-    return (
-        StackedUnknowns.pack(interior, sol.trajectory.controls, sol.adjoints, sol.nu),
-        False,
-    )
+        return zeros, True, sol.normality
+    traj = sol.trajectory
+    z = StackedUnknowns.pack(traj.states[1:N], traj.controls, sol.adjoints, sol.nu)
+    return z, False, sol.normality
+
+
+def default_initialization(spec: ProblemSpec, x0, xf) -> tuple[StackedUnknowns, bool]:
+    """Initial iterate from the exactly-solved linearized problem.
+
+    LTI specs initialize at their own exact solution.  Control-affine specs
+    linearize about (x0, 0) and lift the resulting LTI solution.  If that
+    transfer is infeasible or in an abnormal regime (for instance a vanishing
+    linearized gain), falls back to the zero iterate and sets the warning flag.
+    """
+    _check_supported(spec)
+    z, warned, _ = _initialize(spec, x0, xf)
+    return z, warned
 
 
 def newton_solve(
@@ -388,24 +280,27 @@ def newton_solve(
     budget runs out.  For LTI specs the residual is affine, so any starting
     point converges in a single undamped step.  LTI specs in an all-abnormal
     regime are refused with :class:`AbnormalRegimeError`; a singular Jacobian
-    raises :class:`SingularJacobianError` with iterate diagnostics.
+    raises :class:`SingularJacobianError` with iterate diagnostics.  For LTI
+    specs the normality verdict is returned in the result.
     """
     _check_supported(spec)
     opts = opts or NewtonOptions()
-    n, m, N, q, ox, ou, op, ov = _layout(spec)
+    n, N = spec.n, spec.horizon
     x0 = np.asarray(x0, dtype=float).reshape(n)
     xf = np.asarray(xf, dtype=float).reshape(n)
 
-    if isinstance(spec.dynamics, LtiDynamics):
-        verdict = classify_normality_freq(
-            spec.dynamics.A, spec.dynamics.B, N, spec.frequency_constraint
-        )
+    init_warning, verdict = False, None
+    if init is None:  # an LTI spec's initialization classifies the spec itself
+        init, init_warning, verdict = _initialize(spec, x0, xf)
+    if not isinstance(spec.dynamics, LtiDynamics):
+        verdict = None
+    else:
+        if verdict is None:
+            verdict = classify_normality_freq(
+                spec.dynamics.A, spec.dynamics.B, N, spec.frequency_constraint
+            )
         if verdict.classification is NormalityClass.ALL_ABNORMAL:
             raise AbnormalRegimeError(verdict)
-
-    init_warning = False
-    if init is None:
-        init, init_warning = default_initialization(spec, x0, xf)
 
     z = init.z.copy()
     residual = _residual_vec(z, spec, x0, xf)
@@ -441,11 +336,9 @@ def newton_solve(
         z, residual, norm = z_try, r_try, norm_try
         trace.append((iterations, norm, alpha))
 
-    controls = z[ou:op].reshape(N, m)
-    adjoints = z[op:ov].reshape(N, n)
-    nu = z[ov:].copy()
+    _, controls, adjoints, nu = _unpack(z, spec, x0, xf)
     traj = rollout(spec.dynamics, x0, controls)
-    lift = lift_from_solver(spec, traj, adjoints, nu, eta_c=1.0)
+    lift = lift_from_solver(spec, traj, adjoints, nu.copy(), eta_c=1.0)
     return ShootingResult(
         trajectory=traj,
         lift=lift,
@@ -454,4 +347,5 @@ def newton_solve(
         converged=norm <= opts.tolerance,
         trace=tuple(trace),
         init_warning=init_warning,
+        normality=verdict,
     )

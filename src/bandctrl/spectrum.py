@@ -74,15 +74,16 @@ def build_dft_matrix(size: int) -> np.ndarray:
 def forward_dft(signal) -> np.ndarray:
     """Frequency components of one real control channel, unitary scaling.
 
-    Equals ``build_dft_matrix(N) @ signal``; for real input the output has
-    conjugate symmetry u_hat[N - xi] == conj(u_hat[xi]).
+    Equals ``build_dft_matrix(N) @ signal`` up to rounding, computed by the
+    FFT; for real input the output has conjugate symmetry
+    u_hat[N - xi] == conj(u_hat[xi]).
     """
     u = np.atleast_1d(np.asarray(signal, dtype=float))
     if u.ndim != 1:
         raise ValueError(f"signal must be one-dimensional, got shape {u.shape}")
     if u.size == 0:
         raise ValueError("signal must contain at least one sample")
-    return build_dft_matrix(u.size) @ u
+    return np.fft.fft(u, norm="ortho")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from bandctrl import cli, extremal, lq, shooting
 from bandctrl.cli import apply_overrides, parse_problem, run, serialize_problem, spectrum_report
 from bandctrl.problem import ProblemValidationError
 
@@ -179,6 +180,54 @@ class TestRun:
         inp = _write(tmp_path, "p.json", doc)
         assert run(inp, str(tmp_path / "r.json")) == 1
         assert "transfer_freq" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[1, 2]", "problem document"),
+            (json.dumps(_transfer_doc(options={"tolerance": "x"})), "options.tolerance"),
+            (json.dumps(_transfer_doc(options={"tolerance": -1})), "options.tolerance"),
+            (
+                json.dumps(_transfer_doc(solver="shooting", options={"max_iterations": 0})),
+                "options.max_iterations",
+            ),
+            (json.dumps(_transfer_doc(banned_frequencies=[[2.5]])), "banned_frequencies[0][0]"),
+            (
+                json.dumps(
+                    _transfer_doc(dynamics={"kind": "lti", "A": [[float("nan")]], "B": [[1.0]]})
+                ),
+                "dynamics.A",
+            ),
+            (json.dumps(_transfer_doc(boundary={"x0": [0.0], "xf": float("inf")})), "boundary.xf"),
+        ],
+        ids=["array", "tolerance-text", "tolerance-negative", "zero-iterations",
+             "fractional-ban", "nan-matrix", "infinite-target"],
+    )
+    def test_malformed_input_exits_one_naming_the_field(self, tmp_path, capsys, text, field):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        out = tmp_path / "r.json"
+        assert run(str(path), str(out)) == 1
+        assert not out.exists()
+        assert f"error: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc", [_transfer_doc(), _transfer_doc(solver="shooting")], ids=["transfer_freq", "shooting"]
+    )
+    def test_one_normality_classification_per_solve(self, tmp_path, monkeypatch, doc):
+        calls = []
+        original = extremal.classify_normality_freq
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (extremal, lq, shooting, cli):
+            monkeypatch.setattr(module, "classify_normality_freq", counted, raising=False)
+        assert run(_write(tmp_path, "p.json", doc), str(tmp_path / "r.json")) == 0
+        assert len(calls) == 1
+        result = json.loads((tmp_path / "r.json").read_text())
+        assert result["normality"]["classification"] == "ALL_NORMAL"
 
 
 class TestParsing:

@@ -1,5 +1,7 @@
 """Tests for Hamiltonian evaluation, PMP certificates, and normality classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -164,6 +166,36 @@ class TestVerifyPmp:
         lift = lift_from_solver(free_spec, sol.trajectory, sol.adjoints, sol.nu)
         cert = verify_pmp(sol.trajectory, lift, free_spec)
         assert not cert.condition_passed["iv"]
+
+    def test_endpoint_off_its_fixed_point_fails_iv(self):
+        # solved to xf = [1, 0], judged against the same problem with xf = [5, 0]
+        A, B, Q, R = [[1.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]], np.eye(2), [[1.0]]
+        specs = [
+            lti_spec(A, B, Q, R, 16, x0=[0.0, 0.0], xf=xf, banned=[[3]])
+            for xf in ([1.0, 0.0], [5.0, 0.0])
+        ]
+        sol = lq_transfer_freq_solve(
+            A, B, Q, R, 16, [0.0, 0.0], [1.0, 0.0], specs[0].frequency_constraint
+        )
+        right, wrong = (
+            verify_pmp(sol.trajectory, lift_from_solver(s, sol.trajectory, sol.adjoints, sol.nu), s)
+            for s in specs
+        )
+        assert right.passed
+        assert not wrong.passed and not wrong.condition_passed["iv"]
+        assert wrong.set_violation == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("field, condition", [("state_sets", "iii"), ("control_sets", "v")])
+    def test_leaving_a_box_fails(self, field, condition):
+        spec, sol = _transfer_setup(seed=12)
+        points = sol.trajectory.states if field == "state_sets" else sol.trajectory.controls
+        sets = list(getattr(spec, field))
+        sets[3] = Box(points[3] + 1.0, points[3] + 2.0)
+        boxed = dataclasses.replace(spec, **{field: tuple(sets)})
+        lift = lift_from_solver(boxed, sol.trajectory, sol.adjoints, sol.nu)
+        cert = verify_pmp(sol.trajectory, lift, boxed)
+        assert not cert.condition_passed[condition] and not cert.passed
+        assert cert.set_violation == pytest.approx(1.0)
 
     def test_box_control_set_at_active_bound(self):
         # minimum-energy transfer clipped by the box: at an active upper bound the

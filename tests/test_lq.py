@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bandctrl.extremal import AbnormalRegimeError
@@ -13,6 +14,8 @@ from bandctrl.lq import (
     riccati_adjoints,
     riccati_solve,
 )
+from bandctrl.problem import lti_spec
+from bandctrl.shooting import StackedUnknowns, assemble_residual
 from bandctrl.spectrum import (
     SupportSpec,
     build_frequency_constraint,
@@ -20,7 +23,7 @@ from bandctrl.spectrum import (
     forward_dft,
 )
 
-from oracles import random_lq_matrices, transfer_qp_oracle
+from oracles import random_banned_sets, random_lq_matrices, transfer_qp_oracle
 
 
 def _rel_gap(a, b):
@@ -238,3 +241,46 @@ class TestTransferFreq:
         fc = build_frequency_constraint(SupportSpec.from_banned([[0, 1]], 2), 2, 1)
         with pytest.raises(AbnormalRegimeError):
             lq_transfer_freq_solve([[1.0]], [[1.0]], [[0.0]], [[1.0]], 2, [0.0], [0.0], fc)
+
+
+class TestFirstOrderSystem:
+    """The fixed-end and free-end reductions of the one assembled system."""
+
+    sizes = dict(
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        horizon=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(**sizes)
+    def test_transfer_zeroes_the_residual(self, n, m, horizon, seed):
+        rng = np.random.default_rng(seed)
+        A, B, Q, R = random_lq_matrices(rng, n, m)
+        x0, xf = rng.standard_normal(n), rng.standard_normal(n)
+        spec = lti_spec(
+            A, B, Q, R, horizon, x0=x0, xf=xf, banned=random_banned_sets(rng, horizon, m, 3)
+        )
+        try:
+            sol = lq_transfer_freq_solve(A, B, Q, R, horizon, x0, xf, spec.frequency_constraint)
+        except AbnormalRegimeError:
+            sol = None
+        assume(sol is not None and sol.status is SolveStatus.SOLVED)
+        z = StackedUnknowns.pack(
+            sol.trajectory.states[1:horizon], sol.trajectory.controls, sol.adjoints, sol.nu
+        )
+        # relative to the unknowns: nearly dependent rows can make nu as large as 1e9
+        scale = 1.0 + np.max(np.abs(z.z))
+        assert np.max(np.abs(assemble_residual(z, spec, x0, xf))) <= 1e-9 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(**sizes)
+    def test_free_end_matches_riccati(self, n, m, horizon, seed):
+        rng = np.random.default_rng(seed)
+        A, B, Q, R = random_lq_matrices(rng, n, m)
+        x0 = rng.standard_normal(n)
+        _, traj_dp = riccati_solve(A, B, Q, R, horizon, x0)
+        sol = lq_pmp_solve(A, B, Q, R, horizon, x0)
+        assert _rel_gap(traj_dp.controls, sol.trajectory.controls) < 1e-8
+        assert _rel_gap(traj_dp.states, sol.trajectory.states) < 1e-8

@@ -137,6 +137,32 @@ class TestJacobian:
             assert np.max(np.abs(ja - jf)) / scale < 1e-5
 
 
+    def test_analytic_jacobian_evaluates_each_stage_once(self):
+        calls = {"jac_x": 0, "jac_u": 0, "gain_state_jacobian": 0}
+
+        class Counted(ControlAffineDynamics):
+            def jac_x(self, t, x, u):
+                calls["jac_x"] += 1
+                return super().jac_x(t, x, u)
+
+            def jac_u(self, t, x, u):
+                calls["jac_u"] += 1
+                return super().jac_u(t, x, u)
+
+            def gain_state_jacobian(self, t, x):
+                calls["gain_state_jacobian"] += 1
+                return super().gain_state_jacobian(t, x)
+
+        toy = _toy_dynamics()
+        dyn = Counted(1, 1, toy.drift, toy.gain, toy.drift_jac, toy.gain_jac)
+        spec = control_affine_spec(dyn, [[1.0]], [[1.0]], 10, [0.0], [1.0], banned=[[3]])
+        q = spec.frequency_constraint.row_count
+        z = StackedUnknowns(np.full(9 + 10 + 10 + q, 0.5), n=1, m=1, horizon=10, q=q)
+        residual_jacobian(z, spec, [0.0], [1.0])
+        # x_0 is fixed, so stage 0 needs no state derivatives
+        assert calls == {"jac_x": 9, "jac_u": 10, "gain_state_jacobian": 9}
+
+
 class TestNewtonSolve:
     def test_lti_one_undamped_step_from_random_init(self):
         spec, x0, xf = _lti_setup(seed=4)
