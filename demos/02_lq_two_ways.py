@@ -2,8 +2,11 @@
 """Solve the free-endpoint LQ regulator two ways and confirm they coincide.
 
 The Bellman recursion produces value matrices and feedback gains; the
-first-order (adjoint) route assembles the coupled state/adjoint/stationarity
-system and solves it in one shot.  Both characterize the same optimum.
+first-order (adjoint) route solves the coupled state/adjoint/stationarity
+system.  Both characterize the same optimum.  The structured first-order
+solver runs the same backward Riccati recursion, so the two read-outs are
+not independent computations; tests/test_kkt.py checks that solver against a
+dense factorization of the whole system.
 """
 
 import numpy as np

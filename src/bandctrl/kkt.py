@@ -20,6 +20,22 @@ last dynamics row, which becomes the transversality condition p_{N-1} = 0.
 arrays; it is the one place where the blocks are laid out.  For LTI dynamics
 and quadratic cost the rows are affine in z, and the solution solves
 ``assemble(...) @ z = boundary_rhs(...)``.
+
+For LTI systems :func:`lti_solve` solves that system without forming it, in
+O(N) time and memory for fixed n, m, q.  The stage rows, with a terminal
+adjoint parameter w_N (fixed end only) and nu held as parameters, are a
+two-point LQ problem: a backward Riccati sweep (:func:`riccati_sweep`, from a
+positive terminal weight P_N at a fixed end, so that the closed loop is
+stable even in modes Q does not weigh) gives u_t = K_t x_t + k_t and
+p_{t-1} = -P_t x_t + w_t.  The right-hand side and one unit column per
+parameter are carried through the affine parts (w_t backward, x_t forward) as
+batched recursive-doubling scans over the stage axis.  What is left is the
+border: the last dynamics row (x_N = xf) and the frequency rows, a dense
+system of size n + q in (w_N, nu), where w_N = p_{N-1} at a solution.  It is
+solved by LU, or by least squares when LU fails or leaves a residual above
+INFEASIBILITY_TOL * (1 + |rhs|), so non-unique multipliers come out
+minimum-norm over (p_{N-1}, nu).
+:func:`lti_product` is ``assemble(...) @ z`` without the matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +44,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StackedUnknowns", "segments", "assemble", "boundary_rhs"]
+# a first-order residual max-norm above INFEASIBILITY_TOL * (1 + |rhs|)
+# means the system has no solution
+INFEASIBILITY_TOL = 1e-7
+
+__all__ = [
+    "INFEASIBILITY_TOL",
+    "StackedUnknowns",
+    "segments",
+    "assemble",
+    "boundary_rhs",
+    "riccati_sweep",
+    "lti_solve",
+    "lti_product",
+]
 
 
 def segments(n: int, m: int, horizon: int, q: int) -> dict[str, slice]:
@@ -156,3 +185,181 @@ def boundary_rhs(ax0, xf, n: int, m: int, horizon: int, q: int) -> np.ndarray:
     last = slice((horizon - 1) * n, horizon * n)
     rhs[last] = 0.0 if xf is None else rhs[last] - xf
     return rhs
+
+
+def riccati_sweep(A, B, Q, R, horizon: int, terminal=None):
+    """Backward Riccati recursion of x_{t+1} = A x_t + B u_t under stage cost
+    0.5 x'Qx + 0.5 u'Ru, from P_N = ``terminal`` (zero when None):
+
+        H_t = R + B'P_{t+1}B,   K_t = -H_t^(-1) B'P_{t+1}A,
+        P_t = Q + A'P_{t+1}(A + B K_t),
+
+    with P_t symmetrized at every step (without it the antisymmetric rounding
+    part grows by a constant factor per stage).  Returns P (N+1, n, n), K
+    (N, m, n) and the inverse pivots H_t^(-1) (N, m, m).  Raises
+    ``numpy.linalg.LinAlgError`` when a pivot is singular or the recursion
+    leaves the finite range.  A scalar pivot (m = 1) is inverted by division,
+    and finiteness is checked once after the loop: per stage, numpy's call
+    overhead is the cost, not the arithmetic.
+    """
+    n, m = np.shape(B)
+    P = np.empty((horizon + 1, n, n))
+    P[horizon] = 0.0 if terminal is None else terminal
+    K = np.empty((horizon, m, n))
+    Hinv = np.empty((horizon, m, m))
+    At, Bt, Pt = A.T, B.T, P[horizon]
+    # ndarray.dot: half the call overhead of @ on matrices this small
+    with np.errstate(all="ignore"):  # a zero or overflowing pivot ends in the check below
+        for t in range(horizon - 1, -1, -1):
+            BP = Bt.dot(Pt)
+            BPA = BP.dot(A)
+            if m == 1:
+                Hinv[t] = hinv = 1.0 / (R[0, 0] + BP.dot(B)[0, 0])
+                Kt = BPA * -hinv
+            else:
+                Hinv[t] = hinv = np.linalg.inv(R + BP.dot(B))
+                Kt = -hinv.dot(BPA)
+            Pt = Q + At.dot(Pt).dot(A) + BPA.T.dot(Kt)
+            Pt = 0.5 * (Pt + Pt.T)
+            P[t], K[t] = Pt, Kt
+    if not (np.isfinite(P).all() and np.isfinite(Hinv).all()):
+        raise np.linalg.LinAlgError("singular Riccati pivot or non-finite recursion")
+    return P, K, Hinv
+
+
+def _scan(G, h):
+    """y_t = G_t y_{t-1} + h_t for t = 0..T-1 with y_{-1} = 0, by recursive
+    doubling: log2(T) batched products instead of T small ones.  G (T, n, n)
+    and h (T, n, c) are overwritten; returns y in h."""
+    T, s = len(h), 1
+    while s < T:
+        h[s:] += G[s:] @ h[:-s]
+        if 2 * s < T:
+            G[s:] = G[s:] @ G[:-s]
+        s *= 2
+    return h
+
+
+def _split_rows(rhs, n: int, m: int, horizon: int):
+    """Dynamics (N, n), adjoint (N-1, n), stationarity (N, m) and frequency
+    parts of a vector in the row layout of :func:`assemble`."""
+    N = horizon
+    r_adj, r_stat = N * n, (2 * N - 1) * n
+    r_freq = r_stat + N * m
+    return (
+        rhs[:r_adj].reshape(N, n),
+        rhs[r_adj:r_stat].reshape(N - 1, n),
+        rhs[r_stat:r_freq].reshape(N, m),
+        rhs[r_freq:],
+    )
+
+
+def lti_product(A, B, Q, R, blocks, z, free_end: bool = False) -> np.ndarray:
+    """``assemble(...) @ z`` for LTI dynamics, without forming the matrix."""
+    N, q, m = np.shape(blocks)
+    n = np.shape(A)[0]
+    un = StackedUnknowns(z, n, m, N, q)
+    X = np.zeros((N + 1, n))
+    X[1:N] = un.states()
+    U, P, nu = un.controls(), un.adjoints(), un.nu()
+    dyn = X[1:] - X[:-1] @ A.T - U @ B.T
+    if free_end:
+        dyn[-1] = P[-1]
+    adj = P[:-1] - P[1:] @ A + X[1:N] @ Q.T
+    stat = P @ B - U @ R.T - np.einsum("tqm,q->tm", blocks, nu)
+    freq = np.einsum("tqm,tm->q", blocks, U)
+    return np.concatenate([dyn.ravel(), adj.ravel(), stat.ravel(), freq])
+
+
+def lti_solve(A, B, Q, R, blocks, rhs, free_end: bool = False):
+    """Solve ``assemble(...) @ z = rhs`` for LTI dynamics in O(N).
+
+    ``A``, ``B``, ``Q``, ``R`` and ``blocks`` (N, q, m) are as in
+    :func:`assemble` with constant stage derivatives; ``rhs`` is any vector in
+    its row layout.  The border system in (w_N, nu) (nu alone at a free end)
+    is solved by LU; when that fails, gives non-finite values or leaves a
+    residual max-norm above INFEASIBILITY_TOL * (1 + |rhs|), by least
+    squares.  Returns ``(z, residual, consistent)``: the residual max-norm of
+    the returned z and whether it is within that threshold.  Raises
+    ``numpy.linalg.LinAlgError`` when a Riccati pivot is singular.
+
+    At a fixed end the sweep starts from P_N = sigma I with B'P_N B of the
+    size of R, and the border unknown is w_N = p_{N-1} + P_N x_N, where x_N
+    is the residual of the last dynamics row (zero at a solution, so
+    w_N = p_{N-1} there).  From P_N = 0 the closed loop A + B K_t is open
+    loop in every mode Q does not weigh, and an unstable such mode makes the
+    right-hand-side and p_{N-1} columns grow like rho(A)^N and cancel in x_t;
+    a positive terminal weight stabilizes the closed loop instead.
+    """
+    A, B, Q, R = (np.asarray(a, dtype=float) for a in (A, B, Q, R))
+    blocks = np.asarray(blocks, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    N, q, m = blocks.shape
+    n = A.shape[0]
+    threshold = INFEASIBILITY_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0))
+    terminal = None
+    if not free_end:
+        bb = float(np.sum(B * B))
+        terminal = (np.linalg.norm(R) / bb if bb > 0.0 else 1.0) * np.eye(n)
+    P, K, Hinv = riccati_sweep(A, B, Q, R, N, terminal)
+    Phi = A + B @ K
+
+    # carried columns: the right-hand side, then w_N (fixed end), then nu
+    lam = 0 if free_end else n
+    c = 1 + lam + q
+    dyn, adj, stat, freq = _split_rows(rhs, n, m, N)
+    d = np.zeros((N, n, c))
+    d[:, :, 0] = dyn
+    a = np.zeros((N, n, c))
+    a[1:, :, 0] = adj
+    g = np.zeros((N, m, c))  # F_t'nu + s_t: R u_t = B'p_t - g_t
+    g[:, :, 0] = stat
+    g[:, :, 1 + lam :] = blocks.transpose(0, 2, 1)
+    w_end = np.zeros((n, c))  # w_N = p_{N-1} + P_N x_N
+    if free_end:
+        w_end[:, 0] = dyn[-1]
+        d[-1] = 0.0
+    else:
+        w_end[:, 1 : 1 + lam] = np.eye(n)
+
+    # backward: w_t = Phi_t'(w_{t+1} - P_{t+1} d_t) - K_t' g_t + a_t from w_N
+    PhiT = Phi.transpose(0, 2, 1)
+    h = a - PhiT @ (P[1:] @ d) - K.transpose(0, 2, 1) @ g
+    h[-1] += PhiT[-1] @ w_end
+    w = _scan(PhiT[::-1].copy(), h[::-1].copy())[::-1]  # w_0..w_{N-1}
+    w_next = np.concatenate([w[1:], w_end[None]])
+    k = Hinv @ (B.T @ (w_next - P[1:] @ d) - g)
+
+    # forward: x_{t+1} = Phi_t x_t + B k_t + d_t from x_0 = 0 (A x0 is in rhs)
+    x_next = _scan(Phi.copy(), B @ k + d)  # x_1..x_N
+    x = np.concatenate([np.zeros((1, n, c)), x_next[:-1]])
+    u = K @ x + k
+    p = w_next - P[1:] @ x_next
+
+    # border: x_N = 0 (fixed end) and sum_t F_t u_t = f, affine in the parameters
+    border = blocks.transpose(1, 0, 2).reshape(q, N * m) @ u.reshape(N * m, c)
+    target = freq
+    if not free_end:
+        border = np.vstack([x_next[-1], border])
+        target = np.concatenate([np.zeros(n), freq])
+    S, b = border[:, 1:], target - border[:, 0]
+
+    def stacked(theta):
+        one = np.concatenate([[1.0], theta])
+        nu = theta[lam:]
+        return np.concatenate(
+            [(x_next[:-1] @ one).ravel(), (u @ one).ravel(), (p @ one).ravel(), nu]
+        )
+
+    def residual(z):
+        return float(np.max(np.abs(lti_product(A, B, Q, R, blocks, z, free_end) - rhs)))
+
+    try:
+        z = stacked(np.linalg.solve(S, b) if b.size else b)
+        res = residual(z) if np.isfinite(z).all() else np.inf
+    except np.linalg.LinAlgError:
+        res = np.inf
+    if b.size and not res <= threshold:
+        z = stacked(np.linalg.lstsq(S, b, rcond=None)[0])
+        res = residual(z)
+    return z, res, res <= threshold

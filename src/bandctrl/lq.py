@@ -6,16 +6,20 @@ Four entry points, all for x_{t+1} = A x_t + B u_t with stage cost
 * :func:`riccati_solve` - free final state, backward value recursion and
   feedback rollout;
 * :func:`lq_pmp_solve` - same problem through the first-order two-point
-  system, assembled and solved as one linear system;
+  system;
 * :func:`lq_transfer_solve` - fixed endpoints x_0 = x0, x_N = xf;
 * :func:`lq_transfer_freq_solve` - fixed endpoints plus the banned-frequency
   equality constraint sum_t F_t u_t = 0, with its multiplier nu.
 
-The last three build their first-order system with :mod:`bandctrl.kkt`.
-The transfer systems are square; they are solved directly, with a least
-squares fallback (minimum-norm over the whole stacked vector, hence over the
-multipliers when those are non-unique).  A least-squares residual above
-1e-7 * (1 + |rhs|) flags the transfer as infeasible.
+The last three solve their first-order system, in the row layout of
+:mod:`bandctrl.kkt`, with :func:`bandctrl.kkt.lti_solve`: a Riccati sweep plus
+a Schur complement of size n + q on the border (p_{N-1} at a fixed end, and
+nu), so no matrix larger than (n + q)^2 is factored.  The border is solved by
+LU, and by least squares when LU fails or leaves too large a residual; when
+the multipliers are non-unique, (p_{N-1}, nu) is minimum-norm over those
+border unknowns rather than over the whole stacked vector.  A max-norm
+residual of the whole first-order system above
+INFEASIBILITY_TOL * (1 + |rhs|) flags the transfer as infeasible.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from enum import Enum
 import numpy as np
 
 from . import kkt
+from .kkt import INFEASIBILITY_TOL
 from .extremal import (
     AbnormalRegimeError,
     NormalityClass,
@@ -47,8 +52,6 @@ __all__ = [
     "lq_transfer_freq_solve",
     "INFEASIBILITY_TOL",
 ]
-
-INFEASIBILITY_TOL = 1e-7
 
 
 class SolveStatus(Enum):
@@ -99,23 +102,14 @@ def riccati_solve(A, B, Q, R, horizon: int, x0) -> tuple[RiccatiSolution, Trajec
     """Bellman recursion for the free-final-state LQ problem.
 
     S_N = 0;  K_t = -(R + B'S_{t+1}B)^(-1) B'S_{t+1}A;
-    S_t = (A + B K_t)' S_{t+1} (A + B K_t) + K_t' R K_t + Q;  u_t = K_t x_t.
+    S_t = Q + A'S_{t+1}(A + B K_t);  u_t = K_t x_t  (:func:`bandctrl.kkt.riccati_sweep`).
     """
     A, B, Q, R, n, m, x0 = _as_lq(A, B, Q, R, horizon, x0)
-    S = np.zeros((horizon + 1, n, n))
-    K = np.zeros((horizon, m, n))
-    for t in range(horizon - 1, -1, -1):
-        BSB = R + B.T @ S[t + 1] @ B
-        try:
-            K[t] = -np.linalg.solve(BSB, B.T @ S[t + 1] @ A)
-        except np.linalg.LinAlgError:
-            return (
-                RiccatiSolution(S, K, float("nan"), SolveStatus.SINGULAR),
-                None,
-            )
-        closed = A + B @ K[t]
-        St = closed.T @ S[t + 1] @ closed + K[t].T @ R @ K[t] + Q
-        S[t] = 0.5 * (St + St.T)
+    try:
+        S, K, _ = kkt.riccati_sweep(A, B, Q, R, horizon)
+    except np.linalg.LinAlgError:
+        S, K = np.zeros((horizon + 1, n, n)), np.zeros((horizon, m, n))
+        return RiccatiSolution(S, K, float("nan"), SolveStatus.SINGULAR), None
     states = np.zeros((horizon + 1, n))
     controls = np.zeros((horizon, m))
     states[0] = x0
@@ -135,37 +129,17 @@ def riccati_adjoints(solution: RiccatiSolution, traj: Trajectory) -> np.ndarray:
     )
 
 
-def _solve_stacked(M: np.ndarray, rhs: np.ndarray):
-    """Solve a square stacked system, falling back to least squares.
-
-    Returns (z, residual, consistent); residual is the max-norm of M z - rhs
-    and consistency uses INFEASIBILITY_TOL * (1 + |rhs|).
-    """
-    threshold = INFEASIBILITY_TOL * (1.0 + _inf(rhs))
-    try:
-        z = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        z = np.full(rhs.size, np.nan)
-    if not np.all(np.isfinite(z)) or _inf(M @ z - rhs) > threshold:
-        z = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    # one step of iterative refinement sharpens consistent solves to machine level
-    try:
-        z = z + np.linalg.solve(M, rhs - M @ z)
-    except np.linalg.LinAlgError:
-        z = z + np.linalg.lstsq(M, rhs - M @ z, rcond=None)[0]
-    residual = _inf(M @ z - rhs)
-    return z, residual, residual <= threshold
-
-
-def _lq_system(A, B, Q, R, N, x0, xf, blocks):
-    """First-order system of the LQ problem as (J, -r(0)); xf None frees the
-    final state."""
+def _first_order_solve(A, B, Q, R, N, x0, xf, blocks):
+    """Structured solve of the LQ first-order system (xf None frees the final
+    state).  Returns (unknowns, residual, consistent): the residual is the
+    max-norm of the first-order rows, consistency uses
+    INFEASIBILITY_TOL * (1 + |rhs|).  Raises ``numpy.linalg.LinAlgError`` on a
+    singular Riccati pivot."""
     n, m = B.shape
-    M = kkt.assemble(
-        np.broadcast_to(A, (N, n, n)), np.broadcast_to(B, (N, n, m)), Q, R, blocks,
-        free_end=xf is None,
-    )
-    return M, kkt.boundary_rhs(A @ x0, xf, n, m, N, blocks.shape[1])
+    q = blocks.shape[1]
+    rhs = kkt.boundary_rhs(A @ x0, xf, n, m, N, q)
+    z, residual, consistent = kkt.lti_solve(A, B, Q, R, blocks, rhs, free_end=xf is None)
+    return kkt.StackedUnknowns(z, n, m, N, q), residual, consistent
 
 
 def lq_pmp_solve(A, B, Q, R, horizon: int, x0) -> LqSolution:
@@ -177,20 +151,17 @@ def lq_pmp_solve(A, B, Q, R, horizon: int, x0) -> LqSolution:
         p_{t-1} = A'p_t - Q x_t,       t = 1..N-1,
         R u_t   = B'p_t,               p_{N-1} = 0,
 
-    as one linear system.  eta_c = 1 throughout: the free-endpoint problem has
-    no abnormal extremals (a zero cost multiplier forces the whole adjoint
-    sequence to zero).
+    with the structured solver (no border: q = 0 and p_{N-1} = 0 is given); a
+    singular Riccati pivot gives SINGULAR.  eta_c = 1 throughout: the
+    free-endpoint problem has no abnormal extremals (a zero cost multiplier
+    forces the whole adjoint sequence to zero).
     """
     A, B, Q, R, n, m, x0 = _as_lq(A, B, Q, R, horizon, x0)
     N = horizon
-    M, rhs = _lq_system(A, B, Q, R, N, x0, None, np.zeros((N, 0, m)))
     try:
-        z = np.linalg.solve(M, rhs)
+        unknowns, _, _ = _first_order_solve(A, B, Q, R, N, x0, None, np.zeros((N, 0, m)))
     except np.linalg.LinAlgError:
-        z = np.full(rhs.size, np.nan)
-    if not np.all(np.isfinite(z)):
         return LqSolution(None, None, np.zeros(0), float("nan"), SolveStatus.SINGULAR)
-    unknowns = kkt.StackedUnknowns(z, n, m, N, 0)
     traj = rollout(LtiDynamics(A, B), x0, unknowns.controls())
     cost = trajectory_cost(QuadraticCost(Q, R), traj)
     return LqSolution(traj, unknowns.adjoints(), np.zeros(0), cost, SolveStatus.SOLVED)
@@ -199,9 +170,13 @@ def lq_pmp_solve(A, B, Q, R, horizon: int, x0) -> LqSolution:
 def _solve_transfer(A, B, Q, R, N, x0, xf, blocks, normality=None) -> LqSolution:
     A, B, Q, R, n, m, x0 = _as_lq(A, B, Q, R, N, x0)
     xf = np.asarray(xf, dtype=float).reshape(n)
-    M, rhs = _lq_system(A, B, Q, R, N, x0, xf, blocks)
-    z, residual, consistent = _solve_stacked(M, rhs)
-    unknowns = kkt.StackedUnknowns(z, n, m, N, blocks.shape[1])
+    try:
+        unknowns, residual, consistent = _first_order_solve(A, B, Q, R, N, x0, xf, blocks)
+    except np.linalg.LinAlgError:
+        return LqSolution(
+            None, None, np.zeros(blocks.shape[1]), float("nan"), SolveStatus.SINGULAR,
+            normality=normality,
+        )
     nu = unknowns.nu().copy()
     if not consistent:
         return LqSolution(
@@ -234,8 +209,8 @@ def lq_transfer_freq_solve(
     an all-abnormal regime, raising :class:`AbnormalRegimeError`; otherwise
     the verdict is returned as ``LqSolution.normality``.  When the
     multiplier is non-unique the least-squares path returns the minimum-norm
-    stacked solution, so nu is the minimum-norm multiplier consistent with the
-    (unique) optimal controls.
+    border solution, so (p_{N-1}, nu) is minimum-norm among the multipliers
+    consistent with the (unique) optimal controls.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)

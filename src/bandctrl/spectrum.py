@@ -178,11 +178,11 @@ def build_frequency_constraint(
 ) -> FrequencyConstraint:
     """Build the banned-frequency equality constraint for the given supports.
 
-    Steps: symmetrize each banned set under xi -> N - xi, select the DFT rows
-    of one representative per mirror orbit for each channel, stack real and
-    imaginary parts, reorder columns from channel-stacked to time-stacked
-    control coordinates, drop identically-zero rows, and slice the remainder
-    into per-time blocks.
+    Steps: symmetrize each banned set under xi -> N - xi, compute the DFT rows
+    of one representative per mirror orbit for each channel (O(qN), without
+    the N x N matrix), place them in time-stacked control coordinates, stack
+    real and imaginary parts, drop identically-zero rows, and slice the
+    remainder into per-time blocks.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be a positive integer, got {horizon}")
@@ -196,8 +196,6 @@ def build_frequency_constraint(
         if out:
             raise ValueError(f"channel {k}: allowed indices {out} outside 0..{horizon - 1}")
 
-    phi = build_dft_matrix(horizon)
-
     canon_allowed = []
     reps_per_channel = []
     for allowed in supports.allowed:
@@ -209,22 +207,15 @@ def build_frequency_constraint(
         reps_per_channel.append(sorted({min(xi, (horizon - xi) % horizon) for xi in sym}))
     canonical = SupportSpec(tuple(canon_allowed))
 
-    size = horizon * channels
-    total = sum(len(reps) for reps in reps_per_channel)
-    selected = np.zeros((total, size), dtype=complex)
-    row = 0
-    for k, reps in enumerate(reps_per_channel):
-        for xi in reps:
-            selected[row, k * horizon : (k + 1) * horizon] = phi[xi]
-            row += 1
-    stacked = np.vstack([selected.real, selected.imag])
-
-    # reorder columns: time-stacked coordinate t*m + k reads channel-stacked k*N + t
-    col_map = np.empty(size, dtype=int)
-    for t in range(horizon):
-        for k in range(channels):
-            col_map[t * channels + k] = k * horizon + t
-    stacked = stacked[:, col_map]
+    # only the selected rows of build_dft_matrix(horizon), entry for entry
+    reps = np.array([xi for chan in reps_per_channel for xi in chan], dtype=int)
+    chans = np.array([k for k, chan in enumerate(reps_per_channel) for _ in chan], dtype=int)
+    phase = np.outer(reps, np.arange(horizon)) % horizon
+    rows = np.exp((-2j * np.pi / horizon) * phase) / np.sqrt(horizon)
+    # time-stacked control coordinates: row r acts on channel chans[r] at every t
+    selected = np.zeros((reps.size, horizon, channels), dtype=complex)
+    selected[np.arange(reps.size), :, chans] = rows
+    stacked = np.vstack([selected.real, selected.imag]).reshape(2 * reps.size, horizon * channels)
 
     if stacked.shape[0]:
         keep = np.max(np.abs(stacked), axis=1) >= ZERO_ROW_TOL

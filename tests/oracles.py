@@ -5,10 +5,15 @@ the library's solution path: the DFT oracle is the naive double sum, the LQ
 oracle is a dense KKT factorization over stacked controls obtained by
 eliminating the states with explicit matrix powers, and the nonlinear oracle
 is a generic constrained optimizer over the raw control vector started from
-several seeds.
+several seeds.  The dense first-order oracle is the solve path that the
+structured solver of ``bandctrl.kkt`` replaced: the matrix of
+``kkt.assemble`` factored whole.
 """
 
 import numpy as np
+
+from bandctrl import kkt
+from bandctrl.lq import INFEASIBILITY_TOL
 
 
 def naive_dft(signal):
@@ -103,6 +108,50 @@ def transfer_qp_oracle(A, B, Q, R, horizon, x0, xf=None, freq_matrix=None):
         "cost": quadratic_cost(Q, R, states, controls),
         "feasible": bool(feasible),
     }
+
+
+def dense_first_order_system(A, B, Q, R, N, x0, xf, blocks):
+    """First-order system of the LQ problem as (J, -r(0)); xf None frees the
+    final state."""
+    n, m = B.shape
+    M = kkt.assemble(
+        np.broadcast_to(A, (N, n, n)), np.broadcast_to(B, (N, n, m)), Q, R, blocks,
+        free_end=xf is None,
+    )
+    return M, kkt.boundary_rhs(A @ x0, xf, n, m, N, blocks.shape[1])
+
+
+def dense_solve_stacked(M, rhs):
+    """Solve a square stacked system, falling back to least squares.
+
+    Returns (z, residual, consistent); residual is the max-norm of M z - rhs
+    and consistency uses INFEASIBILITY_TOL * (1 + |rhs|).
+    """
+    threshold = INFEASIBILITY_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0))
+    try:
+        z = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        z = np.full(rhs.size, np.nan)
+    if not np.all(np.isfinite(z)) or np.max(np.abs(M @ z - rhs), initial=0.0) > threshold:
+        z = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    # one step of iterative refinement sharpens consistent solves to machine level
+    try:
+        z = z + np.linalg.solve(M, rhs - M @ z)
+    except np.linalg.LinAlgError:
+        z = z + np.linalg.lstsq(M, rhs - M @ z, rcond=None)[0]
+    residual = np.max(np.abs(M @ z - rhs), initial=0.0)
+    return z, residual, residual <= threshold
+
+
+def dense_first_order_solve(A, B, Q, R, N, x0, xf, blocks):
+    """The LQ first-order system assembled densely and solved by LU, with a
+    least-squares fallback and one refinement step; xf None frees the final
+    state.  Returns (z, residual, consistent)."""
+    A, B, Q, R = (np.asarray(a, float) for a in (A, B, Q, R))
+    x0 = np.asarray(x0, float).ravel()
+    xf = None if xf is None else np.asarray(xf, float).ravel()
+    M, rhs = dense_first_order_system(A, B, Q, R, N, x0, xf, np.asarray(blocks, float))
+    return dense_solve_stacked(M, rhs)
 
 
 def direct_transcription_oracle(step, stage_cost, horizon, m, x0, xf, freq_matrix=None, seeds=(0, 1, 2)):

@@ -11,6 +11,8 @@ from bandctrl import cli, extremal, lq, shooting
 from bandctrl.cli import apply_overrides, parse_problem, run, serialize_problem, spectrum_report
 from bandctrl.problem import ProblemValidationError
 
+from oracles import random_lq_matrices
+
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name
@@ -96,6 +98,42 @@ class TestRun:
         result = json.loads((tmp_path / "r.json").read_text())
         assert result["status"] == "INFEASIBLE"
         assert result["diagnostics"]["ls_residual"] > 1e-3
+
+    def test_reachable_banned_transfer_is_solved(self, tmp_path):
+        # partial-pivoting LU on the dense first-order matrix grew by about 1e22
+        # here and reported this reachable target INFEASIBLE (exit 2)
+        doc = {
+            "horizon": 128,
+            "dynamics": {"builtin": "double_integrator"},
+            "cost": {"Q": [[0.78, -0.79], [-0.79, 1.04]], "R": [[0.95]]},
+            "boundary": {"x0": [0.0, 0.0], "xf": [1.0, 0.0]},
+            "banned_frequencies": [[32, 41, 60]],
+            "solver": "transfer_freq",
+        }
+        inp = _write(tmp_path, "p.json", doc)
+        out = str(tmp_path / "r.json")
+        assert run(inp, out) == 0
+        result = json.loads((tmp_path / "r.json").read_text())
+        assert result["status"] == "SOLVED"
+        assert result["certificate"]["passed"] is True
+
+    @pytest.mark.parametrize("seed", [89, 211, 213, 250, 281])
+    def test_lq_pmp_certificate_passes_on_random_stable_plants(self, tmp_path, seed):
+        # draws whose certificate failed (exit 4) when the free-end system was
+        # solved by one unrefined dense LU
+        rng = np.random.default_rng(seed)
+        A, B, Q, R = random_lq_matrices(rng, 4, 2)
+        doc = {
+            "horizon": 96,
+            "dynamics": {"kind": "lti", "A": A.tolist(), "B": B.tolist()},
+            "cost": {"Q": Q.tolist(), "R": R.tolist()},
+            "boundary": {"x0": rng.standard_normal(4).tolist()},
+            "solver": "lq_pmp",
+        }
+        inp = _write(tmp_path, "p.json", doc)
+        out = str(tmp_path / "r.json")
+        assert run(inp, out) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["certificate"]["passed"] is True
 
     def test_abnormal_regime_exits_three(self, tmp_path):
         doc = _transfer_doc(horizon=2, banned_frequencies=[[0, 1]])

@@ -174,6 +174,42 @@ class TestFrequencyConstraint:
         with pytest.raises(ValueError):
             build_frequency_constraint(SupportSpec.from_banned([[1]], 4), 4, 2)
 
+    @pytest.mark.parametrize(
+        "horizon,banned",
+        [
+            (1, [[0]]),
+            (4, [[0, 2], []]),
+            (9, [[1, 4], [0], [7]]),
+            (16, [[3, 8, 13], [1, 2]]),
+            (64, [list(range(1, 8)), [16, 20, 32]]),
+            (256, [list(range(1, 32)), list(range(64, 80))]),
+        ],
+    )
+    def test_blocks_byte_equal_to_dense_dft_construction(self, horizon, banned):
+        """The rows computed directly equal the rows selected from the N x N
+        DFT matrix and column-permuted, as built before, byte for byte."""
+        channels = len(banned)
+        fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, channels)
+        phi = build_dft_matrix(horizon)
+        rows = []
+        for k, chan in enumerate(banned):
+            reps = sorted({min(xi % horizon, -xi % horizon) for xi in chan})
+            for xi in reps:
+                row = np.zeros(horizon * channels, dtype=complex)
+                row[k * horizon : (k + 1) * horizon] = phi[xi]
+                rows.append(row)
+        selected = np.array(rows, dtype=complex).reshape(len(rows), horizon * channels)
+        stacked = np.vstack([selected.real, selected.imag])
+        col_map = np.empty(horizon * channels, dtype=int)
+        for t in range(horizon):
+            for k in range(channels):
+                col_map[t * channels + k] = k * horizon + t
+        stacked = stacked[:, col_map]
+        reduced = stacked[np.max(np.abs(stacked), axis=1) >= 1e-12]
+        expected = reduced.reshape(-1, horizon, channels).transpose(1, 0, 2)
+        assert fc.blocks.shape == expected.shape
+        assert fc.blocks.tobytes() == expected.tobytes()
+
     def test_blocks_are_immutable(self):
         fc = build_frequency_constraint(SupportSpec.from_banned([[1]], 4), 4, 1)
         with pytest.raises(ValueError):
