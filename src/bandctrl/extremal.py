@@ -9,6 +9,10 @@ constrained to the dual cone of the stage set at the trajectory point
 (free set -> {0}, fixed point -> unconstrained, box -> signed entries on
 active coordinates only).  :func:`verify_pmp` evaluates the six first-order
 conditions numerically and reports per-condition residuals and a verdict.
+It evaluates the model terms of every stage once, batched (matrix products
+for LTI dynamics and quadratic cost), and computes each condition as an
+array reduction over the stages; only box and fixed stage sets are checked
+stage by stage.
 
 The conditions are positively homogeneous in the joint multiplier vector, so
 the verifier rescales the lift to unit max-norm before measuring residuals;
@@ -22,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .problem import Box, Fixed, ProblemSpec, Trajectory
+from .problem import Box, Fixed, Free, ProblemSpec, Trajectory, _stage_terms
 from .spectrum import FrequencyConstraint, numerical_rank
 
 __all__ = [
@@ -125,10 +129,8 @@ def adjoint_backward(
     The trajectory must satisfy the dynamics to within ``dynamics_tol``.
     """
     horizon, n = traj.horizon, traj.n
-    gap = max(
-        _inf(traj.states[t + 1] - spec.dynamics.step(t, traj.states[t], traj.controls[t]))
-        for t in range(horizon)
-    )
+    terms = _stage_terms(spec.dynamics, spec.cost, traj.states, traj.controls)
+    gap = _inf(traj.states[1:] - terms.f)
     if gap > dynamics_tol:
         raise ValueError(f"trajectory violates dynamics by {gap:.3e} (tol {dynamics_tol:.1e})")
     if state_multipliers is None:
@@ -140,12 +142,7 @@ def adjoint_backward(
     p = np.zeros((horizon, n))
     p[horizon - 1] = -np.asarray(terminal_multiplier, dtype=float).reshape(n)
     for t in range(horizon - 1, 0, -1):
-        x, u = traj.states[t], traj.controls[t]
-        p[t - 1] = (
-            spec.dynamics.jac_x(t, x, u).T @ p[t]
-            - float(eta_c) * spec.cost.grad_x(t, x, u)
-            - etax[t]
-        )
+        p[t - 1] = terms.jx[t].T @ p[t] - float(eta_c) * terms.cx[t] - etax[t]
     return p
 
 
@@ -247,16 +244,24 @@ def _rollout_drift(jx, ju, traj: Trajectory) -> float:
     """Rounding that an open-loop rollout can leave in x_N: one ulp of the
     terms of every dynamics row, carried to step N by the transition matrices
     J_{N-1} ... J_{t+1} (J_t = df_t/dx)."""
-    def norm(a):
-        return float(np.linalg.norm(a, np.inf))
+    def norms(a):  # induced inf-norm of each stage's matrix
+        return np.abs(a).sum(axis=-1).max(axis=-1)
 
-    phi = np.eye(traj.n)
-    drift = 0.0
-    for t in range(traj.horizon - 1, -1, -1):
-        x, u = traj.states[t], traj.controls[t]
-        drift += norm(phi) * (norm(jx[t]) * _inf(x) + norm(ju[t]) * _inf(u))
-        phi = phi @ jx[t]
-    return float(np.finfo(float).eps) * drift
+    horizon = traj.horizon
+    phi = np.empty((horizon, traj.n, traj.n))
+    phi[horizon - 1] = np.eye(traj.n)
+    for t in range(horizon - 1, 0, -1):
+        phi[t - 1] = phi[t].dot(jx[t])
+    x_norm = np.abs(traj.states[:horizon]).max(axis=1)
+    u_norm = np.abs(traj.controls).max(axis=1)
+    drift = np.sum(norms(phi) * (norms(jx) * x_norm + norms(ju) * u_norm))
+    return float(np.finfo(float).eps) * float(drift)
+
+
+def _free_stages(stage_sets) -> np.ndarray:
+    """Mask of the stage sets of type Free, built without a Python-level loop
+    (any other set, a subclass of Free included, takes the per-stage checks)."""
+    return np.fromiter(map(type, stage_sets), object, len(stage_sets)) == Free
 
 
 def _feasible_directions(control_set, point: np.ndarray, active_tol: float):
@@ -322,73 +327,69 @@ def verify_pmp(
     else:
         eta_s, nu_s, p_s, etax_s = eta_c, nu, p, etax
 
-    # (iii) state dynamics
-    f_all = np.array(
-        [spec.dynamics.step(t, traj.states[t], traj.controls[t]) for t in range(horizon)]
-    )
-    state_res = _inf(traj.states[1:] - f_all)
-    state_scale = max(_inf(traj.states), _inf(f_all))
+    states, controls = traj.states, traj.controls
+    terms = _stage_terms(spec.dynamics, spec.cost, states, controls, jx0=True)
 
-    # (iii) adjoint recursion and interior multiplier membership
-    jx = [spec.dynamics.jac_x(t, traj.states[t], traj.controls[t]) for t in range(horizon)]
-    adj_res = 0.0
-    adj_scale = _inf(p_s)
-    for t in range(1, horizon):
-        x, u = traj.states[t], traj.controls[t]
-        jxp = jx[t].T @ p_s[t]
-        cgrad = eta_s * spec.cost.grad_x(t, x, u)
-        adj_res = max(adj_res, _inf(p_s[t - 1] - (jxp - cgrad - etax_s[t])))
-        adj_res = max(
-            adj_res, _dual_cone_violation(spec.state_sets[t], x, etax_s[t], active_tol)
-        )
-        adj_scale = max(adj_scale, _inf(jxp), _inf(cgrad), _inf(etax_s[t]))
+    # (iii) state dynamics
+    state_res = _inf(states[1:] - terms.f)
+    state_scale = max(_inf(states), _inf(terms.f))
+
+    # (iii) adjoint recursion, t = 1..N-1
+    jxp = np.einsum("tij,ti->tj", terms.jx[1:], p_s[1:])
+    cgrad = eta_s * terms.cx[1:]
+    adj_res = _inf(p_s[:-1] - (jxp - cgrad - etax_s[1:horizon]))
+    adj_scale = max(_inf(p_s), _inf(jxp), _inf(cgrad), _inf(etax_s[1:horizon]))
+
+    # (iii) interior multipliers in their dual cones and states in their sets:
+    # the dual cone of a free set is {0}; other sets are checked stage by stage
+    free_states = _free_stages(spec.state_sets[1:horizon])
+    adj_res = max(adj_res, _inf(etax_s[1:horizon][free_states]))
+    interior_gap = 0.0
+    for t in np.flatnonzero(~free_states) + 1:
+        stage_set = spec.state_sets[t]
+        adj_res = max(adj_res, _dual_cone_violation(stage_set, states[t], etax_s[t], active_tol))
+        interior_gap = max(interior_gap, _set_violation(stage_set, states[t]))
 
     # (iv) transversality at both ends
-    x0, u0 = traj.states[0], traj.controls[0]
-    dh_dx0 = jx[0].T @ p_s[0] - eta_s * spec.cost.grad_x(0, x0, u0)
+    dh_dx0 = terms.jx[0].T @ p_s[0] - eta_s * terms.cx[0]
     trans_res = max(
         _inf(dh_dx0 - etax_s[0]),
         _inf(p_s[horizon - 1] + etax_s[horizon]),
-        _dual_cone_violation(spec.state_sets[0], x0, etax_s[0], active_tol),
+        _dual_cone_violation(spec.state_sets[0], states[0], etax_s[0], active_tol),
         _dual_cone_violation(
-            spec.state_sets[horizon], traj.states[horizon], etax_s[horizon], active_tol
+            spec.state_sets[horizon], states[horizon], etax_s[horizon], active_tol
         ),
     )
     trans_scale = max(_inf(dh_dx0), _inf(etax_s[0]), _inf(p_s[horizon - 1]), _inf(etax_s[horizon]))
 
-    # (v) Hamiltonian variational inequality
-    ju = [spec.dynamics.jac_u(t, traj.states[t], traj.controls[t]) for t in range(horizon)]
-    vi_worst = -np.inf
-    vi_scale = 0.0
-    for t in range(horizon):
-        x, u = traj.states[t], traj.controls[t]
-        grad = ju[t].T @ p_s[t] - eta_s * spec.cost.grad_u(t, x, u)
-        if q:
-            grad = grad - blocks[t].T @ nu_s
-        vi_scale = max(vi_scale, _inf(grad))
-        for sign, j in _feasible_directions(spec.control_sets[t], u, active_tol):
-            vi_worst = max(vi_worst, sign * grad[j])
+    # (v) Hamiltonian variational inequality: on a free control set every
+    # signed coordinate direction is feasible, so its worst is the max-norm
+    grad = np.einsum("tij,ti->tj", terms.ju, p_s) - eta_s * terms.cu
+    if q:
+        grad = grad - nu_s @ blocks
+    vi_scale = _inf(grad)
+    free_controls = _free_stages(spec.control_sets)
+    vi_worst = _inf(grad[free_controls]) if free_controls.any() else -np.inf
+    control_gap = 0.0
+    for t in np.flatnonzero(~free_controls):
+        stage_set = spec.control_sets[t]
+        for sign, j in _feasible_directions(stage_set, controls[t], active_tol):
+            vi_worst = max(vi_worst, sign * grad[t, j])
+        control_gap = max(control_gap, _set_violation(stage_set, controls[t]))
     if not np.isfinite(vi_worst):
         vi_worst = 0.0  # every direction pinned: the inequality is vacuous
 
     # (vi) frequency residual
-    freq_terms = np.einsum("tqm,tm->tq", blocks, traj.controls) if q else np.zeros((horizon, 0))
+    freq_terms = np.einsum("tqm,tm->tq", blocks, controls) if q else np.zeros((horizon, 0))
     freq_res = _inf(freq_terms.sum(axis=0)) if q else 0.0
     freq_scale = _inf(freq_terms)
 
-    # stage-set membership of the trajectory itself
+    # the endpoints in their stage sets
     state_tol = tol * (1 + state_scale)
-    interior_gap = max(
-        (_set_violation(spec.state_sets[t], traj.states[t]) for t in range(1, horizon)),
-        default=0.0,
-    )
-    start_gap = _set_violation(spec.state_sets[0], traj.states[0])
-    end_gap = _set_violation(spec.state_sets[horizon], traj.states[horizon])
-    control_gap = max(
-        _set_violation(spec.control_sets[t], traj.controls[t]) for t in range(horizon)
-    )
+    start_gap = _set_violation(spec.state_sets[0], states[0])
+    end_gap = _set_violation(spec.state_sets[horizon], states[horizon])
     # x_N may also carry the rounding of its rollout (computed only when needed)
-    end_ok = end_gap <= state_tol or end_gap <= state_tol + _rollout_drift(jx, ju, traj)
+    end_ok = end_gap <= state_tol or end_gap <= state_tol + _rollout_drift(terms.jx, terms.ju, traj)
 
     condition_passed = {
         "i": bool(nonneg),
@@ -399,7 +400,7 @@ def verify_pmp(
         "iv": bool(trans_res <= tol * (1 + trans_scale) and start_gap <= state_tol and end_ok),
         "v": bool(
             vi_worst <= tol * (1 + vi_scale)
-            and control_gap <= tol * (1 + _inf(traj.controls))
+            and control_gap <= tol * (1 + _inf(controls))
         ),
         "vi": bool(freq_res <= tol * (1 + freq_scale)),
     }

@@ -123,10 +123,7 @@ def riccati_solve(A, B, Q, R, horizon: int, x0) -> tuple[RiccatiSolution, Trajec
 
 def riccati_adjoints(solution: RiccatiSolution, traj: Trajectory) -> np.ndarray:
     """Adjoints consistent with the value recursion: p_t = -S_{t+1} x_{t+1}."""
-    horizon = traj.horizon
-    return np.array(
-        [-solution.value_matrices[t + 1] @ traj.states[t + 1] for t in range(horizon)]
-    )
+    return -np.einsum("tij,tj->ti", solution.value_matrices[1:], traj.states[1:])
 
 
 def _first_order_solve(A, B, Q, R, N, x0, xf, blocks):

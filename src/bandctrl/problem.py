@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -324,9 +324,59 @@ def rollout(dynamics: DynamicsModel, x0, controls) -> Trajectory:
 
 def trajectory_cost(cost: CostModel, traj: Trajectory) -> float:
     """Total stage cost sum_{t=0}^{N-1} c_t(x_t, u_t)."""
+    if isinstance(cost, QuadraticCost):
+        x, u = traj.states[:-1], traj.controls
+        return 0.5 * float(np.sum((x @ cost.Q.T) * x)) + 0.5 * float(np.sum((u @ cost.R.T) * u))
     return float(
         sum(cost.value(t, traj.states[t], traj.controls[t]) for t in range(traj.horizon))
     )
+
+
+class _StageTerms(NamedTuple):
+    """Model terms of every stage t = 0..N-1 of a trajectory (see :func:`_stage_terms`)."""
+
+    f: np.ndarray | None  # (N, n) f_t(x_t, u_t)
+    jx: np.ndarray  # (N, n, n) df_t/dx
+    ju: np.ndarray  # (N, n, m) df_t/du
+    cx: np.ndarray  # (N, n) dc_t/dx
+    cu: np.ndarray  # (N, m) dc_t/du
+
+
+def _stage_terms(
+    dynamics: DynamicsModel, cost: CostModel, states, controls, step=True, jx0=False
+) -> _StageTerms:
+    """Evaluate the dynamics and cost terms of all stages at once.
+
+    ``states`` holds x_0..x_{N-1} (a trailing x_N is ignored), ``controls``
+    u_0..u_{N-1}.  LTI dynamics and quadratic cost are evaluated as batched
+    products, with ``jx``/``ju`` read-only broadcast views of A and B.  Other
+    models have their methods called once per stage: ``step`` unless
+    ``step`` is False (then ``f`` is None), ``jac_u``, and ``jac_x`` for
+    t >= 1, and for t = 0 too when ``jx0`` is set; otherwise ``jx[0]`` holds
+    zero (x_0 is fixed wherever it is left out).
+    """
+    N = controls.shape[0]
+    x, u = states[:N], controls
+    n, m = dynamics.n, dynamics.m
+    if isinstance(dynamics, LtiDynamics):
+        A, B = dynamics.A, dynamics.B
+        f = x @ A.T + u @ B.T if step else None
+        jx = np.broadcast_to(A, (N, n, n))
+        ju = np.broadcast_to(B, (N, n, m))
+    else:
+        f = None
+        if step:
+            f = np.array([dynamics.step(t, x[t], u[t]) for t in range(N)]).reshape(N, n)
+        jx = np.zeros((N, n, n))
+        for t in range(0 if jx0 else 1, N):
+            jx[t] = dynamics.jac_x(t, x[t], u[t])
+        ju = np.array([dynamics.jac_u(t, x[t], u[t]) for t in range(N)]).reshape(N, n, m)
+    if isinstance(cost, QuadraticCost):
+        cx, cu = x @ cost.Q.T, u @ cost.R.T
+    else:
+        cx = np.array([cost.grad_x(t, x[t], u[t]) for t in range(N)]).reshape(N, n)
+        cu = np.array([cost.grad_u(t, x[t], u[t]) for t in range(N)]).reshape(N, m)
+    return _StageTerms(f, jx, ju, cx, cu)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@ iteration backtracks on the residual max-norm; for LTI dynamics the residual
 is affine in z, so one undamped step solves the system from any starting
 point.
 
+Each residual evaluates the model terms of all stages once, batched (see
+:func:`bandctrl.problem._stage_terms`); Newton keeps the terms of the
+accepted iterate, and its Jacobian reuses them, adding only the gain's state
+Jacobian.
+
 The analytic residual Jacobian uses first derivatives of the dynamics plus
 the gain's state Jacobian; second derivatives of the drift and gain are taken
 as zero, which is exact for LTI models and for control-affine models whose
@@ -45,6 +50,7 @@ from .problem import (
     ProblemSpec,
     QuadraticCost,
     Trajectory,
+    _stage_terms,
     rollout,
 )
 from .spectrum import numerical_rank
@@ -140,33 +146,25 @@ def _unpack(zvec: np.ndarray, spec: ProblemSpec, x0, xf):
     )
 
 
-def _residual_vec(zvec: np.ndarray, spec: ProblemSpec, x0, xf) -> np.ndarray:
-    n, m, N = spec.n, spec.m, spec.horizon
+def _evaluate(zvec: np.ndarray, spec: ProblemSpec, x0, xf):
+    """Residual of the first-order rows at ``zvec``, and the stage terms of
+    the model it was computed from (each stage evaluated once)."""
     states, controls, adjoints, nu = _unpack(zvec, spec, x0, xf)
     blocks = spec.frequency_constraint.blocks
-    dyn, cost = spec.dynamics, spec.cost
+    terms = _stage_terms(spec.dynamics, spec.cost, states, controls)
+    jx_p = np.einsum("tij,ti->tj", terms.jx[1:], adjoints[1:])
+    ju_p = np.einsum("tij,ti->tj", terms.ju, adjoints)
+    residual = np.concatenate([
+        (states[1:] - terms.f).ravel(),  # (a) state dynamics
+        (adjoints[:-1] - jx_p + terms.cx[1:]).ravel(),  # (b) adjoint dynamics, eta_c = 1
+        (ju_p - terms.cu - nu @ blocks).ravel(),  # (c) stationarity dH/du
+        np.einsum("tqm,tm->q", blocks, controls),  # (d) frequency residual
+    ])
+    return residual, terms
 
-    res = np.zeros(zvec.size)
-    row = 0
-    for t in range(N):  # (a) state dynamics
-        res[row : row + n] = states[t + 1] - dyn.step(t, states[t], controls[t])
-        row += n
-    for t in range(1, N):  # (b) adjoint dynamics, eta_c = 1
-        res[row : row + n] = (
-            adjoints[t - 1]
-            - dyn.jac_x(t, states[t], controls[t]).T @ adjoints[t]
-            + cost.grad_x(t, states[t], controls[t])
-        )
-        row += n
-    for t in range(N):  # (c) stationarity dH/du
-        res[row : row + m] = (
-            -cost.grad_u(t, states[t], controls[t])
-            + dyn.jac_u(t, states[t], controls[t]).T @ adjoints[t]
-            - blocks[t].T @ nu
-        )
-        row += m
-    res[row:] = np.einsum("tqm,tm->q", blocks, controls)  # (d) frequency residual
-    return res
+
+def _residual_vec(zvec: np.ndarray, spec: ProblemSpec, x0, xf) -> np.ndarray:
+    return _evaluate(zvec, spec, x0, xf)[0]
 
 
 def assemble_residual(z: StackedUnknowns, spec: ProblemSpec, x0, xf) -> np.ndarray:
@@ -186,21 +184,20 @@ def assemble_residual(z: StackedUnknowns, spec: ProblemSpec, x0, xf) -> np.ndarr
     return _residual_vec(z.z, spec, x0, xf)
 
 
-def _jacobian_analytic(zvec, spec, x0, xf) -> np.ndarray:
-    """Evaluate each stage's derivatives once and assemble the Jacobian;
-    second derivatives of the drift and gain are taken as zero."""
-    states, controls, adjoints, _ = _unpack(zvec, spec, x0, xf)
+def _jacobian_analytic(zvec, spec, x0, xf, terms) -> np.ndarray:
+    """Assemble the Jacobian from the stage terms of the iterate ``zvec``,
+    adding the gain's state Jacobian of control-affine models; second
+    derivatives of the drift and gain are taken as zero."""
     dyn, N = spec.dynamics, spec.horizon
-    jx = np.zeros((N, spec.n, spec.n))
-    ju = np.array([dyn.jac_u(t, states[t], controls[t]) for t in range(N)])
-    affine = isinstance(dyn, ControlAffineDynamics)
-    cross = np.zeros((N, spec.m, spec.n)) if affine else None
-    for t in range(1, N):
-        jx[t] = dyn.jac_x(t, states[t], controls[t])
-        if affine:
-            cross[t] = np.einsum("ijl,i->jl", dyn.gain_state_jacobian(t, states[t]), adjoints[t])
+    cross = None
+    if isinstance(dyn, ControlAffineDynamics):
+        states, _, adjoints, _ = _unpack(zvec, spec, x0, xf)
+        cross = np.zeros((N, spec.m, spec.n))
+        if N > 1:
+            gain_jac = np.array([dyn.gain_state_jacobian(t, states[t]) for t in range(1, N)])
+            cross[1:] = np.einsum("tijl,ti->tjl", gain_jac, adjoints[1:])
     return kkt.assemble(
-        jx, ju, spec.cost.Q, spec.cost.R, spec.frequency_constraint.blocks, cross
+        terms.jx, terms.ju, spec.cost.Q, spec.cost.R, spec.frequency_constraint.blocks, cross
     )
 
 
@@ -224,7 +221,9 @@ def residual_jacobian(
     _check_supported(spec)
     if fd or isinstance(spec.cost, GeneralCost):
         return _jacobian_fd(z.z, spec, x0, xf)
-    return _jacobian_analytic(z.z, spec, x0, xf)
+    states, controls, _, _ = _unpack(z.z, spec, x0, xf)
+    terms = _stage_terms(spec.dynamics, spec.cost, states, controls, step=False)
+    return _jacobian_analytic(z.z, spec, x0, xf, terms)
 
 
 def _initialize(spec: ProblemSpec, x0, xf):
@@ -303,7 +302,7 @@ def newton_solve(
             raise AbnormalRegimeError(verdict)
 
     z = init.z.copy()
-    residual = _residual_vec(z, spec, x0, xf)
+    residual, terms = _evaluate(z, spec, x0, xf)
     norm = _inf(residual)
     trace: list[tuple[int, float, float]] = [(0, norm, 0.0)]
     iterations = 0
@@ -312,7 +311,7 @@ def newton_solve(
     while norm > opts.tolerance and iterations < opts.max_iterations:
         iterations += 1
         jac = (
-            _jacobian_fd(z, spec, x0, xf) if use_fd else _jacobian_analytic(z, spec, x0, xf)
+            _jacobian_fd(z, spec, x0, xf) if use_fd else _jacobian_analytic(z, spec, x0, xf, terms)
         )
         try:
             step = np.linalg.solve(jac, -residual)
@@ -324,7 +323,7 @@ def newton_solve(
         accepted = False
         while alpha >= opts.min_step:
             z_try = z + alpha * step
-            r_try = _residual_vec(z_try, spec, x0, xf)
+            r_try, terms_try = _evaluate(z_try, spec, x0, xf)
             norm_try = _inf(r_try)
             if norm_try < norm:
                 accepted = True
@@ -333,7 +332,7 @@ def newton_solve(
         if not accepted:
             iterations -= 1  # no step taken
             break
-        z, residual, norm = z_try, r_try, norm_try
+        z, residual, norm, terms = z_try, r_try, norm_try, terms_try
         trace.append((iterations, norm, alpha))
 
     _, controls, adjoints, nu = _unpack(z, spec, x0, xf)

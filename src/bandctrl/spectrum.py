@@ -227,10 +227,13 @@ def build_frequency_constraint(
         blocks = reduced.reshape(q, horizon, channels).transpose(1, 0, 2)
     else:
         blocks = np.zeros((horizon, 0, channels))
+    # The kept rows are the cos and sin parts of distinct DFT rows, one per
+    # mirror orbit, so they are orthogonal: F F' is diagonal with entries 1
+    # (cos rows at xi = 0 and N/2) or 1/2.  The rank is q without an SVD.
     return FrequencyConstraint(
         blocks=blocks,
         row_count=q,
-        effective_rank=numerical_rank(reduced) if q else 0,
+        effective_rank=q,
         canonical_supports=canonical,
     )
 

@@ -7,13 +7,24 @@ eliminating the states with explicit matrix powers, and the nonlinear oracle
 is a generic constrained optimizer over the raw control vector started from
 several seeds.  The dense first-order oracle is the solve path that the
 structured solver of ``bandctrl.kkt`` replaced: the matrix of
-``kkt.assemble`` factored whole.
+``kkt.assemble`` factored whole.  The loop oracles are the stage-by-stage
+forms of the PMP certificate and of the Newton residual that the batched
+evaluation replaced: they call the model once per stage and term.
 """
 
 import numpy as np
 
 from bandctrl import kkt
+from bandctrl.extremal import (
+    PmpCertificate,
+    _dual_cone_violation,
+    _feasible_directions,
+    _freq_blocks,
+    _inf,
+    _set_violation,
+)
 from bandctrl.lq import INFEASIBILITY_TOL
+from bandctrl.shooting import _unpack
 
 
 def naive_dft(signal):
@@ -232,3 +243,174 @@ def random_banned_sets(rng, horizon, channels, max_total=2):
     for _ in range(int(rng.integers(0, max_total + 1))):
         banned[int(rng.integers(channels))].append(int(rng.integers(horizon)))
     return banned
+
+
+def loop_rollout_drift(jx, ju, traj):
+    """Rounding that an open-loop rollout can leave in x_N, stage by stage."""
+    def norm(a):
+        return float(np.linalg.norm(a, np.inf))
+
+    phi = np.eye(traj.n)
+    drift = 0.0
+    for t in range(traj.horizon - 1, -1, -1):
+        x, u = traj.states[t], traj.controls[t]
+        drift += norm(phi) * (norm(jx[t]) * _inf(x) + norm(ju[t]) * _inf(u))
+        phi = phi @ jx[t]
+    return float(np.finfo(float).eps) * drift
+
+
+def loop_verify_pmp(traj, lift, spec, tol=1e-7, active_tol=1e-8, comparisons=None):
+    """The PMP certificate of ``bandctrl.extremal.verify_pmp`` evaluated stage
+    by stage.  When ``comparisons`` is a list, every threshold test is
+    appended to it as (condition, name, value, threshold), the test being
+    value <= threshold (x_N's threshold includes the rollout allowance)."""
+    horizon, n, m = traj.horizon, traj.n, traj.m
+    blocks = _freq_blocks(spec)
+    q = blocks.shape[1]
+    eta_c = float(lift.eta_c)
+    nu = lift.nu if lift.nu.size else np.zeros(q)
+    if nu.shape != (q,):
+        raise ValueError(f"lift.nu has shape {nu.shape}, expected ({q},)")
+    p = lift.adjoints
+    etax = lift.state_multipliers
+    if p.shape != (horizon, n) or etax.shape != (horizon + 1, n):
+        raise ValueError("lift dimensions do not match the trajectory")
+
+    nonneg = bool(eta_c >= 0.0)
+    nontrivial = bool(max(abs(eta_c), _inf(nu), _inf(p)) > 0.0)
+
+    mu = max(abs(eta_c), _inf(nu), _inf(p), _inf(etax))
+    if mu > 0.0:
+        eta_s, nu_s, p_s, etax_s = eta_c / mu, nu / mu, p / mu, etax / mu
+    else:
+        eta_s, nu_s, p_s, etax_s = eta_c, nu, p, etax
+
+    f_all = np.array(
+        [spec.dynamics.step(t, traj.states[t], traj.controls[t]) for t in range(horizon)]
+    )
+    state_res = _inf(traj.states[1:] - f_all)
+    state_scale = max(_inf(traj.states), _inf(f_all))
+
+    jx = [spec.dynamics.jac_x(t, traj.states[t], traj.controls[t]) for t in range(horizon)]
+    adj_res = 0.0
+    adj_scale = _inf(p_s)
+    for t in range(1, horizon):
+        x, u = traj.states[t], traj.controls[t]
+        jxp = jx[t].T @ p_s[t]
+        cgrad = eta_s * spec.cost.grad_x(t, x, u)
+        adj_res = max(adj_res, _inf(p_s[t - 1] - (jxp - cgrad - etax_s[t])))
+        adj_res = max(
+            adj_res, _dual_cone_violation(spec.state_sets[t], x, etax_s[t], active_tol)
+        )
+        adj_scale = max(adj_scale, _inf(jxp), _inf(cgrad), _inf(etax_s[t]))
+
+    x0, u0 = traj.states[0], traj.controls[0]
+    dh_dx0 = jx[0].T @ p_s[0] - eta_s * spec.cost.grad_x(0, x0, u0)
+    trans_res = max(
+        _inf(dh_dx0 - etax_s[0]),
+        _inf(p_s[horizon - 1] + etax_s[horizon]),
+        _dual_cone_violation(spec.state_sets[0], x0, etax_s[0], active_tol),
+        _dual_cone_violation(
+            spec.state_sets[horizon], traj.states[horizon], etax_s[horizon], active_tol
+        ),
+    )
+    trans_scale = max(_inf(dh_dx0), _inf(etax_s[0]), _inf(p_s[horizon - 1]), _inf(etax_s[horizon]))
+
+    ju = [spec.dynamics.jac_u(t, traj.states[t], traj.controls[t]) for t in range(horizon)]
+    vi_worst = -np.inf
+    vi_scale = 0.0
+    for t in range(horizon):
+        x, u = traj.states[t], traj.controls[t]
+        grad = ju[t].T @ p_s[t] - eta_s * spec.cost.grad_u(t, x, u)
+        if q:
+            grad = grad - blocks[t].T @ nu_s
+        vi_scale = max(vi_scale, _inf(grad))
+        for sign, j in _feasible_directions(spec.control_sets[t], u, active_tol):
+            vi_worst = max(vi_worst, sign * grad[j])
+    if not np.isfinite(vi_worst):
+        vi_worst = 0.0
+
+    freq_terms = np.einsum("tqm,tm->tq", blocks, traj.controls) if q else np.zeros((horizon, 0))
+    freq_res = _inf(freq_terms.sum(axis=0)) if q else 0.0
+    freq_scale = _inf(freq_terms)
+
+    state_tol = tol * (1 + state_scale)
+    interior_gap = max(
+        (_set_violation(spec.state_sets[t], traj.states[t]) for t in range(1, horizon)),
+        default=0.0,
+    )
+    start_gap = _set_violation(spec.state_sets[0], traj.states[0])
+    end_gap = _set_violation(spec.state_sets[horizon], traj.states[horizon])
+    control_gap = max(
+        _set_violation(spec.control_sets[t], traj.controls[t]) for t in range(horizon)
+    )
+    drift = loop_rollout_drift(jx, ju, traj)
+    end_ok = end_gap <= state_tol or end_gap <= state_tol + drift
+    control_tol = tol * (1 + _inf(traj.controls))
+
+    if comparisons is not None:
+        comparisons += [
+            ("iii", "state_dyn_residual", state_res, state_tol),
+            ("iii", "adjoint_dyn_residual", adj_res, tol * (1 + adj_scale)),
+            ("iii", "set_violation", interior_gap, state_tol),
+            ("iv", "transversality_residual", trans_res, tol * (1 + trans_scale)),
+            ("iv", "set_violation", start_gap, state_tol),
+            ("iv", "set_violation", end_gap, state_tol + drift),
+            ("v", "hamiltonian_vi_worst", vi_worst, tol * (1 + vi_scale)),
+            ("v", "set_violation", control_gap, control_tol),
+            ("vi", "freq_residual", freq_res, tol * (1 + freq_scale)),
+        ]
+    condition_passed = {
+        "i": bool(nonneg),
+        "ii": bool(nontrivial),
+        "iii": bool(
+            state_res <= state_tol and adj_res <= tol * (1 + adj_scale) and interior_gap <= state_tol
+        ),
+        "iv": bool(trans_res <= tol * (1 + trans_scale) and start_gap <= state_tol and end_ok),
+        "v": bool(vi_worst <= tol * (1 + vi_scale) and control_gap <= control_tol),
+        "vi": bool(freq_res <= tol * (1 + freq_scale)),
+    }
+    return PmpCertificate(
+        nonneg=nonneg,
+        nontrivial=nontrivial,
+        state_dyn_residual=state_res,
+        adjoint_dyn_residual=adj_res,
+        transversality_residual=trans_res,
+        hamiltonian_vi_worst=float(vi_worst),
+        freq_residual=freq_res,
+        set_violation=max(interior_gap, start_gap, end_gap, control_gap),
+        tol=tol,
+        condition_passed=condition_passed,
+        passed=all(condition_passed.values()),
+    )
+
+
+def loop_residual_vec(zvec, spec, x0, xf):
+    """The stacked first-order residual of ``bandctrl.shooting`` assembled
+    stage by stage."""
+    n, m, N = spec.n, spec.m, spec.horizon
+    states, controls, adjoints, nu = _unpack(zvec, spec, x0, xf)
+    blocks = spec.frequency_constraint.blocks
+    dyn, cost = spec.dynamics, spec.cost
+
+    res = np.zeros(zvec.size)
+    row = 0
+    for t in range(N):  # (a) state dynamics
+        res[row : row + n] = states[t + 1] - dyn.step(t, states[t], controls[t])
+        row += n
+    for t in range(1, N):  # (b) adjoint dynamics, eta_c = 1
+        res[row : row + n] = (
+            adjoints[t - 1]
+            - dyn.jac_x(t, states[t], controls[t]).T @ adjoints[t]
+            + cost.grad_x(t, states[t], controls[t])
+        )
+        row += n
+    for t in range(N):  # (c) stationarity dH/du
+        res[row : row + m] = (
+            -cost.grad_u(t, states[t], controls[t])
+            + dyn.jac_u(t, states[t], controls[t]).T @ adjoints[t]
+            - blocks[t].T @ nu
+        )
+        row += m
+    res[row:] = np.einsum("tqm,tm->q", blocks, controls)  # (d) frequency residual
+    return res

@@ -1,12 +1,17 @@
 """Tests for Hamiltonian evaluation, PMP certificates, and normality classification."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from bandctrl.cli import BUILTINS
+
 from bandctrl.extremal import (
+    AbnormalRegimeError,
     ExtremalLift,
     NormalityClass,
     adjoint_backward,
@@ -18,10 +23,29 @@ from bandctrl.extremal import (
     verify_pmp,
 )
 from bandctrl.lq import lq_transfer_freq_solve, lq_transfer_solve
-from bandctrl.problem import Box, lti_spec, rollout
+from bandctrl.lq import SolveStatus
+from bandctrl.problem import (
+    FREE,
+    Box,
+    Fixed,
+    LtiDynamics,
+    Trajectory,
+    control_affine_spec,
+    general_wrap,
+    lti_spec,
+    rollout,
+    trajectory_cost,
+)
+from bandctrl.shooting import SingularJacobianError, newton_solve
 from bandctrl.spectrum import SupportSpec, build_frequency_constraint
 
-from oracles import has_nontrivial_nullspace, random_lq_matrices
+from oracles import (
+    has_nontrivial_nullspace,
+    loop_verify_pmp,
+    quadratic_cost,
+    random_banned_sets,
+    random_lq_matrices,
+)
 
 
 def _transfer_setup(seed=0, horizon=8, n=2, m=1, banned=None):
@@ -218,6 +242,166 @@ class TestVerifyPmp:
         cert = verify_pmp(sol.trajectory, lift, spec_box)
         # u = 1 sits exactly on the upper bound; dH/du = p - u = 0 here, so it passes
         assert cert.condition_passed["v"]
+
+
+def _random_set(rng, point, allow_fixed=True):
+    """Free, Fixed at the point, or a Box with each bound active or 0.5 away."""
+    kind = rng.choice(["free", "fixed", "box"] if allow_fixed else ["free", "box"])
+    if kind == "free":
+        return FREE
+    if kind == "fixed":
+        return Fixed(point.copy())
+    return Box(point - rng.choice([0.0, 0.5], point.size), point + rng.choice([0.0, 0.5], point.size))
+
+
+def _certificate_inputs(rng, model, n, m, horizon, eta_c):
+    """A spec with random stage sets around a trajectory, and a lift.
+
+    With eta_c = 1 the trajectory and multipliers mostly come from a solver
+    (``lq_transfer_freq_solve`` or ``newton_solve``); otherwise the controls
+    are random, projected onto the frequency constraint, rolled out, and the
+    adjoints come from the backward sweep.  The endpoints are mostly fixed
+    where the trajectory ends, so that every condition passes on some draws.
+    """
+    toy = model.endswith("toy")
+    if toy:
+        x0, xf = rng.uniform(-0.5, 0.5, 1), rng.uniform(-1.0, 2.0, 1)
+    else:
+        x0, xf = rng.standard_normal(n), rng.standard_normal(n)
+    banned = random_banned_sets(rng, horizon, m, 3)
+    if toy:
+        spec = control_affine_spec(BUILTINS["affine_toy"](), [[1.0]], [[1.0]], horizon, x0, xf, banned)
+    else:
+        A, B, Q, R = random_lq_matrices(rng, n, m, spectral_radius=rng.uniform(0.3, 1.1))
+        spec = lti_spec(A, B, Q, R, horizon, x0=x0, xf=xf, banned=banned)
+    fc = spec.frequency_constraint
+    solved = None
+    if eta_c == 1.0 and rng.random() < 0.7:
+        try:
+            if toy:
+                shot = newton_solve(spec, x0, xf)
+                if shot.converged:
+                    solved = shot.trajectory, shot.lift.adjoints, shot.lift.nu
+            else:
+                sol = lq_transfer_freq_solve(A, B, Q, R, horizon, x0, xf, fc)
+                if sol.status is SolveStatus.SOLVED:
+                    solved = sol.trajectory, sol.adjoints, sol.nu
+        except (AbnormalRegimeError, SingularJacobianError):
+            pass
+    if model.startswith("wrap"):
+        spec = dataclasses.replace(spec, dynamics=general_wrap(spec.dynamics))
+    if solved is not None:
+        traj, adjoints, nu = solved
+    else:
+        u = 0.3 * rng.standard_normal(horizon * m)
+        if fc.row_count:
+            F = fc.stacked
+            u -= F.T @ np.linalg.solve(F @ F.T, F @ u)
+        traj = rollout(spec.dynamics, x0, u.reshape(horizon, m))
+        nu = rng.standard_normal(fc.row_count)
+        adjoints = adjoint_backward(traj, eta_c, nu, rng.standard_normal(n), None, spec)
+    state_sets = [_random_set(rng, x) if rng.random() < 0.3 else FREE for x in traj.states]
+    for t in (0, horizon):
+        if rng.random() < 0.75:
+            state_sets[t] = Fixed(traj.states[t].copy())
+    control_sets = [
+        _random_set(rng, u, allow_fixed=False) if rng.random() < 0.3 else FREE for u in traj.controls
+    ]
+    spec = dataclasses.replace(spec, state_sets=tuple(state_sets), control_sets=tuple(control_sets))
+    return spec, traj, lift_from_solver(spec, traj, adjoints, nu, eta_c=eta_c)
+
+
+def _perturbed(rng, traj, lift, size):
+    """Each of states, controls, adjoints, nu and the state multipliers moved
+    by ``size`` relative noise with probability one half."""
+    def move(a):
+        a = np.asarray(a, dtype=float)
+        if rng.random() < 0.5:
+            return a
+        return a + size * (1.0 + np.abs(a)) * rng.standard_normal(a.shape)
+
+    traj = Trajectory(states=move(traj.states), controls=move(traj.controls))
+    lift = ExtremalLift(lift.eta_c, move(lift.nu), move(lift.adjoints), move(lift.state_multipliers))
+    return traj, lift
+
+
+class TestVerifyPmpAgainstLoopOracle:
+    FIELDS = (
+        "state_dyn_residual", "adjoint_dyn_residual", "transversality_residual",
+        "hamiltonian_vi_worst", "freq_residual", "set_violation",
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=st.sampled_from(["lti", "wrap_lti", "toy", "wrap_toy"]),
+        n=st.integers(1, 4),
+        m=st.integers(1, 2),
+        horizon=st.integers(1, 64),
+        eta_c=st.sampled_from([0.0, 1.0]),
+        noise=st.sampled_from([0.0, 1e-10, 1e-7, 1e-4, 1e-1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_certificate_matches_stage_loop(self, model, n, m, horizon, eta_c, noise, seed):
+        rng = np.random.default_rng(seed)
+        if model.endswith("toy"):
+            n = m = 1
+        spec, traj, lift = _certificate_inputs(rng, model, n, m, horizon, eta_c)
+        traj, lift = _perturbed(rng, traj, lift, noise)
+        tol = 1e-7
+        comparisons = []
+        ref = loop_verify_pmp(traj, lift, spec, tol=tol, comparisons=comparisons)
+        got = verify_pmp(traj, lift, spec, tol=tol)
+        assert (got.nonneg, got.nontrivial) == (ref.nonneg, ref.nontrivial)
+        for key, passed in ref.condition_passed.items():
+            if got.condition_passed[key] != passed:
+                # only a residual within rounding of its threshold may flip a verdict
+                assert any(
+                    cond == key and abs(value - bound) <= 1e-9 * bound
+                    for cond, _, value, bound in comparisons
+                ), key
+        for field in self.FIELDS:
+            # the thresholds are tol * (1 + scale)
+            scale = max(bound / tol for _, name, _, bound in comparisons if name == field)
+            assert abs(getattr(got, field) - getattr(ref, field)) <= 1e-12 * scale, field
+
+
+class TestStageEvaluationAtLongHorizon:
+    def test_lti_certificate_and_cost_make_no_stage_calls(self):
+        calls = []
+
+        class CountedLti(LtiDynamics):
+            def step(self, t, x, u):
+                calls.append("step")
+                return super().step(t, x, u)
+
+            def jac_x(self, t, x, u):
+                calls.append("jac_x")
+                return super().jac_x(t, x, u)
+
+            def jac_u(self, t, x, u):
+                calls.append("jac_u")
+                return super().jac_u(t, x, u)
+
+        A, B = np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]])
+        Q, R, N = np.eye(2), np.eye(1), 4096
+        x0, xf = np.array([1.0, -1.0]), np.array([0.5, 0.0])
+        spec = lti_spec(A, B, Q, R, N, x0=x0, xf=xf, banned=[[3, 17, 100]])
+        sol = lq_transfer_freq_solve(A, B, Q, R, N, x0, xf, spec.frequency_constraint)
+        assert sol.status is SolveStatus.SOLVED
+        lift = lift_from_solver(spec, sol.trajectory, sol.adjoints, sol.nu)
+        counted = dataclasses.replace(spec, dynamics=CountedLti(A, B))
+        tracemalloc.start()
+        try:
+            cert = verify_pmp(sol.trajectory, lift, counted)
+            cost = trajectory_cost(counted.cost, sol.trajectory)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 64 * 2**20
+        assert cert.passed
+        states, controls = sol.trajectory.states, sol.trajectory.controls
+        assert cost == pytest.approx(quadratic_cost(Q, R, states, controls), rel=1e-12)
 
 
 class TestNormalityClassic:

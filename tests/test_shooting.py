@@ -15,6 +15,7 @@ from bandctrl.problem import (
 )
 from bandctrl.shooting import (
     NewtonOptions,
+    _residual_vec,
     SingularJacobianError,
     StackedUnknowns,
     assemble_residual,
@@ -24,7 +25,12 @@ from bandctrl.shooting import (
 )
 from bandctrl.spectrum import forward_dft
 
-from oracles import direct_transcription_oracle
+from oracles import (
+    direct_transcription_oracle,
+    loop_residual_vec,
+    random_banned_sets,
+    random_lq_matrices,
+)
 
 
 def _toy_dynamics():
@@ -36,6 +42,31 @@ def _toy_dynamics():
         drift_jac=lambda t, x: np.array([[1.0]]),
         gain_jac=lambda t, x: np.array([[[0.1]]]),
     )
+
+
+def _counted_toy():
+    """The toy dynamics with a count of calls per model method."""
+    calls = {"step": 0, "jac_x": 0, "jac_u": 0, "gain_state_jacobian": 0}
+
+    class Counted(ControlAffineDynamics):
+        def step(self, t, x, u):
+            calls["step"] += 1
+            return super().step(t, x, u)
+
+        def jac_x(self, t, x, u):
+            calls["jac_x"] += 1
+            return super().jac_x(t, x, u)
+
+        def jac_u(self, t, x, u):
+            calls["jac_u"] += 1
+            return super().jac_u(t, x, u)
+
+        def gain_state_jacobian(self, t, x):
+            calls["gain_state_jacobian"] += 1
+            return super().gain_state_jacobian(t, x)
+
+    toy = _toy_dynamics()
+    return calls, Counted(1, 1, toy.drift, toy.gain, toy.drift_jac, toy.gain_jac)
 
 
 def _toy_spec(banned=None, horizon=6):
@@ -112,6 +143,32 @@ class TestAssembleResidual:
             assemble_residual(z, boxed, x0, xf)
 
 
+class TestBatchedResidual:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_stage_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        N = int(rng.integers(1, 40))
+        if seed % 2:
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+            A, B, Q, R = random_lq_matrices(rng, n, m, spectral_radius=1.05)
+            x0, xf = rng.standard_normal(n), rng.standard_normal(n)
+            spec = lti_spec(A, B, Q, R, N, x0=x0, xf=xf, banned=random_banned_sets(rng, N, m, 3))
+        else:
+            n = m = 1
+            x0, xf = np.zeros(1), rng.uniform(-1.5, 3.0, 1)
+            spec = control_affine_spec(_toy_dynamics(), [[1.0]], [[1.0]], N, x0, xf,
+                                       banned=random_banned_sets(rng, N, 1, 3))
+        q = spec.frequency_constraint.row_count
+        init, _ = default_initialization(spec, x0, xf)
+        for z in (init.z, rng.standard_normal(init.z.size), 100.0 * rng.standard_normal(init.z.size)):
+            got = _residual_vec(z, spec, x0, xf)
+            ref = loop_residual_vec(z, spec, x0, xf)
+            # sums regrouped by the batched products differ by rounding of the terms
+            scale = 1.0 + np.max(np.abs(z)) * (1.0 + np.max(np.abs(residual_jacobian(
+                StackedUnknowns(z, n=n, m=m, horizon=N, q=q), spec, x0, xf))))
+            assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+
+
 class TestJacobian:
     def test_analytic_matches_fd_on_lti(self):
         spec, x0, xf = _lti_setup(seed=0)
@@ -163,7 +220,35 @@ class TestJacobian:
         assert calls == {"jac_x": 9, "jac_u": 10, "gain_state_jacobian": 9}
 
 
+    def test_public_jacobian_evaluates_no_dynamics_step(self):
+        calls, dyn = _counted_toy()
+        spec = control_affine_spec(dyn, [[1.0]], [[1.0]], 10, [0.0], [1.0], banned=[[3]])
+        q = spec.frequency_constraint.row_count
+        z = StackedUnknowns(np.full(9 + 10 + 10 + q, 0.5), n=1, m=1, horizon=10, q=q)
+        residual_jacobian(z, spec, [0.0], [1.0])
+        assert calls == {"step": 0, "jac_x": 9, "jac_u": 10, "gain_state_jacobian": 9}
+
+
 class TestNewtonSolve:
+    def test_each_stage_evaluated_once_per_residual(self):
+        calls, dyn = _counted_toy()
+        N = 24
+        spec = control_affine_spec(dyn, [[1.0]], [[1.0]], N, [0.0], [2.5], banned=[[2, 5]])
+        init, _ = default_initialization(spec, [0.0], [2.5])
+        calls.update(dict.fromkeys(calls, 0))
+        result = newton_solve(spec, [0.0], [2.5], init=init)
+        assert result.converged and result.iterations >= 2
+        # each accepted step of length 2^-k took k + 1 residual evaluations
+        evals = 1 + sum(1 + round(-np.log2(alpha)) for _, _, alpha in result.trace[1:])
+        # beyond the residuals: the rollout of the result (N steps) and the
+        # transversality at x_0 of its lift (one jac_x)
+        assert calls == {
+            "step": N * evals + N,
+            "jac_x": (N - 1) * evals + 1,
+            "jac_u": N * evals,
+            "gain_state_jacobian": (N - 1) * result.iterations,
+        }
+
     def test_lti_one_undamped_step_from_random_init(self):
         spec, x0, xf = _lti_setup(seed=4)
         rng = np.random.default_rng(4)

@@ -149,6 +149,31 @@ class TestFrequencyConstraint:
             if fc.row_count:
                 assert numerical_rank(fc.stacked) == fc.row_count
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_rows_orthogonal_so_rank_is_row_count(self, channels):
+        # effective_rank is set to row_count without an SVD, because F F' is
+        # diagonal with entries 1 (cos rows at xi = 0 and N/2) or 1/2
+        rng = np.random.default_rng(17 + channels)
+        for horizon in list(range(1, 25)) + [64, 255, 256, 1024]:
+            for draw in range(3):
+                if draw == 0 and horizon <= 24:
+                    banned = [list(range(horizon))] * channels  # every frequency
+                else:
+                    banned = [
+                        rng.choice(horizon, size=rng.integers(0, min(horizon, 12) + 1), replace=False)
+                        for _ in range(channels)
+                    ]
+                fc = build_frequency_constraint(
+                    SupportSpec.from_banned(banned, horizon), horizon, channels
+                )
+                assert fc.effective_rank == fc.row_count
+                if fc.row_count:
+                    assert numerical_rank(fc.stacked) == fc.row_count
+                    gram = fc.stacked @ fc.stacked.T
+                    diag = np.diag(gram)
+                    assert np.all(np.isclose(diag, 1.0) | np.isclose(diag, 0.5))
+                    assert np.max(np.abs(gram - np.diag(diag))) < 1e-12
+
     def test_residual_zero_iff_banned_components_zero(self):
         rng = np.random.default_rng(13)
         fc = build_frequency_constraint(SupportSpec.from_banned([[2], [1, 5]], 6), 6, 2)
