@@ -18,9 +18,10 @@ endpoints), ``shooting`` (fixed endpoints, LTI or builtin control-affine
 dynamics).  Exit codes: 0 solved with a passing certificate, 1 input or spec
 errors, 2 infeasible transfer, 3 all-abnormal regime, 4 non-convergence (or a
 solve whose certificate fails).  A result file is written in every case except
-exit 1.  Result files are deterministic: identical inputs produce identical
-bytes (floats serialize at shortest round-trip precision, up to 17
-significant digits).
+exit 1.  Result files are compact JSON (sorted keys, no whitespace, one
+trailing newline) and deterministic: identical inputs produce identical bytes
+(floats serialize at shortest round-trip precision, up to 17 significant
+digits).
 """
 
 from __future__ import annotations
@@ -429,9 +430,10 @@ def _json_default(obj):
 
 
 def _write_result(path: str, doc: dict) -> None:
+    # json.dumps without indent runs the C encoder; json.dump and indent never do
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True, default=_json_default)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def run(input_path: str, output_path: str, overrides=(), quiet: bool = True) -> int:

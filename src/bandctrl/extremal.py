@@ -520,7 +520,7 @@ def classify_normality_freq(A, B, horizon: int, constraint: FrequencyConstraint)
             "frequency constraint rows are dependent; rebuild with build_frequency_constraint"
         )
     r_stack = reachability_stack(A, B, horizon)
-    gmat = np.vstack([constraint.blocks[t].T for t in range(horizon)]) if q else np.zeros((m * horizon, 0))
+    gmat = constraint.blocks.transpose(0, 2, 1).reshape(m * horizon, q)  # rows t*m + i: F_t'
     augmented = np.hstack([r_stack, -gmat])
     rank_aug = numerical_rank(augmented)
     rank_reach = numerical_rank(r_stack)

@@ -27,14 +27,18 @@ adjoint parameter w_N (fixed end only) and nu held as parameters, are a
 two-point LQ problem: a backward Riccati sweep (:func:`riccati_sweep`, from a
 positive terminal weight P_N at a fixed end, so that the closed loop is
 stable even in modes Q does not weigh) gives u_t = K_t x_t + k_t and
-p_{t-1} = -P_t x_t + w_t.  The right-hand side and one unit column per
-parameter are carried through the affine parts (w_t backward, x_t forward) as
-batched recursive-doubling scans over the stage axis.  What is left is the
-border: the last dynamics row (x_N = xf) and the frequency rows, a dense
-system of size n + q in (w_N, nu), where w_N = p_{N-1} at a solution.  It is
-solved by LU, or by least squares when LU fails or leaves a residual above
+p_{t-1} = -P_t x_t + w_t.  The sweep stops once P_t reaches its
+floating-point fixed point and repeats that stage for the rest.  The
+right-hand side and one unit column per parameter are carried through the
+backward affine part (w_t, k_t) as a batched recursive-doubling scan over the
+stage axis.  What is left is the border: the last dynamics row (x_N = xf) and
+the frequency rows, a dense system of size n + q in (w_N, nu), where
+w_N = p_{N-1} at a solution.  Its matrix and right-hand side are Gram
+products of the backward columns, with no forward pass.  It is solved by LU,
+or by least squares when LU fails or leaves a residual above
 INFEASIBILITY_TOL * (1 + |rhs|), so non-unique multipliers come out
-minimum-norm over (p_{N-1}, nu).
+minimum-norm over (p_{N-1}, nu).  One single-column forward scan then gives
+the states, controls and adjoints.
 :func:`lti_product` is ``assemble(...) @ z`` without the matrix.
 """
 
@@ -47,6 +51,8 @@ import numpy as np
 # a first-order residual max-norm above INFEASIBILITY_TOL * (1 + |rhs|)
 # means the system has no solution
 INFEASIBILITY_TOL = 1e-7
+
+EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "INFEASIBILITY_TOL",
@@ -198,30 +204,56 @@ def riccati_sweep(A, B, Q, R, horizon: int, terminal=None):
     part grows by a constant factor per stage).  Returns P (N+1, n, n), K
     (N, m, n) and the inverse pivots H_t^(-1) (N, m, m).  Raises
     ``numpy.linalg.LinAlgError`` when a pivot is singular or the recursion
-    leaves the finite range.  A scalar pivot (m = 1) is inverted by division,
-    and finiteness is checked once after the loop: per stage, numpy's call
-    overhead is the cost, not the arithmetic.
+    leaves the finite range.
+
+    The data are the same at every stage, so the recursion is a fixed map of
+    P.  Once |P_t - P_{t+1}|_max <= 4 eps |P_t|_max it has reached its
+    floating-point fixed point, and every earlier stage is filled with stage t
+    instead of being swept; the test runs at every eighth stage (not at t = 0,
+    where nothing is left to fill), since it costs about half a stage.  Per stage, numpy's call overhead is the
+    cost, not the arithmetic: one product W = [A B]'P[A B] gives H, B'PA and
+    A'PA as blocks, a pivot with m <= 2 is inverted in closed form, and
+    finiteness is checked once after the loop.
     """
     n, m = np.shape(B)
     P = np.empty((horizon + 1, n, n))
     P[horizon] = 0.0 if terminal is None else terminal
     K = np.empty((horizon, m, n))
-    Hinv = np.empty((horizon, m, m))
-    At, Bt, Pt = A.T, B.T, P[horizon]
+    Hinv = np.empty((horizon, m, m))  # holds -H_t^(-1) until after the loop
+    AB = np.concatenate([A, B], axis=1)
+    ABt = AB.T.copy()
+    r = R.tolist()
+    amax = np.maximum.reduce  # ndarray.max adds a Python-level call
+    Pt = P[horizon]
+    t = 0
     # ndarray.dot: half the call overhead of @ on matrices this small
-    with np.errstate(all="ignore"):  # a zero or overflowing pivot ends in the check below
-        for t in range(horizon - 1, -1, -1):
-            BP = Bt.dot(Pt)
-            BPA = BP.dot(A)
-            if m == 1:
-                Hinv[t] = hinv = 1.0 / (R[0, 0] + BP.dot(B)[0, 0])
-                Kt = BPA * -hinv
-            else:
-                Hinv[t] = hinv = np.linalg.inv(R + BP.dot(B))
-                Kt = -hinv.dot(BPA)
-            Pt = Q + At.dot(Pt).dot(A) + BPA.T.dot(Kt)
-            Pt = 0.5 * (Pt + Pt.T)
-            P[t], K[t] = Pt, Kt
+    try:
+        with np.errstate(all="ignore"):  # an overflowing pivot ends in the check below
+            for t in range(horizon - 1, -1, -1):
+                W = ABt.dot(Pt).dot(AB)  # [A'PA, A'PB; B'PA, B'PB]
+                BPA = W[n:, :n]
+                if m == 1:
+                    nhinv = -1.0 / (r[0][0] + W.item(n, n))
+                    Kt = BPA * nhinv
+                else:
+                    if m == 2:
+                        (a, b), (c, d) = W[n:, n:].tolist()
+                        a, b, c, d = a + r[0][0], b + r[0][1], c + r[1][0], d + r[1][1]
+                        det = b * c - a * d
+                        nhinv = np.array([[d / det, -b / det], [-c / det, a / det]])
+                    else:
+                        nhinv = -np.linalg.inv(R + W[n:, n:])
+                    Kt = nhinv.dot(BPA)
+                Pn = Pt
+                Pt = Q + W[:n, :n] + BPA.T.dot(Kt)
+                Pt = 0.5 * (Pt + Pt.T)
+                P[t], K[t], Hinv[t] = Pt, Kt, nhinv
+                if t % 8 == 0 < t and amax(abs(Pt - Pn), None) <= 4.0 * EPS * amax(abs(Pt), None):
+                    break
+    except ZeroDivisionError:
+        raise np.linalg.LinAlgError("singular Riccati pivot") from None
+    P[:t], K[:t], Hinv[:t] = P[t], K[t], Hinv[t]
+    np.negative(Hinv, out=Hinv)
     if not (np.isfinite(P).all() and np.isfinite(Hinv).all()):
         raise np.linalg.LinAlgError("singular Riccati pivot or non-finite recursion")
     return P, K, Hinv
@@ -290,70 +322,86 @@ def lti_solve(A, B, Q, R, blocks, rhs, free_end: bool = False):
     loop in every mode Q does not weigh, and an unstable such mode makes the
     right-hand-side and p_{N-1} columns grow like rho(A)^N and cancel in x_t;
     a positive terminal weight stabilizes the closed loop instead.
+
+    Only the backward scan carries the parameters theta = (w_N, nu), one
+    column each beside the right-hand side.  With e_t = B'w_{t+1} - g_t (less
+    B'P_{t+1}d_t in the right-hand-side column) and k_t = H_t^(-1) e_t, the
+    border rows as affine functions of theta are diag(I, -I) (E'K + W'd):
+    the sum over stages of e_t'k_t, plus w_{t+1}'d_t in the right-hand-side
+    column only.  Over the theta columns this is the Schur complement
+    J H^(-1) J' that the sweep has factored stage by stage; in the
+    right-hand-side column it is the border value at theta = 0, the cross
+    term of the LQ value function.  So the border needs no forward pass:
+    theta is folded into k_t and w_t, and one single-column forward scan
+    gives x, u and p (a second one only if the least-squares fallback runs).
     """
     A, B, Q, R = (np.asarray(a, dtype=float) for a in (A, B, Q, R))
     blocks = np.asarray(blocks, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     N, q, m = blocks.shape
     n = A.shape[0]
-    threshold = INFEASIBILITY_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0))
+    threshold = INFEASIBILITY_TOL * (1.0 + abs(rhs).max(initial=0.0))
     terminal = None
     if not free_end:
         bb = float(np.sum(B * B))
         terminal = (np.linalg.norm(R) / bb if bb > 0.0 else 1.0) * np.eye(n)
     P, K, Hinv = riccati_sweep(A, B, Q, R, N, terminal)
     Phi = A + B @ K
+    PhiT = Phi.transpose(0, 2, 1)
 
-    # carried columns: the right-hand side, then w_N (fixed end), then nu
+    # backward columns: the right-hand side, then w_N (fixed end), then nu
     lam = 0 if free_end else n
     c = 1 + lam + q
     dyn, adj, stat, freq = _split_rows(rhs, n, m, N)
-    d = np.zeros((N, n, c))
-    d[:, :, 0] = dyn
-    a = np.zeros((N, n, c))
-    a[1:, :, 0] = adj
+    d = dyn
     g = np.zeros((N, m, c))  # F_t'nu + s_t: R u_t = B'p_t - g_t
     g[:, :, 0] = stat
     g[:, :, 1 + lam :] = blocks.transpose(0, 2, 1)
-    w_end = np.zeros((n, c))  # w_N = p_{N-1} + P_N x_N
+    wr = np.empty((N, n, c))  # w_N, w_{N-1}, ..., w_1: the scan order
+    wr[0] = 0.0  # w_N = p_{N-1} + P_N x_N
     if free_end:
-        w_end[:, 0] = dyn[-1]
-        d[-1] = 0.0
+        wr[0, :, 0] = dyn[-1]
+        d = np.concatenate([dyn[:-1], np.zeros((1, n))])
     else:
-        w_end[:, 1 : 1 + lam] = np.eye(n)
+        wr[0, :, 1 : 1 + lam] = np.eye(n)
+    Pd = (P[1:] @ d[:, :, None])[:, :, 0]  # P_{t+1} d_t
 
-    # backward: w_t = Phi_t'(w_{t+1} - P_{t+1} d_t) - K_t' g_t + a_t from w_N
-    PhiT = Phi.transpose(0, 2, 1)
-    h = a - PhiT @ (P[1:] @ d) - K.transpose(0, 2, 1) @ g
-    h[-1] += PhiT[-1] @ w_end
-    w = _scan(PhiT[::-1].copy(), h[::-1].copy())[::-1]  # w_0..w_{N-1}
-    w_next = np.concatenate([w[1:], w_end[None]])
-    k = Hinv @ (B.T @ (w_next - P[1:] @ d) - g)
-
-    # forward: x_{t+1} = Phi_t x_t + B k_t + d_t from x_0 = 0 (A x0 is in rhs)
-    x_next = _scan(Phi.copy(), B @ k + d)  # x_1..x_N
-    x = np.concatenate([np.zeros((1, n, c)), x_next[:-1]])
-    u = K @ x + k
-    p = w_next - P[1:] @ x_next
-
-    # border: x_N = 0 (fixed end) and sum_t F_t u_t = f, affine in the parameters
-    border = blocks.transpose(1, 0, 2).reshape(q, N * m) @ u.reshape(N * m, c)
-    target = freq
-    if not free_end:
-        border = np.vstack([x_next[-1], border])
-        target = np.concatenate([np.zeros(n), freq])
-    S, b = border[:, 1:], target - border[:, 0]
+    # backward: w_t = Phi_t'(w_{t+1} - P_{t+1} d_t) - K_t' g_t + a_t from w_N,
+    # for t = N-1..1; the G of w_N is never read
+    wr[1:] = (K[1:].transpose(0, 2, 1) @ -g[1:])[::-1]
+    wr[1:, :, 0] += (adj - (PhiT[1:] @ Pd[1:, :, None])[:, :, 0])[::-1]
+    G = np.empty((N, n, n))
+    G[0] = 0.0
+    G[1:] = PhiT[:0:-1]
+    _scan(G, wr)
+    w = wr[::-1]  # w_1..w_N
+    e = (B.T @ wr)[::-1] - g
+    e[:, :, 0] -= Pd @ B
+    k = Hinv @ e
 
     def stacked(theta):
-        one = np.concatenate([[1.0], theta])
-        nu = theta[lam:]
-        return np.concatenate(
-            [(x_next[:-1] @ one).ravel(), (u @ one).ravel(), (p @ one).ravel(), nu]
-        )
+        """z for the parameters theta, by one forward scan of
+        x_{t+1} = Phi_t x_t + B k_t + d_t from x_0 = 0 (A x0 is in rhs)."""
+        kt = k[:, :, 0] + k[:, :, 1:] @ theta
+        x_next = _scan(Phi.copy(), (kt @ B.T + d)[:, :, None])[:, :, 0]  # x_1..x_N
+        u = kt
+        u[1:] += (K[1:] @ x_next[:-1, :, None])[:, :, 0]
+        p = w[:, :, 0] + w[:, :, 1:] @ theta - (P[1:] @ x_next[:, :, None])[:, :, 0]
+        return np.concatenate([x_next[:-1].ravel(), u.ravel(), p.ravel(), theta[lam:]])
 
     def residual(z):
-        return float(np.max(np.abs(lti_product(A, B, Q, R, blocks, z, free_end) - rhs)))
+        return float(abs(lti_product(A, B, Q, R, blocks, z, free_end) - rhs).max())
 
+    S, b = np.zeros((0, 0)), np.zeros(0)
+    if c > 1:
+        # border rows x_N = 0 (fixed end) and sum_t F_t u_t = f, as functions
+        # of every column: diag(I, -I) (E'K + W'd), W'd in the rhs column only
+        border = e.reshape(N * m, c).T @ k.reshape(N * m, c)
+        border[:, 0] += d[::-1].ravel() @ wr.reshape(N * n, c)
+        border = border[1:]
+        border[lam:] *= -1.0
+        S, b = border[:, 1:], -border[:, 0]
+        b[lam:] += freq
     try:
         z = stacked(np.linalg.solve(S, b) if b.size else b)
         res = residual(z) if np.isfinite(z).all() else np.inf

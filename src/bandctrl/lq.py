@@ -12,14 +12,18 @@ Four entry points, all for x_{t+1} = A x_t + B u_t with stage cost
   equality constraint sum_t F_t u_t = 0, with its multiplier nu.
 
 The last three solve their first-order system, in the row layout of
-:mod:`bandctrl.kkt`, with :func:`bandctrl.kkt.lti_solve`: a Riccati sweep plus
-a Schur complement of size n + q on the border (p_{N-1} at a fixed end, and
-nu), so no matrix larger than (n + q)^2 is factored.  The border is solved by
-LU, and by least squares when LU fails or leaves too large a residual; when
-the multipliers are non-unique, (p_{N-1}, nu) is minimum-norm over those
-border unknowns rather than over the whole stacked vector.  A max-norm
-residual of the whole first-order system above
-INFEASIBILITY_TOL * (1 + |rhs|) flags the transfer as infeasible.
+:mod:`bandctrl.kkt`, with :func:`bandctrl.kkt.lti_solve`: a Riccati sweep
+(which stops at its floating-point fixed point and repeats that stage for the
+rest of the horizon), one backward scan that carries the right-hand side and
+one column per border unknown, a Schur complement of size n + q on the border
+(p_{N-1} at a fixed end, and nu) formed as a Gram product of that backward
+scan, and one single-column forward scan; so no matrix larger than
+(n + q)^2 is factored.  The border is solved by LU, and by least squares
+when LU fails or leaves too large a residual; when the multipliers are
+non-unique, (p_{N-1}, nu) is minimum-norm over those border unknowns rather
+than over the whole stacked vector.  A max-norm residual of the whole
+first-order system above INFEASIBILITY_TOL * (1 + |rhs|) flags the transfer
+as infeasible.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ several seeds.  The dense first-order oracle is the solve path that the
 structured solver of ``bandctrl.kkt`` replaced: the matrix of
 ``kkt.assemble`` factored whole.  The loop oracles are the stage-by-stage
 forms of the PMP certificate and of the Newton residual that the batched
-evaluation replaced: they call the model once per stage and term.
+evaluation replaced: they call the model once per stage and term.  The loop
+Riccati sweep is the recursion that ``kkt.riccati_sweep`` shortcuts: every
+stage swept, with a general inverse of every pivot.
 """
 
 import numpy as np
@@ -414,3 +416,26 @@ def loop_residual_vec(zvec, spec, x0, xf):
         row += m
     res[row:] = np.einsum("tqm,tm->q", blocks, controls)  # (d) frequency residual
     return res
+
+
+def loop_riccati_sweep(A, B, Q, R, horizon, terminal=None):
+    """Backward Riccati recursion from P_N = ``terminal`` (zero when None),
+    every stage swept and every pivot inverted by ``numpy.linalg.inv``:
+
+        H_t = R + B'P_{t+1}B,   K_t = -H_t^(-1) B'P_{t+1}A,
+        P_t = Q + A'P_{t+1}(A + B K_t),   symmetrized.
+
+    Returns P (N+1, n, n), K (N, m, n) and H_t^(-1) (N, m, m)."""
+    A, B, Q, R = (np.asarray(a, float) for a in (A, B, Q, R))
+    n, m = B.shape
+    P = np.zeros((horizon + 1, n, n))
+    if terminal is not None:
+        P[horizon] = terminal
+    K = np.zeros((horizon, m, n))
+    Hinv = np.zeros((horizon, m, m))
+    for t in range(horizon - 1, -1, -1):
+        Hinv[t] = np.linalg.inv(R + B.T @ P[t + 1] @ B)
+        K[t] = -Hinv[t] @ B.T @ P[t + 1] @ A
+        Pt = Q + A.T @ P[t + 1] @ (A + B @ K[t])
+        P[t] = 0.5 * (Pt + Pt.T)
+    return P, K, Hinv

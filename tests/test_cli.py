@@ -213,6 +213,21 @@ class TestRun:
         assert run(inp, str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_compact_result_parses_like_the_indented_one(self, tmp_path, monkeypatch):
+        write, docs = cli._write_result, []
+
+        def spy(path, doc):
+            docs.append(doc)
+            write(path, doc)
+
+        monkeypatch.setattr(cli, "_write_result", spy)
+        out = tmp_path / "r.json"
+        assert run(_write(tmp_path, "p.json", _transfer_doc()), str(out)) == 0
+        raw = out.read_bytes()
+        assert raw.endswith(b"}\n") and raw.count(b"\n") == 1 and b": " not in raw
+        indented = json.dumps(docs[0], indent=2, sort_keys=True, default=cli._json_default)
+        assert json.loads(raw) == json.loads(indented)
+
     def test_banned_frequencies_rejected_for_plain_transfer(self, tmp_path, capsys):
         doc = _transfer_doc(solver="transfer")
         inp = _write(tmp_path, "p.json", doc)

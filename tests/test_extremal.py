@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from bandctrl import extremal
 from bandctrl.cli import BUILTINS
 
 from bandctrl.extremal import (
@@ -37,7 +38,7 @@ from bandctrl.problem import (
     trajectory_cost,
 )
 from bandctrl.shooting import SingularJacobianError, newton_solve
-from bandctrl.spectrum import SupportSpec, build_frequency_constraint
+from bandctrl.spectrum import SupportSpec, build_frequency_constraint, numerical_rank
 
 from oracles import (
     has_nontrivial_nullspace,
@@ -473,6 +474,25 @@ class TestNormalityFreq:
                 assert nontrivial
             agreements += 1
         assert agreements == 100
+
+    @pytest.mark.parametrize(
+        "horizon, m, banned",
+        [(1, 1, [[0]]), (8, 1, [[]]), (9, 2, [[1, 2], [4]]), (256, 2, [range(1, 32), range(64, 80)])],
+    )
+    def test_frequency_block_is_the_stacked_transposes(self, monkeypatch, horizon, m, banned):
+        spec = SupportSpec.from_banned([list(b) for b in banned], horizon)
+        fc = build_frequency_constraint(spec, horizon, m)
+        seen = []
+
+        def spy(matrix):
+            seen.append(matrix)
+            return numerical_rank(matrix)
+
+        monkeypatch.setattr(extremal, "numerical_rank", spy)
+        rng = np.random.default_rng(horizon)
+        classify_normality_freq(rng.standard_normal((2, 2)), rng.standard_normal((2, m)), horizon, fc)
+        gmat = np.vstack([fc.blocks[t].T for t in range(horizon)])
+        assert np.array_equal(seen[0][:, 2:], -gmat)
 
     def test_rejects_dependent_rows(self):
         fc = build_frequency_constraint(SupportSpec.from_banned([[2]], 4), 4, 1)

@@ -20,11 +20,19 @@ from bandctrl.spectrum import SupportSpec, build_frequency_constraint
 from oracles import (
     dense_first_order_solve,
     dense_first_order_system,
+    loop_riccati_sweep,
     random_banned_sets,
     random_lq_matrices,
 )
 
 EPS = float(np.finfo(float).eps)
+
+
+def _baseline_plant():
+    """The n=4, m=2 plant of the transfer_n256 benchmark workload."""
+    rng = np.random.default_rng(0)
+    A = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+    return A, rng.standard_normal((4, 2)), np.eye(4), np.eye(2)
 
 
 def _dense(A, B, Q, R, blocks, free_end):
@@ -46,6 +54,108 @@ class TestProduct:
                 M = _dense(A.astype(float), B.astype(float), Q, R, blocks, free_end)
                 product = kkt.lti_product(A, B, Q, R, blocks, z, free_end)
                 assert np.array_equal(product, M @ z)
+
+
+class TestRiccatiSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 3),
+        horizon=st.integers(1, 400),
+        radius=st.floats(0.1, 1.1),
+        q_rank=st.integers(0, 4),
+        sigma=st.one_of(st.none(), st.floats(0.1, 10.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_loop_oracle(self, n, m, horizon, radius, q_rank, sigma, seed):
+        rng = np.random.default_rng(seed)
+        A, B, _, R = random_lq_matrices(rng, n, m, spectral_radius=radius)
+        Mq = rng.standard_normal((min(q_rank, n), n))
+        Q = Mq.T @ Mq  # rank-deficient unless q_rank >= n
+        terminal = None if sigma is None else sigma * np.eye(n)
+        P, K, Hinv = kkt.riccati_sweep(A, B, Q, R, horizon, terminal)
+        P_o, K_o, Hinv_o = loop_riccati_sweep(A, B, Q, R, horizon, terminal)
+        tol = 1e-12 * (1.0 + np.max(np.abs(P_o)))
+        for a, b in [(P, P_o), (K, K_o), (Hinv, Hinv_o)]:
+            assert np.max(np.abs(a - b)) <= tol
+
+    def test_slow_convergence_never_stops_early(self):
+        # P_t = 1/(N - t + 1): the relative step 1/k stays far above rounding
+        N = 2000
+        one, zero = np.ones((1, 1)), np.zeros((1, 1))
+        P, K, Hinv = kkt.riccati_sweep(one, one, zero, one, N, one)
+        assert np.all(P[:-1, 0, 0] < P[1:, 0, 0])
+        k = N - np.arange(N + 1) + 1.0
+        assert np.max(np.abs(P[:, 0, 0] * k - 1.0)) <= 1e-12
+        P_o, K_o, Hinv_o = loop_riccati_sweep(one, one, zero, one, N, one)
+        assert np.max(np.abs(P - P_o)) <= 1e-14
+        assert np.max(np.abs(K - K_o)) <= 1e-14
+
+    def test_zero_weights_give_exact_zero(self):
+        rng = np.random.default_rng(4)
+        A, B = rng.standard_normal((3, 3)), rng.standard_normal((3, 2))
+        R = np.array([[2.0, 0.5], [0.5, 1.0]])
+        P, K, Hinv = kkt.riccati_sweep(A, B, np.zeros((3, 3)), R, 50)
+        assert not P.any() and not K.any()
+        assert np.allclose(Hinv, np.linalg.inv(R), rtol=1e-15, atol=0.0)
+
+    def test_long_horizon_reaches_its_fixed_point(self):
+        A, B, Q, R = _baseline_plant()
+        N = 4096
+        P, K, Hinv = kkt.riccati_sweep(A, B, Q, R, N, np.eye(4))
+        assert np.all(P[:3800] == P[0]) and np.all(K[:3800] == K[0])
+        P_o, K_o, Hinv_o = loop_riccati_sweep(A, B, Q, R, N, np.eye(4))
+        tol = 1e-12 * (1.0 + np.max(np.abs(P_o)))
+        for a, b in [(P, P_o), (K, K_o), (Hinv, Hinv_o)]:
+            assert np.max(np.abs(a - b)) <= tol
+
+
+class TestBorder:
+    def _transfer(self, N=256):
+        A, B, Q, R = _baseline_plant()
+        banned = [list(range(1, N // 8)), list(range(N // 4, N // 4 + N // 16))]
+        fc = build_frequency_constraint(SupportSpec.from_banned(banned, N), N, 2)
+        rng = np.random.default_rng(1)
+        rhs = kkt.boundary_rhs(A @ rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4), 4, 2, N, fc.row_count)
+        return A, B, Q, R, fc.blocks, rhs
+
+    def test_frequency_block_is_symmetric_negative_definite(self, monkeypatch):
+        A, B, Q, R, blocks, rhs = self._transfer()
+        solve, seen = np.linalg.solve, []
+
+        def spy(S, b):
+            seen.append(S.copy())
+            return solve(S, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        _, residual, consistent = kkt.lti_solve(A, B, Q, R, blocks, rhs)
+        monkeypatch.undo()
+        assert consistent and residual <= 1e-12
+        (S,) = seen
+        assert S.shape == (4 + blocks.shape[1],) * 2
+        S_nu = S[4:, 4:]
+        assert np.max(np.abs(S_nu - S_nu.T)) <= 10 * EPS * np.max(np.abs(S_nu))
+        assert np.max(np.linalg.eigvalsh(0.5 * (S_nu + S_nu.T))) < 0.0
+
+    @pytest.mark.parametrize("free_end, banned", [(False, [[3]]), (True, [[]]), (True, [[3]])])
+    def test_two_scans_per_solve(self, monkeypatch, free_end, banned):
+        # the backward scan carries every column and the border comes from it;
+        # the one forward scan carries the solution alone
+        A, B, Q, R = _baseline_plant()
+        N = 64
+        fc = build_frequency_constraint(SupportSpec.from_banned(banned + [[]], N), N, 2)
+        rhs = kkt.boundary_rhs(A @ np.ones(4), None if free_end else -np.ones(4), 4, 2, N, fc.row_count)
+        scan, calls = kkt._scan, []
+
+        def counted(G, h):
+            calls.append(h.shape[-1])
+            return scan(G, h)
+
+        monkeypatch.setattr(kkt, "_scan", counted)
+        _, residual, consistent = kkt.lti_solve(A, B, Q, R, fc.blocks, rhs, free_end)
+        assert consistent and residual <= 1e-12
+        lam = 0 if free_end else 4
+        assert calls == [1 + lam + fc.row_count, 1]
 
 
 class TestStructuredSolve:
