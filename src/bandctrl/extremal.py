@@ -17,17 +17,29 @@ stage by stage.
 The conditions are positively homogeneous in the joint multiplier vector, so
 the verifier rescales the lift to unit max-norm before measuring residuals;
 verdicts are therefore invariant under scaling the lift by any lambda > 0.
+The certificate reports each residual with its threshold.
+
+The normality tests decide whether a fixed-endpoint LQ transfer admits an
+abnormal lift: a nonzero (lambda, nu) with R_stack lambda = G nu, where the
+reachability stack R_stack has rows B'(A')^(N-1-t) and G stacks the
+transposed frequency blocks.  :func:`classify_normality_freq` compares
+orthonormal bases of the two ranges: the rank comes from the controllability
+matrix (no power past A^(n-1)), the basis of range(R_stack) from small QR
+factorizations over chunks of stages in which A^k grows by a bounded factor,
+and the verdict from the principal angles to the orthonormal frequency
+columns, whose smallest sine is reported as the ``margin``.  No SVD has more
+than n columns, and the verdict does not depend on the size of A^N.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .problem import Box, Fixed, Free, ProblemSpec, Trajectory, _stage_terms
-from .spectrum import FrequencyConstraint, numerical_rank
+from .spectrum import FrequencyConstraint, _rank_cutoff, numerical_rank
 
 __all__ = [
     "ExtremalLift",
@@ -45,6 +57,12 @@ __all__ = [
     "controllability_matrix",
     "reachability_stack",
 ]
+
+
+# The reachability rows are orthonormalized in chunks over which they grow by
+# at most this factor, so a chunk loses at most log10(IMPULSE_GROWTH) digits
+# of the modes that its growing modes dominate.
+IMPULSE_GROWTH = 1e3
 
 
 def _inf(a) -> float:
@@ -175,7 +193,10 @@ class PmpCertificate:
     ``hamiltonian_vi_worst`` is the most positive directional derivative of the
     Hamiltonian along feasible control directions (nonpositive at an extremal).
     ``set_violation`` is the largest max-norm distance of a state or control
-    outside its stage set.
+    outside its stage set.  ``thresholds`` holds each threshold
+    tol * (1 + scale), keyed by residual name; ``set_violation`` is judged
+    against ``state_set_violation`` for the states (x_N may add the rounding
+    of its rollout) and ``control_set_violation`` for the controls.
     """
 
     nonneg: bool
@@ -189,6 +210,7 @@ class PmpCertificate:
     tol: float
     condition_passed: dict
     passed: bool
+    thresholds: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -203,6 +225,7 @@ class PmpCertificate:
             "freq_residual": self.freq_residual,
             "set_violation": self.set_violation,
             "condition_passed": dict(self.condition_passed),
+            "thresholds": dict(self.thresholds),
         }
 
 
@@ -391,18 +414,31 @@ def verify_pmp(
     # x_N may also carry the rounding of its rollout (computed only when needed)
     end_ok = end_gap <= state_tol or end_gap <= state_tol + _rollout_drift(terms.jx, terms.ju, traj)
 
+    thresholds = {
+        "state_dyn_residual": state_tol,
+        "adjoint_dyn_residual": tol * (1 + adj_scale),
+        "transversality_residual": tol * (1 + trans_scale),
+        "hamiltonian_vi_worst": tol * (1 + vi_scale),
+        "freq_residual": tol * (1 + freq_scale),
+        "state_set_violation": state_tol,
+        "control_set_violation": tol * (1 + _inf(controls)),
+    }
     condition_passed = {
         "i": bool(nonneg),
         "ii": bool(nontrivial),
         "iii": bool(
-            state_res <= state_tol and adj_res <= tol * (1 + adj_scale) and interior_gap <= state_tol
+            state_res <= state_tol
+            and adj_res <= thresholds["adjoint_dyn_residual"]
+            and interior_gap <= state_tol
         ),
-        "iv": bool(trans_res <= tol * (1 + trans_scale) and start_gap <= state_tol and end_ok),
+        "iv": bool(
+            trans_res <= thresholds["transversality_residual"] and start_gap <= state_tol and end_ok
+        ),
         "v": bool(
-            vi_worst <= tol * (1 + vi_scale)
-            and control_gap <= tol * (1 + _inf(controls))
+            vi_worst <= thresholds["hamiltonian_vi_worst"]
+            and control_gap <= thresholds["control_set_violation"]
         ),
-        "vi": bool(freq_res <= tol * (1 + freq_scale)),
+        "vi": bool(freq_res <= thresholds["freq_residual"]),
     }
     return PmpCertificate(
         nonneg=nonneg,
@@ -416,6 +452,7 @@ def verify_pmp(
         tol=tol,
         condition_passed=condition_passed,
         passed=all(condition_passed.values()),
+        thresholds=thresholds,
     )
 
 
@@ -432,10 +469,19 @@ class NormalityClass(Enum):
 
 @dataclass(frozen=True)
 class NormalityVerdict:
+    """A normality verdict with the ranks behind it.
+
+    ``margin`` is the smallest sine of the principal angles between the
+    ranges of the reachability stack and of the frequency rows: 1.0 when there
+    are no angles (q = 0, or nothing is reachable), and 0.0 when the
+    reachability factors overflow.  It is reproducible and always finite.
+    """
+
     classification: NormalityClass
     rank_reachability: int
     rank_augmented: int
     dims: tuple[int, int, int, int]  # (n, m, horizon, q)
+    margin: float
 
     def to_dict(self) -> dict:
         return {
@@ -443,6 +489,7 @@ class NormalityVerdict:
             "rank_reachability": self.rank_reachability,
             "rank_augmented": self.rank_augmented,
             "dims": list(self.dims),
+            "margin": self.margin,
         }
 
 
@@ -480,31 +527,157 @@ def reachability_stack(A, B, horizon: int) -> np.ndarray:
     return np.vstack([B.T @ powers[horizon - 1 - t].T for t in range(horizon)])
 
 
+def _reachable_subspace(A, B, horizon: int):
+    """Orthonormal basis V (n, r) of the states reachable in the horizon, the
+    range of [B, AB, ..., A^(k-1) B] with k = min(N, n), and its rank r.
+
+    No power above A^(n-1) enters, so the rank does not depend on the size of
+    A^N.  The SVD is of an n x mk matrix.
+    """
+    n, m = B.shape
+    blocks = controllability_matrix(A, B)[:, : m * min(horizon, n)]
+    u, s, _ = np.linalg.svd(blocks, full_matrices=False)
+    rank = int(np.count_nonzero(s >= _rank_cutoff(s[0], max(blocks.shape)))) if s.size else 0
+    return u[:, :rank], rank
+
+
+def _impulse_rows(A, B, horizon: int):
+    """The rows B'(A')^k for k = 0..L-1, shape (L, m, n), and (A')^L.
+
+    Recursive doubling: rows s..2s-1 are rows 0..s-1 times (A')^s, so log2(L)
+    products replace L.  L is the horizon, or the first power of two at which
+    the bound prod_i max(1, max|(A')^(2^i)|) on the growth of the rows would
+    pass IMPULSE_GROWTH; (A')^L is None when L is the horizon.
+    """
+    n, m = B.shape
+    rows = np.empty((horizon, m, n))
+    rows[0] = B.T
+    power, s, growth = A.T, 1, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s < horizon:
+            growth *= max(1.0, abs(power).max())
+            if not growth <= IMPULSE_GROWTH:
+                return rows[:s], power
+            k = min(s, horizon - s)
+            np.matmul(rows[:k].reshape(k * m, n), power, out=rows[s : s + k].reshape(k * m, n))
+            s += k
+            if s < horizon:
+                power = power.dot(power)
+    return rows, None
+
+
+def _reachability_basis(A, B, horizon: int):
+    """Orthonormal basis (m N, r) of the range of the reachability stack
+    [B'(A')^(N-1); ...; B'] (rows t m + i), and its rank r; the basis is
+    None when the factors leave the floating-point range.
+
+    When r < n the stack is first written in an orthonormal basis V of the
+    reachable states: S V stacks B_r'(A_r')^k with A_r = V'AV, B_r = V'B, has
+    full column rank r and the same range as S.  At full rank A and B are
+    used as given (A_r = A, B_r = B): rounding A into another basis can break
+    an exact invariant subspace, and a growing mode then spreads that error
+    along the horizon (an exactly abnormal plant measured a margin of 1e-10
+    in the SVD basis, 1e-16 in its own).  When A is unstable the columns of
+    S are dominated by its growing modes, and one QR of S would lose the
+    others: their share of a column falls like rho(A)^-N.  So the rows are
+    taken in chunks of L stages, over which they grow by at most
+    IMPULSE_GROWTH, from the last stage backwards: with T = Q R the part done,
+    the next part is [T (A_r')^L; S_L] = diag(Q, I) [R (A_r')^L; S_L], where
+    S_L is the first chunk, and one small QR of [R (A_r')^L; S_L] updates Q
+    and R.  Q is the product of these factors, formed once at the end.  When
+    A does not grow, L = N and the basis is one thin QR.
+    """
+    v, rank = _reachable_subspace(A, B, horizon)
+    n, m = B.shape
+    if rank == 0:
+        return np.zeros((m * horizon, 0)), 0
+    if rank < n:
+        A, B = v.T @ A @ v, v.T @ B
+    rows, power = _impulse_rows(A, B, horizon)
+    L = len(rows)
+    chunk = rows[::-1].reshape(L * m, rank)  # powers L-1 .. 0
+    first = chunk[(L - horizon % L) % L * m :]  # the top chunk: powers r0-1 .. 0
+    q_top, tri = np.linalg.qr(first)
+    factors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range((horizon - 1) // L):
+            done = len(tri)
+            stacked = np.concatenate([tri.dot(power), chunk])
+            if not np.isfinite(stacked).all():
+                return None, rank
+            q, tri = np.linalg.qr(stacked)
+            factors.append((q, done))
+    pieces = []
+    acc = np.eye(len(tri))
+    for q, done in reversed(factors):  # chunks from the last stage backwards
+        pieces.append(q[done:].dot(acc))
+        acc = q[:done].dot(acc)
+    pieces.append(q_top.dot(acc))
+    return np.concatenate(pieces[::-1]), rank
+
+
+def _frequency_sines(stacked: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Sines of the principal angles between the range of ``basis`` (m N, r),
+    orthonormal, and the range of G = F', with F = ``stacked`` (q, m N) the
+    stacked frequency rows; r - q of them are 1 when r > q.
+
+    The rows of F are orthogonal (F F' is diagonal), so dividing them by their
+    norms gives an orthonormal basis G^ without a factorization.  The sines
+    are the singular values of W - G^(G^'W), which stay accurate for small
+    angles, where 1 - cos does not (Bjorck & Golub, Math. Comp. 1973).
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", stacked, stacked))[:, None]
+    cos = stacked.dot(basis) / norms  # G^'W: its singular values are the cosines
+    return np.linalg.svd(basis - stacked.T.dot(cos / norms), compute_uv=False)
+
+
 def classify_normality_classic(A, B, horizon: int) -> NormalityVerdict:
     """Fixed-endpoint LQ transfer without frequency constraints: every optimal
     trajectory is normal when (A, B) is controllable and the horizon covers the
-    state dimension; otherwise undetermined."""
+    state dimension; otherwise undetermined.
+
+    ``rank_reachability`` is the rank of [B, AB, ..., A^(n-1) B], the one SVD
+    (of an n x nm matrix); ``rank_augmented`` is the rank of the reachability
+    stack over the horizon, which by Cayley-Hamilton is that of the first
+    min(N, n) blocks, as in :func:`classify_normality_freq`.  With no
+    frequency rows there are no angles, and the margin is 1.0.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n, m = B.shape
-    rank_ctrl = numerical_rank(controllability_matrix(A, B))
-    rank_aug = numerical_rank(reachability_stack(A, B, horizon))
+    ctrl = controllability_matrix(A, B)
+    rank_ctrl = numerical_rank(ctrl)
+    rank_aug = rank_ctrl if horizon >= n else numerical_rank(ctrl[:, : m * horizon])
     cls = (
         NormalityClass.ALL_NORMAL
         if rank_ctrl == n and horizon >= n
         else NormalityClass.UNDETERMINED
     )
-    return NormalityVerdict(cls, rank_ctrl, rank_aug, (n, m, horizon, 0))
+    return NormalityVerdict(cls, rank_ctrl, rank_aug, (n, m, horizon, 0), 1.0)
 
 
 def classify_normality_freq(A, B, horizon: int, constraint: FrequencyConstraint) -> NormalityVerdict:
     """Fixed-endpoint LQ transfer with frequency constraints.
 
-    Stacks the transposed reachability blocks against the transposed frequency
-    blocks: an abnormal lift exists iff [R_stack | -G] has a nontrivial null
-    space.  With q + n > m*N that null space is guaranteed (all trajectories
-    abnormal); with full column rank n + q it is trivial (all normal);
-    otherwise undetermined.
+    An abnormal lift (lambda, nu) != 0 exists iff R_stack lambda = G nu, with
+    R_stack the reachability stack [B'(A')^(N-1); ...; B'] and G the stacked
+    transposed frequency blocks, that is iff R_stack is rank deficient or its
+    range meets the range of G.  With q + n > m*N that is guaranteed (all
+    trajectories abnormal).  Otherwise the test compares orthonormal bases
+    of the two ranges: the verdict is ALL_NORMAL iff R_stack has rank n and
+    the smallest sine of the principal angles between them (the ``margin``)
+    is at least max(m N, n + q) * 1e-14 (floor 1e-12), the relative rank
+    tolerance of :func:`bandctrl.spectrum.numerical_rank` applied to
+    unit-norm bases; else UNDETERMINED.  ``rank_reachability`` is the rank of
+    [B, AB, ..., A^(k-1) B], k = min(N, n), and ``rank_augmented`` is
+    rank_reachability + q less the number of angles below that tolerance.
+
+    The basis of the range of R_stack is built from orthonormal factors
+    (:func:`_reachability_basis`), so the verdict does not depend on the size
+    of A^N, and every SVD is of a matrix with at most n columns or rows.  When the
+    factors overflow (rho(A)^N near 1e308) the verdict is UNDETERMINED
+    (unless q + n > m*N), with margin 0.0 and rank_augmented 0 (not
+    computed).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -519,15 +692,19 @@ def classify_normality_freq(A, B, horizon: int, constraint: FrequencyConstraint)
         raise ValueError(
             "frequency constraint rows are dependent; rebuild with build_frequency_constraint"
         )
-    r_stack = reachability_stack(A, B, horizon)
-    gmat = constraint.blocks.transpose(0, 2, 1).reshape(m * horizon, q)  # rows t*m + i: F_t'
-    augmented = np.hstack([r_stack, -gmat])
-    rank_aug = numerical_rank(augmented)
-    rank_reach = numerical_rank(r_stack)
-    if q + n > m * horizon:
+    dims = (n, m, horizon, q)
+    over = q + n > m * horizon
+    basis, rank_reach = _reachability_basis(A, B, horizon)
+    if basis is None:
+        cls = NormalityClass.ALL_ABNORMAL if over else NormalityClass.UNDETERMINED
+        return NormalityVerdict(cls, rank_reach, 0, dims, 0.0)
+    sines = _frequency_sines(constraint.stacked, basis) if q and rank_reach else np.ones(0)
+    zero_angles = int(np.count_nonzero(sines < _rank_cutoff(1.0, max(m * horizon, n + q))))
+    margin = float(sines.min()) if sines.size else 1.0
+    if over:
         cls = NormalityClass.ALL_ABNORMAL
-    elif rank_aug == n + q:
+    elif rank_reach == n and zero_angles == 0:
         cls = NormalityClass.ALL_NORMAL
     else:
         cls = NormalityClass.UNDETERMINED
-    return NormalityVerdict(cls, rank_reach, rank_aug, (n, m, horizon, q))
+    return NormalityVerdict(cls, rank_reach, rank_reach + q - zero_angles, dims, margin)

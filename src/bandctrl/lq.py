@@ -4,7 +4,7 @@ Four entry points, all for x_{t+1} = A x_t + B u_t with stage cost
 0.5 x'Qx + 0.5 u'Ru (Q psd, R pd):
 
 * :func:`riccati_solve` - free final state, backward value recursion and
-  feedback rollout;
+  closed-loop rollout (one recursive-doubling scan);
 * :func:`lq_pmp_solve` - same problem through the first-order two-point
   system;
 * :func:`lq_transfer_solve` - fixed endpoints x_0 = x0, x_N = xf;
@@ -107,6 +107,10 @@ def riccati_solve(A, B, Q, R, horizon: int, x0) -> tuple[RiccatiSolution, Trajec
 
     S_N = 0;  K_t = -(R + B'S_{t+1}B)^(-1) B'S_{t+1}A;
     S_t = Q + A'S_{t+1}(A + B K_t);  u_t = K_t x_t  (:func:`bandctrl.kkt.riccati_sweep`).
+
+    The closed loop x_{t+1} = (A + B K_t) x_t is rolled out by one
+    single-column recursive-doubling scan, and u_t = K_t x_t by one batched
+    product.
     """
     A, B, Q, R, n, m, x0 = _as_lq(A, B, Q, R, horizon, x0)
     try:
@@ -114,12 +118,11 @@ def riccati_solve(A, B, Q, R, horizon: int, x0) -> tuple[RiccatiSolution, Trajec
     except np.linalg.LinAlgError:
         S, K = np.zeros((horizon + 1, n, n)), np.zeros((horizon, m, n))
         return RiccatiSolution(S, K, float("nan"), SolveStatus.SINGULAR), None
-    states = np.zeros((horizon + 1, n))
-    controls = np.zeros((horizon, m))
-    states[0] = x0
-    for t in range(horizon):
-        controls[t] = K[t] @ states[t]
-        states[t + 1] = A @ states[t] + B @ controls[t]
+    phi = A + B @ K
+    start = np.zeros((horizon, n, 1))
+    start[0, :, 0] = phi[0] @ x0
+    states = np.concatenate([x0[None], kkt._scan(phi, start)[:, :, 0]])
+    controls = (K @ states[:-1, :, None])[:, :, 0]
     traj = Trajectory(states=states, controls=controls)
     cost = trajectory_cost(QuadraticCost(Q, R), traj)
     return RiccatiSolution(S, K, cost, SolveStatus.SOLVED), traj

@@ -45,6 +45,12 @@ _RANK_RTOL = 1e-14
 _RANK_FLOOR = 1e-12
 
 
+def _rank_cutoff(largest: float, size: int) -> float:
+    """Singular values below this count as zero, for a matrix whose larger
+    side is ``size`` and whose largest singular value is ``largest``."""
+    return max(size * largest * _RANK_RTOL, _RANK_FLOOR)
+
+
 def numerical_rank(matrix: np.ndarray) -> int:
     """Rank with singular values below max(shape)*s_max*1e-14 (floor 1e-12)
     counted as zero."""
@@ -52,8 +58,7 @@ def numerical_rank(matrix: np.ndarray) -> int:
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    cutoff = max(max(a.shape) * s[0] * _RANK_RTOL, _RANK_FLOOR)
-    return int(np.count_nonzero(s >= cutoff))
+    return int(np.count_nonzero(s >= _rank_cutoff(s[0], max(a.shape))))
 
 
 def build_dft_matrix(size: int) -> np.ndarray:
@@ -126,7 +131,8 @@ class FrequencyConstraint:
     """Real equality constraint sum_t F_t u_t = 0 on a control trajectory.
 
     ``blocks`` has shape (horizon, row_count, channels); ``stacked`` is the
-    row_count x (horizon*channels) matrix acting on time-stacked controls.
+    row_count x (horizon*channels) matrix acting on time-stacked controls, a
+    view of ``blocks`` (which are stored in its row order).
     The constraint vanishes exactly when every banned DFT component of every
     channel vanishes.  By construction the stacked matrix has full row rank
     (one mirror representative per banned orbit, analytically-zero rows
@@ -139,9 +145,12 @@ class FrequencyConstraint:
     canonical_supports: SupportSpec
 
     def __post_init__(self):
-        blocks = np.array(self.blocks, dtype=float)
+        blocks = np.asarray(self.blocks, dtype=float)
         if blocks.ndim != 3:
             raise ValueError(f"blocks must be (horizon, rows, channels), got {blocks.shape}")
+        # a copy laid out row by row of the stacked matrix, so that
+        # ``stacked`` is a view
+        blocks = np.array(blocks.transpose(1, 0, 2), order="C").transpose(1, 0, 2)
         blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
 

@@ -11,22 +11,31 @@ structured solver of ``bandctrl.kkt`` replaced: the matrix of
 forms of the PMP certificate and of the Newton residual that the batched
 evaluation replaced: they call the model once per stage and term.  The loop
 Riccati sweep is the recursion that ``kkt.riccati_sweep`` shortcuts: every
-stage swept, with a general inverse of every pivot.
+stage swept, with a general inverse of every pivot.  The SVD normality
+classifier is the test that the principal-angle classifier of
+``bandctrl.extremal`` replaced: the ranks of the raw reachability stack
+[B'(A')^(N-1); ...; B'] and of that stack bordered by the frequency rows.
+The closed-loop rollout is the stage-by-stage form of ``riccati_solve``'s
+scan.
 """
 
 import numpy as np
 
 from bandctrl import kkt
 from bandctrl.extremal import (
+    NormalityClass,
+    NormalityVerdict,
     PmpCertificate,
     _dual_cone_violation,
     _feasible_directions,
     _freq_blocks,
     _inf,
     _set_violation,
+    reachability_stack,
 )
 from bandctrl.lq import INFEASIBILITY_TOL
 from bandctrl.shooting import _unpack
+from bandctrl.spectrum import numerical_rank
 
 
 def naive_dft(signal):
@@ -439,3 +448,53 @@ def loop_riccati_sweep(A, B, Q, R, horizon, terminal=None):
         Pt = Q + A.T @ P[t + 1] @ (A + B @ K[t])
         P[t] = 0.5 * (Pt + Pt.T)
     return P, K, Hinv
+
+
+def svd_classify_normality_freq(A, B, horizon, constraint):
+    """Fixed-endpoint LQ transfer with frequency constraints.
+
+    Stacks the transposed reachability blocks against the transposed frequency
+    blocks: an abnormal lift exists iff [R_stack | -G] has a nontrivial null
+    space.  With q + n > m*N that null space is guaranteed (all trajectories
+    abnormal); with full column rank n + q it is trivial (all normal);
+    otherwise undetermined.  It measures no principal angle: its margin is NaN.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n, m = B.shape
+    if constraint.horizon != horizon or constraint.channels != m:
+        raise ValueError(
+            f"constraint built for ({constraint.horizon}, {constraint.channels}) controls, "
+            f"expected ({horizon}, {m})"
+        )
+    q = constraint.row_count
+    if constraint.effective_rank != q:
+        raise ValueError(
+            "frequency constraint rows are dependent; rebuild with build_frequency_constraint"
+        )
+    r_stack = reachability_stack(A, B, horizon)
+    gmat = constraint.blocks.transpose(0, 2, 1).reshape(m * horizon, q)  # rows t*m + i: F_t'
+    augmented = np.hstack([r_stack, -gmat])
+    rank_aug = numerical_rank(augmented)
+    rank_reach = numerical_rank(r_stack)
+    if q + n > m * horizon:
+        cls = NormalityClass.ALL_ABNORMAL
+    elif rank_aug == n + q:
+        cls = NormalityClass.ALL_NORMAL
+    else:
+        cls = NormalityClass.UNDETERMINED
+    return NormalityVerdict(cls, rank_reach, rank_aug, (n, m, horizon, q), float("nan"))
+
+
+def loop_closed_loop_rollout(A, B, gains, x0):
+    """x_{t+1} = A x_t + B u_t with u_t = K_t x_t, stage by stage."""
+    A = np.asarray(A, float)
+    B = np.asarray(B, float)
+    horizon, m, n = np.shape(gains)
+    states = np.zeros((horizon + 1, n))
+    controls = np.zeros((horizon, m))
+    states[0] = np.asarray(x0, float).ravel()
+    for t in range(horizon):
+        controls[t] = gains[t] @ states[t]
+        states[t + 1] = A @ states[t] + B @ controls[t]
+    return states, controls

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from bandctrl.problem import (
     trajectory_cost,
 )
 from bandctrl.shooting import SingularJacobianError, newton_solve
-from bandctrl.spectrum import SupportSpec, build_frequency_constraint, numerical_rank
+from bandctrl.spectrum import SupportSpec, build_frequency_constraint
 
 from oracles import (
     has_nontrivial_nullspace,
@@ -46,6 +47,7 @@ from oracles import (
     quadratic_cost,
     random_banned_sets,
     random_lq_matrices,
+    svd_classify_normality_freq,
 )
 
 
@@ -364,6 +366,16 @@ class TestVerifyPmpAgainstLoopOracle:
             # the thresholds are tol * (1 + scale)
             scale = max(bound / tol for _, name, _, bound in comparisons if name == field)
             assert abs(getattr(got, field) - getattr(ref, field)) <= 1e-12 * scale, field
+        # the reported thresholds are the oracle's (the smallest bound of a
+        # name: x_N's includes the rollout allowance)
+        expected = {}
+        for cond, name, _, bound in comparisons:
+            if name == "set_violation":
+                name = "control_set_violation" if cond == "v" else "state_set_violation"
+            expected[name] = min(expected.get(name, np.inf), bound)
+        assert got.thresholds.keys() == expected.keys()
+        for name, bound in expected.items():
+            assert got.thresholds[name] == pytest.approx(bound, rel=1e-12, abs=0.0), name
 
 
 class TestStageEvaluationAtLongHorizon:
@@ -426,6 +438,21 @@ class TestNormalityClassic:
         assert verdict.classification is NormalityClass.UNDETERMINED
 
 
+# smallest sine of the principal angles on the baseline plant at N = 1024
+MARGIN_REFERENCE = 0.48428750941812104
+
+
+def _baseline_plant(horizon):
+    """The ROADMAP baseline instance: n = 4, m = 2, A = I + 0.1 randn,
+    channel 0 banning 1..N/8-1 and channel 1 N/4..N/4+N/16-1."""
+    rng = np.random.default_rng(0)
+    A = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+    B = rng.standard_normal((4, 2))
+    banned = [range(1, horizon // 8), range(horizon // 4, horizon // 4 + horizon // 16)]
+    spec = SupportSpec.from_banned([list(b) for b in banned], horizon)
+    return A, B, build_frequency_constraint(spec, horizon, 2)
+
+
 class TestNormalityFreq:
     def test_no_rows_reduces_to_classic(self):
         fc = build_frequency_constraint(SupportSpec.all_allowed(4, 1), 4, 1)
@@ -484,15 +511,147 @@ class TestNormalityFreq:
         fc = build_frequency_constraint(spec, horizon, m)
         seen = []
 
-        def spy(matrix):
-            seen.append(matrix)
-            return numerical_rank(matrix)
+        def spy(stacked, basis):
+            seen.append(stacked)
+            return sines(stacked, basis)
 
-        monkeypatch.setattr(extremal, "numerical_rank", spy)
+        sines = extremal._frequency_sines
+        monkeypatch.setattr(extremal, "_frequency_sines", spy)
         rng = np.random.default_rng(horizon)
         classify_normality_freq(rng.standard_normal((2, 2)), rng.standard_normal((2, m)), horizon, fc)
         gmat = np.vstack([fc.blocks[t].T for t in range(horizon)])
-        assert np.array_equal(seen[0][:, 2:], -gmat)
+        if fc.row_count == 0:
+            assert seen == []  # no frequency rows, no angles
+        else:
+            assert np.array_equal(seen[0].T, gmat)
+            assert np.shares_memory(seen[0], fc.blocks)  # a view, not a copy
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        plant=st.sampled_from(["random", "unit_mode", "flip_mode", "uncontrollable"]),
+        n=st.integers(1, 4),
+        m=st.integers(1, 2),
+        horizon=st.integers(1, 64),
+        radius=st.floats(0.1, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_svd_oracle(self, plant, n, m, horizon, radius, seed):
+        # rho(A) <= 1, where the ranks of the raw stack are reliable; the
+        # planted modes make exact abnormal lifts and rank deficiency
+        rng = np.random.default_rng(seed)
+        A, B, _, _ = random_lq_matrices(rng, n, m, spectral_radius=radius)
+        banned = random_banned_sets(rng, horizon, m, 5)
+        if plant != "random" and n > 1:
+            A[0, :] = 0.0
+            A[1:, 0] = 0.0
+            A[1:, 1:] = random_lq_matrices(rng, n - 1, m, spectral_radius=radius)[0]
+            if plant == "uncontrollable":
+                A[0, 0] = rng.uniform(-1.0, 1.0)
+                A[1:, 0] = rng.standard_normal(n - 1)  # x_0 drives the rest; nothing drives x_0
+                B[0] = 0.0
+            else:
+                A[0, 0] = 1.0 if plant == "unit_mode" else -1.0
+                if rng.random() < 0.7:  # ban the component that the mode makes
+                    banned[0].append(0 if plant == "unit_mode" else horizon // 2)
+        fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, m)
+        verdict = classify_normality_freq(A, B, horizon, fc)
+        oracle = svd_classify_normality_freq(A, B, horizon, fc)
+        assert verdict.classification is oracle.classification
+        assert verdict.rank_reachability == oracle.rank_reachability
+        assert verdict.rank_augmented == oracle.rank_augmented
+        assert 0.0 <= verdict.margin <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("horizon", [64, 256, 400, 1024, 4096])
+    def test_unstable_plant_stays_normal(self, horizon):
+        # rho(A)^N runs from 4.5e2 to 1e169; the raw-stack ranks gave
+        # UNDETERMINED from N = 400 on
+        fc = build_frequency_constraint(SupportSpec.from_banned([[1]], horizon), horizon, 1)
+        verdict = classify_normality_freq(np.diag([1.1, 0.9]), [[1.0], [1.0]], horizon, fc)
+        assert verdict.classification is NormalityClass.ALL_NORMAL
+        assert verdict.margin >= 0.5
+        assert verdict.rank_augmented == 2 + fc.row_count
+
+    @pytest.mark.parametrize("horizon", [64, 256, 1024, 4096])
+    def test_unstable_plant_keeps_an_exact_abnormal_lift(self, horizon):
+        # A has the mode 1 beside the growing mode 1.125, and lambda = (1, -1)
+        # has lambda'A = lambda' exactly (dyadic entries): the row sequence
+        # lambda'B is constant, and the DC ban spans it.  One QR of the whole
+        # stack loses that mode under 1.125^N and reads ALL_NORMAL from N = 1024
+        fc = build_frequency_constraint(SupportSpec.from_banned([[0, 3]], horizon), horizon, 1)
+        A, B = np.array([[0.875, 0.25], [-0.125, 1.25]]), np.array([[1.0], [0.0]])
+        verdict = classify_normality_freq(A, B, horizon, fc)
+        assert verdict.classification is NormalityClass.UNDETERMINED
+        assert verdict.margin < 1e-11
+        assert verdict.rank_augmented == 2 + fc.row_count - 1
+
+    @pytest.mark.parametrize("horizon", [64, 256, 1024])
+    def test_weakly_reachable_growing_mode_keeps_an_exact_abnormal_lift(self, horizon):
+        # e_0'A = e_0' exactly, so the DC ban meets the constant sequence e_0'B;
+        # the growing mode 1.25 is reached through a 2^-10 input entry.  Written
+        # in the singular basis of the controllability matrix instead of its
+        # own, this plant measured margins of 1e-11 to 1e-9 and read ALL_NORMAL
+        A = np.array([[1.0, 0.0, 0.0], [0.0625, 0.5, 0.0], [-0.125, 0.0, 1.25]])
+        B = np.array([[1.0], [64.0], [2.0**-10]])
+        fc = build_frequency_constraint(SupportSpec.from_banned([[0, 5]], horizon), horizon, 1)
+        verdict = classify_normality_freq(A, B, horizon, fc)
+        assert verdict.classification is NormalityClass.UNDETERMINED
+        assert verdict.margin < 1e-12
+
+    def test_baseline_plant_at_long_horizon(self):
+        # the baseline instance (rho(A) = 1.088, rho^N = 5e37) at N = 1024;
+        # the margin against the smallest sine of a 90-digit Gram-Schmidt
+        # basis of the stack (mpmath), taken to double precision
+        horizon = 1024
+        A, B, fc = _baseline_plant(horizon)
+        verdict = classify_normality_freq(A, B, horizon, fc)
+        assert verdict.classification is NormalityClass.ALL_NORMAL
+        assert verdict.rank_augmented == 4 + fc.row_count
+        assert verdict.margin == pytest.approx(MARGIN_REFERENCE, abs=1e-12)
+
+    def test_dc_ban_on_the_integrator_is_abnormal(self):
+        fc = build_frequency_constraint(SupportSpec.from_banned([[0]], 16), 16, 1)
+        verdict = classify_normality_freq([[1.0]], [[1.0]], 16, fc)
+        assert verdict.classification is NormalityClass.UNDETERMINED
+        assert verdict.margin < 1e-12
+        assert verdict.rank_augmented == 1
+
+    def test_overflowing_rows_are_undetermined_without_a_warning(self):
+        # 1.5^2048 = 1e360 is past the floating-point range
+        fc = build_frequency_constraint(SupportSpec.from_banned([[1]], 2048), 2048, 1)
+        A, B = np.diag([1.5, 0.5]), [[1.0], [1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = classify_normality_freq(A, B, 2048, fc)
+            classic = classify_normality_classic(A, B, 2048)
+        assert verdict.classification is NormalityClass.UNDETERMINED
+        assert (verdict.margin, verdict.rank_augmented) == (0.0, 0)
+        # the classic test raises no power past A^(n-1)
+        assert classic.classification is NormalityClass.ALL_NORMAL
+        assert classic.to_dict()["margin"] == 1.0
+
+    def test_no_tall_svd_and_linear_memory(self, monkeypatch):
+        # the baseline plant at N = 4096 (q = 1534): a dense copy of the
+        # 8192 x 1534 frequency block alone is 100 MB
+        horizon = 4096
+        A, B, fc = _baseline_plant(horizon)
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        tracemalloc.start()
+        try:
+            verdict = classify_normality_freq(A, B, horizon, fc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.classification is NormalityClass.ALL_NORMAL
+        assert fc.row_count == 1534
+        assert shapes and all(min(shape) <= 4 for shape in shapes)
+        assert peak < 64 * 2**20
 
     def test_rejects_dependent_rows(self):
         fc = build_frequency_constraint(SupportSpec.from_banned([[2]], 4), 4, 1)

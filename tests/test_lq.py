@@ -23,7 +23,12 @@ from bandctrl.spectrum import (
     forward_dft,
 )
 
-from oracles import random_banned_sets, random_lq_matrices, transfer_qp_oracle
+from oracles import (
+    loop_closed_loop_rollout,
+    random_banned_sets,
+    random_lq_matrices,
+    transfer_qp_oracle,
+)
 
 
 def _rel_gap(a, b):
@@ -72,6 +77,29 @@ class TestRiccati:
         sol, traj = riccati_solve([[1.0]], [[1.0]], [[0.0]], [[0.0]], 3, [1.0])
         assert sol.status is SolveStatus.SINGULAR
         assert traj is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        plant=st.sampled_from(["stable", "marginal", "double_integrator"]),
+        n=st.integers(1, 4),
+        m=st.integers(1, 2),
+        horizon=st.integers(1, 1024),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rollout_matches_stage_loop(self, plant, n, m, horizon, seed):
+        rng = np.random.default_rng(seed)
+        if plant == "double_integrator":
+            A, B = np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0], [1.0]])
+            Q, R = random_lq_matrices(rng, 2, 1)[2:]
+        else:
+            radius = 0.9 if plant == "stable" else 1.0
+            A, B, Q, R = random_lq_matrices(rng, n, m, spectral_radius=radius)
+        x0 = rng.standard_normal(B.shape[0])
+        sol, traj = riccati_solve(A, B, Q, R, horizon, x0)
+        states, controls = loop_closed_loop_rollout(A, B, sol.gains, x0)
+        assert traj.states[0].tolist() == list(x0)
+        assert _rel_gap(traj.states, states) <= 1e-12
+        assert _rel_gap(traj.controls, controls) <= 1e-12
 
 
 class TestLqPmp:
