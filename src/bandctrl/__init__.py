@@ -71,7 +71,6 @@ from .spectrum import (
     UncertaintyReport,
     build_dft_matrix,
     build_frequency_constraint,
-    channel_to_time_permutation,
     constraint_residual,
     forward_dft,
     numerical_rank,

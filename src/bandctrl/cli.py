@@ -174,7 +174,9 @@ def parse_problem(doc: dict) -> CliProblem:
         dyn_doc = {}
     elif "builtin" in dyn_doc:
         name = dyn_doc["builtin"]
-        if name in BUILTINS:
+        if not isinstance(name, str):
+            errors.append(f"dynamics.builtin: must be a string, got {name!r}")
+        elif name in BUILTINS:
             dynamics = BUILTINS[name]()
         else:
             errors.append(
@@ -263,6 +265,8 @@ def parse_problem(doc: dict) -> CliProblem:
         raise ProblemValidationError([f"boundary.x0: expected dimension {n}, got {x0.size}"])
     if xf is not None and xf.size != n:
         raise ProblemValidationError([f"boundary.xf: expected dimension {n}, got {xf.size}"])
+    if solver != "shooting" and not isinstance(dynamics, LtiDynamics):
+        raise ProblemValidationError([f"dynamics: solver {solver!r} requires LTI dynamics"])
 
     set_errors: list[str] = []
     state_doc = doc.get("state_sets")
@@ -538,7 +542,6 @@ def run(input_path: str, output_path: str, overrides=(), quiet: bool = True) -> 
                 return finish(4)
             traj, adjoints, nu = sol.trajectory, sol.adjoints, sol.nu
             result["cost"] = sol.cost
-            diagnostics["endpoint_gap"] = sol.endpoint_gap
         else:  # shooting
             opts = NewtonOptions(
                 max_iterations=int(problem.options.get("max_iterations", 60)),

@@ -195,8 +195,8 @@ class PmpCertificate:
     ``set_violation`` is the largest max-norm distance of a state or control
     outside its stage set.  ``thresholds`` holds each threshold
     tol * (1 + scale), keyed by residual name; ``set_violation`` is judged
-    against ``state_set_violation`` for the states (x_N may add the rounding
-    of its rollout) and ``control_set_violation`` for the controls.
+    against ``state_set_violation`` for the states and
+    ``control_set_violation`` for the controls.
     """
 
     nonneg: bool
@@ -263,24 +263,6 @@ def _set_violation(stage_set, point: np.ndarray) -> float:
     return 0.0
 
 
-def _rollout_drift(jx, ju, traj: Trajectory) -> float:
-    """Rounding that an open-loop rollout can leave in x_N: one ulp of the
-    terms of every dynamics row, carried to step N by the transition matrices
-    J_{N-1} ... J_{t+1} (J_t = df_t/dx)."""
-    def norms(a):  # induced inf-norm of each stage's matrix
-        return np.abs(a).sum(axis=-1).max(axis=-1)
-
-    horizon = traj.horizon
-    phi = np.empty((horizon, traj.n, traj.n))
-    phi[horizon - 1] = np.eye(traj.n)
-    for t in range(horizon - 1, 0, -1):
-        phi[t - 1] = phi[t].dot(jx[t])
-    x_norm = np.abs(traj.states[:horizon]).max(axis=1)
-    u_norm = np.abs(traj.controls).max(axis=1)
-    drift = np.sum(norms(phi) * (norms(jx) * x_norm + norms(ju) * u_norm))
-    return float(np.finfo(float).eps) * float(drift)
-
-
 def _free_stages(stage_sets) -> np.ndarray:
     """Mask of the stage sets of type Free, built without a Python-level loop
     (any other set, a subclass of Free included, takes the per-stage checks)."""
@@ -324,8 +306,7 @@ def verify_pmp(
     controls inside their stage sets and the Hamiltonian variational
     inequality on feasible coordinate directions (gradient norm for free
     control sets), (vi) the frequency residual.  Set membership is judged
-    against the state (or control) scale; x_N may in addition carry the
-    rounding of an open-loop rollout, amplified along the trajectory.
+    against the state (or control) scale, x_N like every other state.
     """
     horizon, n, m = traj.horizon, traj.n, traj.m
     blocks = _freq_blocks(spec)
@@ -409,10 +390,7 @@ def verify_pmp(
 
     # the endpoints in their stage sets
     state_tol = tol * (1 + state_scale)
-    start_gap = _set_violation(spec.state_sets[0], states[0])
-    end_gap = _set_violation(spec.state_sets[horizon], states[horizon])
-    # x_N may also carry the rounding of its rollout (computed only when needed)
-    end_ok = end_gap <= state_tol or end_gap <= state_tol + _rollout_drift(terms.jx, terms.ju, traj)
+    endpoint_gap = max(_set_violation(spec.state_sets[t], states[t]) for t in (0, horizon))
 
     thresholds = {
         "state_dyn_residual": state_tol,
@@ -432,7 +410,7 @@ def verify_pmp(
             and interior_gap <= state_tol
         ),
         "iv": bool(
-            trans_res <= thresholds["transversality_residual"] and start_gap <= state_tol and end_ok
+            trans_res <= thresholds["transversality_residual"] and endpoint_gap <= state_tol
         ),
         "v": bool(
             vi_worst <= thresholds["hamiltonian_vi_worst"]
@@ -448,7 +426,7 @@ def verify_pmp(
         transversality_residual=trans_res,
         hamiltonian_vi_worst=float(vi_worst),
         freq_residual=freq_res,
-        set_violation=max(interior_gap, start_gap, end_gap, control_gap),
+        set_violation=max(interior_gap, endpoint_gap, control_gap),
         tol=tol,
         condition_passed=condition_passed,
         passed=all(condition_passed.values()),

@@ -313,7 +313,8 @@ def lti_solve(A, B, Q, R, blocks, rhs, free_end: bool = False):
     residual max-norm above INFEASIBILITY_TOL * (1 + |rhs|), by least
     squares.  Returns ``(z, residual, consistent)``: the residual max-norm of
     the returned z and whether it is within that threshold.  Raises
-    ``numpy.linalg.LinAlgError`` when a Riccati pivot is singular.
+    ``numpy.linalg.LinAlgError`` when a Riccati pivot is singular, or when
+    the border system that least squares would take is not finite.
 
     At a fixed end the sweep starts from P_N = sigma I with B'P_N B of the
     size of R, and the border unknown is w_N = p_{N-1} + P_N x_N, where x_N
@@ -408,6 +409,9 @@ def lti_solve(A, B, Q, R, blocks, rhs, free_end: bool = False):
     except np.linalg.LinAlgError:
         res = np.inf
     if b.size and not res <= threshold:
+        if not (np.isfinite(S).all() and np.isfinite(b).all()):
+            # LAPACK's least squares need not return on non-finite input
+            raise np.linalg.LinAlgError("border system is not finite")
         z = stacked(np.linalg.lstsq(S, b, rcond=None)[0])
         res = residual(z)
     return z, res, res <= threshold

@@ -24,6 +24,11 @@ non-unique, (p_{N-1}, nu) is minimum-norm over those border unknowns rather
 than over the whole stacked vector.  A max-norm residual of the whole
 first-order system above INFEASIBILITY_TOL * (1 + |rhs|) flags the transfer
 as infeasible.
+
+The returned states are those the first-order solve matched (x_N = xf, or
+A x_{N-1} + B u_{N-1} at a free end), so every dynamics row holds to the
+accuracy of the solve however unstable A is: no open-loop re-integration
+amplifies its rounding.
 """
 
 from __future__ import annotations
@@ -39,10 +44,9 @@ from .extremal import (
     AbnormalRegimeError,
     NormalityClass,
     NormalityVerdict,
-    _inf,
     classify_normality_freq,
 )
-from .problem import LtiDynamics, QuadraticCost, Trajectory, rollout, trajectory_cost
+from .problem import QuadraticCost, Trajectory, trajectory_cost
 from .spectrum import FrequencyConstraint
 
 __all__ = [
@@ -92,6 +96,9 @@ class RiccatiSolution:
 
 @dataclass(frozen=True)
 class LqSolution:
+    """A solved transfer ends at xf exactly, so ``endpoint_gap`` is always
+    0.0; it stays for its readers, such as ``bench/spans.py``."""
+
     trajectory: Trajectory | None
     adjoints: np.ndarray | None
     nu: np.ndarray
@@ -155,8 +162,9 @@ def lq_pmp_solve(A, B, Q, R, horizon: int, x0) -> LqSolution:
         p_{t-1} = A'p_t - Q x_t,       t = 1..N-1,
         R u_t   = B'p_t,               p_{N-1} = 0,
 
-    with the structured solver (no border: q = 0 and p_{N-1} = 0 is given); a
-    singular Riccati pivot gives SINGULAR.  eta_c = 1 throughout: the
+    with the structured solver (no border: q = 0 and p_{N-1} = 0 is given), and
+    takes the free x_N as A x_{N-1} + B u_{N-1}; a singular Riccati pivot
+    gives SINGULAR.  eta_c = 1 throughout: the
     free-endpoint problem has no abnormal extremals (a zero cost multiplier
     forces the whole adjoint sequence to zero).
     """
@@ -166,7 +174,9 @@ def lq_pmp_solve(A, B, Q, R, horizon: int, x0) -> LqSolution:
         unknowns, _, _ = _first_order_solve(A, B, Q, R, N, x0, None, np.zeros((N, 0, m)))
     except np.linalg.LinAlgError:
         return LqSolution(None, None, np.zeros(0), float("nan"), SolveStatus.SINGULAR)
-    traj = rollout(LtiDynamics(A, B), x0, unknowns.controls())
+    states, controls = np.concatenate([x0[None], unknowns.states()]), unknowns.controls()
+    x_end = A @ states[-1] + B @ controls[-1]  # the free end is its own dynamics row
+    traj = Trajectory(np.vstack([states, x_end]), controls)
     cost = trajectory_cost(QuadraticCost(Q, R), traj)
     return LqSolution(traj, unknowns.adjoints(), np.zeros(0), cost, SolveStatus.SOLVED)
 
@@ -186,11 +196,11 @@ def _solve_transfer(A, B, Q, R, N, x0, xf, blocks, normality=None) -> LqSolution
         return LqSolution(
             None, None, nu, float("nan"), SolveStatus.INFEASIBLE, residual, normality=normality
         )
-    traj = rollout(LtiDynamics(A, B), x0, unknowns.controls())
+    states = np.concatenate([x0[None], unknowns.states(), xf[None]])
+    traj = Trajectory(states, unknowns.controls())
     cost = trajectory_cost(QuadraticCost(Q, R), traj)
-    gap = _inf(traj.states[N] - xf)
     return LqSolution(
-        traj, unknowns.adjoints(), nu, cost, SolveStatus.SOLVED, residual, gap, normality
+        traj, unknowns.adjoints(), nu, cost, SolveStatus.SOLVED, residual, normality=normality
     )
 
 

@@ -15,6 +15,9 @@ Each residual evaluates the model terms of all stages once, batched (see
 accepted iterate, and its Jacobian reuses them, adding only the gain's state
 Jacobian.
 
+The result carries the final iterate's states (x_N = xf exactly), whose
+dynamics rows hold only to its ``final_residual``.
+
 The analytic residual Jacobian uses first derivatives of the dynamics plus
 the gain's state Jacobian; second derivatives of the drift and gain are taken
 as zero, which is exact for LTI models and for control-affine models whose
@@ -51,7 +54,6 @@ from .problem import (
     QuadraticCost,
     Trajectory,
     _stage_terms,
-    rollout,
 )
 from .spectrum import numerical_rank
 
@@ -280,7 +282,9 @@ def newton_solve(
     point converges in a single undamped step.  LTI specs in an all-abnormal
     regime are refused with :class:`AbnormalRegimeError`; a singular Jacobian
     raises :class:`SingularJacobianError` with iterate diagnostics.  For LTI
-    specs the normality verdict is returned in the result.
+    specs the normality verdict is returned in the result.  The trajectory is
+    the final iterate's: a non-converged one meets the dynamics only to
+    ``final_residual``.
     """
     _check_supported(spec)
     opts = opts or NewtonOptions()
@@ -335,8 +339,8 @@ def newton_solve(
         z, residual, norm, terms = z_try, r_try, norm_try, terms_try
         trace.append((iterations, norm, alpha))
 
-    _, controls, adjoints, nu = _unpack(z, spec, x0, xf)
-    traj = rollout(spec.dynamics, x0, controls)
+    states, controls, adjoints, nu = _unpack(z, spec, x0, xf)
+    traj = Trajectory(states, controls)
     lift = lift_from_solver(spec, traj, adjoints, nu.copy(), eta_c=1.0)
     return ShootingResult(
         trajectory=traj,

@@ -30,7 +30,6 @@ __all__ = [
     "UncertaintyReport",
     "build_dft_matrix",
     "forward_dft",
-    "channel_to_time_permutation",
     "build_frequency_constraint",
     "constraint_residual",
     "uncertainty_check",
@@ -169,17 +168,6 @@ class FrequencyConstraint:
 
     def banned(self) -> tuple[tuple[int, ...], ...]:
         return self.canonical_supports.banned(self.horizon)
-
-
-def channel_to_time_permutation(horizon: int, channels: int) -> np.ndarray:
-    """Permutation matrix sending channel-stacked controls (u^(1); ...; u^(m))
-    to time-stacked controls (u_0; ...; u_{N-1})."""
-    size = horizon * channels
-    perm = np.zeros((size, size))
-    for t in range(horizon):
-        for k in range(channels):
-            perm[t * channels + k, k * horizon + t] = 1.0
-    return perm
 
 
 def build_frequency_constraint(

@@ -3,15 +3,17 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bandctrl import cli, extremal, lq, shooting
 from bandctrl.cli import apply_overrides, parse_problem, run, serialize_problem, spectrum_report
 from bandctrl.problem import ProblemValidationError
 
-from oracles import random_lq_matrices
+from oracles import random_lq_matrices, unstable_transfer_plant
 
 
 def _write(tmp_path, name, doc):
@@ -177,6 +179,23 @@ class TestRun:
         result = json.loads((tmp_path / "r.json").read_text())
         assert result["status"] == "NOT_CONVERGED"
         assert len(result["diagnostics"]["trace"]) >= 1
+
+    @pytest.mark.parametrize("case", ["baseline", "diag"])
+    def test_unstable_plant_is_solved_at_its_target(self, tmp_path, case):
+        A, B, banned, N = unstable_transfer_plant(case)
+        n, m = B.shape
+        doc = _transfer_doc(
+            horizon=N,
+            dynamics={"kind": "lti", "A": A.tolist(), "B": B.tolist()},
+            cost={"Q": np.eye(n).tolist(), "R": np.eye(m).tolist()},
+            boundary={"x0": [0.0] * n, "xf": [1.0] * n},
+            banned_frequencies=banned,
+        )
+        assert run(_write(tmp_path, "p.json", doc), str(tmp_path / "r.json")) == 0
+        result = json.loads((tmp_path / "r.json").read_text())
+        assert result["status"] == "SOLVED" and result["certificate"]["passed"]
+        assert result["trajectory"]["states"][-1] == [1.0] * n
+        assert "endpoint_gap" not in result["diagnostics"]
 
     def test_riccati_and_lq_pmp_free_endpoint(self, tmp_path):
         doc = {
@@ -373,3 +392,124 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads((tmp_path / "r.json").read_text())["solver"] == "transfer"
+
+
+# any JSON value, kept small; the floats include NaN and the infinities, which
+# json.dumps writes and json.loads reads back
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6,
+)
+_BUILTIN_SIZES = {"scalar_integrator": (1, 1), "double_integrator": (2, 1), "affine_toy": (1, 1)}
+
+
+def _or_junk(strategy, other=_JSON):
+    """``strategy`` about 19 times in 20, ``other`` (any JSON value) otherwise
+    (a middle value picks ``other``: drawing leans on the ends of a range, and
+    shrinking moves to 0)."""
+    return st.integers(0, 19).flatmap(lambda k: other if k == 10 else strategy)
+
+
+@st.composite
+def _matrix(draw, rows, cols):
+    """A rows x cols list of lists: entries mostly in [-10, 10], sometimes any
+    float (NaN, the infinities and 1e308 included)."""
+    entries = draw(_or_junk(st.just(st.floats(-10, 10)), st.just(st.floats())))
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+def _any_matrix():
+    return st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(lambda rc: _matrix(*rc))
+
+
+@st.composite
+def _gram(draw, size, shift):
+    """G G' + shift I as a list of lists, for a drawn size x size matrix G."""
+    g = np.array(draw(_matrix(size, size)), dtype=float).reshape(size, size)
+    with np.errstate(all="ignore"):
+        return (g @ g.T + shift * np.eye(size)).tolist()
+
+
+def _stage_set(size):
+    vector = _matrix(1, size).map(lambda rows: rows[0])
+    return _or_junk(st.one_of(
+        st.just("free"),
+        st.fixed_dictionaries({"kind": st.just("fixed"), "point": vector}),
+        st.fixed_dictionaries({"kind": st.just("box"), "lower": vector, "upper": vector}),
+    ))
+
+
+@st.composite
+def _problem_documents(draw):
+    """Problem documents whose every field is mostly well formed and sometimes
+    any JSON value.  Horizons stay <= 16 and matrices <= 3 x 3, so no run is
+    large."""
+    builtin = draw(st.sampled_from([None, *sorted(_BUILTIN_SIZES)]))
+    if builtin is None:
+        n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        dynamics = {
+            "A": draw(_or_junk(_or_junk(_matrix(n, n), _any_matrix()))),
+            "B": draw(_or_junk(_or_junk(_matrix(n, m), _any_matrix()))),
+        }
+        if draw(st.booleans()):
+            dynamics["kind"] = draw(_or_junk(st.sampled_from(["lti", "control_affine"])))
+    else:
+        (n, m), dynamics = _BUILTIN_SIZES[builtin], {"builtin": draw(_or_junk(st.just(builtin)))}
+    horizon = draw(_or_junk(st.integers(1, 16)).filter(
+        lambda h: isinstance(h, bool) or not isinstance(h, int) or h <= 16
+    ))
+    size = max(horizon, 1) if isinstance(horizon, int) and not isinstance(horizon, bool) else 1
+    solver = draw(_or_junk(st.sampled_from(cli.SOLVERS)))
+    vector = _matrix(1, n).map(lambda rows: rows[0])
+    boundary = {"x0": draw(_or_junk(vector))}
+    if solver in ("transfer", "transfer_freq", "shooting") or draw(st.integers(0, 9)) == 0:
+        boundary["xf"] = draw(_or_junk(_or_junk(vector, st.just("free"))))
+    doc = {
+        "horizon": horizon,
+        "dynamics": draw(_or_junk(st.just(dynamics))),
+        "cost": draw(_or_junk(st.fixed_dictionaries(
+            {"Q": _or_junk(_or_junk(_gram(n, 0.0), _any_matrix())), "R": _or_junk(_gram(m, 1.0))}
+        ))),
+        "boundary": draw(_or_junk(st.just(boundary))),
+        "solver": solver,
+    }
+    if solver == "transfer_freq" or solver == "shooting" or draw(st.integers(0, 9)) == 0:
+        chan = st.lists(st.integers(-1, size), max_size=3)
+        doc["banned_frequencies"] = draw(_or_junk(st.lists(chan, min_size=m, max_size=m)))
+    if draw(st.integers(0, 3)) == 0:
+        doc["options"] = draw(_or_junk(st.fixed_dictionaries({}, optional={
+            "tolerance": _or_junk(st.floats(1e-12, 1.0)),
+            "newton_tolerance": _or_junk(st.floats(1e-12, 1.0)),
+            "max_iterations": _or_junk(st.integers(1, 20)),
+        })))
+    for key, dim, count in (("state_sets", n, size + 1), ("control_sets", m, size)):
+        if draw(st.integers(0, 5)) == 0:
+            doc[key] = draw(_or_junk(st.lists(_stage_set(dim), min_size=count, max_size=count)))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_property")
+
+
+class TestAnyDocument:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=_or_junk(_problem_documents()))
+    @example(doc=_transfer_doc(dynamics={"builtin": []}))
+    def test_run_ends_in_an_exit_code(self, doc_dir, doc):
+        inp, out = doc_dir / "p.json", doc_dir / "r.json"
+        inp.write_text(json.dumps(doc))
+        # finite entries near 1e308 overflow inside the solve; numpy's warning
+        # is not an exception, and the run must still end in an exit code
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run(str(inp), str(out)) in {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("builtin", [[], {}, None])
+    def test_non_string_builtin_names_the_field(self, tmp_path, capsys, builtin):
+        inp = _write(tmp_path, "p.json", _transfer_doc(dynamics={"builtin": builtin}))
+        assert run(inp, str(tmp_path / "r.json")) == 1
+        assert "error: dynamics.builtin: must be a string" in capsys.readouterr().err

@@ -366,13 +366,13 @@ class TestVerifyPmpAgainstLoopOracle:
             # the thresholds are tol * (1 + scale)
             scale = max(bound / tol for _, name, _, bound in comparisons if name == field)
             assert abs(getattr(got, field) - getattr(ref, field)) <= 1e-12 * scale, field
-        # the reported thresholds are the oracle's (the smallest bound of a
-        # name: x_N's includes the rollout allowance)
+        # the reported thresholds are the oracle's; every state, x_N
+        # included, is judged against the one state bound
         expected = {}
         for cond, name, _, bound in comparisons:
             if name == "set_violation":
                 name = "control_set_violation" if cond == "v" else "state_set_violation"
-            expected[name] = min(expected.get(name, np.inf), bound)
+            assert expected.setdefault(name, bound) == bound, name
         assert got.thresholds.keys() == expected.keys()
         for name, bound in expected.items():
             assert got.thresholds[name] == pytest.approx(bound, rel=1e-12, abs=0.0), name

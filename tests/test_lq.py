@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bandctrl.extremal import AbnormalRegimeError
+from bandctrl.extremal import AbnormalRegimeError, lift_from_solver, verify_pmp
 from bandctrl.lq import (
     SolveStatus,
     lq_pmp_solve,
@@ -24,11 +24,22 @@ from bandctrl.spectrum import (
 )
 
 from oracles import (
+    dynamics_row_ulps,
     loop_closed_loop_rollout,
     random_banned_sets,
     random_lq_matrices,
     transfer_qp_oracle,
+    unstable_transfer_plant,
 )
+
+
+# a dynamics row solved to working precision holds to this many ulps of its
+# terms (the per-row bound of bench/checks.py)
+ROW_ULPS = 30.0
+
+
+def _path(sol):
+    return sol.trajectory.states, sol.trajectory.controls
 
 
 def _rel_gap(a, b):
@@ -170,7 +181,8 @@ class TestTransfer:
         sol = lq_transfer_solve([[1.0]], [[2.0]], [[1.0]], [[1.0]], 1, [1.0], [5.0])
         assert sol.status is SolveStatus.SOLVED
         assert sol.trajectory.controls[0, 0] == pytest.approx(2.0)
-        assert sol.endpoint_gap <= 1e-12
+        # x_N = xf is the last dynamics row: A x_0 + B u_0 = 1 + 2 u_0
+        assert dynamics_row_ulps([[1.0]], [[2.0]], *_path(sol))[-1] <= ROW_ULPS
 
     def test_endpoint_hit_on_random_instances(self):
         rng = np.random.default_rng(15)
@@ -181,7 +193,29 @@ class TestTransfer:
             xf = rng.standard_normal(n)
             sol = lq_transfer_solve(A, B, Q, R, horizon, rng.standard_normal(n), xf)
             assert sol.status is SolveStatus.SOLVED
-            assert sol.endpoint_gap <= 1e-8
+            assert sol.trajectory.states[-1].tolist() == xf.tolist()
+            # the last dynamics row reaches xf to the rounding of its terms
+            assert dynamics_row_ulps(A, B, *_path(sol))[-1] <= ROW_ULPS
+
+
+class TestStatesOfTheSolve:
+    """The returned states are the ones the first-order solve matched, so a
+    SOLVED transfer ends at xf and certifies however unstable the plant."""
+
+    @pytest.mark.parametrize("case", ["baseline", "diag"])
+    def test_unstable_plant_meets_xf_and_certifies(self, case):
+        A, B, banned, N = unstable_transfer_plant(case)
+        n, m = B.shape
+        x0, xf = np.zeros(n), np.ones(n)
+        spec = lti_spec(A, B, np.eye(n), np.eye(m), N, x0, xf, banned=banned)
+        sol = lq_transfer_freq_solve(
+            A, B, np.eye(n), np.eye(m), N, x0, xf, spec.frequency_constraint
+        )
+        assert sol.status is SolveStatus.SOLVED
+        assert sol.trajectory.states[N].tolist() == xf.tolist()
+        assert np.max(dynamics_row_ulps(A, B, *_path(sol))) <= ROW_ULPS
+        lift = lift_from_solver(spec, sol.trajectory, sol.adjoints, sol.nu)
+        assert verify_pmp(sol.trajectory, lift, spec).passed
 
 
 class TestTransferFreq:

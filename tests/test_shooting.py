@@ -240,10 +240,10 @@ class TestNewtonSolve:
         assert result.converged and result.iterations >= 2
         # each accepted step of length 2^-k took k + 1 residual evaluations
         evals = 1 + sum(1 + round(-np.log2(alpha)) for _, _, alpha in result.trace[1:])
-        # beyond the residuals: the rollout of the result (N steps) and the
-        # transversality at x_0 of its lift (one jac_x)
+        # beyond the residuals: the transversality at x_0 of the result's lift
+        # (one jac_x); its states are the iterate's, so no step is re-run
         assert calls == {
-            "step": N * evals + N,
+            "step": N * evals,
             "jac_x": (N - 1) * evals + 1,
             "jac_u": N * evals,
             "gain_state_jacobian": (N - 1) * result.iterations,
@@ -286,6 +286,18 @@ class TestNewtonSolve:
             6, 1, [0.0], [1.0],
         )
         assert abs(cost - oracle_cost) <= 1e-8 * (1.0 + abs(oracle_cost))
+
+    def test_result_carries_the_iterates_states(self):
+        # x_0 and x_N are the fixed endpoints exactly, and each dynamics row of
+        # the iterate holds to the final residual (no open-loop re-integration)
+        # (here an open-loop rollout of the controls would miss xf by 1.3e-11)
+        spec = control_affine_spec(_toy_dynamics(), [[1.0]], [[1.0]], 12, [0.0], [-0.7], [[2]])
+        result = newton_solve(spec, [0.0], [-0.7])
+        assert result.converged and result.iterations >= 2
+        states, controls = result.trajectory.states, result.trajectory.controls
+        assert states[0].tolist() == [0.0] and states[-1].tolist() == [-0.7]
+        steps = np.array([spec.dynamics.step(t, states[t], controls[t]) for t in range(12)])
+        assert np.max(np.abs(states[1:] - steps)) <= result.final_residual
 
     def test_toy_with_ban_nulls_component_and_costs_more(self):
         free = newton_solve(_toy_spec(), [0.0], [1.0])

@@ -8,7 +8,6 @@ from bandctrl.spectrum import (
     SupportSpec,
     build_dft_matrix,
     build_frequency_constraint,
-    channel_to_time_permutation,
     constraint_residual,
     forward_dft,
     numerical_rank,
@@ -239,20 +238,6 @@ class TestFrequencyConstraint:
         fc = build_frequency_constraint(SupportSpec.from_banned([[1]], 4), 4, 1)
         with pytest.raises(ValueError):
             fc.blocks[0, 0, 0] = 1.0
-
-
-class TestPermutation:
-    @pytest.mark.parametrize("horizon,channels", [(3, 1), (4, 2), (5, 3)])
-    def test_channel_to_time_reordering(self, horizon, channels):
-        perm = channel_to_time_permutation(horizon, channels)
-        assert_allclose(perm.sum(axis=0), 1.0)
-        assert_allclose(perm.sum(axis=1), 1.0)
-        assert set(np.unique(perm)) <= {0.0, 1.0}
-        rng = np.random.default_rng(2)
-        u = rng.standard_normal((horizon, channels))
-        chan_stacked = np.concatenate([u[:, k] for k in range(channels)])
-        time_stacked = u.reshape(horizon * channels)
-        assert_allclose(perm @ chan_stacked, time_stacked)
 
 
 class TestUncertaintyCheck:
