@@ -106,12 +106,23 @@ class CliProblem:
     banned: list
 
 
+def _float_array(value) -> np.ndarray:
+    """A JSON number or nested lists of them as a float array, else ValueError."""
+    nodes = [value]
+    for node in nodes:  # grows as the lists are opened
+        if type(node) is list:
+            nodes += node
+        elif type(node) not in (int, float):  # a bool is not a number here
+            raise ValueError(f"{node!r} is not a number")
+    return np.array(value, dtype=float)
+
+
 def _numeric(value, label, what, errors):
     """``value`` as a float array, or None with an error when it is not
     numeric or has a non-finite entry."""
     try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError):
+        arr = _float_array(value)
+    except (ValueError, OverflowError):
         errors.append(f"{label}: not a numeric {what}")
         return None
     if not np.all(np.isfinite(arr)):
@@ -141,13 +152,10 @@ def _parse_set(entry, label, errors):
         if kind == "free":
             return FREE
         if kind == "fixed":
-            return Fixed(np.asarray(entry["point"], dtype=float).ravel())
+            return Fixed(_float_array(entry["point"]).ravel())
         if kind == "box":
-            return Box(
-                np.asarray(entry["lower"], dtype=float).ravel(),
-                np.asarray(entry["upper"], dtype=float).ravel(),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
+            return Box(_float_array(entry["lower"]).ravel(), _float_array(entry["upper"]).ravel())
+    except (KeyError, ValueError, OverflowError) as exc:
         errors.append(f"{label}: {exc}")
         return FREE
     errors.append(f"{label}: unknown kind {kind!r}")

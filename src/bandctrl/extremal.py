@@ -48,7 +48,6 @@ __all__ = [
     "NormalityVerdict",
     "AbnormalRegimeError",
     "evaluate_hamiltonian",
-    "hamiltonian_control_gradient",
     "adjoint_backward",
     "verify_pmp",
     "lift_from_solver",
@@ -92,13 +91,6 @@ class ExtremalLift:
         )
 
 
-def _freq_blocks(spec: ProblemSpec) -> np.ndarray:
-    fc = spec.frequency_constraint
-    if fc is None:
-        return np.zeros((spec.horizon, 0, spec.m))
-    return fc.blocks
-
-
 def evaluate_hamiltonian(eta_c, nu, p, t, x, u, spec: ProblemSpec) -> float:
     """<p, f_t(x,u)> - eta_c * c_t(x,u) - <nu, F_t u>."""
     x = np.asarray(x, dtype=float)
@@ -106,24 +98,12 @@ def evaluate_hamiltonian(eta_c, nu, p, t, x, u, spec: ProblemSpec) -> float:
     p = np.asarray(p, dtype=float)
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     value = float(p @ spec.dynamics.step(t, x, u)) - float(eta_c) * spec.cost.value(t, x, u)
-    blocks = _freq_blocks(spec)
+    fc = spec.frequency_constraint or FrequencyConstraint(spec.horizon, spec.m)  # unvalidated
     if nu.size:
-        if nu.shape != (blocks.shape[1],):
-            raise ValueError(f"nu has shape {nu.shape}, expected ({blocks.shape[1]},)")
-        value -= float(nu @ (blocks[t] @ u))
+        if nu.shape != (fc.row_count,):
+            raise ValueError(f"nu has shape {nu.shape}, expected ({fc.row_count},)")
+        value -= float(fc.apply_transpose(nu)[t] @ u)
     return value
-
-
-def hamiltonian_control_gradient(eta_c, nu, p, t, x, u, spec: ProblemSpec) -> np.ndarray:
-    """dH/du = (df/du)' p - eta_c * dc/du - F_t' nu."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    grad = spec.dynamics.jac_u(t, x, u).T @ np.asarray(p, dtype=float)
-    grad = grad - float(eta_c) * spec.cost.grad_u(t, x, u)
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    if nu.size:
-        grad = grad - _freq_blocks(spec)[t].T @ nu
-    return grad
 
 
 def adjoint_backward(
@@ -309,8 +289,8 @@ def verify_pmp(
     against the state (or control) scale, x_N like every other state.
     """
     horizon, n, m = traj.horizon, traj.n, traj.m
-    blocks = _freq_blocks(spec)
-    q = blocks.shape[1]
+    fc = spec.frequency_constraint or FrequencyConstraint(horizon, m)  # unvalidated
+    q = fc.row_count
     eta_c = float(lift.eta_c)
     nu = lift.nu if lift.nu.size else np.zeros(q)
     if nu.shape != (q,):
@@ -368,9 +348,7 @@ def verify_pmp(
 
     # (v) Hamiltonian variational inequality: on a free control set every
     # signed coordinate direction is feasible, so its worst is the max-norm
-    grad = np.einsum("tij,ti->tj", terms.ju, p_s) - eta_s * terms.cu
-    if q:
-        grad = grad - nu_s @ blocks
+    grad = np.einsum("tij,ti->tj", terms.ju, p_s) - eta_s * terms.cu - fc.apply_transpose(nu_s)
     vi_scale = _inf(grad)
     free_controls = _free_stages(spec.control_sets)
     vi_worst = _inf(grad[free_controls]) if free_controls.any() else -np.inf
@@ -384,8 +362,8 @@ def verify_pmp(
         vi_worst = 0.0  # every direction pinned: the inequality is vacuous
 
     # (vi) frequency residual
-    freq_terms = np.einsum("tqm,tm->tq", blocks, controls) if q else np.zeros((horizon, 0))
-    freq_res = _inf(freq_terms.sum(axis=0)) if q else 0.0
+    freq_terms = fc.stage_terms(controls)
+    freq_res = _inf(freq_terms.sum(axis=0))
     freq_scale = _inf(freq_terms)
 
     # the endpoints in their stage sets
@@ -594,19 +572,22 @@ def _reachability_basis(A, B, horizon: int):
     return np.concatenate(pieces[::-1]), rank
 
 
-def _frequency_sines(stacked: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _frequency_sines(constraint: FrequencyConstraint, basis: np.ndarray) -> np.ndarray:
     """Sines of the principal angles between the range of ``basis`` (m N, r),
-    orthonormal, and the range of G = F', with F = ``stacked`` (q, m N) the
-    stacked frequency rows; r - q of them are 1 when r > q.
+    orthonormal with rows t m + i, and the range of G = F', the stacked
+    transposed frequency rows of ``constraint``; r - q of them are 1 when
+    r > q.
 
     The rows of F are orthogonal (F F' is diagonal), so dividing them by their
     norms gives an orthonormal basis G^ without a factorization.  The sines
     are the singular values of W - G^(G^'W), which stay accurate for small
     angles, where 1 - cos does not (Bjorck & Golub, Math. Comp. 1973).
     """
-    norms = np.sqrt(np.einsum("ij,ij->i", stacked, stacked))[:, None]
-    cos = stacked.dot(basis) / norms  # G^'W: its singular values are the cosines
-    return np.linalg.svd(basis - stacked.T.dot(cos / norms), compute_uv=False)
+    norms = constraint.row_norms[:, None]
+    # G^'W: its singular values are the cosines
+    cos = constraint.apply(basis.reshape(constraint.horizon, constraint.channels, -1)) / norms
+    projected = constraint.apply_transpose(cos / norms).reshape(basis.shape)
+    return np.linalg.svd(basis - projected, compute_uv=False)
 
 
 def classify_normality_classic(A, B, horizon: int) -> NormalityVerdict:
@@ -666,17 +647,13 @@ def classify_normality_freq(A, B, horizon: int, constraint: FrequencyConstraint)
             f"expected ({horizon}, {m})"
         )
     q = constraint.row_count
-    if constraint.effective_rank != q:
-        raise ValueError(
-            "frequency constraint rows are dependent; rebuild with build_frequency_constraint"
-        )
     dims = (n, m, horizon, q)
     over = q + n > m * horizon
     basis, rank_reach = _reachability_basis(A, B, horizon)
     if basis is None:
         cls = NormalityClass.ALL_ABNORMAL if over else NormalityClass.UNDETERMINED
         return NormalityVerdict(cls, rank_reach, 0, dims, 0.0)
-    sines = _frequency_sines(constraint.stacked, basis) if q and rank_reach else np.ones(0)
+    sines = _frequency_sines(constraint, basis) if q and rank_reach else np.ones(0)
     zero_angles = int(np.count_nonzero(sines < _rank_cutoff(1.0, max(m * horizon, n + q))))
     margin = float(sines.min()) if sines.size else 1.0
     if over:

@@ -140,19 +140,19 @@ def _place(M: np.ndarray, row: int, col: int, blocks) -> None:
     M[rows[:, :, None], cols[:, None, :]] += blocks
 
 
-def assemble(jx, ju, Q, R, blocks, cross=None, free_end: bool = False) -> np.ndarray:
+def assemble(jx, ju, Q, R, constraint, cross=None, free_end: bool = False) -> np.ndarray:
     """Jacobian of the first-order rows with respect to z.
 
     ``jx`` (N, n, n) and ``ju`` (N, n, m) are df_t/dx and df_t/du at each
     stage; ``jx[0]`` is not read, since x_0 is fixed.  ``Q`` (n, n) and ``R``
-    (m, m) are the stage-cost Hessians; ``blocks`` (N, q, m) holds F_0..F_{N-1}.
+    (m, m) are the stage-cost Hessians; ``constraint`` holds F_0..F_{N-1}.
     ``cross`` (N, m, n), when given, holds d((df_t/du)'p_t)/dx_t, the state
     derivative of the gain-adjoint product of control-affine dynamics
     (``cross[0]`` is not read).  ``free_end`` replaces the last dynamics row
     by p_{N-1} = 0.  Builds one dense matrix and writes every block into it.
     """
     N, n, m = np.shape(ju)
-    q = np.shape(blocks)[1]
+    q = constraint.row_count
     seg = segments(n, m, N, q)
     ou, op, ov = seg["controls"].start, seg["adjoints"].start, seg["nu"].start
     r_adj, r_stat = N * n, (2 * N - 1) * n
@@ -172,13 +172,13 @@ def assemble(jx, ju, Q, R, blocks, cross=None, free_end: bool = False) -> np.nda
 
     _place(M, r_stat, ou, np.broadcast_to(-np.asarray(R), (N, m, m)))  # -R u_t
     _place(M, r_stat, op, ju.transpose(0, 2, 1))  # f_u' p_t
-    M[r_stat:r_freq, ov:] = -np.asarray(blocks).transpose(0, 2, 1).reshape(N * m, q)
+    M[r_stat:r_freq, ov:] = -constraint.columns().reshape(N * m, q)  # row t m + i: -F_t'
 
     if cross is not None:
         _place(M, r_adj, ou + m, -cross[1:].transpose(0, 2, 1))
         _place(M, r_stat + m, 0, cross[1:])
 
-    M[r_freq:, ou:op] = np.asarray(blocks).transpose(1, 0, 2).reshape(q, N * m)
+    M[r_freq:, ou:op] = -M[r_stat:r_freq, ov:].T  # F: the nu columns transposed
     return M
 
 
@@ -286,9 +286,9 @@ def _split_rows(rhs, n: int, m: int, horizon: int):
     )
 
 
-def lti_product(A, B, Q, R, blocks, z, free_end: bool = False) -> np.ndarray:
+def lti_product(A, B, Q, R, constraint, z, free_end: bool = False) -> np.ndarray:
     """``assemble(...) @ z`` for LTI dynamics, without forming the matrix."""
-    N, q, m = np.shape(blocks)
+    N, q, m = constraint.horizon, constraint.row_count, constraint.channels
     n = np.shape(A)[0]
     un = StackedUnknowns(z, n, m, N, q)
     X = np.zeros((N + 1, n))
@@ -298,16 +298,16 @@ def lti_product(A, B, Q, R, blocks, z, free_end: bool = False) -> np.ndarray:
     if free_end:
         dyn[-1] = P[-1]
     adj = P[:-1] - P[1:] @ A + X[1:N] @ Q.T
-    stat = P @ B - U @ R.T - np.einsum("tqm,q->tm", blocks, nu)
-    freq = np.einsum("tqm,tm->q", blocks, U)
+    stat = P @ B - U @ R.T - constraint.apply_transpose(nu)
+    freq = constraint.apply(U)
     return np.concatenate([dyn.ravel(), adj.ravel(), stat.ravel(), freq])
 
 
-def lti_solve(A, B, Q, R, blocks, rhs, free_end: bool = False):
+def lti_solve(A, B, Q, R, constraint, rhs, free_end: bool = False):
     """Solve ``assemble(...) @ z = rhs`` for LTI dynamics in O(N).
 
-    ``A``, ``B``, ``Q``, ``R`` and ``blocks`` (N, q, m) are as in
-    :func:`assemble` with constant stage derivatives; ``rhs`` is any vector in
+    ``A``, ``B``, ``Q``, ``R`` and ``constraint`` are as in :func:`assemble`
+    with constant stage derivatives; ``rhs`` is any vector in
     its row layout.  The border system in (w_N, nu) (nu alone at a free end)
     is solved by LU; when that fails, gives non-finite values or leaves a
     residual max-norm above INFEASIBILITY_TOL * (1 + |rhs|), by least
@@ -337,9 +337,8 @@ def lti_solve(A, B, Q, R, blocks, rhs, free_end: bool = False):
     gives x, u and p (a second one only if the least-squares fallback runs).
     """
     A, B, Q, R = (np.asarray(a, dtype=float) for a in (A, B, Q, R))
-    blocks = np.asarray(blocks, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    N, q, m = blocks.shape
+    N, q, m = constraint.horizon, constraint.row_count, constraint.channels
     n = A.shape[0]
     threshold = INFEASIBILITY_TOL * (1.0 + abs(rhs).max(initial=0.0))
     terminal = None
@@ -357,7 +356,7 @@ def lti_solve(A, B, Q, R, blocks, rhs, free_end: bool = False):
     d = dyn
     g = np.zeros((N, m, c))  # F_t'nu + s_t: R u_t = B'p_t - g_t
     g[:, :, 0] = stat
-    g[:, :, 1 + lam :] = blocks.transpose(0, 2, 1)
+    g[:, :, 1 + lam :] = constraint.columns()
     wr = np.empty((N, n, c))  # w_N, w_{N-1}, ..., w_1: the scan order
     wr[0] = 0.0  # w_N = p_{N-1} + P_N x_N
     if free_end:
@@ -391,7 +390,7 @@ def lti_solve(A, B, Q, R, blocks, rhs, free_end: bool = False):
         return np.concatenate([x_next[:-1].ravel(), u.ravel(), p.ravel(), theta[lam:]])
 
     def residual(z):
-        return float(abs(lti_product(A, B, Q, R, blocks, z, free_end) - rhs).max())
+        return float(abs(lti_product(A, B, Q, R, constraint, z, free_end) - rhs).max())
 
     S, b = np.zeros((0, 0)), np.zeros(0)
     if c > 1:

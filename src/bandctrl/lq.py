@@ -140,16 +140,16 @@ def riccati_adjoints(solution: RiccatiSolution, traj: Trajectory) -> np.ndarray:
     return -np.einsum("tij,tj->ti", solution.value_matrices[1:], traj.states[1:])
 
 
-def _first_order_solve(A, B, Q, R, N, x0, xf, blocks):
-    """Structured solve of the LQ first-order system (xf None frees the final
-    state).  Returns (unknowns, residual, consistent): the residual is the
-    max-norm of the first-order rows, consistency uses
-    INFEASIBILITY_TOL * (1 + |rhs|).  Raises ``numpy.linalg.LinAlgError`` on a
-    singular Riccati pivot."""
+def _first_order_solve(A, B, Q, R, N, x0, xf, constraint):
+    """Structured solve of the LQ first-order system under the frequency
+    ``constraint`` (xf None frees the final state).  Returns (unknowns,
+    residual, consistent): the residual is the max-norm of the first-order
+    rows, consistency uses INFEASIBILITY_TOL * (1 + |rhs|).  Raises
+    ``numpy.linalg.LinAlgError`` on a singular Riccati pivot."""
     n, m = B.shape
-    q = blocks.shape[1]
+    q = constraint.row_count
     rhs = kkt.boundary_rhs(A @ x0, xf, n, m, N, q)
-    z, residual, consistent = kkt.lti_solve(A, B, Q, R, blocks, rhs, free_end=xf is None)
+    z, residual, consistent = kkt.lti_solve(A, B, Q, R, constraint, rhs, free_end=xf is None)
     return kkt.StackedUnknowns(z, n, m, N, q), residual, consistent
 
 
@@ -171,7 +171,7 @@ def lq_pmp_solve(A, B, Q, R, horizon: int, x0) -> LqSolution:
     A, B, Q, R, n, m, x0 = _as_lq(A, B, Q, R, horizon, x0)
     N = horizon
     try:
-        unknowns, _, _ = _first_order_solve(A, B, Q, R, N, x0, None, np.zeros((N, 0, m)))
+        unknowns, _, _ = _first_order_solve(A, B, Q, R, N, x0, None, FrequencyConstraint(N, m))
     except np.linalg.LinAlgError:
         return LqSolution(None, None, np.zeros(0), float("nan"), SolveStatus.SINGULAR)
     states, controls = np.concatenate([x0[None], unknowns.states()]), unknowns.controls()
@@ -181,14 +181,14 @@ def lq_pmp_solve(A, B, Q, R, horizon: int, x0) -> LqSolution:
     return LqSolution(traj, unknowns.adjoints(), np.zeros(0), cost, SolveStatus.SOLVED)
 
 
-def _solve_transfer(A, B, Q, R, N, x0, xf, blocks, normality=None) -> LqSolution:
+def _solve_transfer(A, B, Q, R, N, x0, xf, constraint, normality=None) -> LqSolution:
     A, B, Q, R, n, m, x0 = _as_lq(A, B, Q, R, N, x0)
     xf = np.asarray(xf, dtype=float).reshape(n)
     try:
-        unknowns, residual, consistent = _first_order_solve(A, B, Q, R, N, x0, xf, blocks)
+        unknowns, residual, consistent = _first_order_solve(A, B, Q, R, N, x0, xf, constraint)
     except np.linalg.LinAlgError:
         return LqSolution(
-            None, None, np.zeros(blocks.shape[1]), float("nan"), SolveStatus.SINGULAR,
+            None, None, np.zeros(constraint.row_count), float("nan"), SolveStatus.SINGULAR,
             normality=normality,
         )
     nu = unknowns.nu().copy()
@@ -209,7 +209,7 @@ def lq_transfer_solve(A, B, Q, R, horizon: int, x0, xf) -> LqSolution:
     unknowns; an unreachable target surfaces as INFEASIBLE with the least
     squares residual reported."""
     n, m = np.asarray(B).shape
-    return _solve_transfer(A, B, Q, R, horizon, x0, xf, np.zeros((horizon, 0, m)))
+    return _solve_transfer(A, B, Q, R, horizon, x0, xf, FrequencyConstraint(horizon, m))
 
 
 def lq_transfer_freq_solve(
@@ -231,4 +231,4 @@ def lq_transfer_freq_solve(
     verdict = classify_normality_freq(A, B, horizon, constraint)
     if verdict.classification is NormalityClass.ALL_ABNORMAL:
         raise AbnormalRegimeError(verdict)
-    return _solve_transfer(A, B, Q, R, horizon, x0, xf, constraint.blocks, verdict)
+    return _solve_transfer(A, B, Q, R, horizon, x0, xf, constraint, verdict)

@@ -152,15 +152,15 @@ def _evaluate(zvec: np.ndarray, spec: ProblemSpec, x0, xf):
     """Residual of the first-order rows at ``zvec``, and the stage terms of
     the model it was computed from (each stage evaluated once)."""
     states, controls, adjoints, nu = _unpack(zvec, spec, x0, xf)
-    blocks = spec.frequency_constraint.blocks
+    fc = spec.frequency_constraint
     terms = _stage_terms(spec.dynamics, spec.cost, states, controls)
     jx_p = np.einsum("tij,ti->tj", terms.jx[1:], adjoints[1:])
     ju_p = np.einsum("tij,ti->tj", terms.ju, adjoints)
     residual = np.concatenate([
         (states[1:] - terms.f).ravel(),  # (a) state dynamics
         (adjoints[:-1] - jx_p + terms.cx[1:]).ravel(),  # (b) adjoint dynamics, eta_c = 1
-        (ju_p - terms.cu - nu @ blocks).ravel(),  # (c) stationarity dH/du
-        np.einsum("tqm,tm->q", blocks, controls),  # (d) frequency residual
+        (ju_p - terms.cu - fc.apply_transpose(nu)).ravel(),  # (c) stationarity dH/du
+        fc.apply(controls),  # (d) frequency residual
     ])
     return residual, terms
 
@@ -199,7 +199,7 @@ def _jacobian_analytic(zvec, spec, x0, xf, terms) -> np.ndarray:
             gain_jac = np.array([dyn.gain_state_jacobian(t, states[t]) for t in range(1, N)])
             cross[1:] = np.einsum("tijl,ti->tjl", gain_jac, adjoints[1:])
     return kkt.assemble(
-        terms.jx, terms.ju, spec.cost.Q, spec.cost.R, spec.frequency_constraint.blocks, cross
+        terms.jx, terms.ju, spec.cost.Q, spec.cost.R, spec.frequency_constraint, cross
     )
 
 

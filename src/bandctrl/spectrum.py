@@ -3,28 +3,28 @@
 A length-N real control channel u has frequency components Phi @ u, where Phi
 is the unitary N x N DFT matrix.  Requiring selected components of every
 channel to vanish is a linear equality constraint on the time-domain control
-trajectory.  It is assembled here the band-stop way: take the banned rows of
-the per-channel DFT, split real and imaginary parts, reorder the columns from
-channel-stacked to time-stacked controls, and drop rows that are identically
-zero.  The result is a family of real blocks F_0 .. F_{N-1} with
+trajectory, built here the band-stop way: the real (cos) and imaginary (sin)
+parts of the banned DFT rows of each channel.  The result is a family of
+real blocks F_0 .. F_{N-1} with
 
     sum_t F_t @ u_t = 0   iff   every banned component of every channel is 0.
 
 Because the controls are real, component N - xi is the complex conjugate of
 component xi, so banned sets are closed under the mirror map xi -> N - xi and
-only one representative per mirror orbit contributes rows.  This keeps the
-stacked constraint matrix full row rank, which the normality tests in
+only one representative xi <= N/2 per mirror orbit contributes rows; the sin
+part of bins 0 and N/2 vanishes and gives none.  This keeps the stacked
+constraint matrix full row rank, which the normality tests in
 ``bandctrl.extremal`` rely on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "ZERO_ROW_TOL",
     "SupportSpec",
     "FrequencyConstraint",
     "UncertaintyReport",
@@ -35,10 +35,6 @@ __all__ = [
     "uncertainty_check",
     "numerical_rank",
 ]
-
-# A constructed constraint row counts as identically zero below this magnitude
-# (e.g. the imaginary part of the rows at xi = 0 and xi = N/2).
-ZERO_ROW_TOL = 1e-12
 
 _RANK_RTOL = 1e-14
 _RANK_FLOOR = 1e-12
@@ -120,54 +116,104 @@ class SupportSpec:
             sets.append(full - idx)
         return cls(tuple(sets))
 
-    def banned(self, horizon: int) -> tuple[tuple[int, ...], ...]:
-        full = set(range(horizon))
-        return tuple(tuple(sorted(full - set(a))) for a in self.allowed)
-
 
 @dataclass(frozen=True)
 class FrequencyConstraint:
     """Real equality constraint sum_t F_t u_t = 0 on a control trajectory.
 
-    ``blocks`` has shape (horizon, row_count, channels); ``stacked`` is the
-    row_count x (horizon*channels) matrix acting on time-stacked controls, a
-    view of ``blocks`` (which are stored in its row order).
-    The constraint vanishes exactly when every banned DFT component of every
-    channel vanishes.  By construction the stacked matrix has full row rank
-    (one mirror representative per banned orbit, analytically-zero rows
-    dropped), so ``effective_rank == row_count``.
+    Row j is the real (cos) part, or where ``row_imag[j]`` the imaginary (sin)
+    part, of the unitary DFT row of bin xi = ``row_bin[j]`` on channel
+    ``row_channel[j]``; ``samples`` (horizon, q) holds each row's N samples,
+    and only the methods below read them.  ``blocks`` (horizon, q, channels)
+    and ``stacked`` (q, horizon * channels) are dense copies, for tests and
+    demonstrations.  The rows are orthogonal, with norms ``row_norms``, so
+    ``effective_rank == row_count``; a repeated (channel, bin up to its
+    mirror N - xi, part) or the vanishing sin part of bin 0 or N/2 raises a
+    "dependent" ValueError.
     """
 
-    blocks: np.ndarray
-    row_count: int
-    effective_rank: int
-    canonical_supports: SupportSpec
+    horizon: int
+    channels: int
+    row_channel: np.ndarray = ()
+    row_bin: np.ndarray = ()
+    row_imag: np.ndarray = ()
+    samples: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=float)
-        if blocks.ndim != 3:
-            raise ValueError(f"blocks must be (horizon, rows, channels), got {blocks.shape}")
-        # a copy laid out row by row of the stacked matrix, so that
-        # ``stacked`` is a view
-        blocks = np.array(blocks.transpose(1, 0, 2), order="C").transpose(1, 0, 2)
-        blocks.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
+        chan = np.array(self.row_channel, dtype=int).ravel()  # copies, made read-only below
+        bins = np.array(self.row_bin, dtype=int).ravel()
+        imag = np.array(self.row_imag, dtype=bool).ravel()
+        N = self.horizon
+        rows = list(zip(chan.tolist(), [min(b % N, -b % N) for b in bins.tolist()], imag.tolist()))
+        if len(set(rows)) < len(rows) or any(im and 2 * xi % N == 0 for _, xi, im in rows):
+            raise ValueError(
+                "frequency constraint rows are dependent; rebuild with build_frequency_constraint"
+            )
+        # the phase (xi t) mod N takes N values: one exp per value, gathered,
+        # equals the exp of every sample bit for bit
+        dft = np.exp((-2j * np.pi / N) * np.arange(N)) / math.sqrt(N)
+        samples = np.concatenate([dft.real, dft.imag])[np.arange(N)[:, None] * bins % N + N * imag]
+        for name, a in dict(row_channel=chan, row_bin=bins, row_imag=imag, samples=samples).items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
-    def horizon(self) -> int:
-        return self.blocks.shape[0]
+    def row_count(self) -> int:
+        return self.row_bin.size
 
     @property
-    def channels(self) -> int:
-        return self.blocks.shape[2]
+    def effective_rank(self) -> int:
+        return self.row_count
+
+    @property
+    def row_norms(self) -> np.ndarray:
+        """The Euclidean norm of each row: 1 at bins 0 and N/2, else 1/sqrt(2)."""
+        return np.where(self.row_bin * 2 % self.horizon == 0, 1.0, np.sqrt(0.5))
+
+    def apply(self, controls) -> np.ndarray:
+        """sum_t F_t u_t, (q,) for controls (horizon, channels); (q, r) for
+        (horizon, channels, r), one per trailing column."""
+        u = np.asarray(controls, dtype=float)
+        every = (self.samples.T @ u.reshape(len(u), -1)).reshape((self.row_count,) + u.shape[1:])
+        return every[np.arange(self.row_count), self.row_channel]  # each row on its own channel
+
+    def stage_terms(self, controls) -> np.ndarray:
+        """F_t u_t for every t, (horizon, q)."""
+        return self.samples * np.asarray(controls, dtype=float)[:, self.row_channel]
+
+    def apply_transpose(self, nu) -> np.ndarray:
+        """F_t' nu for every t, (horizon, channels); (horizon, channels, r)
+        for nu (q, r), one per trailing column."""
+        nu = np.asarray(nu, dtype=float)
+        spread = np.zeros((self.row_count, self.channels) + nu.shape[1:])  # nu_j on its channel
+        spread[np.arange(self.row_count), self.row_channel] = nu
+        flat = spread.reshape(self.row_count, math.prod(spread.shape[1:]))
+        return (self.samples @ flat).reshape((self.horizon,) + spread.shape[1:])
+
+    def columns(self) -> np.ndarray:
+        """The dense F_t', (horizon, channels, q), read-only."""
+        out = np.zeros((self.horizon, self.channels, self.row_count))
+        out[:, self.row_channel, np.arange(self.row_count)] = self.samples
+        out.setflags(write=False)
+        return out
+
+    @property
+    def blocks(self) -> np.ndarray:
+        return self.columns().transpose(0, 2, 1)
 
     @property
     def stacked(self) -> np.ndarray:
-        horizon, q, m = self.blocks.shape
-        return self.blocks.transpose(1, 0, 2).reshape(q, horizon * m)
+        return self.columns().reshape(self.horizon * self.channels, -1).T
 
     def banned(self) -> tuple[tuple[int, ...], ...]:
-        return self.canonical_supports.banned(self.horizon)
+        sets = [set() for _ in range(self.channels)]
+        for k, xi in zip(self.row_channel.tolist(), self.row_bin.tolist()):
+            sets[k].update((xi, -xi % self.horizon))
+        return tuple(tuple(sorted(s)) for s in sets)
+
+    @property
+    def canonical_supports(self) -> SupportSpec:
+        return SupportSpec.from_banned(self.banned(), self.horizon)
 
 
 def build_frequency_constraint(
@@ -175,11 +221,9 @@ def build_frequency_constraint(
 ) -> FrequencyConstraint:
     """Build the banned-frequency equality constraint for the given supports.
 
-    Steps: symmetrize each banned set under xi -> N - xi, compute the DFT rows
-    of one representative per mirror orbit for each channel (O(qN), without
-    the N x N matrix), place them in time-stacked control coordinates, stack
-    real and imaginary parts, drop identically-zero rows, and slice the
-    remainder into per-time blocks.
+    Each channel's banned set is closed under xi -> N - xi; each of its bins
+    xi <= N/2 gives a cos row, and a sin row unless xi is 0 or N/2.  Row
+    order: the cos rows channel by channel, then the sin rows likewise.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be a positive integer, got {horizon}")
@@ -188,50 +232,21 @@ def build_frequency_constraint(
             f"support spec has {supports.channels} channels, expected {channels}"
         )
     full = frozenset(range(horizon))
+    banned = np.ones((channels, horizon), dtype=bool)
     for k, allowed in enumerate(supports.allowed):
-        out = sorted(i for i in allowed if not 0 <= i < horizon)
+        out = sorted(allowed - full)
         if out:
             raise ValueError(f"channel {k}: allowed indices {out} outside 0..{horizon - 1}")
-
-    canon_allowed = []
-    reps_per_channel = []
-    for allowed in supports.allowed:
-        sym = set()
-        for xi in full - frozenset(int(i) for i in allowed):
-            sym.add(xi)
-            sym.add((horizon - xi) % horizon)
-        canon_allowed.append(full - sym)
-        reps_per_channel.append(sorted({min(xi, (horizon - xi) % horizon) for xi in sym}))
-    canonical = SupportSpec(tuple(canon_allowed))
-
-    # only the selected rows of build_dft_matrix(horizon), entry for entry
-    reps = np.array([xi for chan in reps_per_channel for xi in chan], dtype=int)
-    chans = np.array([k for k, chan in enumerate(reps_per_channel) for _ in chan], dtype=int)
-    phase = np.outer(reps, np.arange(horizon)) % horizon
-    rows = np.exp((-2j * np.pi / horizon) * phase) / np.sqrt(horizon)
-    # time-stacked control coordinates: row r acts on channel chans[r] at every t
-    selected = np.zeros((reps.size, horizon, channels), dtype=complex)
-    selected[np.arange(reps.size), :, chans] = rows
-    stacked = np.vstack([selected.real, selected.imag]).reshape(2 * reps.size, horizon * channels)
-
-    if stacked.shape[0]:
-        keep = np.max(np.abs(stacked), axis=1) >= ZERO_ROW_TOL
-        reduced = stacked[keep]
-    else:
-        reduced = stacked
-    q = reduced.shape[0]
-    if q:
-        blocks = reduced.reshape(q, horizon, channels).transpose(1, 0, 2)
-    else:
-        blocks = np.zeros((horizon, 0, channels))
-    # The kept rows are the cos and sin parts of distinct DFT rows, one per
-    # mirror orbit, so they are orthogonal: F F' is diagonal with entries 1
-    # (cos rows at xi = 0 and N/2) or 1/2.  The rank is q without an SVD.
+        banned[k, np.fromiter(allowed, dtype=int, count=len(allowed))] = False
+    banned |= banned[:, -np.arange(horizon) % horizon]  # mirror closure
+    chan, bins = np.nonzero(banned[:, : horizon // 2 + 1])
+    sin = bins * 2 % horizon != 0
     return FrequencyConstraint(
-        blocks=blocks,
-        row_count=q,
-        effective_rank=q,
-        canonical_supports=canonical,
+        horizon,
+        channels,
+        row_channel=np.concatenate([chan, chan[sin]]),
+        row_bin=np.concatenate([bins, bins[sin]]),
+        row_imag=np.array([False, True]).repeat([chan.size, np.count_nonzero(sin)]),
     )
 
 
@@ -245,7 +260,7 @@ def constraint_residual(constraint: FrequencyConstraint, controls) -> np.ndarray
             f"controls shape {u.shape} incompatible with constraint "
             f"({constraint.horizon}, {constraint.channels})"
         )
-    return np.einsum("tqm,tm->q", constraint.blocks, u)
+    return constraint.apply(u)
 
 
 @dataclass(frozen=True)

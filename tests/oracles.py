@@ -29,7 +29,6 @@ from bandctrl.extremal import (
     PmpCertificate,
     _dual_cone_violation,
     _feasible_directions,
-    _freq_blocks,
     _inf,
     _set_violation,
     reachability_stack,
@@ -151,12 +150,35 @@ def transfer_qp_oracle(A, B, Q, R, horizon, x0, xf=None, freq_matrix=None):
     }
 
 
+class DenseRows:
+    """The operations of ``bandctrl.spectrum.FrequencyConstraint`` as einsums
+    on dense blocks F_0..F_{N-1} (N, q, m), the storage that the sample table
+    replaced.  Any blocks will do, so it also stands in for a constraint with
+    integer rows."""
+
+    def __init__(self, blocks):
+        self.blocks = np.asarray(blocks, float)
+        self.horizon, self.row_count, self.channels = self.blocks.shape
+
+    def apply(self, controls):
+        return np.einsum("tqm,tm...->q...", self.blocks, controls)
+
+    def stage_terms(self, controls):
+        return np.einsum("tqm,tm->tq", self.blocks, controls)
+
+    def apply_transpose(self, nu):
+        return np.einsum("tqm,q...->tm...", self.blocks, nu)
+
+    def columns(self):
+        return self.blocks.transpose(0, 2, 1)
+
+
 def dense_first_order_system(A, B, Q, R, N, x0, xf, blocks):
     """First-order system of the LQ problem as (J, -r(0)); xf None frees the
     final state."""
     n, m = B.shape
     M = kkt.assemble(
-        np.broadcast_to(A, (N, n, n)), np.broadcast_to(B, (N, n, m)), Q, R, blocks,
+        np.broadcast_to(A, (N, n, n)), np.broadcast_to(B, (N, n, m)), Q, R, DenseRows(blocks),
         free_end=xf is None,
     )
     return M, kkt.boundary_rhs(A @ x0, xf, n, m, N, blocks.shape[1])
@@ -294,7 +316,8 @@ def loop_verify_pmp(traj, lift, spec, tol=1e-7, active_tol=1e-8, comparisons=Non
     appended to it as (condition, name, value, threshold), the test being
     value <= threshold."""
     horizon, n, m = traj.horizon, traj.n, traj.m
-    blocks = _freq_blocks(spec)
+    fc = spec.frequency_constraint
+    blocks = np.zeros((horizon, 0, m)) if fc is None else fc.blocks
     q = blocks.shape[1]
     eta_c = float(lift.eta_c)
     nu = lift.nu if lift.nu.size else np.zeros(q)

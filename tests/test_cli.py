@@ -271,9 +271,24 @@ class TestRun:
                 "dynamics.A",
             ),
             (json.dumps(_transfer_doc(boundary={"x0": [0.0], "xf": float("inf")})), "boundary.xf"),
+            (json.dumps(_transfer_doc(boundary={"x0": "0", "xf": [4.0]})), "boundary.x0"),
+            (json.dumps(_transfer_doc(boundary={"x0": [0.0], "xf": ["4"]})), "boundary.xf"),
+            (json.dumps(_transfer_doc(boundary={"x0": [0.0], "xf": [10**400]})), "boundary.xf"),
+            (json.dumps(_transfer_doc(cost={"Q": [[0.0]], "R": [[True]]})), "cost.R"),
+            (
+                json.dumps(_transfer_doc(state_sets=[{"kind": "fixed", "point": "0"}] + ["free"] * 8)),
+                "state_sets[0]",
+            ),
+            (
+                json.dumps(_transfer_doc(
+                    state_sets=["free"] * 8 + [{"kind": "box", "lower": [10**400], "upper": [1]}]
+                )),
+                "state_sets[8]",
+            ),
         ],
         ids=["array", "tolerance-text", "tolerance-negative", "zero-iterations",
-             "fractional-ban", "nan-matrix", "infinite-target"],
+             "fractional-ban", "nan-matrix", "infinite-target", "text-start", "text-target",
+             "huge-integer-target", "boolean-weight", "text-fixed-point", "huge-integer-bound"],
     )
     def test_malformed_input_exits_one_naming_the_field(self, tmp_path, capsys, text, field):
         path = tmp_path / "p.json"

@@ -511,9 +511,10 @@ class TestNormalityFreq:
         fc = build_frequency_constraint(spec, horizon, m)
         seen = []
 
-        def spy(stacked, basis):
-            seen.append(stacked)
-            return sines(stacked, basis)
+        def spy(constraint, basis):
+            got = sines(constraint, basis)
+            seen.append((constraint, basis, got))
+            return got
 
         sines = extremal._frequency_sines
         monkeypatch.setattr(extremal, "_frequency_sines", spy)
@@ -523,8 +524,14 @@ class TestNormalityFreq:
         if fc.row_count == 0:
             assert seen == []  # no frequency rows, no angles
         else:
-            assert np.array_equal(seen[0].T, gmat)
-            assert np.shares_memory(seen[0], fc.blocks)  # a view, not a copy
+            ((constraint, basis, got),) = seen
+            assert constraint is fc
+            assert np.array_equal(constraint.stacked.T, gmat)
+            # the sines against the dense stacked transposes, normalized numerically
+            norms = np.linalg.norm(gmat, axis=0)[:, None]
+            cos = gmat.T @ basis / norms
+            dense = np.linalg.svd(basis - gmat @ (cos / norms), compute_uv=False)
+            assert np.max(np.abs(got - dense)) <= 1e-13
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -655,11 +662,10 @@ class TestNormalityFreq:
 
     def test_rejects_dependent_rows(self):
         fc = build_frequency_constraint(SupportSpec.from_banned([[2]], 4), 4, 1)
-        doubled = fc.__class__(
-            blocks=np.concatenate([fc.blocks, fc.blocks], axis=1),
-            row_count=2,
-            effective_rank=1,
-            canonical_supports=fc.canonical_supports,
-        )
         with pytest.raises(ValueError, match="dependent"):
-            classify_normality_freq([[1.0]], [[1.0]], 4, doubled)
+            fc.__class__(
+                4, 1,
+                row_channel=np.tile(fc.row_channel, 2),
+                row_bin=np.tile(fc.row_bin, 2),
+                row_imag=np.tile(fc.row_imag, 2),
+            )

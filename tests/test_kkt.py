@@ -16,9 +16,10 @@ from bandctrl.lq import (
     _first_order_solve,
     lq_transfer_freq_solve,
 )
-from bandctrl.spectrum import SupportSpec, build_frequency_constraint
+from bandctrl.spectrum import FrequencyConstraint, SupportSpec, build_frequency_constraint
 
 from oracles import (
+    DenseRows,
     dense_first_order_solve,
     dense_first_order_system,
     dynamics_row_ulps,
@@ -54,7 +55,7 @@ class TestProduct:
             z = rng.integers(-9, 10, kkt.segments(n, m, N, q)["nu"].stop).astype(float)
             for free_end in (False, True):
                 M = _dense(A.astype(float), B.astype(float), Q, R, blocks, free_end)
-                product = kkt.lti_product(A, B, Q, R, blocks, z, free_end)
+                product = kkt.lti_product(A, B, Q, R, DenseRows(blocks), z, free_end)
                 assert np.array_equal(product, M @ z)
 
 
@@ -119,10 +120,10 @@ class TestBorder:
         fc = build_frequency_constraint(SupportSpec.from_banned(banned, N), N, 2)
         rng = np.random.default_rng(1)
         rhs = kkt.boundary_rhs(A @ rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4), 4, 2, N, fc.row_count)
-        return A, B, Q, R, fc.blocks, rhs
+        return A, B, Q, R, fc, rhs
 
     def test_frequency_block_is_symmetric_negative_definite(self, monkeypatch):
-        A, B, Q, R, blocks, rhs = self._transfer()
+        A, B, Q, R, fc, rhs = self._transfer()
         solve, seen = np.linalg.solve, []
 
         def spy(S, b):
@@ -130,11 +131,11 @@ class TestBorder:
             return solve(S, b)
 
         monkeypatch.setattr(np.linalg, "solve", spy)
-        _, residual, consistent = kkt.lti_solve(A, B, Q, R, blocks, rhs)
+        _, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, rhs)
         monkeypatch.undo()
         assert consistent and residual <= 1e-12
         (S,) = seen
-        assert S.shape == (4 + blocks.shape[1],) * 2
+        assert S.shape == (4 + fc.row_count,) * 2
         S_nu = S[4:, 4:]
         assert np.max(np.abs(S_nu - S_nu.T)) <= 10 * EPS * np.max(np.abs(S_nu))
         assert np.max(np.linalg.eigvalsh(0.5 * (S_nu + S_nu.T))) < 0.0
@@ -154,7 +155,7 @@ class TestBorder:
             return scan(G, h)
 
         monkeypatch.setattr(kkt, "_scan", counted)
-        _, residual, consistent = kkt.lti_solve(A, B, Q, R, fc.blocks, rhs, free_end)
+        _, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, rhs, free_end)
         assert consistent and residual <= 1e-12
         lam = 0 if free_end else 4
         assert calls == [1 + lam + fc.row_count, 1]
@@ -177,7 +178,7 @@ class TestStructuredSolve:
         xf = None if free_end else rng.standard_normal(n)
         banned = random_banned_sets(rng, horizon, m, 3)
         fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, m)
-        unknowns, residual, consistent = _first_order_solve(A, B, Q, R, horizon, x0, xf, fc.blocks)
+        unknowns, residual, consistent = _first_order_solve(A, B, Q, R, horizon, x0, xf, fc)
         z_dense, _, consistent_dense = dense_first_order_solve(A, B, Q, R, horizon, x0, xf, fc.blocks)
         M, rhs = dense_first_order_system(A, B, Q, R, horizon, x0, xf, fc.blocks)
         if consistent != consistent_dense:
@@ -212,7 +213,7 @@ class TestStructuredSolve:
         A, B, Q, R = np.array(A), np.array(B), np.array(Q), np.eye(1)
         x0, xf = np.array(x0), np.array(xf)
         fc = build_frequency_constraint(SupportSpec.from_banned(banned, N), N, 1)
-        unknowns, residual, consistent = _first_order_solve(A, B, Q, R, N, x0, xf, fc.blocks)
+        unknowns, residual, consistent = _first_order_solve(A, B, Q, R, N, x0, xf, fc)
         z_dense, _, consistent_dense = dense_first_order_solve(A, B, Q, R, N, x0, xf, fc.blocks)
         assert consistent and consistent_dense
         assert residual <= 1e-14
@@ -231,7 +232,7 @@ class TestStructuredSolve:
             for free_end in (False, True):
                 M = _dense(A, B, Q, R, fc.blocks, free_end)
                 rhs = rng.standard_normal(M.shape[0])
-                z, residual, _ = kkt.lti_solve(A, B, Q, R, fc.blocks, rhs, free_end)
+                z, residual, _ = kkt.lti_solve(A, B, Q, R, fc, rhs, free_end)
                 expected = np.linalg.solve(M, rhs)
                 scale = 1.0 + np.max(np.abs(expected))
                 assert np.max(np.abs(z - expected)) <= 1e-9 * scale
@@ -239,10 +240,11 @@ class TestStructuredSolve:
                 assert abs(residual - np.max(np.abs(M @ z - rhs))) <= 1e-14 * scale
 
     def test_singular_pivot_raises(self):
-        blocks = np.zeros((3, 0, 1))
         rhs = np.ones(kkt.segments(1, 1, 3, 0)["nu"].stop)
         with pytest.raises(np.linalg.LinAlgError):
-            kkt.lti_solve([[1.0]], [[1.0]], [[0.0]], [[0.0]], blocks, rhs, free_end=True)
+            kkt.lti_solve(
+                [[1.0]], [[1.0]], [[0.0]], [[0.0]], FrequencyConstraint(3, 1), rhs, free_end=True
+            )
 
     def test_non_finite_border_raises(self):
         # |B| = 1e170 overflows the border; LAPACK's least squares would not
@@ -252,7 +254,7 @@ class TestStructuredSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(np.linalg.LinAlgError):
-                kkt.lti_solve([[1e-7]], [[1.17e170]], [[38.9]], [[1.0]], fc.blocks, rhs)
+                kkt.lti_solve([[1e-7]], [[1.17e170]], [[38.9]], [[1.0]], fc, rhs)
 
 
 class TestMemory:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bandctrl.spectrum import (
+    FrequencyConstraint,
     SupportSpec,
     build_dft_matrix,
     build_frequency_constraint,
@@ -14,7 +16,7 @@ from bandctrl.spectrum import (
     uncertainty_check,
 )
 
-from oracles import naive_dft
+from oracles import DenseRows, naive_dft
 
 
 class TestDftMatrix:
@@ -238,6 +240,51 @@ class TestFrequencyConstraint:
         fc = build_frequency_constraint(SupportSpec.from_banned([[1]], 4), 4, 1)
         with pytest.raises(ValueError):
             fc.blocks[0, 0, 0] = 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(horizon=st.integers(1, 80), m=st.integers(1, 3), data=st.data())
+    def test_operations_match_einsum_on_blocks(self, horizon, m, data):
+        # DC and N/2, the bins without a sine row, are drawn often
+        index = st.one_of(st.sampled_from([0, horizon // 2]), st.integers(0, horizon - 1))
+        banned = data.draw(st.lists(st.lists(index, max_size=6), min_size=m, max_size=m))
+        fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, m)
+        dense = DenseRows(fc.blocks)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u, basis = rng.uniform(-1, 1, (horizon, m)), rng.uniform(-1, 1, (horizon, m, 3))
+        nu, nus = rng.uniform(-1, 1, fc.row_count), rng.uniform(-1, 1, (fc.row_count, 3))
+        for got, expected in [
+            (fc.apply(u), dense.apply(u)),
+            (fc.apply(basis), dense.apply(basis)),
+            (constraint_residual(fc, u), dense.apply(u)),
+            (fc.stage_terms(u), dense.stage_terms(u)),
+            (fc.apply_transpose(nu), dense.apply_transpose(nu)),
+            (fc.apply_transpose(nus), dense.apply_transpose(nus)),
+        ]:
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected), initial=0.0) <= 1e-14
+        assert np.array_equal(fc.columns(), dense.columns())
+        assert np.array_equal(fc.stacked, dense.blocks.transpose(1, 0, 2).reshape(fc.row_count, horizon * m))
+        norms = np.sqrt(np.sum(fc.stacked**2, axis=1))
+        assert np.max(np.abs(fc.row_norms - norms), initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ([0, 0], [3, 5], [True, True]),  # a bin and its mirror
+            ([0], [0], [True]),  # the sine part of DC vanishes
+            ([1], [4], [True]),  # and that of N/2
+        ],
+        ids=["mirror", "dc-sine", "nyquist-sine"],
+    )
+    def test_dependent_rows_are_rejected(self, rows):
+        channel, bins, imag = rows
+        with pytest.raises(ValueError, match="dependent"):
+            FrequencyConstraint(8, 2, row_channel=channel, row_bin=bins, row_imag=imag)
+
+    def test_banned_sets_come_from_the_rows(self):
+        fc = FrequencyConstraint(8, 2, row_channel=[1, 0, 1], row_bin=[3, 4, 3], row_imag=[0, 0, 1])
+        assert fc.banned() == ((4,), (3, 5))
+        assert fc.canonical_supports == SupportSpec.from_banned([[4], [3, 5]], 8)
 
 
 class TestUncertaintyCheck:
