@@ -69,7 +69,7 @@ def _inf(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremalLift:
     """Multipliers accompanying a candidate trajectory.
 

@@ -79,7 +79,7 @@ def segments(n: int, m: int, horizon: int, q: int) -> dict[str, slice]:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StackedUnknowns:
     """Flat vector of interior states, controls, adjoints, and the frequency
     multiplier, with the layout recorded."""

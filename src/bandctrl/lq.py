@@ -83,7 +83,7 @@ def _as_lq(A, B, Q, R, horizon, x0):
     return A, B, Q, R, n, m, np.asarray(x0, dtype=float).reshape(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiccatiSolution:
     """Backward value matrices S_0..S_N, feedback gains K_0..K_{N-1}, and the
     rolled-out cost; S_N = 0 and u_t = K_t x_t."""
@@ -94,7 +94,7 @@ class RiccatiSolution:
     status: SolveStatus = SolveStatus.SOLVED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LqSolution:
     """A solved transfer ends at xf exactly, so ``endpoint_gap`` is always
     0.0; it stays for its readers, such as ``bench/spans.py``."""

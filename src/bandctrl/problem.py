@@ -6,7 +6,9 @@ supports.  :func:`validate` checks consistency, builds the frequency
 constraint, and either returns the completed spec or raises with the complete
 list of violations.
 
-Specs are immutable once validated and safe to share across threads.  User
+Specs are immutable once validated and safe to share across threads.  The
+frozen containers that hold arrays (models, sets, trajectories, specs)
+compare and hash by identity, since arrays have no truth value.  User
 supplied evaluators (drift, gain, cost callables) must be pure functions of
 their arguments; solvers and verifiers call them at arbitrary points in any
 order.
@@ -59,7 +61,7 @@ def _frozen_array(value, dtype=float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtiDynamics:
     """x_{t+1} = A x_t + B u_t."""
 
@@ -104,6 +106,12 @@ class ControlAffineDynamics:
     ``drift_jac(t, x)`` is the (n, n) Jacobian of the drift; ``gain_jac(t, x)``
     is the (n, m, n) array with entry [i, j, l] = d gain[i, j] / d x[l], and
     may be omitted when the gain does not depend on the state.
+
+    Batched evaluations (residuals, Jacobians, certificates) call each of the
+    four callables at most once per stage per evaluation, passing ``x`` as a
+    row view of the states array: a callable must not mutate it.  The
+    per-stage methods :meth:`step`, :meth:`jac_x` and :meth:`jac_u` combine
+    them for a single stage.
     """
 
     n: int
@@ -134,13 +142,6 @@ class ControlAffineDynamics:
     def jac_u(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.asarray(self.gain(t, np.asarray(x, dtype=float)), dtype=float).reshape(
             self.n, self.m
-        )
-
-    def gain_state_jacobian(self, t: int, x: np.ndarray) -> np.ndarray:
-        if self.gain_jac is None:
-            return np.zeros((self.n, self.m, self.n))
-        return np.asarray(self.gain_jac(t, np.asarray(x, dtype=float)), dtype=float).reshape(
-            self.n, self.m, self.n
         )
 
 
@@ -185,7 +186,7 @@ def general_wrap(model: DynamicsModel) -> GeneralDynamics:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticCost:
     """Stage cost 0.5 x'Qx + 0.5 u'Ru, Q positive semidefinite, R positive definite."""
 
@@ -243,7 +244,7 @@ class Free:
     kind = "free"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fixed:
     """A single admissible point."""
 
@@ -255,7 +256,7 @@ class Fixed:
         object.__setattr__(self, "point", _frozen_array(np.atleast_1d(self.point)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """Componentwise bounds lower <= v <= upper."""
 
@@ -277,7 +278,7 @@ FREE = Free()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Paired state sequence x_0..x_N and control sequence u_0..u_{N-1}."""
 
@@ -340,6 +341,12 @@ class _StageTerms(NamedTuple):
     ju: np.ndarray  # (N, n, m) df_t/du
     cx: np.ndarray  # (N, n) dc_t/dx
     cu: np.ndarray  # (N, m) dc_t/du
+    gx: np.ndarray | None  # (N, n, m, n) d gain_t/dx; control-affine with gain_jac only
+
+
+def _stacked(fun, x, stages: range, shape) -> np.ndarray:
+    """``fun(t, x[t])`` for each stage t, stacked into one float array."""
+    return np.array([fun(t, x[t]) for t in stages], dtype=float).reshape(len(stages), *shape)
 
 
 def _stage_terms(
@@ -348,21 +355,40 @@ def _stage_terms(
     """Evaluate the dynamics and cost terms of all stages at once.
 
     ``states`` holds x_0..x_{N-1} (a trailing x_N is ignored), ``controls``
-    u_0..u_{N-1}.  LTI dynamics and quadratic cost are evaluated as batched
-    products, with ``jx``/``ju`` read-only broadcast views of A and B.  Other
-    models have their methods called once per stage: ``step`` unless
-    ``step`` is False (then ``f`` is None), ``jac_u``, and ``jac_x`` for
-    t >= 1, and for t = 0 too when ``jx0`` is set; otherwise ``jx[0]`` holds
-    zero (x_0 is fixed wherever it is left out).
+    u_0..u_{N-1}.  ``f`` is None when ``step`` is False.  The state
+    derivatives of stage 0 are evaluated only when ``jx0`` is set; otherwise
+    ``jx[0]`` (and ``gx[0]``) hold zero, since x_0 is fixed wherever they are
+    left out.
+
+    LTI dynamics and quadratic cost are evaluated as batched products, with
+    ``jx``/``ju`` read-only broadcast views of A and B.  Control-affine
+    dynamics call ``gain``, ``drift`` (when ``step``), ``drift_jac`` and
+    ``gain_jac`` once per stage and form f = drift + gain u,
+    jx = drift_jac + gain_jac u and ju = gain as batched products; the
+    stacked ``gain_jac`` is kept as ``gx``.  Other models have their
+    ``step``, ``jac_x`` and ``jac_u`` methods called once per stage.
     """
     N = controls.shape[0]
     x, u = states[:N], controls
     n, m = dynamics.n, dynamics.m
+    gx = None
     if isinstance(dynamics, LtiDynamics):
         A, B = dynamics.A, dynamics.B
         f = x @ A.T + u @ B.T if step else None
         jx = np.broadcast_to(A, (N, n, n))
         ju = np.broadcast_to(B, (N, n, m))
+    elif isinstance(dynamics, ControlAffineDynamics):
+        t0 = 0 if jx0 else 1
+        ju = _stacked(dynamics.gain, x, range(N), (n, m))
+        f = None
+        if step:
+            f = _stacked(dynamics.drift, x, range(N), (n,)) + np.einsum("tij,tj->ti", ju, u)
+        jx = np.zeros((N, n, n))
+        jx[t0:] = _stacked(dynamics.drift_jac, x, range(t0, N), (n, n))
+        if dynamics.gain_jac is not None:
+            gx = np.zeros((N, n, m, n))
+            gx[t0:] = _stacked(dynamics.gain_jac, x, range(t0, N), (n, m, n))
+            jx[t0:] += np.einsum("tijl,tj->til", gx[t0:], u[t0:])
     else:
         f = None
         if step:
@@ -376,7 +402,7 @@ def _stage_terms(
     else:
         cx = np.array([cost.grad_x(t, x[t], u[t]) for t in range(N)]).reshape(N, n)
         cu = np.array([cost.grad_u(t, x[t], u[t]) for t in range(N)]).reshape(N, m)
-    return _StageTerms(f, jx, ju, cx, cu)
+    return _StageTerms(f, jx, ju, cx, cu, gx)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +410,7 @@ def _stage_terms(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Full problem statement; run :func:`validate` before handing to solvers."""
 

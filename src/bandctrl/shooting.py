@@ -11,9 +11,10 @@ is affine in z, so one undamped step solves the system from any starting
 point.
 
 Each residual evaluates the model terms of all stages once, batched (see
-:func:`bandctrl.problem._stage_terms`); Newton keeps the terms of the
-accepted iterate, and its Jacobian reuses them, adding only the gain's state
-Jacobian.
+:func:`bandctrl.problem._stage_terms`): a control-affine model has its drift,
+gain and their Jacobians called once per stage.  Newton keeps the terms of
+the accepted iterate, and its Jacobian reuses them, the gain's state Jacobian
+included, without calling the model again.
 
 The result carries the final iterate's states (x_N = xf exactly), whose
 dynamics rows hold only to its ``final_residual``.
@@ -82,7 +83,7 @@ class NewtonOptions:
             raise ValueError("tolerance must be > 0 and max_iterations >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShootingResult:
     trajectory: Trajectory
     lift: ExtremalLift
@@ -187,17 +188,17 @@ def assemble_residual(z: StackedUnknowns, spec: ProblemSpec, x0, xf) -> np.ndarr
 
 
 def _jacobian_analytic(zvec, spec, x0, xf, terms) -> np.ndarray:
-    """Assemble the Jacobian from the stage terms of the iterate ``zvec``,
-    adding the gain's state Jacobian of control-affine models; second
-    derivatives of the drift and gain are taken as zero."""
-    dyn, N = spec.dynamics, spec.horizon
+    """Assemble the Jacobian from the stage terms of the iterate ``zvec``.
+
+    The cross term d((df_t/du)'p_t)/dx_t comes from the gain's state Jacobian
+    that the terms carry (``terms.gx``, control-affine models with a
+    ``gain_jac``); second derivatives of the drift and gain are taken as
+    zero.  The model is not called.
+    """
     cross = None
-    if isinstance(dyn, ControlAffineDynamics):
-        states, _, adjoints, _ = _unpack(zvec, spec, x0, xf)
-        cross = np.zeros((N, spec.m, spec.n))
-        if N > 1:
-            gain_jac = np.array([dyn.gain_state_jacobian(t, states[t]) for t in range(1, N)])
-            cross[1:] = np.einsum("tijl,ti->tjl", gain_jac, adjoints[1:])
+    if terms.gx is not None:
+        adjoints = _unpack(zvec, spec, x0, xf)[2]
+        cross = np.einsum("tijl,ti->tjl", terms.gx, adjoints)
     return kkt.assemble(
         terms.jx, terms.ju, spec.cost.Q, spec.cost.R, spec.frequency_constraint, cross
     )

@@ -117,7 +117,7 @@ class SupportSpec:
         return cls(tuple(sets))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyConstraint:
     """Real equality constraint sum_t F_t u_t = 0 on a control trajectory.
 

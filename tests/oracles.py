@@ -10,6 +10,8 @@ structured solver of ``bandctrl.kkt`` replaced: the matrix of
 ``kkt.assemble`` factored whole.  The loop oracles are the stage-by-stage
 forms of the PMP certificate and of the Newton residual that the batched
 evaluation replaced: they call the model once per stage and term.  The loop
+control-affine terms are the stage-by-stage form of the one-pass evaluation
+of a control-affine model in ``bandctrl.problem._stage_terms``.  The loop
 Riccati sweep is the recursion that ``kkt.riccati_sweep`` shortcuts: every
 stage swept, with a general inverse of every pivot.  The SVD normality
 classifier is the test that the principal-angle classifier of
@@ -464,6 +466,24 @@ def loop_residual_vec(zvec, spec, x0, xf):
         row += m
     res[row:] = np.einsum("tqm,tm->q", blocks, controls)  # (d) frequency residual
     return res
+
+
+def loop_control_affine_terms(dynamics, states, controls, step=True, jx0=False):
+    """(f, jx, ju, gx) of ``bandctrl.problem._stage_terms`` for a control-affine
+    model, stage by stage from its per-stage ``step``, ``jac_x`` and ``jac_u``
+    and its ``gain_jac``.  ``f`` is None unless ``step``; the state derivatives
+    of stage 0 are zero unless ``jx0``; ``gx`` is None without a ``gain_jac``."""
+    N = controls.shape[0]
+    n, m = dynamics.n, dynamics.m
+    f = np.array([dynamics.step(t, states[t], controls[t]) for t in range(N)]) if step else None
+    ju = np.array([dynamics.jac_u(t, states[t], controls[t]) for t in range(N)])
+    jx = np.zeros((N, n, n))
+    gx = None if dynamics.gain_jac is None else np.zeros((N, n, m, n))
+    for t in range(0 if jx0 else 1, N):
+        jx[t] = dynamics.jac_x(t, states[t], controls[t])
+        if gx is not None:
+            gx[t] = np.reshape(dynamics.gain_jac(t, states[t]), (n, m, n))
+    return f, jx, ju, gx
 
 
 def loop_riccati_sweep(A, B, Q, R, horizon, terminal=None):

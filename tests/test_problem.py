@@ -1,9 +1,13 @@
-"""Tests for problem validation, model variants, and derivative checking."""
+"""Tests for problem validation, model variants, the batched stage terms,
+container equality, and derivative checking."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from bandctrl.extremal import ExtremalLift
+from bandctrl.lq import lq_transfer_freq_solve, riccati_solve
 from bandctrl.problem import (
     Box,
     ControlAffineDynamics,
@@ -15,6 +19,7 @@ from bandctrl.problem import (
     ProblemValidationError,
     QuadraticCost,
     Trajectory,
+    _stage_terms,
     check_jacobians,
     general_wrap,
     lti_spec,
@@ -22,7 +27,10 @@ from bandctrl.problem import (
     trajectory_cost,
     validate,
 )
+from bandctrl.shooting import StackedUnknowns, newton_solve
 from bandctrl.spectrum import SupportSpec
+
+from oracles import loop_control_affine_terms
 
 
 def _plain_spec(horizon=4, n=2, m=1, **kwargs):
@@ -140,6 +148,94 @@ class TestModelVariants:
         traj = rollout(spec.dynamics, [1.0], [[1.0], [0.0]])
         assert_allclose(traj.states.ravel(), [1.0, 2.0, 2.0])
         assert trajectory_cost(spec.cost, traj) == pytest.approx(0.5 + 0.5 + 2.0)
+
+
+def _random_control_affine(rng, n, m, state_gain):
+    """A time-varying control-affine model with nonlinear drift; its gain
+    depends on the state (and ``gain_jac`` is given) only if ``state_gain``."""
+    D, E = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    G0, G1 = rng.standard_normal((n, m)), rng.standard_normal((n, m, n)) * state_gain
+    return ControlAffineDynamics(
+        n,
+        m,
+        drift=lambda t, x: D @ np.tanh(x) + 0.1 * t * E @ x,
+        gain=lambda t, x: G0 + G1 @ np.sin(x + t),
+        drift_jac=lambda t, x: D * (1.0 - np.tanh(x) ** 2) + 0.1 * t * E,
+        gain_jac=(lambda t, x: G1 * np.cos(x + t)) if state_gain else None,
+    )
+
+
+class TestControlAffinePass:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 3),
+        horizon=st.integers(1, 40),
+        state_gain=st.booleans(),
+        step=st.booleans(),
+        jx0=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_stage_loop(self, n, m, horizon, state_gain, step, jx0, seed):
+        rng = np.random.default_rng(seed)
+        dyn = _random_control_affine(rng, n, m, state_gain)
+        states = rng.standard_normal((horizon + 1, n))
+        controls = rng.standard_normal((horizon, m)) * 10.0 ** rng.uniform(-3, 3)
+        cost = QuadraticCost(np.eye(n), np.eye(m))
+        terms = _stage_terms(dyn, cost, states, controls, step=step, jx0=jx0)
+        f, jx, ju, gx = loop_control_affine_terms(dyn, states, controls, step=step, jx0=jx0)
+        # the gain and its state Jacobian are stacked, not recomputed
+        assert np.array_equal(terms.ju, ju.reshape(horizon, n, m))
+        assert (terms.gx is None) == (gx is None)
+        if gx is not None:
+            assert np.array_equal(terms.gx, gx)
+        # f and jx add the same m products per entry, possibly in another
+        # order: each entry agrees relative to the magnitude of its terms
+        u = np.abs(controls)
+        gain_terms = np.einsum("tij,tj->ti", np.abs(terms.ju), u)
+        gain_jac_terms = 0.0 if gx is None else np.einsum("tijl,tj->til", np.abs(gx), u)
+        for got, ref, products in ((terms.f, f, gain_terms), (terms.jx, jx, gain_jac_terms)):
+            if ref is None:
+                assert got is None
+                continue
+            ref = ref.reshape(got.shape)
+            assert np.all(np.abs(got - ref) <= 1e-14 * (np.abs(ref) + products))
+
+
+def _di_spec():
+    A, B = np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0], [1.0]])
+    return lti_spec(A, B, np.eye(2), np.eye(1), 8, x0=[0.0, 0.0], xf=[1.0, 0.0], banned=[[1]])
+
+
+def _di_transfer():
+    spec = _di_spec()
+    d, c = spec.dynamics, spec.cost
+    return lq_transfer_freq_solve(d.A, d.B, c.Q, c.R, 8, [0.0, 0.0], [1.0, 0.0], spec.frequency_constraint)
+
+
+_ARRAY_CONTAINERS = {
+    "LtiDynamics": lambda: LtiDynamics(np.eye(2), np.ones((2, 1))),
+    "QuadraticCost": lambda: QuadraticCost(np.eye(2), np.eye(2)),
+    "Fixed": lambda: Fixed([1.0, 2.0]),
+    "Box": lambda: Box([0.0, 0.0], [1.0, 1.0]),
+    "Trajectory": lambda: Trajectory(np.zeros((3, 2)), np.zeros((2, 2))),
+    "ProblemSpec": _di_spec,
+    "FrequencyConstraint": lambda: _di_spec().frequency_constraint,
+    "StackedUnknowns": lambda: StackedUnknowns.zeros(2, 1, 3, 0),
+    "ExtremalLift": lambda: ExtremalLift(1.0, [0.5, 0.5], np.zeros((2, 2)), np.zeros((3, 2))),
+    "RiccatiSolution": lambda: riccati_solve(np.eye(2), np.eye(2), np.eye(2), np.eye(2), 3, [1.0, 1.0])[0],
+    "LqSolution": _di_transfer,
+    "ShootingResult": lambda: newton_solve(_di_spec(), [0.0, 0.0], [1.0, 0.0]),
+}
+
+
+class TestContainerEquality:
+    @pytest.mark.parametrize("make", list(_ARRAY_CONTAINERS.values()), ids=list(_ARRAY_CONTAINERS))
+    def test_compares_by_identity_and_hashes(self, make):
+        a, b = make(), make()
+        assert (a == a) is True
+        assert (a == b) is False and (a != b) is True
+        assert len({a, b, a}) == 2
 
 
 class TestCheckJacobians:

@@ -15,6 +15,8 @@ from bandctrl.problem import (
 )
 from bandctrl.shooting import (
     NewtonOptions,
+    _evaluate,
+    _jacobian_analytic,
     _residual_vec,
     SingularJacobianError,
     StackedUnknowns,
@@ -45,28 +47,20 @@ def _toy_dynamics():
 
 
 def _counted_toy():
-    """The toy dynamics with a count of calls per model method."""
-    calls = {"step": 0, "jac_x": 0, "jac_u": 0, "gain_state_jacobian": 0}
-
-    class Counted(ControlAffineDynamics):
-        def step(self, t, x, u):
-            calls["step"] += 1
-            return super().step(t, x, u)
-
-        def jac_x(self, t, x, u):
-            calls["jac_x"] += 1
-            return super().jac_x(t, x, u)
-
-        def jac_u(self, t, x, u):
-            calls["jac_u"] += 1
-            return super().jac_u(t, x, u)
-
-        def gain_state_jacobian(self, t, x):
-            calls["gain_state_jacobian"] += 1
-            return super().gain_state_jacobian(t, x)
-
+    """The toy dynamics with a count of calls per user callable."""
     toy = _toy_dynamics()
-    return calls, Counted(1, 1, toy.drift, toy.gain, toy.drift_jac, toy.gain_jac)
+    calls = dict.fromkeys(("drift", "gain", "drift_jac", "gain_jac"), 0)
+
+    def counted(name):
+        fun = getattr(toy, name)
+
+        def call(t, x):
+            calls[name] += 1
+            return fun(t, x)
+
+        return call
+
+    return calls, ControlAffineDynamics(1, 1, *(counted(name) for name in calls))
 
 
 def _toy_spec(banned=None, horizon=6):
@@ -195,30 +189,16 @@ class TestJacobian:
 
 
     def test_analytic_jacobian_evaluates_each_stage_once(self):
-        calls = {"jac_x": 0, "jac_u": 0, "gain_state_jacobian": 0}
-
-        class Counted(ControlAffineDynamics):
-            def jac_x(self, t, x, u):
-                calls["jac_x"] += 1
-                return super().jac_x(t, x, u)
-
-            def jac_u(self, t, x, u):
-                calls["jac_u"] += 1
-                return super().jac_u(t, x, u)
-
-            def gain_state_jacobian(self, t, x):
-                calls["gain_state_jacobian"] += 1
-                return super().gain_state_jacobian(t, x)
-
-        toy = _toy_dynamics()
-        dyn = Counted(1, 1, toy.drift, toy.gain, toy.drift_jac, toy.gain_jac)
+        calls, dyn = _counted_toy()
         spec = control_affine_spec(dyn, [[1.0]], [[1.0]], 10, [0.0], [1.0], banned=[[3]])
         q = spec.frequency_constraint.row_count
-        z = StackedUnknowns(np.full(9 + 10 + 10 + q, 0.5), n=1, m=1, horizon=10, q=q)
-        residual_jacobian(z, spec, [0.0], [1.0])
+        z = np.full(9 + 10 + 10 + q, 0.5)
+        _, terms = _evaluate(z, spec, [0.0], [1.0])
         # x_0 is fixed, so stage 0 needs no state derivatives
-        assert calls == {"jac_x": 9, "jac_u": 10, "gain_state_jacobian": 9}
-
+        assert calls == {"drift": 10, "gain": 10, "drift_jac": 9, "gain_jac": 9}
+        calls.update(dict.fromkeys(calls, 0))
+        _jacobian_analytic(z, spec, [0.0], [1.0], terms)
+        assert calls == dict.fromkeys(calls, 0)
 
     def test_public_jacobian_evaluates_no_dynamics_step(self):
         calls, dyn = _counted_toy()
@@ -226,7 +206,7 @@ class TestJacobian:
         q = spec.frequency_constraint.row_count
         z = StackedUnknowns(np.full(9 + 10 + 10 + q, 0.5), n=1, m=1, horizon=10, q=q)
         residual_jacobian(z, spec, [0.0], [1.0])
-        assert calls == {"step": 0, "jac_x": 9, "jac_u": 10, "gain_state_jacobian": 9}
+        assert calls == {"drift": 0, "gain": 10, "drift_jac": 9, "gain_jac": 9}
 
 
 class TestNewtonSolve:
@@ -238,16 +218,26 @@ class TestNewtonSolve:
         calls.update(dict.fromkeys(calls, 0))
         result = newton_solve(spec, [0.0], [2.5], init=init)
         assert result.converged and result.iterations >= 2
-        # each accepted step of length 2^-k took k + 1 residual evaluations
+        # each accepted step of length 2^-k took k + 1 residual evaluations;
+        # the Jacobians reuse the terms of their residual and call nothing
         evals = 1 + sum(1 + round(-np.log2(alpha)) for _, _, alpha in result.trace[1:])
         # beyond the residuals: the transversality at x_0 of the result's lift
         # (one jac_x); its states are the iterate's, so no step is re-run
         assert calls == {
-            "step": N * evals,
-            "jac_x": (N - 1) * evals + 1,
-            "jac_u": N * evals,
-            "gain_state_jacobian": (N - 1) * result.iterations,
+            "drift": N * evals,
+            "gain": N * evals,
+            "drift_jac": (N - 1) * evals + 1,
+            "gain_jac": (N - 1) * evals + 1,
         }
+
+    def test_certificate_evaluates_each_stage_once(self):
+        calls, dyn = _counted_toy()
+        N = 24
+        spec = control_affine_spec(dyn, [[1.0]], [[1.0]], N, [0.0], [2.5], banned=[[2, 5]])
+        result = newton_solve(spec, [0.0], [2.5])
+        calls.update(dict.fromkeys(calls, 0))
+        assert verify_pmp(result.trajectory, result.lift, spec).passed
+        assert calls == dict.fromkeys(calls, N)
 
     def test_lti_one_undamped_step_from_random_init(self):
         spec, x0, xf = _lti_setup(seed=4)
