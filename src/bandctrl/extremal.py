@@ -10,9 +10,10 @@ constrained to the dual cone of the stage set at the trajectory point
 active coordinates only).  :func:`verify_pmp` evaluates the six first-order
 conditions numerically and reports per-condition residuals and a verdict.
 It evaluates the model terms of every stage once, batched (matrix products
-for LTI dynamics and quadratic cost), and computes each condition as an
-array reduction over the stages; only box and fixed stage sets are checked
-stage by stage.
+for LTI dynamics and quadratic cost), reads the stage sets once as arrays of
+lower and upper bounds (+-inf on free stages, the point twice on fixed ones)
+and computes each condition, set conditions included, as an array reduction
+over the stages.
 
 The conditions are positively homogeneous in the joint multiplier vector, so
 the verifier rescales the lift to unit max-norm before measuring residuals;
@@ -38,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .problem import Box, Fixed, Free, ProblemSpec, Trajectory, _stage_terms
+from .problem import FREE, Box, Fixed, ProblemSpec, Trajectory, _stage_terms
 from .spectrum import FrequencyConstraint, _rank_cutoff, numerical_rank
 
 __all__ = [
@@ -163,7 +164,7 @@ def lift_from_solver(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PmpCertificate:
     """Per-condition residuals and verdicts for the six first-order conditions.
 
@@ -209,63 +210,37 @@ class PmpCertificate:
         }
 
 
-def _dual_cone_violation(stage_set, point: np.ndarray, mult: np.ndarray, active_tol: float) -> float:
-    """Distance-to-membership of a multiplier in the dual cone of the stage
-    set's supporting cone at ``point``."""
-    if isinstance(stage_set, Fixed):
-        return 0.0
-    if isinstance(stage_set, Box):
-        worst = 0.0
-        for i in range(mult.size):
-            lo, hi = stage_set.lower[i], stage_set.upper[i]
-            at_lo = abs(point[i] - lo) <= active_tol * (1.0 + abs(lo))
-            at_hi = abs(point[i] - hi) <= active_tol * (1.0 + abs(hi))
-            if at_lo and at_hi:
-                continue
-            if at_lo:
-                worst = max(worst, max(mult[i], 0.0))
-            elif at_hi:
-                worst = max(worst, max(-mult[i], 0.0))
-            else:
-                worst = max(worst, abs(mult[i]))
-        return worst
-    # free set: dual cone is {0}
-    return _inf(mult)
+def _stage_bounds(stage_sets, dim: int):
+    """The stage sets as one (2, len, dim) array of lower and upper bounds,
+    +-inf on free stages and the point twice on fixed ones, and the mask of
+    the fixed stages.  Sets that are neither fixed nor boxes count as free."""
+    size = len(stage_sets)
+    bounds = np.full((2, size, dim), np.inf)
+    bounds[0] = -np.inf
+    fixed = np.zeros(size, dtype=bool)
+    for t, stage_set in enumerate(stage_sets):
+        if stage_set is FREE:  # the common case, passed over without a type test
+            continue
+        if isinstance(stage_set, Fixed):
+            bounds[:, t] = stage_set.point
+            fixed[t] = True
+        elif isinstance(stage_set, Box):
+            bounds[:, t] = stage_set.lower, stage_set.upper
+    return bounds, fixed
 
 
-def _set_violation(stage_set, point: np.ndarray) -> float:
-    """Max-norm distance by which ``point`` lies outside the stage set."""
-    if isinstance(stage_set, Fixed):
-        return _inf(point - stage_set.point)
-    if isinstance(stage_set, Box):
-        outside = np.maximum(stage_set.lower - point, point - stage_set.upper)
-        return max(float(np.max(outside)), 0.0)
-    return 0.0
+def _active(points: np.ndarray, bounds: np.ndarray, fixed: np.ndarray, active_tol: float):
+    """(2, len, dim) masks of the coordinates at their lower and at their upper
+    bound.  An infinite bound is never active; both bounds of a fixed stage
+    always are, since its multiplier is unconstrained."""
+    active = np.isfinite(bounds) & (np.abs(points - bounds) <= active_tol * (1.0 + np.abs(bounds)))
+    active[:, fixed] = True
+    return active
 
 
-def _free_stages(stage_sets) -> np.ndarray:
-    """Mask of the stage sets of type Free, built without a Python-level loop
-    (any other set, a subclass of Free included, takes the per-stage checks)."""
-    return np.fromiter(map(type, stage_sets), object, len(stage_sets)) == Free
-
-
-def _feasible_directions(control_set, point: np.ndarray, active_tol: float):
-    """Signed coordinate directions inside the supporting cone at ``point``.
-
-    These generate the cone for free and box sets, so checking the variational
-    inequality on them is equivalent to checking it on the whole cone.
-    """
-    m = point.size
-    if isinstance(control_set, Box):
-        dirs = []
-        for j in range(m):
-            lo, hi = control_set.lower[j], control_set.upper[j]
-            if not abs(point[j] - hi) <= active_tol * (1.0 + abs(hi)):
-                dirs.append((+1.0, j))
-            if not abs(point[j] - lo) <= active_tol * (1.0 + abs(lo)):
-                dirs.append((-1.0, j))
-        return dirs
-    return [(s, j) for j in range(m) for s in (+1.0, -1.0)]
+def _worst(a: np.ndarray) -> float:
+    """The largest entry of ``a``, at least +0.0."""
+    return float(a.max(initial=0.0)) + 0.0
 
 
 def verify_pmp(
@@ -287,6 +262,12 @@ def verify_pmp(
     inequality on feasible coordinate directions (gradient norm for free
     control sets), (vi) the frequency residual.  Set membership is judged
     against the state (or control) scale, x_N like every other state.
+
+    A box coordinate is active at a finite bound within ``active_tol``
+    (relative to 1 + |bound|); an infinite bound is never active, so
+    ``Box([-inf], [inf])`` is certified like a free set.  A fixed stage's
+    multiplier is unconstrained, and a fixed control set (which ``validate``
+    rejects) leaves its stage no feasible direction.
     """
     horizon, n, m = traj.horizon, traj.n, traj.m
     fc = spec.frequency_constraint or FrequencyConstraint(horizon, m)  # unvalidated
@@ -324,52 +305,42 @@ def verify_pmp(
     adj_res = _inf(p_s[:-1] - (jxp - cgrad - etax_s[1:horizon]))
     adj_scale = max(_inf(p_s), _inf(jxp), _inf(cgrad), _inf(etax_s[1:horizon]))
 
-    # (iii) interior multipliers in their dual cones and states in their sets:
-    # the dual cone of a free set is {0}; other sets are checked stage by stage
-    free_states = _free_stages(spec.state_sets[1:horizon])
-    adj_res = max(adj_res, _inf(etax_s[1:horizon][free_states]))
-    interior_gap = 0.0
-    for t in np.flatnonzero(~free_states) + 1:
-        stage_set = spec.state_sets[t]
-        adj_res = max(adj_res, _dual_cone_violation(stage_set, states[t], etax_s[t], active_tol))
-        interior_gap = max(interior_gap, _set_violation(stage_set, states[t]))
+    # (iii), (iv) multipliers in the dual cones of their stage sets: no
+    # negative entry off the lower bound, no positive entry off the upper one
+    bounds, fixed = _stage_bounds(spec.state_sets, n)
+    cone_gap = np.where(_active(states, bounds, fixed, active_tol), 0.0, [-etax_s, etax_s])
+    adj_res = max(adj_res, _worst(cone_gap[:, 1:horizon]))
+    set_gap = np.maximum(bounds[0] - states, states - bounds[1])
+    interior_gap = _worst(set_gap[1:horizon])
 
     # (iv) transversality at both ends
     dh_dx0 = terms.jx[0].T @ p_s[0] - eta_s * terms.cx[0]
     trans_res = max(
         _inf(dh_dx0 - etax_s[0]),
         _inf(p_s[horizon - 1] + etax_s[horizon]),
-        _dual_cone_violation(spec.state_sets[0], states[0], etax_s[0], active_tol),
-        _dual_cone_violation(
-            spec.state_sets[horizon], states[horizon], etax_s[horizon], active_tol
-        ),
+        _worst(cone_gap[:, [0, horizon]]),
     )
     trans_scale = max(_inf(dh_dx0), _inf(etax_s[0]), _inf(p_s[horizon - 1]), _inf(etax_s[horizon]))
+    endpoint_gap = _worst(set_gap[[0, horizon]])
 
-    # (v) Hamiltonian variational inequality: on a free control set every
-    # signed coordinate direction is feasible, so its worst is the max-norm
+    # (v) Hamiltonian variational inequality on the signed coordinate
+    # directions into the control set: -e_j unless u_j is at its lower bound,
+    # +e_j unless it is at its upper bound
     grad = np.einsum("tij,ti->tj", terms.ju, p_s) - eta_s * terms.cu - fc.apply_transpose(nu_s)
     vi_scale = _inf(grad)
-    free_controls = _free_stages(spec.control_sets)
-    vi_worst = _inf(grad[free_controls]) if free_controls.any() else -np.inf
-    control_gap = 0.0
-    for t in np.flatnonzero(~free_controls):
-        stage_set = spec.control_sets[t]
-        for sign, j in _feasible_directions(stage_set, controls[t], active_tol):
-            vi_worst = max(vi_worst, sign * grad[t, j])
-        control_gap = max(control_gap, _set_violation(stage_set, controls[t]))
-    if not np.isfinite(vi_worst):
-        vi_worst = 0.0  # every direction pinned: the inequality is vacuous
+    bounds, fixed = _stage_bounds(spec.control_sets, m)
+    slopes = np.where(_active(controls, bounds, fixed, active_tol), -np.inf, [-grad, grad])
+    vi_worst = float(slopes.max())
+    # every direction pinned: the inequality is vacuous; a zero worst reads +0.0
+    vi_worst = vi_worst + 0.0 if np.isfinite(vi_worst) else 0.0
+    control_gap = _worst(np.maximum(bounds[0] - controls, controls - bounds[1]))
 
     # (vi) frequency residual
     freq_terms = fc.stage_terms(controls)
     freq_res = _inf(freq_terms.sum(axis=0))
     freq_scale = _inf(freq_terms)
 
-    # the endpoints in their stage sets
     state_tol = tol * (1 + state_scale)
-    endpoint_gap = max(_set_violation(spec.state_sets[t], states[t]) for t in (0, horizon))
-
     thresholds = {
         "state_dyn_residual": state_tol,
         "adjoint_dyn_residual": tol * (1 + adj_scale),
@@ -402,7 +373,7 @@ def verify_pmp(
         state_dyn_residual=state_res,
         adjoint_dyn_residual=adj_res,
         transversality_residual=trans_res,
-        hamiltonian_vi_worst=float(vi_worst),
+        hamiltonian_vi_worst=vi_worst,
         freq_residual=freq_res,
         set_violation=max(interior_gap, endpoint_gap, control_gap),
         tol=tol,

@@ -445,6 +445,19 @@ def _check_symmetric(name: str, mat: np.ndarray, errors: list[str]) -> None:
         errors.append(f"{name}: matrix is not symmetric")
 
 
+def _check_box(name: str, box: Box, dim: int, errors: list[str]) -> None:
+    """Box bounds of dimension ``dim``, none NaN, lower <= upper; an infinite
+    bound is a half-space and allowed."""
+    if box.lower.shape != (dim,) or box.upper.shape != (dim,):
+        errors.append(f"{name}: box bounds must have dimension {dim}")
+        return
+    for side, bound in (("lower", box.lower), ("upper", box.upper)):
+        for i in np.flatnonzero(np.isnan(bound)):
+            errors.append(f"{name}: box {side}[{i}] is NaN")
+    for i in np.flatnonzero(box.lower > box.upper):
+        errors.append(f"{name}: box lower[{i}]={box.lower[i]} > upper[{i}]={box.upper[i]}")
+
+
 def validate(spec: ProblemSpec) -> ProblemSpec:
     """Check dimensions, definiteness, and bounds; build the frequency constraint.
 
@@ -482,14 +495,10 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
         if isinstance(s, Fixed):
             if s.point.shape != (n,):
                 errors.append(f"state_sets[{t}].point: expected dimension {n}, got {s.point.shape}")
+            for i in np.flatnonzero(~np.isfinite(s.point)):
+                errors.append(f"state_sets[{t}].point[{i}]: must be finite, got {s.point[i]}")
         elif isinstance(s, Box):
-            if s.lower.shape != (n,) or s.upper.shape != (n,):
-                errors.append(f"state_sets[{t}]: box bounds must have dimension {n}")
-            else:
-                for i in np.flatnonzero(s.lower > s.upper):
-                    errors.append(
-                        f"state_sets[{t}]: box lower[{i}]={s.lower[i]} > upper[{i}]={s.upper[i]}"
-                    )
+            _check_box(f"state_sets[{t}]", s, n, errors)
         elif not isinstance(s, Free):
             errors.append(f"state_sets[{t}]: unknown set variant {type(s).__name__}")
 
@@ -497,13 +506,7 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
         errors.append(f"control_sets: expected {horizon} entries, got {len(spec.control_sets)}")
     for t, s in enumerate(spec.control_sets):
         if isinstance(s, Box):
-            if s.lower.shape != (m,) or s.upper.shape != (m,):
-                errors.append(f"control_sets[{t}]: box bounds must have dimension {m}")
-            else:
-                for i in np.flatnonzero(s.lower > s.upper):
-                    errors.append(
-                        f"control_sets[{t}]: box lower[{i}]={s.lower[i]} > upper[{i}]={s.upper[i]}"
-                    )
+            _check_box(f"control_sets[{t}]", s, m, errors)
         elif not isinstance(s, Free):
             errors.append(
                 f"control_sets[{t}]: {type(s).__name__} is not an admissible control set"

@@ -9,7 +9,10 @@ several seeds.  The dense first-order oracle is the solve path that the
 structured solver of ``bandctrl.kkt`` replaced: the matrix of
 ``kkt.assemble`` factored whole.  The loop oracles are the stage-by-stage
 forms of the PMP certificate and of the Newton residual that the batched
-evaluation replaced: they call the model once per stage and term.  The loop
+evaluation replaced: they call the model once per stage and term, and the
+certificate's reference checks each stage set in its own form (dual cone,
+distance and feasible directions of a fixed point or a box, one stage at a
+time) where ``verify_pmp`` reduces bound arrays over all stages.  The loop
 control-affine terms are the stage-by-stage form of the one-pass evaluation
 of a control-affine model in ``bandctrl.problem._stage_terms``.  The loop
 Riccati sweep is the recursion that ``kkt.riccati_sweep`` shortcuts: every
@@ -29,13 +32,11 @@ from bandctrl.extremal import (
     NormalityClass,
     NormalityVerdict,
     PmpCertificate,
-    _dual_cone_violation,
-    _feasible_directions,
     _inf,
-    _set_violation,
     reachability_stack,
 )
 from bandctrl.lq import INFEASIBILITY_TOL
+from bandctrl.problem import Box, Fixed
 from bandctrl.shooting import _unpack
 from bandctrl.spectrum import numerical_rank
 
@@ -310,6 +311,65 @@ def random_banned_sets(rng, horizon, channels, max_total=2):
     for _ in range(int(rng.integers(0, max_total + 1))):
         banned[int(rng.integers(channels))].append(int(rng.integers(horizon)))
     return banned
+
+
+def _near(value, bound, active_tol):
+    """Whether a finite bound is active at ``value``; an infinite one never is."""
+    return bool(np.isfinite(bound) and abs(value - bound) <= active_tol * (1.0 + abs(bound)))
+
+
+def _dual_cone_violation(stage_set, point, mult, active_tol):
+    """Distance-to-membership of a multiplier in the dual cone of the stage
+    set's supporting cone at ``point``."""
+    if isinstance(stage_set, Fixed):
+        return 0.0
+    if isinstance(stage_set, Box):
+        worst = 0.0
+        for i in range(mult.size):
+            at_lo = _near(point[i], stage_set.lower[i], active_tol)
+            at_hi = _near(point[i], stage_set.upper[i], active_tol)
+            if at_lo and at_hi:
+                continue
+            if at_lo:
+                worst = max(worst, max(mult[i], 0.0))
+            elif at_hi:
+                worst = max(worst, max(-mult[i], 0.0))
+            else:
+                worst = max(worst, abs(mult[i]))
+        return worst
+    # free set: dual cone is {0}
+    return _inf(mult)
+
+
+def _set_violation(stage_set, point):
+    """Max-norm distance by which ``point`` lies outside the stage set."""
+    if isinstance(stage_set, Fixed):
+        return _inf(point - stage_set.point)
+    if isinstance(stage_set, Box):
+        outside = np.maximum(stage_set.lower - point, point - stage_set.upper)
+        return max(float(np.max(outside)), 0.0)
+    return 0.0
+
+
+def _feasible_directions(control_set, point, active_tol):
+    """Signed coordinate directions inside the supporting cone at ``point``.
+
+    These generate the cone for free and box sets, so checking the variational
+    inequality on them is equivalent to checking it on the whole cone; a fixed
+    set has none.
+    """
+    m = point.size
+    if isinstance(control_set, Fixed):
+        return []
+    if isinstance(control_set, Box):
+        dirs = []
+        for j in range(m):
+            if not _near(point[j], control_set.upper[j], active_tol):
+                dirs.append((+1.0, j))
+            if not _near(point[j], control_set.lower[j], active_tol):
+                dirs.append((-1.0, j))
+        return dirs
+    return [(s, j) for j in range(m) for s in (+1.0, -1.0)]
 
 
 def loop_verify_pmp(traj, lift, spec, tol=1e-7, active_tol=1e-8, comparisons=None):

@@ -246,15 +246,29 @@ class TestVerifyPmp:
         # u = 1 sits exactly on the upper bound; dH/du = p - u = 0 here, so it passes
         assert cert.condition_passed["v"]
 
+    def test_infinite_box_bounds_are_never_active(self):
+        # u = 1 is not extremal for the scalar integrator with a free end, and
+        # the whole line as a box must be judged like the free set
+        one = np.array([[1.0]])
+        spec = lti_spec(one, one, one, one, 4, x0=[0.0])
+        traj = rollout(spec.dynamics, [0.0], np.ones((4, 1)))
+        lift = lift_from_solver(spec, traj, adjoint_backward(traj, 1.0, [], [0.0], None, spec))
+        free = verify_pmp(traj, lift, spec)
+        line = dataclasses.replace(spec, control_sets=(Box([-np.inf], [np.inf]),) * 4)
+        assert not free.passed and free.hamiltonian_vi_worst == pytest.approx(7 / 6)
+        assert verify_pmp(traj, lift, line).to_dict() == free.to_dict()
+
 
 def _random_set(rng, point, allow_fixed=True):
-    """Free, Fixed at the point, or a Box with each bound active or 0.5 away."""
+    """Free, Fixed at the point, or a Box with each bound active, 0.5 away or
+    infinite."""
     kind = rng.choice(["free", "fixed", "box"] if allow_fixed else ["free", "box"])
     if kind == "free":
         return FREE
     if kind == "fixed":
         return Fixed(point.copy())
-    return Box(point - rng.choice([0.0, 0.5], point.size), point + rng.choice([0.0, 0.5], point.size))
+    offsets = [0.0, 0.5, np.inf]
+    return Box(point - rng.choice(offsets, point.size), point + rng.choice(offsets, point.size))
 
 
 def _certificate_inputs(rng, model, n, m, horizon, eta_c):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bandctrl.extremal import ExtremalLift
+from bandctrl.extremal import ExtremalLift, lift_from_solver, verify_pmp
 from bandctrl.lq import lq_transfer_freq_solve, riccati_solve
 from bandctrl.problem import (
     Box,
@@ -72,6 +72,17 @@ class TestValidate:
             validate(_plain_spec(state_sets=tuple(sets)))
         joined = " ".join(err.value.errors)
         assert "state_sets[3]" in joined and "lower[1]" in joined
+
+    def test_nan_box_bound_and_infinite_fixed_point_name_stage_and_coordinate(self):
+        sets = [FREE] * 5
+        sets[1] = Box(lower=[-np.inf, 0.0], upper=[np.inf, np.inf])  # half-spaces are legal
+        sets[2] = Box(lower=[np.nan, 0.0], upper=[1.0, 1.0])
+        sets[4] = Fixed([np.inf, 0.0])
+        with pytest.raises(ProblemValidationError) as err:
+            validate(_plain_spec(state_sets=tuple(sets)))
+        assert len(err.value.errors) == 2
+        assert "state_sets[2]" in err.value.errors[0] and "lower[0]" in err.value.errors[0]
+        assert "state_sets[4].point[0]" in err.value.errors[1]
 
     def test_collects_every_violation(self):
         sets = [FREE] * 5
@@ -213,6 +224,11 @@ def _di_transfer():
     return lq_transfer_freq_solve(d.A, d.B, c.Q, c.R, 8, [0.0, 0.0], [1.0, 0.0], spec.frequency_constraint)
 
 
+def _di_certificate():
+    spec, sol = _di_spec(), _di_transfer()
+    return verify_pmp(sol.trajectory, lift_from_solver(spec, sol.trajectory, sol.adjoints, sol.nu), spec)
+
+
 _ARRAY_CONTAINERS = {
     "LtiDynamics": lambda: LtiDynamics(np.eye(2), np.ones((2, 1))),
     "QuadraticCost": lambda: QuadraticCost(np.eye(2), np.eye(2)),
@@ -226,6 +242,7 @@ _ARRAY_CONTAINERS = {
     "RiccatiSolution": lambda: riccati_solve(np.eye(2), np.eye(2), np.eye(2), np.eye(2), 3, [1.0, 1.0])[0],
     "LqSolution": _di_transfer,
     "ShootingResult": lambda: newton_solve(_di_spec(), [0.0, 0.0], [1.0, 0.0]),
+    "PmpCertificate": _di_certificate,
 }
 
 
