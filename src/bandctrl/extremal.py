@@ -286,7 +286,7 @@ def verify_pmp(
 
     # rescale the whole multiplier vector to unit max-norm: the conditions are
     # positively homogeneous in it, so verdicts become scale-invariant
-    mu = max(abs(eta_c), _inf(nu), _inf(p), _inf(etax))
+    mu = float(np.max([abs(eta_c), _inf(nu), _inf(p), _inf(etax)]))  # NaN if any is
     if mu > 0.0:
         eta_s, nu_s, p_s, etax_s = eta_c / mu, nu / mu, p / mu, etax / mu
     else:
@@ -331,8 +331,9 @@ def verify_pmp(
     bounds, fixed = _stage_bounds(spec.control_sets, m)
     slopes = np.where(_active(controls, bounds, fixed, active_tol), -np.inf, [-grad, grad])
     vi_worst = float(slopes.max())
-    # every direction pinned: the inequality is vacuous; a zero worst reads +0.0
-    vi_worst = vi_worst + 0.0 if np.isfinite(vi_worst) else 0.0
+    # every direction pinned: the inequality is vacuous; a zero worst reads
+    # +0.0, and a NaN gradient stays NaN
+    vi_worst = 0.0 if vi_worst == -np.inf else vi_worst + 0.0
     control_gap = _worst(np.maximum(bounds[0] - controls, controls - bounds[1]))
 
     # (vi) frequency residual

@@ -22,28 +22,41 @@ and quadratic cost the rows are affine in z, and the solution solves
 ``assemble(...) @ z = boundary_rhs(...)``.
 
 For LTI systems :func:`lti_solve` solves that system without forming it, in
-O(N) time and memory for fixed n, m, q.  The stage rows, with a terminal
-adjoint parameter w_N (fixed end only) and nu held as parameters, are a
-two-point LQ problem: a backward Riccati sweep (:func:`riccati_sweep`, from a
-positive terminal weight P_N at a fixed end, so that the closed loop is
-stable even in modes Q does not weigh) gives u_t = K_t x_t + k_t and
-p_{t-1} = -P_t x_t + w_t.  The sweep stops once P_t reaches its
-floating-point fixed point and repeats that stage for the rest.  The
-right-hand side and one unit column per parameter are carried through the
-backward affine part (w_t, k_t) as a batched recursive-doubling scan over the
-stage axis.  What is left is the border: the last dynamics row (x_N = xf) and
-the frequency rows, a dense system of size n + q in (w_N, nu), where
-w_N = p_{N-1} at a solution.  Its matrix and right-hand side are Gram
-products of the backward columns, with no forward pass.  It is solved by LU,
-or by least squares when LU fails or leaves a residual above
+O(N) time and memory for fixed n, m (and O(N + q^2) in the number q of
+frequency rows).  The stage rows, with a terminal adjoint parameter w_N
+(fixed end only) and nu held as parameters, are a two-point LQ problem: a
+backward Riccati recursion gives u_t = K_t x_t + k_t and
+p_{t-1} = -P_t x_t + w_t.  What is left is the border: the last dynamics row
+(x_N = xf) and the frequency rows, a dense system of size n + q in
+(w_N, nu), where w_N = p_{N-1} at a solution.  It is solved by LU, or by
+least squares when LU fails or leaves a residual above
 INFEASIBILITY_TOL * (1 + |rhs|), so non-unique multipliers come out
-minimum-norm over (p_{N-1}, nu).  One single-column forward scan then gives
+minimum-norm over (p_{N-1}, nu).
+
+At a fixed end the terminal weight P_N is free, and it is the stabilizing
+fixed point of the recursion, found by doubling: every stage then has the
+same gain K and closed loop Phi = A + B K, which must have decayed over the
+horizon (|Phi^N|_F <= 1/2, so rho(Phi) < 1).  The border comes in closed
+form, blocks by banned DFT bin (DFT orthogonality) plus a term of rank at
+most 2n (:func:`_stationary_border`), and its right-hand side from the solve
+at zero border unknowns; every pass is a single-column recursive-doubling
+scan with one matrix.  At a free end (where P_N = 0 is the problem's own), and
+at a fixed end where no such fixed point is found (a mode on or outside
+the unit circle that B does not reach, overflow, a recursion that wanders in
+its last bits, or a closed loop too slow for the horizon), the sweep
+(:func:`riccati_sweep`) runs stage by stage from P_N, stops once P_t reaches
+its floating-point fixed point and repeats that stage for the rest; the
+right-hand side and one unit column per border unknown are carried through a
+batched backward scan, and the border is the Gram product of those columns
+(:func:`_time_varying_border`).  Either way, single-column passes then give
 the states, controls and adjoints.
 :func:`lti_product` is ``assemble(...) @ z`` without the matrix.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +66,12 @@ import numpy as np
 INFEASIBILITY_TOL = 1e-7
 
 EPS = float(np.finfo(float).eps)
+
+# doublings of the Riccati recursion (2^k stages each) before a fixed point
+# counts as not reached
+MAX_DOUBLINGS = 50
+# stages of the Riccati recursion that may refine the doubled fixed point
+MAX_REFINEMENTS = 8
 
 __all__ = [
     "INFEASIBILITY_TOL",
@@ -236,13 +255,7 @@ def riccati_sweep(A, B, Q, R, horizon: int, terminal=None):
                     nhinv = -1.0 / (r[0][0] + W.item(n, n))
                     Kt = BPA * nhinv
                 else:
-                    if m == 2:
-                        (a, b), (c, d) = W[n:, n:].tolist()
-                        a, b, c, d = a + r[0][0], b + r[0][1], c + r[1][0], d + r[1][1]
-                        det = b * c - a * d
-                        nhinv = np.array([[d / det, -b / det], [-c / det, a / det]])
-                    else:
-                        nhinv = -np.linalg.inv(R + W[n:, n:])
+                    nhinv = -_inv(R + W[n:, n:])
                     Kt = nhinv.dot(BPA)
                 Pn = Pt
                 Pt = Q + W[:n, :n] + BPA.T.dot(Kt)
@@ -272,6 +285,131 @@ def _scan(G, h):
     return h
 
 
+def _scan_stationary(G, h):
+    """:func:`_scan` with one G (n, n) at every stage and one column: h (T, n)
+    holds y_t as rows.  G's powers come by squaring, so each step is one 2-D
+    product.  h is overwritten; returns y in h."""
+    T, s = len(h), 1
+    while s < T:
+        h[s:] += h[:-s].dot(G.T)  # ndarray.dot: less call overhead than @
+        if 2 * s < T:
+            G = G.dot(G)
+        s *= 2
+    return h
+
+
+def _inv(M):
+    """Inverse of a small square matrix, in closed form for sizes 1 and 2,
+    where numpy's call overhead would be most of the cost.  Raises
+    ZeroDivisionError on an exactly singular 2 x 2 matrix."""
+    k = len(M)
+    if k == 1:
+        return 1.0 / M
+    if k == 2:
+        (a, b), (c, d) = M.tolist()
+        det = a * d - b * c
+        return np.array([[d / det, -b / det], [-c / det, a / det]])
+    return np.linalg.inv(M)
+
+
+def _doubled_fixed_point(A, G, Q, centre: float):
+    """Fixed point of the Riccati recursion P -> Q + A'P(I + G P)^(-1) A
+    (G = B R^(-1) B'), by doubling (Lin & Xu, SIAM J. Matrix Anal. Appl. 28,
+    2006) about centre I; None when it is not reached.
+
+    About c I, with M = (I + c G)^(-1), one stage is c I + D ->
+    c I + H_0 + A_0'D(I + G_0 D)^(-1) A_0 for A_0 = M A, G_0 = M G and
+    H_0 = Q + c (A'M A - I); with W_k = (I + G_k H_k)^(-1),
+
+        A_{k+1} = A_k W_k A_k,   G_{k+1} = G_k + A_k W_k G_k A_k',
+        H_{k+1} = H_k + A_k' H_k W_k A_k,
+
+    c I + H_k is the recursion 2^k stages from c I.  Stops once H_k moves by
+    at most 4 eps of c I + H_k, the sweep's own test.
+    """
+    n = len(A)
+    M = _inv(np.eye(n) + centre * G)
+    Ak, Gk, Hk = M.dot(A), M.dot(G), Q + centre * (A.T.dot(M).dot(A) - np.eye(n))
+    if n == 1:  # Python floats: numpy's call overhead would be the whole cost
+        Ak, Gk, Hk, one = Ak.item(), Gk.item(), Hk.item(), 1.0
+        dot, tr, inv, size = operator.mul, float, one.__truediv__, abs
+    else:
+        one, dot, tr, inv = np.eye(n), np.ndarray.dot, operator.attrgetter("T"), _inv
+        size = lambda a: np.maximum.reduce(abs(a), None)  # noqa: E731
+    for _ in range(MAX_DOUBLINGS):
+        W = inv(one + dot(Gk, Hk))
+        WA = dot(W, Ak)
+        step = dot(dot(tr(Ak), Hk), WA)
+        Gk = Gk + dot(dot(dot(Ak, W), Gk), tr(Ak))
+        Hk, Ak = Hk + step, dot(Ak, WA)
+        P = Hk + centre * one
+        moved = size(step)
+        if moved <= 4.0 * EPS * size(P):
+            return 0.5 * (P + tr(P)) if n > 1 else np.array([[P]])
+        if not moved < np.inf:  # NaN or overflow: no finite fixed point
+            return None
+    return None
+
+
+def _stationary_gain(A, B, Q, R, sigma: float, horizon: int):
+    """The stabilizing fixed point P of the Riccati recursion of
+    :func:`riccati_sweep`, with K = -H^(-1) B'P A, H = R + B'P B.  Returns
+    (P, K, H^(-1), A + B K), or None when no such finite fixed point is found
+    with a closed loop that has decayed over the horizon, |Phi^N|_F <= 1/2
+    (so rho(Phi) < 1): a mode on or outside the unit circle that B does not
+    reach, a marginal mode, overflow, or a slow closed loop over a short
+    horizon, where the closed-form border of :func:`_stationary_border`
+    would subtract two terms of one size.
+
+    Doubling about 0 (:func:`_doubled_fixed_point`) is exact where the fixed
+    point is 0, but leaves open loop an unstable mode that Q does not weigh;
+    about sigma I, B'P B of the size of R, it stabilizes that mode, with an
+    absolute rounding of about eps sigma.  So it doubles about 0 and, if that
+    closed loop has not decayed, about sigma I.  The doubling's rounding
+    grows with the conditioning of I + G_k H_k, so P is taken only once one
+    stage of the sweep's own recursion moves it by at most 4 eps of its size,
+    as the sweep stops at its fixed point (:func:`_confirmed_gain`).
+    """
+    G = B.dot(_inv(R)).dot(B.T)
+    for centre in (0.0, sigma):
+        with np.errstate(all="ignore"):  # overflow ends in the checks below
+            try:
+                P = _doubled_fixed_point(A, G, Q, centre)
+                gain = None if P is None else _confirmed_gain(A, B, Q, R, P, horizon)
+            except (np.linalg.LinAlgError, ZeroDivisionError):  # a singular W or pivot
+                gain = None
+        if gain is not None:
+            return gain
+    return None
+
+
+def _confirmed_gain(A, B, Q, R, P, horizon: int):
+    """(P, K, H^(-1), A + B K) once a stage of the sweep's recursion from P
+    moves it by at most 4 eps of its size, within MAX_REFINEMENTS stages,
+    and the closed loop is finite and |Phi^N|_F <= 1/2; else None."""
+    amax = np.maximum.reduce  # ndarray.max adds a Python-level call
+    for _ in range(MAX_REFINEMENTS):
+        pivot = R + B.T.dot(P).dot(B)
+        Hinv = _inv(pivot)
+        BPA = B.T.dot(P).dot(A)
+        K = -Hinv.dot(BPA)
+        Pn = Q + A.T.dot(P).dot(A) + BPA.T.dot(K)
+        Pn = 0.5 * (Pn + Pn.T)
+        moved = amax(abs(Pn - P), None)
+        P = Pn
+        if moved <= 4.0 * EPS * amax(abs(P), None):
+            break
+    else:
+        return None
+    Phi = A + B.dot(K)
+    if not all(np.isfinite(a).all() for a in (P, pivot, Hinv, Phi)):
+        return None
+    power, F, s = np.eye(len(A)), Phi, horizon  # Phi^N by squaring
+    while s:
+        power, F, s = power.dot(F) if s & 1 else power, F.dot(F), s >> 1
+    return (P, K, Hinv, Phi) if np.sum(power * power) <= 0.25 else None
+
+
 def _split_rows(rhs, n: int, m: int, horizon: int):
     """Dynamics (N, n), adjoint (N-1, n), stationarity (N, m) and frequency
     parts of a vector in the row layout of :func:`assemble`."""
@@ -284,6 +422,96 @@ def _split_rows(rhs, n: int, m: int, horizon: int):
         rhs[r_stat:r_freq].reshape(N, m),
         rhs[r_freq:],
     )
+
+
+def _stationary_border(A, B, constraint, rhs, gain):
+    """Border (S, b) and the map theta -> z of a fixed end, for one gain at
+    every stage: ``gain`` = (P, K, H^(-1), Phi) of :func:`_stationary_gain`
+    and P_N = P, so that P_t = P, K_t = K and Phi_t = Phi for every t.
+
+    The right-hand side b is the border at theta = 0: x_N and sum_t F_t u_t
+    of the solve with w_N = 0 and nu = 0.  The w_N columns of the backward
+    pass are w_t = Phi'^(N-t), so e_t = T_t = B'Phi'^(N-1-t), with Gram matrix
+    G = sum_t T_t'H^(-1)T_t.  Row j of the constraint is Re(alpha_j z_j^t) on
+    channel c_j, with z_j = exp(-2 pi i xi_j / N) and alpha_j = 1/sqrt(N)
+    (cos) or -i/sqrt(N) (sin).  Its column is w_t = Re(W_j z_j^t) - Phi'^(N-t) Re W_j
+    with W_j = -(I - z_j Phi')^(-1) K'e_(c_j) alpha_j, so
+    e_t = Re(beta_j z_j^t) - T_t Re W_j with beta_j = z_j B'W_j - e_(c_j) alpha_j.
+    The border is therefore V (.) V', V = [I; -Re W], of the Gram matrix of
+    the columns T_t and Re(beta_j z_j^t): by DFT orthogonality the sums of two
+    of the latter vanish across bins and are (N/2) Re(beta_i'H^(-1)conj(beta_j))
+    on one bin (N Re(...) at bins 0 and N/2), and the cross sums take
+    sum_t z^t T_t = conj(z) B'(I - Phi'^N)(I - conj(z) Phi')^(-1), a geometric
+    sum.  Nothing of size N q is formed.
+    """
+    P, K, Hinv, Phi = gain
+    N, q, m = constraint.horizon, constraint.row_count, constraint.channels
+    n = len(A)
+    d, adj, stat, freq = _split_rows(rhs, n, m, N)
+    Pd = d.dot(P)  # P d_t, as rows (P is symmetric)
+    BPd = Pd.dot(B)
+    drive = (adj - Pd[1:].dot(Phi))[::-1]  # a_t - Phi'P d_t for t = N-1..1
+
+    def solve(w_end, g):
+        """x_1..x_N, u and w_1..w_N from w_N and g_t = F_t'nu + s_t: backward
+        w_t = Phi'(w_{t+1} - P d_t) - K'g_t + a_t, k_t = H^(-1) e_t, then
+        forward x_{t+1} = Phi x_t + B k_t + d_t from x_0 = 0 (A x0 is in d_0)."""
+        wr = np.empty((N, n))  # w_N, w_{N-1}, ..., w_1: the scan order
+        wr[0] = w_end
+        wr[1:] = drive - g[:0:-1].dot(K)
+        w = _scan_stationary(Phi.T, wr)[::-1]
+        u = (w.dot(B) - g - BPd).dot(Hinv.T)
+        x_next = _scan_stationary(Phi, u.dot(B.T) + d)
+        u[1:] += x_next[:-1].dot(K.T)
+        return x_next, u, w
+
+    def stacked(theta):
+        nu = theta[n:]
+        x_next, u, w = solve(theta[:n], stat + constraint.apply_transpose(nu))
+        p = w - x_next.dot(P)
+        return np.concatenate([x_next[:-1].ravel(), u.ravel(), p.ravel(), nu])
+
+    # G = sum_{s<N} Phi^s C Phi'^s, C = B H^(-1) B', in blocks of 2^k stages
+    # over the binary digits of N; power ends at Phi^N
+    C, F, G, power, s = B.dot(Hinv).dot(B.T), Phi, np.zeros((n, n)), np.eye(n), N
+    while s:
+        if s & 1:
+            G += power.dot(C).dot(power.T)
+            power = power.dot(F)
+        C, F, s = C + F.dot(C).dot(F.T), F.dot(F), s >> 1
+
+    x_next, u, _ = solve(0.0, stat)
+    b = np.concatenate([-x_next[-1], freq - constraint.apply(u)])
+    if not q:
+        return G, b, stacked
+
+    # each row on its canonical bin xi <= N/2 (alpha conjugated if mirrored)
+    xi = constraint.row_bin % N
+    mirrored = 2 * xi > N
+    xi = np.where(mirrored, N - xi, xi)
+    alpha = np.where(constraint.row_imag, np.where(mirrored, 1j, -1j), 1.0) / math.sqrt(N)
+    z, c = np.exp(-2j * np.pi * xi / N), constraint.row_channel
+    resolvent = np.eye(n) - z[:, None, None] * Phi.T  # (I - z_j Phi')^(-1) below
+    resolvent = 1.0 / resolvent if n == 1 else np.linalg.inv(resolvent)
+    W = -np.einsum("jab,jb->ja", resolvent, K[c] * alpha[:, None])
+    beta = z[:, None] * W.dot(B)
+    beta[np.arange(q), c] -= alpha
+    # sum_t z^t T_t = conj(z) B'(I - Phi'^N)(I - conj(z) Phi')^(-1)
+    T_hat = z.conj()[:, None, None] * ((B.T - B.T.dot(power.T)) @ resolvent.conj())
+
+    # S = V [G, right'; left, D] V' with the cross sums of T_t and Re(beta_j z^t)
+    bH = beta.dot(Hinv)
+    left, right = np.zeros((n + q, n)), np.zeros((n + q, n))
+    left[n:] = np.einsum("jm,jmn->jn", bH, T_hat).real  # sum_t Re(beta_j z^t)'H^(-1)T_t
+    right[n:] = np.einsum("jm,jmn->jn", beta.dot(Hinv.T), T_hat).real  # sum_t T_t'H^(-1)Re(...)
+    V = np.concatenate([np.eye(n), -W.real])
+    S = np.concatenate([V.dot(G) + left, V], axis=1).dot(np.concatenate([V, right], axis=1).T)
+    bH *= np.where(2 * xi % N == 0, N, 0.5 * N)[:, None]
+    i, j = np.nonzero(xi[:, None] == xi[None, :])
+    S[n + i, n + j] += np.einsum("pk,pk->p", bH[i], beta[j].conj()).real
+    # the rows x_N = 0 and sum_t F_t u_t = f: diag(I, -I) times the border
+    S[n:] *= -1.0
+    return S, b, stacked
 
 
 def lti_product(A, B, Q, R, constraint, z, free_end: bool = False) -> np.ndarray:
@@ -303,48 +531,25 @@ def lti_product(A, B, Q, R, constraint, z, free_end: bool = False) -> np.ndarray
     return np.concatenate([dyn.ravel(), adj.ravel(), stat.ravel(), freq])
 
 
-def lti_solve(A, B, Q, R, constraint, rhs, free_end: bool = False):
-    """Solve ``assemble(...) @ z = rhs`` for LTI dynamics in O(N).
 
-    ``A``, ``B``, ``Q``, ``R`` and ``constraint`` are as in :func:`assemble`
-    with constant stage derivatives; ``rhs`` is any vector in
-    its row layout.  The border system in (w_N, nu) (nu alone at a free end)
-    is solved by LU; when that fails, gives non-finite values or leaves a
-    residual max-norm above INFEASIBILITY_TOL * (1 + |rhs|), by least
-    squares.  Returns ``(z, residual, consistent)``: the residual max-norm of
-    the returned z and whether it is within that threshold.  Raises
-    ``numpy.linalg.LinAlgError`` when a Riccati pivot is singular, or when
-    the border system that least squares would take is not finite.
 
-    At a fixed end the sweep starts from P_N = sigma I with B'P_N B of the
-    size of R, and the border unknown is w_N = p_{N-1} + P_N x_N, where x_N
-    is the residual of the last dynamics row (zero at a solution, so
-    w_N = p_{N-1} there).  From P_N = 0 the closed loop A + B K_t is open
-    loop in every mode Q does not weigh, and an unstable such mode makes the
-    right-hand-side and p_{N-1} columns grow like rho(A)^N and cancel in x_t;
-    a positive terminal weight stabilizes the closed loop instead.
+def _time_varying_border(A, B, Q, R, constraint, rhs, free_end, terminal):
+    """Border (S, b) and the map theta -> z from a Riccati sweep from P_N =
+    ``terminal`` (None at a free end), with the right-hand side and one column
+    per border unknown carried through the backward scan.
 
-    Only the backward scan carries the parameters theta = (w_N, nu), one
-    column each beside the right-hand side.  With e_t = B'w_{t+1} - g_t (less
-    B'P_{t+1}d_t in the right-hand-side column) and k_t = H_t^(-1) e_t, the
-    border rows as affine functions of theta are diag(I, -I) (E'K + W'd):
-    the sum over stages of e_t'k_t, plus w_{t+1}'d_t in the right-hand-side
-    column only.  Over the theta columns this is the Schur complement
-    J H^(-1) J' that the sweep has factored stage by stage; in the
-    right-hand-side column it is the border value at theta = 0, the cross
-    term of the LQ value function.  So the border needs no forward pass:
-    theta is folded into k_t and w_t, and one single-column forward scan
-    gives x, u and p (a second one only if the least-squares fallback runs).
+    With e_t = B'w_{t+1} - g_t (less B'P_{t+1}d_t in the right-hand-side
+    column) and k_t = H_t^(-1) e_t, the border rows as affine functions of
+    theta are diag(I, -I) (E'K + W'd): the sum over stages of e_t'k_t, plus
+    w_{t+1}'d_t in the right-hand-side column only.  Over the theta columns
+    this is the Schur complement J H^(-1) J' that the sweep has factored stage
+    by stage; in the right-hand-side column it is the border value at
+    theta = 0, the cross term of the LQ value function.  So the border needs
+    no forward pass: theta is folded into k_t and w_t, and one single-column
+    forward scan gives x, u and p.
     """
-    A, B, Q, R = (np.asarray(a, dtype=float) for a in (A, B, Q, R))
-    rhs = np.asarray(rhs, dtype=float)
     N, q, m = constraint.horizon, constraint.row_count, constraint.channels
     n = A.shape[0]
-    threshold = INFEASIBILITY_TOL * (1.0 + abs(rhs).max(initial=0.0))
-    terminal = None
-    if not free_end:
-        bb = float(np.sum(B * B))
-        terminal = (np.linalg.norm(R) / bb if bb > 0.0 else 1.0) * np.eye(n)
     P, K, Hinv = riccati_sweep(A, B, Q, R, N, terminal)
     Phi = A + B @ K
     PhiT = Phi.transpose(0, 2, 1)
@@ -389,19 +594,66 @@ def lti_solve(A, B, Q, R, constraint, rhs, free_end: bool = False):
         p = w[:, :, 0] + w[:, :, 1:] @ theta - (P[1:] @ x_next[:, :, None])[:, :, 0]
         return np.concatenate([x_next[:-1].ravel(), u.ravel(), p.ravel(), theta[lam:]])
 
+    if c == 1:
+        return np.zeros((0, 0)), np.zeros(0), stacked
+    # border rows x_N = 0 (fixed end) and sum_t F_t u_t = f, as functions
+    # of every column: diag(I, -I) (E'K + W'd), W'd in the rhs column only
+    border = e.reshape(N * m, c).T @ k.reshape(N * m, c)
+    border[:, 0] += d[::-1].ravel() @ wr.reshape(N * n, c)
+    border = border[1:]
+    border[lam:] *= -1.0
+    b = -border[:, 0]
+    b[lam:] += freq
+    return border[:, 1:], b, stacked
+
+
+def lti_solve(A, B, Q, R, constraint, rhs, free_end: bool = False):
+    """Solve ``assemble(...) @ z = rhs`` for LTI dynamics in O(N).
+
+    ``A``, ``B``, ``Q``, ``R`` and ``constraint`` are as in :func:`assemble`
+    with constant stage derivatives; ``rhs`` is any vector in
+    its row layout.  The border system in (w_N, nu) (nu alone at a free end)
+    is solved by LU; when that fails, gives non-finite values or leaves a
+    residual max-norm above INFEASIBILITY_TOL * (1 + |rhs|), by least
+    squares.  Returns ``(z, residual, consistent)``: the residual max-norm of
+    the returned z and whether it is within that threshold.  Raises
+    ``numpy.linalg.LinAlgError`` when a Riccati pivot is singular, or when
+    the border system that least squares would take is not finite.
+
+    At a fixed end the border unknown is w_N = p_{N-1} + P_N x_N, where x_N
+    is the residual of the last dynamics row (zero at a solution, so
+    w_N = p_{N-1} there), and the terminal weight P_N is free.  From P_N = 0
+    the closed loop A + B K_t is open loop in every mode Q does not weigh,
+    and an unstable such mode makes the right-hand-side and p_{N-1} columns
+    grow like rho(A)^N and cancel in x_t; a stabilizing weight avoids that.
+    So P_N is the stabilizing fixed point of the recursion
+    (:func:`_stationary_gain`, doubling about 0 and then about sigma I, with
+    B'P B of the size of R): every stage has one gain and a closed loop that
+    decays over the horizon, and the border comes in closed form
+    (:func:`_stationary_border`), with no (N, q) array.  At a free end
+    (P_N = 0 is the problem's own), or when no such fixed point is found, the
+    sweep runs stage by stage from P_N (sigma I at a fixed end) and carries
+    the border columns through its backward scan
+    (:func:`_time_varying_border`).
+    """
+    A, B, Q, R = (np.asarray(a, dtype=float) for a in (A, B, Q, R))
+    rhs = np.asarray(rhs, dtype=float)
+    n = A.shape[0]
+    threshold = INFEASIBILITY_TOL * (1.0 + abs(rhs).max(initial=0.0))
+    gain = terminal = None
+    if not free_end:
+        bb = float(np.sum(B * B))
+        sigma = np.linalg.norm(R) / bb if bb > 0.0 else 1.0
+        terminal = sigma * np.eye(n)
+        gain = _stationary_gain(A, B, Q, R, sigma, constraint.horizon)
+    if gain is not None:
+        S, b, stacked = _stationary_border(A, B, constraint, rhs, gain)
+    else:
+        S, b, stacked = _time_varying_border(A, B, Q, R, constraint, rhs, free_end, terminal)
+
     def residual(z):
         return float(abs(lti_product(A, B, Q, R, constraint, z, free_end) - rhs).max())
 
-    S, b = np.zeros((0, 0)), np.zeros(0)
-    if c > 1:
-        # border rows x_N = 0 (fixed end) and sum_t F_t u_t = f, as functions
-        # of every column: diag(I, -I) (E'K + W'd), W'd in the rhs column only
-        border = e.reshape(N * m, c).T @ k.reshape(N * m, c)
-        border[:, 0] += d[::-1].ravel() @ wr.reshape(N * n, c)
-        border = border[1:]
-        border[lam:] *= -1.0
-        S, b = border[:, 1:], -border[:, 0]
-        b[lam:] += freq
     try:
         z = stacked(np.linalg.solve(S, b) if b.size else b)
         res = residual(z) if np.isfinite(z).all() else np.inf

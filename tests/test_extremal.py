@@ -258,6 +258,19 @@ class TestVerifyPmp:
         assert not free.passed and free.hamiltonian_vi_worst == pytest.approx(7 / 6)
         assert verify_pmp(traj, lift, line).to_dict() == free.to_dict()
 
+    def test_nan_adjoint_is_reported_not_read_as_zero(self):
+        # a NaN control gradient must show in the variational inequality; it
+        # used to read as the vacuous 0
+        one = np.array([[1.0]])
+        spec = lti_spec(one, one, one, one, 4, x0=[0.0])
+        traj = rollout(spec.dynamics, [0.0], np.ones((4, 1)))
+        lift = lift_from_solver(spec, traj, adjoint_backward(traj, 1.0, [], [0.0], None, spec))
+        p = lift.adjoints.copy()
+        p[1, 0] = np.nan
+        cert = verify_pmp(traj, dataclasses.replace(lift, adjoints=p), spec)
+        assert np.isnan(cert.hamiltonian_vi_worst)
+        assert not cert.condition_passed["v"] and not cert.passed
+
 
 def _random_set(rng, point, allow_fixed=True):
     """Free, Fixed at the point, or a Box with each bound active, 0.5 away or

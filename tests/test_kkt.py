@@ -124,13 +124,14 @@ class TestBorder:
 
     def test_frequency_block_is_symmetric_negative_definite(self, monkeypatch):
         A, B, Q, R, fc, rhs = self._transfer()
-        solve, seen = np.linalg.solve, []
+        border, seen = kkt._stationary_border, []
 
-        def spy(S, b):
+        def spy(*args):
+            S, b, stacked = border(*args)
             seen.append(S.copy())
-            return solve(S, b)
+            return S, b, stacked
 
-        monkeypatch.setattr(np.linalg, "solve", spy)
+        monkeypatch.setattr(kkt, "_stationary_border", spy)
         _, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, rhs)
         monkeypatch.undo()
         assert consistent and residual <= 1e-12
@@ -142,27 +143,36 @@ class TestBorder:
 
     @pytest.mark.parametrize("free_end, banned", [(False, [[3]]), (True, [[]]), (True, [[3]])])
     def test_two_scans_per_solve(self, monkeypatch, free_end, banned):
-        # the backward scan carries every column and the border comes from it;
-        # the one forward scan carries the solution alone
+        # at a free end the backward scan carries every column and the border
+        # comes from it; the one forward scan carries the solution alone.  At a
+        # fixed end every scan carries one column: a backward and a forward
+        # scan give the border's right-hand side (the solve at theta = 0), two
+        # more the solution
         A, B, Q, R = _baseline_plant()
         N = 64
         fc = build_frequency_constraint(SupportSpec.from_banned(banned + [[]], N), N, 2)
         rhs = kkt.boundary_rhs(A @ np.ones(4), None if free_end else -np.ones(4), 4, 2, N, fc.row_count)
-        scan, calls = kkt._scan, []
+        calls = []
 
-        def counted(G, h):
-            calls.append(h.shape[-1])
-            return scan(G, h)
+        def counted(scan):
+            def spy(G, h):
+                calls.append((scan.__name__, h.shape[1:]))
+                return scan(G, h)
 
-        monkeypatch.setattr(kkt, "_scan", counted)
+            return spy
+
+        for scan in (kkt._scan, kkt._scan_stationary):
+            monkeypatch.setattr(kkt, scan.__name__, counted(scan))
         _, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, rhs, free_end)
         assert consistent and residual <= 1e-12
-        lam = 0 if free_end else 4
-        assert calls == [1 + lam + fc.row_count, 1]
+        if free_end:
+            assert calls == [("_scan", (4, 1 + fc.row_count)), ("_scan", (4, 1))]
+        else:
+            assert calls == [("_scan_stationary", (4,))] * 4
 
 
 class TestStructuredSolve:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=240, deadline=None)
     @given(
         n=st.integers(1, 4),
         m=st.integers(1, 2),
@@ -170,13 +180,25 @@ class TestStructuredSolve:
         radius=st.floats(0.1, 1.1),
         free_end=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
+        plant=st.sampled_from(["generic", "unweighted", "unreached"]),
+        edge_bins=st.booleans(),
     )
-    def test_matches_dense_oracle(self, n, m, horizon, radius, free_end, seed):
+    def test_matches_dense_oracle(self, n, m, horizon, radius, free_end, seed, plant, edge_bins):
         rng = np.random.default_rng(seed)
         A, B, Q, R = random_lq_matrices(rng, n, m, spectral_radius=radius)
         x0 = rng.standard_normal(n)
         xf = None if free_end else rng.standard_normal(n)
         banned = random_banned_sets(rng, horizon, m, 3)
+        if edge_bins:  # DC, and N/2 at an even horizon
+            banned[0].append(0)
+            banned[-1].extend([horizon // 2] if horizon % 2 == 0 else [])
+        if plant == "unweighted":  # Q = 0 and A unstable, stabilizable through B
+            A, Q = A * (1.1 / radius), np.zeros((n, n))
+        if plant == "unreached":  # x_t[0] = 1.1^t x0[0]: a mode B does not reach
+            A[0], B[0] = 0.0, 0.0
+            A[0, 0] = 1.1
+            if xf is not None:
+                xf[0] = 1.1**horizon * x0[0]
         fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, m)
         unknowns, residual, consistent = _first_order_solve(A, B, Q, R, horizon, x0, xf, fc)
         z_dense, _, consistent_dense = dense_first_order_solve(A, B, Q, R, horizon, x0, xf, fc.blocks)
@@ -257,6 +279,73 @@ class TestStructuredSolve:
                 kkt.lti_solve([[1e-7]], [[1.17e170]], [[38.9]], [[1.0]], fc, rhs)
 
 
+def _stationary_gain(A, B, Q, R, horizon=4096):
+    """kkt._stationary_gain with the terminal weight of ``lti_solve``."""
+    return kkt._stationary_gain(A, B, Q, R, np.linalg.norm(R) / np.sum(B * B), horizon)
+
+
+class TestStationaryGain:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 2),
+        radius=st.floats(0.1, 1.2),
+        q_rank=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_doubled_fixed_point_solves_the_riccati_equation(self, n, m, radius, q_rank, seed):
+        rng = np.random.default_rng(seed)
+        A, B, _, R = random_lq_matrices(rng, n, m, spectral_radius=radius)
+        Mq = rng.standard_normal((min(q_rank, n), n))
+        Q = Mq.T @ Mq  # rank-deficient unless q_rank >= n
+        gain = _stationary_gain(A, B, Q, R)
+        if gain is None:
+            # a plant whose sweep wanders in the last bits never meets the
+            # 4 eps test; the time-varying path serves it
+            return
+        P, K, Hinv, Phi = gain
+        BPA = B.T @ P @ A
+        riccati = Q + A.T @ P @ A - BPA.T @ np.linalg.solve(R + B.T @ P @ B, BPA)
+        scale = np.max(np.abs(Q)) + np.max(np.abs(A.T @ P @ A)) + np.max(np.abs(P))
+        assert np.max(np.abs(P - riccati)) <= 64 * EPS * scale
+        assert np.allclose(K, -Hinv @ BPA, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(np.linalg.eigvals(Phi))) < 1.0
+        assert np.array_equal(Phi, A + B @ K)
+
+    def test_modes_without_a_stabilizing_gain(self):
+        # B does not reach the mode 1.1; the integrator with Q = 0 is marginal
+        # (P_t -> 0 like 1/t, never reaching its fixed point)
+        one, zero = np.eye(1), np.zeros((1, 1))
+        A = np.array([[1.1, 0.0], [0.3, 0.5]])
+        assert _stationary_gain(A, np.array([[0.0], [1.0]]), np.eye(2), one) is None
+        assert _stationary_gain(one, one, zero, one) is None
+
+    def test_unweighted_modes(self):
+        # an unstable mode Q does not weigh is stabilized: P = a^2 - 1 solves
+        # P = a^2 P / (1 + P), and a + K = 1/a; a stable one needs no
+        # feedback: P = 0 exactly
+        one, zero = np.eye(1), np.zeros((1, 1))
+        P, K, _, Phi = _stationary_gain(1.1 * one, one, zero, one)
+        assert abs(P[0, 0] - 0.21) <= 4 * EPS and abs(Phi[0, 0] - 1 / 1.1) <= 4 * EPS
+        P, K, _, Phi = _stationary_gain(0.9 * one, one, zero, one)
+        assert not P.any() and not K.any() and Phi[0, 0] == 0.9
+
+
+    def test_slow_closed_loop_over_a_short_horizon_is_solved_stage_by_stage(self):
+        # an integrator that Q weighs by 1e-6 closes to about 0.999: not decayed
+        # over 16 stages, where the closed-form columns would cancel, and
+        # decayed over 8192
+        one, Q = np.eye(1), np.full((1, 1), 1e-6)
+        assert _stationary_gain(one, one, Q, one, 8192) is not None
+        assert _stationary_gain(one, one, Q, one, 16) is None
+        fc = build_frequency_constraint(SupportSpec.from_banned([[3]], 16), 16, 1)
+        ends = (16, np.ones(1), -np.ones(1))
+        unknowns, residual, consistent = _first_order_solve(one, one, Q, one, *ends, fc)
+        z_dense = dense_first_order_solve(one, one, Q, one, *ends, fc.blocks)[0]
+        assert consistent and residual <= 1e-14
+        assert np.max(np.abs(unknowns.z - z_dense)) <= 1e-12 * np.max(np.abs(z_dense))
+
+
 class TestMemory:
     def test_long_horizon_transfer_stays_linear_in_memory(self):
         # one dense (size x size) matrix at this horizon would take about 850 MB
@@ -277,3 +366,21 @@ class TestMemory:
         # the last dynamics row reaches xf to the rounding of its terms
         states, controls = sol.trajectory.states, sol.trajectory.controls
         assert dynamics_row_ulps(A, B, states, controls)[-1] <= 30.0
+
+    def test_baseline_plant_at_4096_stays_under_64_mb(self):
+        # the benchmark plant and bans at N = 4096 (q = 1534): the border is
+        # one (n + q)^2 matrix; no (N, q) array is made on the way
+        N = 4096
+        A, B, Q, R = _baseline_plant()
+        banned = [list(range(1, N // 8)), list(range(N // 4, N // 4 + N // 16))]
+        fc = build_frequency_constraint(SupportSpec.from_banned(banned, N), N, 2)
+        assert fc.row_count == 1534
+        tracemalloc.start()
+        try:
+            sol = lq_transfer_freq_solve(A, B, Q, R, N, np.ones(4), -np.ones(4), fc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert sol.status is SolveStatus.SOLVED
+        assert sol.ls_residual <= 1e-10
