@@ -564,6 +564,8 @@ def run(input_path: str, output_path: str, overrides=(), quiet: bool = True) -> 
                     "rank": exc.rank,
                     "size": exc.size,
                     "residual": exc.residual,
+                    "stage": exc.stage,
+                    "pivot": exc.pivot,
                 }
                 return finish(4)
             diagnostics["iterations"] = shot.iterations

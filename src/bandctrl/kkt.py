@@ -17,21 +17,25 @@ With a free final state the layout is the same: x_N enters no row but the
 last dynamics row, which becomes the transversality condition p_{N-1} = 0.
 
 :func:`assemble` builds the Jacobian of these rows from per-stage derivative
-arrays; it is the one place where the blocks are laid out.  For LTI dynamics
-and quadratic cost the rows are affine in z, and the solution solves
+arrays as one dense matrix; it is the one place where the blocks are laid
+out, and no solver factors it: it serves the public dense Jacobian of
+:mod:`bandctrl.shooting` and the tests.  For LTI dynamics and quadratic cost
+the rows are affine in z, and the solution solves
 ``assemble(...) @ z = boundary_rhs(...)``.
 
-For LTI systems :func:`lti_solve` solves that system without forming it, in
-O(N) time and memory for fixed n, m (and O(N + q^2) in the number q of
-frequency rows).  The stage rows, with a terminal adjoint parameter w_N
-(fixed end only) and nu held as parameters, are a two-point LQ problem: a
-backward Riccati recursion gives u_t = K_t x_t + k_t and
-p_{t-1} = -P_t x_t + w_t.  What is left is the border: the last dynamics row
-(x_N = xf) and the frequency rows, a dense system of size n + q in
-(w_N, nu), where w_N = p_{N-1} at a solution.  It is solved by LU, or by
-least squares when LU fails or leaves a residual above
+:func:`lti_solve` (LTI data) and :func:`time_varying_solve` (per-stage
+derivatives and a gain-state cross term: the analytic Newton step of
+:mod:`bandctrl.shooting`) solve that system without forming it, in O(N) time
+and memory for fixed n, m (and O(N + q^2) in the number q of frequency
+rows).  The stage rows, with a terminal adjoint parameter w_N (fixed end
+only) and nu held as parameters, are a two-point LQ problem: a backward
+Riccati recursion gives u_t = K_t x_t + k_t and p_{t-1} = -P_t x_t + w_t.
+What is left is the border: the last dynamics row (x_N = xf) and the
+frequency rows, a dense system of size n + q in (w_N, nu), where
+w_N = p_{N-1} at a solution.  :func:`lti_solve` solves it by LU, or by least
+squares when LU fails or leaves a residual above
 INFEASIBILITY_TOL * (1 + |rhs|), so non-unique multipliers come out
-minimum-norm over (p_{N-1}, nu).
+minimum-norm over (p_{N-1}, nu); :func:`time_varying_solve` by LU alone.
 
 At a fixed end the terminal weight P_N is free, and it is the stabilizing
 fixed point of the recursion, found by doubling: every stage then has the
@@ -49,7 +53,10 @@ its floating-point fixed point and repeats that stage for the rest; the
 right-hand side and one unit column per border unknown are carried through a
 batched backward scan, and the border is the Gram product of those columns
 (:func:`_time_varying_border`).  Either way, single-column passes then give
-the states, controls and adjoints.
+the states, controls and adjoints.  :func:`time_varying_solve` takes the same
+border, from P_N = sigma I (the fixed-end rule of :func:`lti_solve`), with
+the recursion of every stage computed at once by an associative scan of the
+Riccati maps (:func:`riccati_scan`).
 :func:`lti_product` is ``assemble(...) @ z`` without the matrix.
 """
 
@@ -60,6 +67,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .spectrum import numerical_rank
 
 # a first-order residual max-norm above INFEASIBILITY_TOL * (1 + |rhs|)
 # means the system has no solution
@@ -75,14 +84,28 @@ MAX_REFINEMENTS = 8
 
 __all__ = [
     "INFEASIBILITY_TOL",
+    "SingularSystemError",
     "StackedUnknowns",
     "segments",
     "assemble",
     "boundary_rhs",
     "riccati_sweep",
+    "riccati_scan",
     "lti_solve",
+    "time_varying_solve",
     "lti_product",
 ]
+
+
+class SingularSystemError(np.linalg.LinAlgError):
+    """A structured solve met an exactly singular or non-finite Riccati pivot
+    H_t (``stage`` t, ``pivot`` its smallest |eigenvalue|, NaN when H_t is
+    not finite) or border (``deficiency`` = its size less its numerical rank,
+    None when it is not finite)."""
+
+    def __init__(self, message, stage=None, pivot=None, deficiency=None):
+        super().__init__(message)
+        self.stage, self.pivot, self.deficiency = stage, pivot, deficiency
 
 
 def segments(n: int, m: int, horizon: int, q: int) -> dict[str, slice]:
@@ -269,6 +292,93 @@ def riccati_sweep(A, B, Q, R, horizon: int, terminal=None):
     np.negative(Hinv, out=Hinv)
     if not (np.isfinite(P).all() and np.isfinite(Hinv).all()):
         raise np.linalg.LinAlgError("singular Riccati pivot or non-finite recursion")
+    return P, K, Hinv
+
+
+def _inv_stack(M):
+    """Inverses of a stack of small square matrices (T, k, k).  An exactly
+    singular or non-finite one comes out non-finite (NaN or inf) instead of
+    raising; the others are unaffected."""
+    if M.shape[-1] == 1:
+        return 1.0 / M
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole batch
+        out = np.full_like(M, np.nan)
+        for i, Mi in enumerate(M):
+            try:
+                out[i] = np.linalg.inv(Mi)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def riccati_scan(A, B, Q, R, terminal, cross=None):
+    """The Riccati recursion of stage-varying dynamics x_{t+1} = A_t x_t +
+    B_t u_t under stage cost 0.5 x'Qx + 0.5 u'Ru - u'C_t x, from P_N =
+    ``terminal``:
+
+        H_t = R + B_t'P_{t+1}B_t,   K_t = -H_t^(-1) (B_t'P_{t+1}A_t - C_t),
+        P_t = Q + A_t'P_{t+1}A_t - K_t'H_tK_t,
+
+    where ``A`` (N, n, n), ``B`` (N, n, m) and ``cross`` (N, m, n, zero when
+    None) hold A_t, B_t and C_t.  Returns P (N+1, n, n), K (N, m, n) and
+    H_t^(-1) (N, m, m), as :func:`riccati_sweep` does.
+
+    No stage loop: with Abar_t = A_t + B_t R^(-1) C_t, G_t = B_t R^(-1) B_t'
+    and Hbar_t = Q - C_t'R^(-1) C_t a stage is the map
+    P -> Hbar + Abar'P(I + G P)^(-1) Abar, and two such maps compose into one
+    of the same form (the doubling of :func:`_doubled_fixed_point`, with two
+    different maps).  An outer element o (stage t) and an inner one i (stage
+    t + s) combine through W = (I + G_o H_i)^(-1) into
+
+        A = A_i W A_o,   G = G_i + A_i W G_o A_i',   H = H_o + A_o'H_i W A_o,
+
+    and P_N is the constant map (0, 0, P_N).  A Hillis-Steele scan of the
+    suffixes takes log2(N + 1) batched steps (Sarkka & Garcia-Fernandez, IEEE
+    TAC 2023); H of every suffix is then P_t.  Raises
+    :class:`SingularSystemError` at the last stage t whose pivot H_t is
+    exactly singular or not finite.
+    """
+    N, n, m = np.shape(B)
+    Rinv = np.linalg.inv(R)
+    BT = B.transpose(0, 2, 1)
+    Am, Gm, Hm = np.empty((3, N + 1, n, n))
+    Am[:N], Gm[:N], Hm[:N] = A, B @ Rinv @ BT, Q
+    if cross is not None:
+        Am[:N] += B @ (Rinv @ cross)
+        Hm[:N] -= cross.transpose(0, 2, 1) @ Rinv @ cross
+    Am[N], Gm[N], Hm[N] = 0.0, 0.0, terminal
+    mul = np.multiply if n == 1 else np.matmul  # 1 x 1: a third of matmul's call cost
+    eye, s = np.eye(n), 1
+    with np.errstate(all="ignore"):  # a singular W or overflow ends in the pivot check
+        while s <= N:
+            Ao, Go, Ho = Am[:-s], Gm[:-s], Hm[:-s]
+            Ai, Gi, Hi = Am[s:], Gm[s:], Hm[s:]
+            W = _inv_stack(eye + mul(Go, Hi))
+            AiW = mul(Ai, W)
+            H = Ho + mul(Ao.transpose(0, 2, 1), mul(mul(Hi, W), Ao))
+            G = Gi + mul(mul(AiW, Go), Ai.transpose(0, 2, 1))
+            Am[:-s] = mul(AiW, Ao)
+            if n > 1:  # symmetric in exact arithmetic
+                G, H = 0.5 * (G + G.transpose(0, 2, 1)), 0.5 * (H + H.transpose(0, 2, 1))
+            Gm[:-s], Hm[:-s] = G, H
+            s *= 2
+        P = Hm
+        PB = P[1:] @ B
+        H = R + BT @ PB
+        Hinv = _inv_stack(H)
+        K = -Hinv @ (PB.transpose(0, 2, 1) @ A - (0.0 if cross is None else cross))
+    bad = ~(np.isfinite(H).all(axis=(1, 2)) & np.isfinite(Hinv).all(axis=(1, 2)))
+    if bad.any():
+        t = int(np.flatnonzero(bad)[-1])
+        pivot = np.nan
+        if np.isfinite(H[t]).all():
+            pivot = float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (H[t] + H[t].T)))))
+        raise SingularSystemError(
+            f"singular Riccati pivot at stage {t} (smallest |eigenvalue| {pivot:.3e})",
+            stage=t, pivot=pivot,
+        )
     return P, K, Hinv
 
 
@@ -533,12 +643,14 @@ def lti_product(A, B, Q, R, constraint, z, free_end: bool = False) -> np.ndarray
 
 
 
-def _time_varying_border(A, B, Q, R, constraint, rhs, free_end, terminal):
-    """Border (S, b) and the map theta -> z from a Riccati sweep from P_N =
-    ``terminal`` (None at a free end), with the right-hand side and one column
-    per border unknown carried through the backward scan.
+def _time_varying_border(A, B, constraint, rhs, free_end, sweep):
+    """Border (S, b) and the map theta -> z of stage-varying dynamics, from
+    a Riccati sweep ``sweep`` = (P, K, H^(-1)) (of :func:`riccati_sweep` or
+    :func:`riccati_scan`), with the right-hand side and one column per border
+    unknown carried through the backward scan.  ``A`` (N, n, n) and ``B``
+    (N, n, m) are the stage derivatives (broadcast views for LTI data).
 
-    With e_t = B'w_{t+1} - g_t (less B'P_{t+1}d_t in the right-hand-side
+    With e_t = B_t'w_{t+1} - g_t (less B_t'P_{t+1}d_t in the right-hand-side
     column) and k_t = H_t^(-1) e_t, the border rows as affine functions of
     theta are diag(I, -I) (E'K + W'd): the sum over stages of e_t'k_t, plus
     w_{t+1}'d_t in the right-hand-side column only.  Over the theta columns
@@ -546,20 +658,22 @@ def _time_varying_border(A, B, Q, R, constraint, rhs, free_end, terminal):
     by stage; in the right-hand-side column it is the border value at
     theta = 0, the cross term of the LQ value function.  So the border needs
     no forward pass: theta is folded into k_t and w_t, and one single-column
-    forward scan gives x, u and p.
+    forward scan gives x, u and p.  A gain-state cross term enters only
+    through the sweep's P_t and K_t.
     """
     N, q, m = constraint.horizon, constraint.row_count, constraint.channels
-    n = A.shape[0]
-    P, K, Hinv = riccati_sweep(A, B, Q, R, N, terminal)
+    n = A.shape[1]
+    P, K, Hinv = sweep
     Phi = A + B @ K
     PhiT = Phi.transpose(0, 2, 1)
+    BT = B.transpose(0, 2, 1)
 
     # backward columns: the right-hand side, then w_N (fixed end), then nu
     lam = 0 if free_end else n
     c = 1 + lam + q
     dyn, adj, stat, freq = _split_rows(rhs, n, m, N)
     d = dyn
-    g = np.zeros((N, m, c))  # F_t'nu + s_t: R u_t = B'p_t - g_t
+    g = np.zeros((N, m, c))  # F_t'nu + s_t: R u_t = B_t'p_t - g_t
     g[:, :, 0] = stat
     g[:, :, 1 + lam :] = constraint.columns()
     wr = np.empty((N, n, c))  # w_N, w_{N-1}, ..., w_1: the scan order
@@ -569,29 +683,29 @@ def _time_varying_border(A, B, Q, R, constraint, rhs, free_end, terminal):
         d = np.concatenate([dyn[:-1], np.zeros((1, n))])
     else:
         wr[0, :, 1 : 1 + lam] = np.eye(n)
-    Pd = (P[1:] @ d[:, :, None])[:, :, 0]  # P_{t+1} d_t
+    Pd = P[1:] @ d[:, :, None]  # P_{t+1} d_t
 
     # backward: w_t = Phi_t'(w_{t+1} - P_{t+1} d_t) - K_t' g_t + a_t from w_N,
     # for t = N-1..1; the G of w_N is never read
     wr[1:] = (K[1:].transpose(0, 2, 1) @ -g[1:])[::-1]
-    wr[1:, :, 0] += (adj - (PhiT[1:] @ Pd[1:, :, None])[:, :, 0])[::-1]
+    wr[1:, :, 0] += (adj - (PhiT[1:] @ Pd[1:])[:, :, 0])[::-1]
     G = np.empty((N, n, n))
     G[0] = 0.0
     G[1:] = PhiT[:0:-1]
     _scan(G, wr)
     w = wr[::-1]  # w_1..w_N
-    e = (B.T @ wr)[::-1] - g
-    e[:, :, 0] -= Pd @ B
+    e = BT @ w - g
+    e[:, :, 0] -= (BT @ Pd)[:, :, 0]
     k = Hinv @ e
 
     def stacked(theta):
         """z for the parameters theta, by one forward scan of
-        x_{t+1} = Phi_t x_t + B k_t + d_t from x_0 = 0 (A x0 is in rhs)."""
-        kt = k[:, :, 0] + k[:, :, 1:] @ theta
-        x_next = _scan(Phi.copy(), (kt @ B.T + d)[:, :, None])[:, :, 0]  # x_1..x_N
+        x_{t+1} = Phi_t x_t + B_t k_t + d_t from x_0 = 0 (A x0 is in rhs)."""
+        kt = k[:, :, :1] + k[:, :, 1:] @ theta[:, None]
+        x_next = _scan(Phi.copy(), B @ kt + d[:, :, None])  # x_1..x_N
         u = kt
-        u[1:] += (K[1:] @ x_next[:-1, :, None])[:, :, 0]
-        p = w[:, :, 0] + w[:, :, 1:] @ theta - (P[1:] @ x_next[:, :, None])[:, :, 0]
+        u[1:] += K[1:] @ x_next[:-1]
+        p = w[:, :, :1] + w[:, :, 1:] @ theta[:, None] - P[1:] @ x_next
         return np.concatenate([x_next[:-1].ravel(), u.ravel(), p.ravel(), theta[lam:]])
 
     if c == 1:
@@ -605,6 +719,47 @@ def _time_varying_border(A, B, Q, R, constraint, rhs, free_end, terminal):
     b = -border[:, 0]
     b[lam:] += freq
     return border[:, 1:], b, stacked
+
+
+def _terminal_weight(R, B) -> float:
+    """sigma of the fixed-end terminal weight sigma I: |R|_F / |B|_F^2, so that
+    B'P B is of the size of R (1.0 at zero gain).  A stack B (N, n, m) takes
+    the mean of |B_t|_F^2 over its stages."""
+    bb = float(np.sum(B * B))
+    if np.ndim(B) == 3:
+        bb /= len(B)
+    return np.linalg.norm(R) / bb if bb > 0.0 else 1.0
+
+
+def time_varying_solve(A, B, Q, R, constraint, rhs, cross=None) -> np.ndarray:
+    """Solve ``assemble(A, B, Q, R, constraint, cross) @ z = rhs`` at a fixed
+    end in O(N) time and memory, without forming the matrix.
+
+    ``A`` (N, n, n), ``B`` (N, n, m) and ``cross`` (N, m, n) are the stage
+    derivatives of :func:`assemble`.  The terminal weight is sigma I
+    (:func:`_terminal_weight`, over the mean gain), the Riccati recursion comes
+    from :func:`riccati_scan`, and the border in (w_N, nu) from
+    :func:`_time_varying_border`, solved by LU.  Raises
+    :class:`SingularSystemError` when a pivot or the border is exactly singular
+    or the solution is not finite: with block elimination the matrix has rank
+    ``len(rhs) - deficiency``.
+    """
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    n = A.shape[1]
+    sigma = _terminal_weight(R, B)
+    sweep = riccati_scan(A, B, Q, R, sigma * np.eye(n), cross)
+    S, b, stacked = _time_varying_border(A, B, constraint, rhs, False, sweep)
+    try:
+        with np.errstate(all="ignore"):  # overflow ends in the check below
+            z = stacked(np.linalg.solve(S, b))
+        if np.isfinite(z).all():
+            return z
+    except np.linalg.LinAlgError:
+        pass
+    deficiency = len(b) - numerical_rank(S) if np.isfinite(S).all() else None
+    raise SingularSystemError(
+        f"singular or non-finite border of size {len(b)}", deficiency=deficiency
+    )
 
 
 def lti_solve(A, B, Q, R, constraint, rhs, free_end: bool = False):
@@ -642,14 +797,17 @@ def lti_solve(A, B, Q, R, constraint, rhs, free_end: bool = False):
     threshold = INFEASIBILITY_TOL * (1.0 + abs(rhs).max(initial=0.0))
     gain = terminal = None
     if not free_end:
-        bb = float(np.sum(B * B))
-        sigma = np.linalg.norm(R) / bb if bb > 0.0 else 1.0
+        sigma = _terminal_weight(R, B)
         terminal = sigma * np.eye(n)
         gain = _stationary_gain(A, B, Q, R, sigma, constraint.horizon)
     if gain is not None:
         S, b, stacked = _stationary_border(A, B, constraint, rhs, gain)
     else:
-        S, b, stacked = _time_varying_border(A, B, Q, R, constraint, rhs, free_end, terminal)
+        N = constraint.horizon
+        S, b, stacked = _time_varying_border(
+            np.broadcast_to(A, (N,) + A.shape), np.broadcast_to(B, (N,) + B.shape),
+            constraint, rhs, free_end, riccati_sweep(A, B, Q, R, N, terminal),
+        )
 
     def residual(z):
         return float(abs(lti_product(A, B, Q, R, constraint, z, free_end) - rhs).max())

@@ -3,28 +3,39 @@
 For control-affine (or LTI) dynamics with fixed endpoints, free interior
 states, free controls, and the banned-frequency constraint, the first-order
 conditions in normal form (eta_c = 1) are the square system of
-:mod:`bandctrl.kkt`, which owns the layout of the unknowns and assembles the
-Jacobian.  Since both endpoints are fixed, the transversality conditions
-place no restriction on p_0 and p_{N-1}; they stay free unknowns.  The Newton
-iteration backtracks on the residual max-norm; for LTI dynamics the residual
-is affine in z, so one undamped step solves the system from any starting
-point.
+:mod:`bandctrl.kkt`, which owns the layout of the unknowns.  Since both
+endpoints are fixed, the transversality conditions place no restriction on
+p_0 and p_{N-1}; they stay free unknowns.  The Newton iteration backtracks on
+the residual max-norm; for LTI dynamics the residual is affine in z, so one
+undamped step solves the system from any starting point.
+
+A step with the analytic Jacobian is a linear-quadratic problem with
+per-stage dynamics and a stage cross weight, solved without forming the
+Jacobian (:func:`bandctrl.kkt.time_varying_solve`): a Riccati recursion by
+associative scan and a dense border of size n + q, so O(N) time and memory.
+The finite-difference path (``NewtonOptions.fd_jacobian``, or a general
+cost) builds the dense Jacobian and factors it by LU.  The Riccati pivots are
+not checked for inertia: where Q - C_t'R^(-1)C_t is indefinite (large
+adjoints) the scan is less accurate than a dense LU, and Newton's next
+iterate absorbs the error, as iterative refinement would.
 
 Each residual evaluates the model terms of all stages once, batched (see
 :func:`bandctrl.problem._stage_terms`): a control-affine model has its drift,
 gain and their Jacobians called once per stage.  Newton keeps the terms of
-the accepted iterate, and its Jacobian reuses them, the gain's state Jacobian
+the accepted iterate, and its step reuses them, the gain's state Jacobian
 included, without calling the model again.
 
 The result carries the final iterate's states (x_N = xf exactly), whose
 dynamics rows hold only to its ``final_residual``.
 
-The analytic residual Jacobian uses first derivatives of the dynamics plus
-the gain's state Jacobian; second derivatives of the drift and gain are taken
-as zero, which is exact for LTI models and for control-affine models whose
-drift Jacobian and gain are affine in the state (such as the builtin toy).
-Set ``NewtonOptions.fd_jacobian`` for models with curvature beyond that; a
-general (non-quadratic) cost forces the finite-difference path as well.
+The analytic residual Jacobian (the matrix of :func:`residual_jacobian`, and
+the system the structured step solves) uses first derivatives of the
+dynamics plus the gain's state Jacobian; second derivatives of the drift and
+gain are taken as zero, which is exact for LTI models and for control-affine
+models whose drift Jacobian and gain are affine in the state (such as the
+builtin toy).  Set ``NewtonOptions.fd_jacobian`` for models with curvature
+beyond that; a general (non-quadratic) cost forces the finite-difference
+path as well.
 """
 
 from __future__ import annotations
@@ -96,16 +107,32 @@ class ShootingResult:
 
 
 class SingularJacobianError(RuntimeError):
-    """Newton hit a singular residual Jacobian; carries iterate diagnostics."""
+    """Newton hit a singular residual Jacobian; carries iterate diagnostics.
 
-    def __init__(self, iteration: int, size: int, rank: int, residual: float):
+    ``size`` is the Jacobian's size and ``rank`` its numerical rank.  When the
+    analytic step stopped at a singular or non-finite Riccati pivot, ``stage``
+    and ``pivot`` (the pivot's smallest |eigenvalue|) say where, and ``rank``
+    is None: a pivot does not determine it.  ``rank`` is also None when the
+    border is not finite."""
+
+    def __init__(
+        self, iteration: int, size: int, rank: int | None, residual: float,
+        stage: int | None = None, pivot: float | None = None,
+    ):
         self.iteration = iteration
         self.size = size
         self.rank = rank
         self.residual = residual
+        self.stage = stage
+        self.pivot = pivot
+        where = f"numerical rank {rank} of {size}"
+        if stage is not None:
+            where = f"singular Riccati pivot at stage {stage} (smallest |eigenvalue| {pivot:.3e})"
+        elif rank is None:
+            where = f"non-finite border, Jacobian size {size}"
         super().__init__(
-            f"singular residual Jacobian at iteration {iteration}: "
-            f"numerical rank {rank} of {size}, residual {residual:.3e}"
+            f"singular residual Jacobian at iteration {iteration}: {where}, "
+            f"residual {residual:.3e}"
         )
 
 
@@ -187,21 +214,53 @@ def assemble_residual(z: StackedUnknowns, spec: ProblemSpec, x0, xf) -> np.ndarr
     return _residual_vec(z.z, spec, x0, xf)
 
 
+def _cross(zvec, spec, x0, xf, terms):
+    """The cross term d((df_t/du)'p_t)/dx_t (N, m, n) from the gain's state
+    Jacobian that the terms carry (``terms.gx``, control-affine models with a
+    ``gain_jac``); None without one."""
+    if terms.gx is None:
+        return None
+    adjoints = _unpack(zvec, spec, x0, xf)[2]
+    return np.einsum("tijl,ti->tjl", terms.gx, adjoints)
+
+
 def _jacobian_analytic(zvec, spec, x0, xf, terms) -> np.ndarray:
     """Assemble the Jacobian from the stage terms of the iterate ``zvec``.
 
-    The cross term d((df_t/du)'p_t)/dx_t comes from the gain's state Jacobian
-    that the terms carry (``terms.gx``, control-affine models with a
-    ``gain_jac``); second derivatives of the drift and gain are taken as
-    zero.  The model is not called.
+    Second derivatives of the drift and gain are taken as zero, apart from
+    the cross term of :func:`_cross`.  The model is not called.
     """
-    cross = None
-    if terms.gx is not None:
-        adjoints = _unpack(zvec, spec, x0, xf)[2]
-        cross = np.einsum("tijl,ti->tjl", terms.gx, adjoints)
     return kkt.assemble(
-        terms.jx, terms.ju, spec.cost.Q, spec.cost.R, spec.frequency_constraint, cross
+        terms.jx, terms.ju, spec.cost.Q, spec.cost.R, spec.frequency_constraint,
+        _cross(zvec, spec, x0, xf, terms),
     )
+
+
+def _analytic_step(zvec, residual, spec, x0, xf, terms) -> np.ndarray:
+    """The Newton step J^(-1)(-residual) for the analytic Jacobian of
+    :func:`_jacobian_analytic`, by :func:`bandctrl.kkt.time_varying_solve`:
+    a Riccati scan and a border of size n + q, no dense Jacobian.  Raises
+    :class:`bandctrl.kkt.SingularSystemError` when a pivot or the border is
+    singular."""
+    return kkt.time_varying_solve(
+        terms.jx, terms.ju, spec.cost.Q, spec.cost.R, spec.frequency_constraint,
+        -residual, _cross(zvec, spec, x0, xf, terms),
+    )
+
+
+def _fd_step(zvec, residual, spec, x0, xf) -> np.ndarray:
+    """The Newton step for the dense finite-difference Jacobian, by LU.
+    Raises :class:`bandctrl.kkt.SingularSystemError` when the Jacobian is
+    singular or the step is not finite."""
+    jac = _jacobian_fd(zvec, spec, x0, xf)
+    try:
+        step = np.linalg.solve(jac, -residual)
+        if np.all(np.isfinite(step)):
+            return step
+    except np.linalg.LinAlgError:
+        pass
+    deficiency = jac.shape[0] - numerical_rank(jac) if np.isfinite(jac).all() else None
+    raise kkt.SingularSystemError("singular Jacobian", deficiency=deficiency)
 
 
 def _jacobian_fd(zvec, spec, x0, xf) -> np.ndarray:
@@ -315,15 +374,15 @@ def newton_solve(
 
     while norm > opts.tolerance and iterations < opts.max_iterations:
         iterations += 1
-        jac = (
-            _jacobian_fd(z, spec, x0, xf) if use_fd else _jacobian_analytic(z, spec, x0, xf, terms)
-        )
         try:
-            step = np.linalg.solve(jac, -residual)
-        except np.linalg.LinAlgError:
-            raise SingularJacobianError(iterations, jac.shape[0], numerical_rank(jac), norm)
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobianError(iterations, jac.shape[0], numerical_rank(jac), norm)
+            if use_fd:
+                step = _fd_step(z, residual, spec, x0, xf)
+            else:
+                step = _analytic_step(z, residual, spec, x0, xf, terms)
+        except kkt.SingularSystemError as exc:
+            size = residual.size
+            rank = None if exc.deficiency is None else size - exc.deficiency
+            raise SingularJacobianError(iterations, size, rank, norm, exc.stage, exc.pivot) from None
         alpha = 1.0
         accepted = False
         while alpha >= opts.min_step:

@@ -15,14 +15,17 @@ distance and feasible directions of a fixed point or a box, one stage at a
 time) where ``verify_pmp`` reduces bound arrays over all stages.  The loop
 control-affine terms are the stage-by-stage form of the one-pass evaluation
 of a control-affine model in ``bandctrl.problem._stage_terms``.  The loop
-Riccati sweep is the recursion that ``kkt.riccati_sweep`` shortcuts: every
-stage swept, with a general inverse of every pivot.  The SVD normality
-classifier is the test that the principal-angle classifier of
-``bandctrl.extremal`` replaced: the ranks of the raw reachability stack
-[B'(A')^(N-1); ...; B'] and of that stack bordered by the frequency rows.
-The closed-loop rollout is the stage-by-stage form of ``riccati_solve``'s
-scan.  ``dynamics_row_ulps`` measures how well each row x_{t+1} = A x_t +
-B u_t of a returned trajectory holds, in units of the rounding of its terms.
+Riccati sweep is the recursion that ``kkt.riccati_sweep`` shortcuts and
+``kkt.riccati_scan`` reorders: every stage swept, with a general inverse of
+every pivot.  The SVD normality classifier is the test that the
+principal-angle classifier of ``bandctrl.extremal`` replaced: the ranks of
+the raw reachability stack [B'(A')^(N-1); ...; B'] and of that stack
+bordered by the frequency rows.  The closed-loop rollout is the
+stage-by-stage form of ``riccati_solve``'s scan.  The dense Newton step is
+the step of ``newton_solve`` from the dense Jacobian, which the Riccati scan
+and border of ``kkt.time_varying_solve`` replaced.  ``dynamics_row_ulps``
+measures how well each row x_{t+1} = A x_t + B u_t of a returned trajectory
+holds, in units of the rounding of its terms.
 """
 
 import numpy as np
@@ -37,7 +40,7 @@ from bandctrl.extremal import (
 )
 from bandctrl.lq import INFEASIBILITY_TOL
 from bandctrl.problem import Box, Fixed
-from bandctrl.shooting import _unpack
+from bandctrl.shooting import _unpack, assemble_residual, residual_jacobian
 from bandctrl.spectrum import numerical_rank
 
 
@@ -528,6 +531,19 @@ def loop_residual_vec(zvec, spec, x0, xf):
     return res
 
 
+def dense_newton_step(z, spec, x0, xf):
+    """The Newton step of ``bandctrl.shooting.newton_solve`` before the
+    structured solve replaced it: the dense analytic Jacobian of
+    ``residual_jacobian`` factored whole, ``np.linalg.solve(J, -r)``, plus one
+    step of iterative refinement with the same matrix.  Without the refinement
+    partial pivoting on this row order can leave a residual of 1e-8 at a
+    condition number of 20, and the oracle would be the less accurate side."""
+    jac = residual_jacobian(z, spec, x0, xf)
+    rhs = -assemble_residual(z, spec, x0, xf)
+    step = np.linalg.solve(jac, rhs)
+    return step + np.linalg.solve(jac, rhs - jac @ step), jac
+
+
 def loop_control_affine_terms(dynamics, states, controls, step=True, jx0=False):
     """(f, jx, ju, gx) of ``bandctrl.problem._stage_terms`` for a control-affine
     model, stage by stage from its per-stage ``step``, ``jac_x`` and ``jac_u``
@@ -546,25 +562,31 @@ def loop_control_affine_terms(dynamics, states, controls, step=True, jx0=False):
     return f, jx, ju, gx
 
 
-def loop_riccati_sweep(A, B, Q, R, horizon, terminal=None):
+def loop_riccati_sweep(A, B, Q, R, horizon, terminal=None, cross=None):
     """Backward Riccati recursion from P_N = ``terminal`` (zero when None),
     every stage swept and every pivot inverted by ``numpy.linalg.inv``:
 
-        H_t = R + B'P_{t+1}B,   K_t = -H_t^(-1) B'P_{t+1}A,
-        P_t = Q + A'P_{t+1}(A + B K_t),   symmetrized.
+        H_t = R + B_t'P_{t+1}B_t,   K_t = -H_t^(-1) (B_t'P_{t+1}A_t - C_t),
+        P_t = Q + A_t'P_{t+1}(A_t + B_t K_t) - C_t'K_t,   symmetrized.
 
-    Returns P (N+1, n, n), K (N, m, n) and H_t^(-1) (N, m, m)."""
+    ``A`` and ``B`` are one matrix or one per stage ((N, n, n), (N, n, m));
+    ``cross`` holds C_t (N, m, n), zero when None.  Returns P (N+1, n, n), K
+    (N, m, n) and H_t^(-1) (N, m, m)."""
     A, B, Q, R = (np.asarray(a, float) for a in (A, B, Q, R))
-    n, m = B.shape
+    n, m = B.shape[-2:]
     P = np.zeros((horizon + 1, n, n))
     if terminal is not None:
         P[horizon] = terminal
     K = np.zeros((horizon, m, n))
     Hinv = np.zeros((horizon, m, m))
     for t in range(horizon - 1, -1, -1):
-        Hinv[t] = np.linalg.inv(R + B.T @ P[t + 1] @ B)
-        K[t] = -Hinv[t] @ B.T @ P[t + 1] @ A
-        Pt = Q + A.T @ P[t + 1] @ (A + B @ K[t])
+        At, Bt = (A[t], B[t]) if B.ndim == 3 else (A, B)
+        Ct = 0.0 if cross is None else cross[t]
+        Hinv[t] = np.linalg.inv(R + Bt.T @ P[t + 1] @ Bt)
+        K[t] = -Hinv[t] @ (Bt.T @ P[t + 1] @ At - Ct)
+        Pt = Q + At.T @ P[t + 1] @ (At + Bt @ K[t])
+        if cross is not None:
+            Pt -= cross[t].T @ K[t]
         P[t] = 0.5 * (Pt + Pt.T)
     return P, K, Hinv
 

@@ -164,6 +164,26 @@ class TestRun:
         assert result["diagnostics"]["iterations"] <= 10
         assert result["spectra"][0]["magnitude"][3] <= 1e-8
 
+    def test_singular_jacobian_exits_four_with_diagnostics(self, tmp_path):
+        # a DC ban on the toy: the linearized transfer is infeasible, so Newton
+        # starts at zero, where sum_t u_t = 0 leaves x_N unreachable and the
+        # border of the structured step has rank n + q - 1
+        doc = {
+            "horizon": 16,
+            "dynamics": {"builtin": "affine_toy"},
+            "cost": {"Q": [[1.0]], "R": [[1.0]]},
+            "boundary": {"x0": [0.0], "xf": [-0.5]},
+            "banned_frequencies": [[0]],
+            "solver": "shooting",
+        }
+        inp = _write(tmp_path, "p.json", doc)
+        assert run(inp, str(tmp_path / "r.json")) == 4
+        result = json.loads((tmp_path / "r.json").read_text())
+        assert result["status"] == "SINGULAR"
+        assert result["diagnostics"]["singular_jacobian"] == {
+            "iteration": 1, "rank": 47, "size": 48, "residual": 0.5, "stage": None, "pivot": None,
+        }
+
     def test_non_convergence_exits_four(self, tmp_path):
         doc = {
             "horizon": 6,

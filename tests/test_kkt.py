@@ -113,6 +113,100 @@ class TestRiccatiSweep:
             assert np.max(np.abs(a - b)) <= tol
 
 
+def _stage_data(rng, n, m, horizon, radius, convex_cross):
+    """Per-stage A_t (spectral radius at most ``radius``) and B_t, Q >= I/2,
+    R, and with ``convex_cross`` a cross term C_t small enough that
+    Q - C_t'R^-1 C_t >= Q/4."""
+    A = rng.standard_normal((horizon, n, n))
+    A *= radius / np.maximum(np.max(np.abs(np.linalg.eigvals(A)), axis=1), 1e-12)[:, None, None]
+    B = rng.standard_normal((horizon, n, m))
+    _, _, Q, R = random_lq_matrices(rng, n, m)
+    Q = Q + 0.5 * np.eye(n)
+    cross = None
+    if convex_cross:
+        cross = rng.standard_normal((horizon, m, n))
+        room = np.min(np.linalg.eigvalsh(Q)) * np.min(np.linalg.eigvalsh(R))
+        cross *= 0.5 * np.sqrt(room) / np.max(np.linalg.norm(cross, 2, axis=(1, 2)))
+    return A, B, Q, R, cross
+
+
+class TestRiccatiScan:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 3),
+        horizon=st.integers(1, 300),
+        radius=st.floats(0.1, 1.1),
+        convex_cross=st.booleans(),
+        sigma=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_loop_oracle(self, n, m, horizon, radius, convex_cross, sigma, seed):
+        rng = np.random.default_rng(seed)
+        A, B, Q, R, cross = _stage_data(rng, n, m, horizon, radius, convex_cross)
+        terminal = sigma * np.eye(n)
+        P, K, Hinv = kkt.riccati_scan(A, B, Q, R, terminal, cross)
+        P_o, K_o, Hinv_o = loop_riccati_sweep(A, B, Q, R, horizon, terminal, cross)
+        for a, b in [(P, P_o), (K, K_o), (Hinv, Hinv_o)]:
+            assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
+
+    def test_lti_data_match_the_sweep(self):
+        A, B, Q, R = _baseline_plant()
+        N = 256
+        AN, BN = np.broadcast_to(A, (N, 4, 4)), np.broadcast_to(B, (N, 4, 2))
+        for terminal in (np.zeros((4, 4)), np.eye(4)):
+            P, K, Hinv = kkt.riccati_scan(AN, BN, Q, R, terminal)
+            P_o, K_o, Hinv_o = kkt.riccati_sweep(A, B, Q, R, N, terminal)
+            for a, b in [(P, P_o), (K, K_o), (Hinv, Hinv_o)]:
+                assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
+
+    def test_singular_pivot_names_its_stage(self):
+        # H_2 = R + B'P_3 B = 1 - 1 = 0 from P_3 = -1; every earlier P is then
+        # not finite, and the last bad stage is the one reported
+        one = np.ones((3, 1, 1))
+        with pytest.raises(kkt.SingularSystemError) as err:
+            kkt.riccati_scan(one, one, np.ones((1, 1)), np.ones((1, 1)), -np.ones((1, 1)))
+        assert (err.value.stage, err.value.pivot) == (2, 0.0)
+
+    def test_a_singular_pivot_leaves_the_others(self):
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((50, 2, 2))
+        M[7] = [[1.0, 2.0], [2.0, 4.0]]
+        out = kkt._inv_stack(M)
+        bad = ~np.isfinite(out).all(axis=(1, 2))
+        assert bad.tolist() == [i == 7 for i in range(50)]
+        assert np.array_equal(out[8:], np.linalg.inv(M[8:]))
+
+
+class TestTimeVaryingSolve:
+    @pytest.mark.parametrize("n, m, N, banned", [(1, 1, 9, [[2]]), (3, 2, 17, [[1], [3, 4]]), (2, 1, 40, [[]])])
+    def test_matches_the_dense_system(self, n, m, N, banned):
+        rng = np.random.default_rng(N)
+        A, B, Q, R, cross = _stage_data(rng, n, m, N, 1.05, True)
+        fc = build_frequency_constraint(SupportSpec.from_banned(banned, N), N, m)
+        M = kkt.assemble(A, B, Q, R, fc, cross)
+        rhs = rng.standard_normal(M.shape[0])
+        z = kkt.time_varying_solve(A, B, Q, R, fc, rhs, cross)
+        expected = np.linalg.solve(M, rhs)
+        assert np.max(np.abs(z - expected)) <= 1e-10 * (1.0 + np.max(np.abs(expected)))
+
+    def test_singular_border_reports_its_deficiency(self):
+        # B = 0: x_N does not depend on the unknowns, so the w_N block is zero
+        N, fc = 3, FrequencyConstraint(3, 1)
+        zero = np.zeros((N, 1, 1))
+        rhs = np.ones(kkt.segments(1, 1, N, 0)["nu"].stop)
+        with pytest.raises(kkt.SingularSystemError) as err:
+            kkt.time_varying_solve(np.ones((N, 1, 1)), zero, np.eye(1), np.eye(1), fc, rhs)
+        assert err.value.deficiency == 1 and err.value.stage is None
+
+    def test_terminal_weight_is_the_lti_rule(self):
+        B, R = np.array([[1.0, 2.0], [0.5, -1.0]]), np.diag([2.0, 3.0])
+        assert kkt._terminal_weight(R, B) == np.linalg.norm(R) / np.sum(B * B)
+        stages = np.stack([B, 2.0 * B])  # mean |B_t|_F^2 = 2.5 |B|_F^2
+        assert kkt._terminal_weight(R, stages) == pytest.approx(np.linalg.norm(R) / (2.5 * np.sum(B * B)))
+        assert kkt._terminal_weight(R, np.zeros((3, 2, 2))) == 1.0
+
+
 class TestBorder:
     def _transfer(self, N=256):
         A, B, Q, R = _baseline_plant()

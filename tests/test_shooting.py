@@ -1,7 +1,10 @@
 """Tests for the stacked residual system and the damped-Newton BVP solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandctrl.extremal import AbnormalRegimeError, verify_pmp
 from bandctrl.lq import lq_transfer_freq_solve
@@ -15,6 +18,7 @@ from bandctrl.problem import (
 )
 from bandctrl.shooting import (
     NewtonOptions,
+    _analytic_step,
     _evaluate,
     _jacobian_analytic,
     _residual_vec,
@@ -28,6 +32,7 @@ from bandctrl.shooting import (
 from bandctrl.spectrum import forward_dft
 
 from oracles import (
+    dense_newton_step,
     direct_transcription_oracle,
     loop_residual_vec,
     random_banned_sets,
@@ -61,6 +66,24 @@ def _counted_toy():
         return call
 
     return calls, ControlAffineDynamics(1, 1, *(counted(name) for name in calls))
+
+
+def _random_affine(rng, n, m, with_gain_jac):
+    """x_{t+1} = A x + c tanh(x) + (B_0 + sum_l x_l B_l) u with random A, B_0,
+    c and B_l (held in the returned array, which scales the gain's state
+    dependence when changed in place)."""
+    A, B0, _, _ = random_lq_matrices(rng, n, m, spectral_radius=rng.uniform(0.1, 1.1))
+    Bx = rng.standard_normal((n, m, n))
+    c = 0.1 * rng.standard_normal(n)
+    dyn = ControlAffineDynamics(
+        n,
+        m,
+        drift=lambda t, x: A @ x + c * np.tanh(x),
+        gain=lambda t, x: B0 + Bx @ x,
+        drift_jac=lambda t, x: A + np.diag(c * (1.0 - np.tanh(x) ** 2)),
+        gain_jac=(lambda t, x: Bx) if with_gain_jac else None,
+    )
+    return dyn, Bx
 
 
 def _toy_spec(banned=None, horizon=6):
@@ -330,6 +353,31 @@ class TestNewtonSolve:
             newton_solve(spec, [0.0], [1.0], init=init)
         assert err.value.rank < err.value.size
 
+    def test_singular_fd_jacobian_reports_rank(self):
+        spec = lti_spec([[1.0]], [[0.0]], [[1.0]], [[1.0]], 3, x0=[0.0], xf=[1.0])
+        init = StackedUnknowns(np.ones(2 + 3 + 3), n=1, m=1, horizon=3, q=0)
+        with pytest.raises(SingularJacobianError) as err:
+            newton_solve(spec, [0.0], [1.0], init=init, opts=NewtonOptions(fd_jacobian=True))
+        assert (err.value.rank, err.value.size, err.value.stage) == (7, 8, None)
+
+    def test_singular_pivot_reports_stage(self):
+        # Q = 0 and the cross term C_1 = 0.5 p_1 = 1 give P_1 = -1 from
+        # P_2 = sigma = 1, so the pivot H_0 = R + b_0^2 P_1 is exactly zero
+        dyn = ControlAffineDynamics(
+            n=1,
+            m=1,
+            drift=lambda t, x: -x,
+            gain=lambda t, x: np.array([[1.0 + 0.5 * x[0]]]),
+            drift_jac=lambda t, x: np.array([[-1.0]]),
+            gain_jac=lambda t, x: np.array([[[0.5]]]),
+        )
+        spec = control_affine_spec(dyn, [[0.0]], [[1.0]], 2, [0.0], [1.0])
+        init = StackedUnknowns.pack([[0.0]], [[0.3], [0.0]], [[0.0], [2.0]], [])
+        with pytest.raises(SingularJacobianError) as err:
+            newton_solve(spec, [0.0], [1.0], init=init)
+        assert (err.value.iteration, err.value.stage, err.value.pivot) == (1, 0, 0.0)
+        assert err.value.size == 5 and err.value.rank is None
+
     def test_non_convergence_reports_trace(self):
         spec = _toy_spec()
         opts = NewtonOptions(max_iterations=1, tolerance=1e-14)
@@ -370,3 +418,88 @@ class TestDefaultInitialization:
         z, warned = default_initialization(spec, [0.0], [1.0])
         assert warned
         assert np.max(np.abs(z.z)) == 0.0
+
+
+class TestStructuredStep:
+    """The analytic Newton step, a Riccati scan and a border of size n + q,
+    against the dense Jacobian it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        horizon=st.integers(2, 64),
+        model=st.sampled_from(["lti", "affine", "affine_gain_jac"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_oracle(self, n, m, horizon, model, seed):
+        rng = np.random.default_rng(seed)
+        x0, xf = rng.standard_normal(n), rng.standard_normal(n)
+        banned = random_banned_sets(rng, horizon, m, 3)
+        A, B, Q, R = random_lq_matrices(rng, n, m, spectral_radius=rng.uniform(0.1, 1.1))
+        if model == "lti":
+            spec = lti_spec(A, B, Q, R, horizon, x0=x0, xf=xf, banned=banned)
+        else:
+            dyn, Bx = _random_affine(rng, n, m, model == "affine_gain_jac")
+            Q = Q + 0.5 * np.eye(n)
+            spec = control_affine_spec(dyn, Q, R, horizon, x0, xf, banned=banned)
+        q = spec.frequency_constraint.row_count
+        init, _ = default_initialization(spec, x0, xf)
+        z = StackedUnknowns(init.z + 0.1 * rng.standard_normal(init.z.size), n, m, horizon, q)
+        if model == "affine_gain_jac":
+            # scale the gain's state dependence so that the cross term
+            # C_t = sum_i p_i dB_i/dx leaves Q - C_t'R^-1 C_t >= 3/4 Q at
+            # every stage: a convex linearization
+            C = np.einsum("ijl,ti->tjl", Bx, z.adjoints())
+            room = np.min(np.linalg.eigvalsh(Q)) * np.min(np.linalg.eigvalsh(R))
+            Bx *= 0.5 * np.sqrt(room) / max(np.max(np.linalg.norm(C, 2, axis=(1, 2))), 1.0)
+        residual, terms = _evaluate(z.z, spec, x0, xf)
+        try:
+            step = _analytic_step(z.z, residual, spec, x0, xf, terms)
+            dense, jac = dense_newton_step(z, spec, x0, xf)
+        except np.linalg.LinAlgError:  # kkt.SingularSystemError is one
+            # either side may fail where the other does not only on a
+            # numerically singular Jacobian (a ban set that leaves no solution)
+            jac = residual_jacobian(z, spec, x0, xf)
+            assert np.linalg.cond(jac) > 1e12
+            return
+        gap = np.max(np.abs(step - dense)) / np.max(np.abs(dense))
+        if gap > 1e-10:
+            # two backward-stable solves differ by up to about cond(J) eps
+            # relative; a numerically singular J has no one step to compare
+            cond = np.linalg.cond(jac)
+            assert cond > 1e12 or gap <= 10 * np.finfo(float).eps * cond
+
+    def test_long_horizon_converges_in_little_memory(self):
+        # the dense Jacobian at N = 1024 is 4098^2, 134 MB, and its LU took
+        # about 1.2 s of the solve
+        spec = control_affine_spec(
+            _toy_dynamics(), [[1.0]], [[1.0]], 1024, [0.0], [1.0], banned=[[3, 1021]]
+        )
+        tracemalloc.start()
+        try:
+            result = newton_solve(spec, [0.0], [1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged and result.iterations == 3
+        assert peak < 10e6
+
+    def test_no_dense_solve_on_the_analytic_path(self, monkeypatch):
+        spec = control_affine_spec(
+            _toy_dynamics(), [[1.0]], [[1.0]], 256, [0.0], [1.0], banned=[[3, 253]]
+        )
+        sizes = []
+
+        def recorded(fun):
+            def call(a, *args, **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return fun(a, *args, **kwargs)
+
+            return call
+
+        for name in ("solve", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+        result = newton_solve(spec, [0.0], [1.0])
+        assert result.converged and result.iterations >= 2
+        assert sizes and max(sizes) <= spec.n + spec.frequency_constraint.row_count
