@@ -78,13 +78,15 @@ POSITIVE_OPTIONS = (
 
 
 def _affine_toy() -> ControlAffineDynamics:
+    """x+ = x + (1 + 0.1 x) u, every stage in one call of each callable."""
     return ControlAffineDynamics(
         n=1,
         m=1,
         drift=lambda t, x: x,
-        gain=lambda t, x: np.array([[1.0 + 0.1 * x[0]]]),
-        drift_jac=lambda t, x: np.array([[1.0]]),
-        gain_jac=lambda t, x: np.array([[[0.1]]]),
+        gain=lambda t, x: (1.0 + 0.1 * x)[:, :, None],
+        drift_jac=lambda t, x: np.ones((len(t), 1, 1)),
+        gain_jac=lambda t, x: np.full((len(t), 1, 1, 1), 0.1),
+        vectorized=True,
     )
 
 

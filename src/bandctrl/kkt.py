@@ -496,7 +496,8 @@ def _stationary_gain(A, B, Q, R, sigma: float, horizon: int):
 def _confirmed_gain(A, B, Q, R, P, horizon: int):
     """(P, K, H^(-1), A + B K) once a stage of the sweep's recursion from P
     moves it by at most 4 eps of its size, within MAX_REFINEMENTS stages,
-    and the closed loop is finite and |Phi^N|_F <= 1/2; else None."""
+    and the closed loop is finite and |Phi^N|_F <= 1/2; else None.  K, H^(-1)
+    and Phi are those of the P returned, not of the stage's update of it."""
     amax = np.maximum.reduce  # ndarray.max adds a Python-level call
     for _ in range(MAX_REFINEMENTS):
         pivot = R + B.T.dot(P).dot(B)
@@ -505,10 +506,9 @@ def _confirmed_gain(A, B, Q, R, P, horizon: int):
         K = -Hinv.dot(BPA)
         Pn = Q + A.T.dot(P).dot(A) + BPA.T.dot(K)
         Pn = 0.5 * (Pn + Pn.T)
-        moved = amax(abs(Pn - P), None)
-        P = Pn
-        if moved <= 4.0 * EPS * amax(abs(P), None):
+        if amax(abs(Pn - P), None) <= 4.0 * EPS * amax(abs(Pn), None):
             break
+        P = Pn
     else:
         return None
     Phi = A + B.dot(K)

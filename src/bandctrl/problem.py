@@ -17,6 +17,7 @@ order.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -98,6 +99,21 @@ class LtiDynamics:
         return self.B
 
 
+def _returned(value, name: str, shape: tuple, t=None) -> np.ndarray:
+    """``value``, returned by the model callable ``name``, as a float array of
+    ``shape``; a ValueError naming the callable, the stage ``t`` when given,
+    and the shape expected when it has another size or is not numeric."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numeric
+        arr = None
+    if arr is None or arr.size != math.prod(shape):
+        got = "a ragged or non-numeric value" if arr is None else f"shape {arr.shape}"
+        at = "" if t is None else f" at stage {t}"
+        raise ValueError(f"{name} returned {got}{at}, expected shape {shape}")
+    return arr.reshape(shape)
+
+
 @dataclass(frozen=True)
 class ControlAffineDynamics:
     """x_{t+1} = drift_t(x) + gain_t(x) @ u.
@@ -107,11 +123,17 @@ class ControlAffineDynamics:
     is the (n, m, n) array with entry [i, j, l] = d gain[i, j] / d x[l], and
     may be omitted when the gain does not depend on the state.
 
-    Batched evaluations (residuals, Jacobians, certificates) call each of the
-    four callables at most once per stage per evaluation, passing ``x`` as a
-    row view of the states array: a callable must not mutate it.  The
-    per-stage methods :meth:`step`, :meth:`jac_x` and :meth:`jac_u` combine
-    them for a single stage.
+    With ``vectorized`` set, the four callables evaluate many stages in one
+    call: ``t`` is an int array of T stage indices and ``x`` the (T, n)
+    array of their states, and they return (T, n), (T, n, m), (T, n, n) and
+    (T, n, m, n) arrays, row k for stage ``t[k]``.  Batched evaluations
+    (residuals, Jacobians, certificates) then call each callable once per
+    evaluation; otherwise they call it at most once per stage, passing ``x``
+    as a row view of the states array.  Either way a callable must not
+    mutate the arrays passed in.  The per-stage methods :meth:`step`,
+    :meth:`jac_x` and :meth:`jac_u` combine them for a single stage (a
+    vectorized model is called with T = 1).  A return of the wrong size
+    raises a ValueError naming the callable and the shape expected.
     """
 
     n: int
@@ -120,29 +142,34 @@ class ControlAffineDynamics:
     gain: Callable[[int, np.ndarray], np.ndarray]
     drift_jac: Callable[[int, np.ndarray], np.ndarray]
     gain_jac: Callable[[int, np.ndarray], np.ndarray] | None = None
+    vectorized: bool = False
 
     kind = "control_affine"
+
+    def _at(self, name: str, t: int, x: np.ndarray, shape: tuple) -> np.ndarray:
+        """The callable ``name`` at the single stage (t, x), of ``shape``."""
+        fun = getattr(self, name)
+        if self.vectorized:
+            return _returned(fun(np.array([t]), x[None]), name, (1, *shape))[0]
+        return _returned(fun(t, x), name, shape, t)
 
     def step(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        return np.asarray(self.drift(t, x), dtype=float) + np.asarray(
-            self.gain(t, x), dtype=float
-        ).reshape(self.n, self.m) @ u
+        n, m = self.n, self.m
+        return self._at("drift", t, x, (n,)) + self._at("gain", t, x, (n, m)) @ u
 
     def jac_x(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        jac = np.asarray(self.drift_jac(t, x), dtype=float).reshape(self.n, self.n)
+        jac = self._at("drift_jac", t, x, (self.n, self.n))
         if self.gain_jac is not None:
-            gj = np.asarray(self.gain_jac(t, x), dtype=float).reshape(self.n, self.m, self.n)
+            gj = self._at("gain_jac", t, x, (self.n, self.m, self.n))
             jac = jac + np.einsum("ijl,j->il", gj, u)
         return jac
 
     def jac_u(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.gain(t, np.asarray(x, dtype=float)), dtype=float).reshape(
-            self.n, self.m
-        )
+        return self._at("gain", t, np.asarray(x, dtype=float), (self.n, self.m))
 
 
 @dataclass(frozen=True)
@@ -344,9 +371,19 @@ class _StageTerms(NamedTuple):
     gx: np.ndarray | None  # (N, n, m, n) d gain_t/dx; control-affine with gain_jac only
 
 
-def _stacked(fun, x, stages: range, shape) -> np.ndarray:
-    """``fun(t, x[t])`` for each stage t, stacked into one float array."""
-    return np.array([fun(t, x[t]) for t in stages], dtype=float).reshape(len(stages), *shape)
+def _stacked(dynamics: ControlAffineDynamics, name: str, x, t0: int, shape) -> np.ndarray:
+    """The callable ``name`` of ``dynamics`` at stages t0..T-1 of the (T, n)
+    states ``x``, stacked into one float (T - t0, *shape) array: one call with
+    ``t = arange(t0, T)`` for a vectorized model, one call per stage else."""
+    fun = getattr(dynamics, name)
+    T = x.shape[0]
+    if dynamics.vectorized:
+        return _returned(fun(np.arange(t0, T), x[t0:]), name, (T - t0, *shape))
+    values = [fun(t, x[t]) for t in range(t0, T)]
+    try:
+        return np.array(values, dtype=float).reshape(T - t0, *shape)
+    except (TypeError, ValueError):  # name the first stage at fault
+        return np.array([_returned(v, name, shape, t) for t, v in enumerate(values, t0)])
 
 
 def _stage_terms(
@@ -363,7 +400,9 @@ def _stage_terms(
     LTI dynamics and quadratic cost are evaluated as batched products, with
     ``jx``/``ju`` read-only broadcast views of A and B.  Control-affine
     dynamics call ``gain``, ``drift`` (when ``step``), ``drift_jac`` and
-    ``gain_jac`` once per stage and form f = drift + gain u,
+    ``gain_jac`` once per stage, or once in all for a vectorized model (the
+    state derivatives with ``t = arange(t0, N)``, t0 = 0 only with
+    ``jx0``), and form f = drift + gain u,
     jx = drift_jac + gain_jac u and ju = gain as batched products; the
     stacked ``gain_jac`` is kept as ``gx``.  Other models have their
     ``step``, ``jac_x`` and ``jac_u`` methods called once per stage.
@@ -379,15 +418,15 @@ def _stage_terms(
         ju = np.broadcast_to(B, (N, n, m))
     elif isinstance(dynamics, ControlAffineDynamics):
         t0 = 0 if jx0 else 1
-        ju = _stacked(dynamics.gain, x, range(N), (n, m))
+        ju = _stacked(dynamics, "gain", x, 0, (n, m))
         f = None
         if step:
-            f = _stacked(dynamics.drift, x, range(N), (n,)) + np.einsum("tij,tj->ti", ju, u)
+            f = _stacked(dynamics, "drift", x, 0, (n,)) + np.einsum("tij,tj->ti", ju, u)
         jx = np.zeros((N, n, n))
-        jx[t0:] = _stacked(dynamics.drift_jac, x, range(t0, N), (n, n))
+        jx[t0:] = _stacked(dynamics, "drift_jac", x, t0, (n, n))
         if dynamics.gain_jac is not None:
             gx = np.zeros((N, n, m, n))
-            gx[t0:] = _stacked(dynamics.gain_jac, x, range(t0, N), (n, m, n))
+            gx[t0:] = _stacked(dynamics, "gain_jac", x, t0, (n, m, n))
             jx[t0:] += np.einsum("tijl,tj->til", gx[t0:], u[t0:])
     else:
         f = None

@@ -1,6 +1,8 @@
 """Tests for problem validation, model variants, the batched stage terms,
 container equality, and derivative checking."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,6 +213,54 @@ class TestControlAffinePass:
                 continue
             ref = ref.reshape(got.shape)
             assert np.all(np.abs(got - ref) <= 1e-14 * (np.abs(ref) + products))
+
+
+_SHAPES = {"drift": (2,), "gain": (2, 1), "drift_jac": (2, 2), "gain_jac": (2, 1, 2)}
+
+
+def _misshapen_model(bad: str, vectorized: bool) -> ControlAffineDynamics:
+    """A model with n = 2, m = 1 and zero callables, of which ``bad`` returns
+    one entry too many (per stage, or in all for a vectorized model)."""
+
+    def callable_(name):
+        def fun(t, x):
+            value = np.zeros((len(t), *_SHAPES[name]) if vectorized else _SHAPES[name])
+            return np.append(value, 0.0) if name == bad else value
+
+        return fun
+
+    return ControlAffineDynamics(2, 1, *map(callable_, _SHAPES), vectorized=vectorized)
+
+
+class TestReturnShapes:
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("bad, shape", _SHAPES.items())
+    def test_wrong_size_names_the_callable_and_shape(self, bad, shape, vectorized):
+        dyn = _misshapen_model(bad, vectorized)
+        states, controls = np.ones((5, 2)), np.ones((4, 1))
+        cost = QuadraticCost(np.eye(2), np.eye(1))
+        batch = (4,) if vectorized else ()
+        message = re.escape(f"expected shape {batch + shape}")
+        with pytest.raises(ValueError, match=rf"^{bad} returned shape .*{message}"):
+            _stage_terms(dyn, cost, states, controls, jx0=True)
+        message = re.escape(f"expected shape {(1,) + shape if vectorized else shape}")
+        method = "jac_u" if bad == "gain" else "jac_x" if bad.endswith("jac") else "step"
+        with pytest.raises(ValueError, match=rf"^{bad} returned shape .*{message}"):
+            getattr(dyn, method)(0, states[0], controls[0])
+
+    def test_per_stage_error_names_the_stage(self):
+        gain = lambda t, x: np.ones((2, 1)) if t != 3 else np.ones(3)
+        dyn = ControlAffineDynamics(2, 1, lambda t, x: x, gain, lambda t, x: np.eye(2))
+        cost = QuadraticCost(np.eye(2), np.eye(1))
+        with pytest.raises(ValueError, match=r"^gain returned shape \(3,\) at stage 3, expected"):
+            _stage_terms(dyn, cost, np.ones((6, 2)), np.ones((5, 1)))
+
+    def test_matching_size_is_reshaped(self):
+        # as before: a gain of any shape with n * m entries is accepted
+        dyn = ControlAffineDynamics(2, 1, lambda t, x: x, lambda t, x: [1.0, 2.0],
+                                    lambda t, x: np.eye(2))
+        terms = _stage_terms(dyn, QuadraticCost(np.eye(2), np.eye(1)), np.ones((4, 2)), np.ones((3, 1)))
+        assert np.array_equal(terms.ju, np.broadcast_to([[1.0], [2.0]], (3, 2, 1)))
 
 
 def _di_spec():

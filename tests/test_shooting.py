@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bandctrl.cli import BUILTINS
 from bandctrl.extremal import AbnormalRegimeError, verify_pmp
 from bandctrl.lq import lq_transfer_freq_solve
 from bandctrl.problem import (
     Box,
     ControlAffineDynamics,
     FREE,
+    QuadraticCost,
+    _stage_terms,
     control_affine_spec,
     lti_spec,
     trajectory_cost,
@@ -20,6 +23,8 @@ from bandctrl.shooting import (
     NewtonOptions,
     _analytic_step,
     _evaluate,
+    _fd_step,
+    _jacobian_fd,
     _jacobian_analytic,
     _residual_vec,
     SingularJacobianError,
@@ -51,30 +56,51 @@ def _toy_dynamics():
     )
 
 
-def _counted_toy():
-    """The toy dynamics with a count of calls per user callable."""
-    toy = _toy_dynamics()
+def _counted(model):
+    """``model`` with a count of calls per user callable and the (t, x) of
+    each call."""
     calls = dict.fromkeys(("drift", "gain", "drift_jac", "gain_jac"), 0)
+    args = {name: [] for name in calls}
 
     def counted(name):
-        fun = getattr(toy, name)
+        fun = getattr(model, name)
 
         def call(t, x):
             calls[name] += 1
+            args[name].append((np.array(t), x.copy()))
             return fun(t, x)
 
         return call
 
-    return calls, ControlAffineDynamics(1, 1, *(counted(name) for name in calls))
+    dyn = ControlAffineDynamics(1, 1, *map(counted, calls), vectorized=model.vectorized)
+    return calls, args, dyn
 
 
-def _random_affine(rng, n, m, with_gain_jac):
+def _counted_toy():
+    """The toy dynamics with a count of calls per user callable."""
+    calls, _, dyn = _counted(_toy_dynamics())
+    return calls, dyn
+
+
+def _random_affine(rng, n, m, with_gain_jac, vectorized=False):
     """x_{t+1} = A x + c tanh(x) + (B_0 + sum_l x_l B_l) u with random A, B_0,
     c and B_l (held in the returned array, which scales the gain's state
-    dependence when changed in place)."""
+    dependence when changed in place).  ``vectorized`` gives the same model,
+    from the same draws of ``rng``, in the batched form."""
     A, B0, _, _ = random_lq_matrices(rng, n, m, spectral_radius=rng.uniform(0.1, 1.1))
     Bx = rng.standard_normal((n, m, n))
     c = 0.1 * rng.standard_normal(n)
+    if vectorized:
+        dyn = ControlAffineDynamics(
+            n,
+            m,
+            drift=lambda t, x: x @ A.T + c * np.tanh(x),
+            gain=lambda t, x: B0 + np.einsum("ijl,tl->tij", Bx, x),
+            drift_jac=lambda t, x: A + (c * (1.0 - np.tanh(x) ** 2))[:, None, :] * np.eye(n),
+            gain_jac=(lambda t, x: np.broadcast_to(Bx, (len(t), n, m, n))) if with_gain_jac else None,
+            vectorized=True,
+        )
+        return dyn, Bx
     dyn = ControlAffineDynamics(
         n,
         m,
@@ -503,3 +529,139 @@ class TestStructuredStep:
         result = newton_solve(spec, [0.0], [1.0])
         assert result.converged and result.iterations >= 2
         assert sizes and max(sizes) <= spec.n + spec.frequency_constraint.row_count
+
+
+def _newton_fields(result):
+    """Everything a Newton result reports, for a bitwise comparison."""
+    traj, lift = result.trajectory, result.lift
+    return [traj.states, traj.controls, lift.adjoints, lift.nu, np.array(result.trace),
+            result.iterations, result.final_residual, result.converged]
+
+
+class TestVectorizedModels:
+    """A vectorized control-affine model is called once per evaluation with
+    every stage's state, and gives the answers of its per-stage twin."""
+
+    def test_toy_forms_are_bitwise_equal(self):
+        toy, batched = _toy_dynamics(), BUILTINS["affine_toy"]()
+        assert batched.vectorized and not toy.vectorized
+        rng = np.random.default_rng(11)
+        states, controls = rng.standard_normal((25, 1)), rng.standard_normal((24, 1))
+        cost = QuadraticCost(np.eye(1), np.eye(1))
+        for step in (False, True):
+            for jx0 in (False, True):
+                got = _stage_terms(batched, cost, states, controls, step=step, jx0=jx0)
+                ref = _stage_terms(toy, cost, states, controls, step=step, jx0=jx0)
+                for a, b in zip(got, ref):
+                    assert (a is None and b is None) or np.array_equal(a, b)
+        x, u = states[3], controls[3]
+        for method in ("step", "jac_x", "jac_u"):
+            assert np.array_equal(getattr(batched, method)(3, x, u), getattr(toy, method)(3, x, u))
+        for banned, xf in ((None, 1.0), ([[2, 5]], 2.5), ([[1]], -1.5)):
+            specs = [control_affine_spec(d, [[1.0]], [[1.0]], 24, [0.0], [xf], banned=banned)
+                     for d in (toy, batched)]
+            q = specs[0].frequency_constraint.row_count
+            z = StackedUnknowns(rng.standard_normal(23 + 24 + 24 + q), n=1, m=1, horizon=24, q=q)
+            residuals = [assemble_residual(z, spec, [0.0], [xf]) for spec in specs]
+            assert np.array_equal(*residuals)
+            results = [newton_solve(spec, [0.0], [xf]) for spec in specs]
+            assert results[0].converged
+            for a, b in zip(*map(_newton_fields, results)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("step", [False, True])
+    @pytest.mark.parametrize("jx0", [False, True])
+    def test_each_callable_called_once_per_evaluation(self, step, jx0):
+        calls, args, dyn = _counted(BUILTINS["affine_toy"]())
+        N = 10
+        rng = np.random.default_rng(12)
+        states, controls = rng.standard_normal((N + 1, 1)), rng.standard_normal((N, 1))
+        _stage_terms(dyn, QuadraticCost(np.eye(1), np.eye(1)), states, controls, step=step, jx0=jx0)
+        assert calls == {"drift": int(step), "gain": 1, "drift_jac": 1, "gain_jac": 1}
+        # x_N is never passed; stage 0 has its state derivatives only with jx0
+        t0 = 0 if jx0 else 1
+        for name, first in (("drift", 0), ("gain", 0), ("drift_jac", t0), ("gain_jac", t0)):
+            for t, x in args[name]:
+                assert t.dtype.kind == "i" and np.array_equal(t, np.arange(first, N))
+                assert np.array_equal(x, states[first:N])
+
+    def test_newton_calls_each_callable_once_per_residual(self):
+        calls, _, dyn = _counted(BUILTINS["affine_toy"]())
+        spec = control_affine_spec(dyn, [[1.0]], [[1.0]], 24, [0.0], [2.5], banned=[[2, 5]])
+        init, _ = default_initialization(spec, [0.0], [2.5])
+        calls.update(dict.fromkeys(calls, 0))
+        result = newton_solve(spec, [0.0], [2.5], init=init)
+        assert result.converged and result.iterations >= 2
+        evals = 1 + sum(1 + round(-np.log2(alpha)) for _, _, alpha in result.trace[1:])
+        # plus the lift's transversality at x_0, one jac_x of a single stage
+        assert calls == {"drift": evals, "gain": evals, "drift_jac": evals + 1, "gain_jac": evals + 1}
+        calls.update(dict.fromkeys(calls, 0))
+        assert verify_pmp(result.trajectory, result.lift, spec).passed
+        assert calls == dict.fromkeys(calls, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        horizon=st.integers(2, 32),
+        with_gain_jac=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_models_match_the_per_stage_twin(self, n, m, horizon, with_gain_jac, seed):
+        twins = []
+        for vectorized in (False, True):
+            rng = np.random.default_rng(seed)
+            dyn, Bx = _random_affine(rng, n, m, with_gain_jac, vectorized)
+            Bx *= 0.1  # a mild state dependence, so that Newton mostly converges
+            x0, xf = rng.standard_normal(n), rng.standard_normal(n)
+            banned = random_banned_sets(rng, horizon, m, 3)
+            spec = control_affine_spec(dyn, np.eye(n), np.eye(m), horizon, x0, xf, banned=banned)
+            states = rng.standard_normal((horizon + 1, n))
+            controls = rng.standard_normal((horizon, m))
+            terms = _stage_terms(dyn, spec.cost, states, controls, jx0=True)
+            twins.append((spec, x0, xf, terms))
+        for a, b in zip(twins[0][3], twins[1][3]):
+            if a is None:
+                assert b is None
+                continue
+            # the batched products may sum in another order
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+        results = []
+        for spec, x0, xf, _ in twins:
+            try:
+                results.append(newton_solve(spec, x0, xf))
+            except SingularJacobianError:
+                results.append(None)
+        ref = results[0]
+        if ref is None or not ref.converged or any(alpha < 1.0 for _, _, alpha in ref.trace[1:]):
+            # where Newton backtracks it may wander, and rounding can change
+            # where to: a draw that fails or stalls here (about 1 in 4) may
+            # converge for the twin, and the other way round
+            return
+        assert results[1] is not None and results[1].converged
+        for (spec, _, _, _), result in zip(twins, results):
+            assert verify_pmp(result.trajectory, result.lift, spec).passed
+        ref, got = _newton_fields(results[0]), _newton_fields(results[1])
+        for a, b in zip(ref[:4], got[:4]):
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-9 * max(np.max(np.abs(a), initial=0.0), 1.0)
+
+
+class TestFdStep:
+    @pytest.mark.parametrize("seed", [608, 1099])
+    def test_residual_within_the_conditioning(self, seed):
+        # partial pivoting on the row order of kkt.assemble left relative
+        # residuals of 4.7e-4 (seed 608, cond 3.8e3) and 1.6e-11 (seed 1099,
+        # cond 55) on these draws; one step of refinement mends them
+        n, m, N = 3, 1, 53
+        rng = np.random.default_rng(seed)
+        x0, xf = rng.standard_normal(n), rng.standard_normal(n)
+        banned = random_banned_sets(rng, N, m, 3)
+        A, B, Q, R = random_lq_matrices(rng, n, m, spectral_radius=rng.uniform(0.1, 1.1))
+        spec = lti_spec(A, B, Q, R, N, x0=x0, xf=xf, banned=banned)
+        init, _ = default_initialization(spec, x0, xf)
+        z = init.z + 0.1 * rng.standard_normal(init.z.size)
+        residual = _evaluate(z, spec, x0, xf)[0]
+        step = _fd_step(z, residual, spec, x0, xf)
+        jac = _jacobian_fd(z, spec, x0, xf)
+        gap = np.linalg.norm(jac @ step + residual) / np.linalg.norm(residual)
+        assert gap <= 10 * np.finfo(float).eps * np.linalg.cond(jac)
