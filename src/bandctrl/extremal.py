@@ -39,6 +39,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._memo import LastValue, content_key
 from .problem import FREE, Box, Fixed, ProblemSpec, Trajectory, _stage_terms
 from .spectrum import FrequencyConstraint, _rank_cutoff, numerical_rank
 
@@ -63,6 +64,9 @@ __all__ = [
 # at most this factor, so a chunk loses at most log10(IMPULSE_GROWTH) digits
 # of the modes that its growing modes dominate.
 IMPULSE_GROWTH = 1e3
+
+# the verdict of the most recent plant of classify_normality_freq
+_VERDICTS = LastValue()
 
 
 def _inf(a) -> float:
@@ -609,15 +613,31 @@ def classify_normality_freq(A, B, horizon: int, constraint: FrequencyConstraint)
     factors overflow (rho(A)^N near 1e308) the verdict is UNDETERMINED
     (unless q + n > m*N), with margin 0.0 and rank_augmented 0 (not
     computed).
+
+    The verdict depends on A, B and the frequency rows alone (the horizon is
+    the constraint's), so the verdict of the most recent of them is kept in
+    one slot (:class:`bandctrl._memo.LastValue`), keyed by the shapes and
+    float64 bytes of A and B and the constraint's ``row_key``: classifying
+    one plant for many endpoint pairs computes it once.  A hit returns the
+    verdict a fresh classification gives.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    n, m = B.shape
+    m = B.shape[1]
     if constraint.horizon != horizon or constraint.channels != m:
         raise ValueError(
             f"constraint built for ({constraint.horizon}, {constraint.channels}) controls, "
             f"expected ({horizon}, {m})"
         )
+    return _VERDICTS.get(
+        (content_key(A, B), constraint.row_key),
+        lambda: _classify_freq(A, B, horizon, constraint),
+    )
+
+
+def _classify_freq(A, B, horizon: int, constraint: FrequencyConstraint) -> NormalityVerdict:
+    """:func:`classify_normality_freq` without the memo, on checked input."""
+    n, m = B.shape
     q = constraint.row_count
     dims = (n, m, horizon, q)
     over = q + n > m * horizon

@@ -43,8 +43,9 @@ same gain K and closed loop Phi = A + B K, which must have decayed over the
 horizon (|Phi^N|_F <= 1/2, so rho(Phi) < 1).  The border comes in closed
 form, blocks by banned DFT bin (DFT orthogonality) plus a term of rank at
 most 2n (:func:`_stationary_border`), and its right-hand side from the solve
-at zero border unknowns; every pass is a single-column recursive-doubling
-scan with one matrix.  At a free end (where P_N = 0 is the problem's own), and
+at zero border unknowns (:func:`_stationary_rhs`); every pass is a
+single-column recursive-doubling scan with one matrix.  At a free end (where
+P_N = 0 is the problem's own), and
 at a fixed end where no such fixed point is found (a mode on or outside
 the unit circle that B does not reach, overflow, a recursion that wanders in
 its last bits, or a closed loop too slow for the horizon), the sweep
@@ -58,6 +59,18 @@ border, from P_N = sigma I (the fixed-end rule of :func:`lti_solve`), with
 the recursion of every stage computed at once by an associative scan of the
 Riccati maps (:func:`riccati_scan`).
 :func:`lti_product` is ``assemble(...) @ z`` without the matrix.
+
+The stationary gain and the border matrix depend on the plant (A, B, Q, R)
+and the frequency rows, not on the right-hand side, in which alone the
+endpoints appear.  So :func:`lti_solve` keeps those of the most recent
+fixed-end plant, "no stationary gain" included, in one slot
+(:class:`bandctrl._memo.LastValue`), keyed by the shapes and float64 bytes
+of A, B, Q and R and the constraint's ``row_key``.  The same plant with
+another right-hand side then forms only b, the LU solve of S against it and
+z.  The stored arrays are read-only, and a hit returns exactly what a fresh
+computation would, so results do not depend on what was solved before.
+The slot retains O((n + q)^2) floats: about 19 MB after the baseline plant
+at N = 4096 (q = 1534).
 """
 
 from __future__ import annotations
@@ -68,6 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._memo import LastValue, content_key
 from .spectrum import numerical_rank
 
 # a first-order residual max-norm above INFEASIBILITY_TOL * (1 + |rhs|)
@@ -81,6 +95,9 @@ EPS = float(np.finfo(float).eps)
 MAX_DOUBLINGS = 50
 # stages of the Riccati recursion that may refine the doubled fixed point
 MAX_REFINEMENTS = 8
+
+# the plant half of the most recent fixed-end stationary solve (lti_solve)
+_PLANS = LastValue()
 
 __all__ = [
     "INFEASIBILITY_TOL",
@@ -534,28 +551,29 @@ def _split_rows(rhs, n: int, m: int, horizon: int):
     )
 
 
-def _stationary_border(A, B, constraint, rhs, gain):
-    """Border (S, b) and the map theta -> z of a fixed end, for one gain at
-    every stage: ``gain`` = (P, K, H^(-1), Phi) of :func:`_stationary_gain`
-    and P_N = P, so that P_t = P, K_t = K and Phi_t = Phi for every t.
+def _stationary_plan(A, B, Q, R, sigma: float, constraint):
+    """The half of a fixed-end solve that depends on the plant alone, not on
+    the right-hand side: (gain, S), with ``gain`` = (P, K, H^(-1), Phi) of
+    :func:`_stationary_gain` and S the border matrix of
+    :func:`_stationary_border`, every array read-only; None when there is no
+    stationary gain."""
+    gain = _stationary_gain(A, B, Q, R, sigma, constraint.horizon)
+    if gain is None:
+        return None
+    S = _stationary_border(A, B, constraint, gain)
+    for a in (*gain, S):
+        a.setflags(write=False)
+    return gain, S
 
-    The right-hand side b is the border at theta = 0: x_N and sum_t F_t u_t
-    of the solve with w_N = 0 and nu = 0.  The w_N columns of the backward
-    pass are w_t = Phi'^(N-t), so e_t = T_t = B'Phi'^(N-1-t), with Gram matrix
-    G = sum_t T_t'H^(-1)T_t.  Row j of the constraint is Re(alpha_j z_j^t) on
-    channel c_j, with z_j = exp(-2 pi i xi_j / N) and alpha_j = 1/sqrt(N)
-    (cos) or -i/sqrt(N) (sin).  Its column is w_t = Re(W_j z_j^t) - Phi'^(N-t) Re W_j
-    with W_j = -(I - z_j Phi')^(-1) K'e_(c_j) alpha_j, so
-    e_t = Re(beta_j z_j^t) - T_t Re W_j with beta_j = z_j B'W_j - e_(c_j) alpha_j.
-    The border is therefore V (.) V', V = [I; -Re W], of the Gram matrix of
-    the columns T_t and Re(beta_j z_j^t): by DFT orthogonality the sums of two
-    of the latter vanish across bins and are (N/2) Re(beta_i'H^(-1)conj(beta_j))
-    on one bin (N Re(...) at bins 0 and N/2), and the cross sums take
-    sum_t z^t T_t = conj(z) B'(I - Phi'^N)(I - conj(z) Phi')^(-1), a geometric
-    sum.  Nothing of size N q is formed.
-    """
+
+def _stationary_rhs(A, B, constraint, rhs, gain):
+    """Border right-hand side b and the map theta -> z of a fixed end, for one
+    gain at every stage: ``gain`` = (P, K, H^(-1), Phi) of
+    :func:`_stationary_gain` and P_N = P, so that P_t = P, K_t = K and
+    Phi_t = Phi for every t.  b is the border at theta = 0: x_N and
+    sum_t F_t u_t of the solve with w_N = 0 and nu = 0."""
     P, K, Hinv, Phi = gain
-    N, q, m = constraint.horizon, constraint.row_count, constraint.channels
+    N, m = constraint.horizon, constraint.channels
     n = len(A)
     d, adj, stat, freq = _split_rows(rhs, n, m, N)
     Pd = d.dot(P)  # P d_t, as rows (P is symmetric)
@@ -581,6 +599,31 @@ def _stationary_border(A, B, constraint, rhs, gain):
         p = w - x_next.dot(P)
         return np.concatenate([x_next[:-1].ravel(), u.ravel(), p.ravel(), nu])
 
+    x_next, u, _ = solve(0.0, stat)
+    return np.concatenate([-x_next[-1], freq - constraint.apply(u)]), stacked
+
+
+def _stationary_border(A, B, constraint, gain):
+    """Border matrix S in (w_N, nu) of a fixed end, for the one gain of
+    :func:`_stationary_rhs`; it does not depend on the right-hand side.
+
+    The w_N columns of the backward pass are w_t = Phi'^(N-t), so
+    e_t = T_t = B'Phi'^(N-1-t), with Gram matrix G = sum_t T_t'H^(-1)T_t.
+    Row j of the constraint is Re(alpha_j z_j^t) on channel c_j, with
+    z_j = exp(-2 pi i xi_j / N) and alpha_j = 1/sqrt(N) (cos) or
+    -i/sqrt(N) (sin).  Its column is w_t = Re(W_j z_j^t) - Phi'^(N-t) Re W_j
+    with W_j = -(I - z_j Phi')^(-1) K'e_(c_j) alpha_j, so
+    e_t = Re(beta_j z_j^t) - T_t Re W_j with beta_j = z_j B'W_j - e_(c_j) alpha_j.
+    The border is therefore V (.) V', V = [I; -Re W], of the Gram matrix of
+    the columns T_t and Re(beta_j z_j^t): by DFT orthogonality the sums of two
+    of the latter vanish across bins and are (N/2) Re(beta_i'H^(-1)conj(beta_j))
+    on one bin (N Re(...) at bins 0 and N/2), and the cross sums take
+    sum_t z^t T_t = conj(z) B'(I - Phi'^N)(I - conj(z) Phi')^(-1), a geometric
+    sum.  Nothing of size N q is formed.
+    """
+    _, K, Hinv, Phi = gain
+    N, q = constraint.horizon, constraint.row_count
+    n = len(A)
     # G = sum_{s<N} Phi^s C Phi'^s, C = B H^(-1) B', in blocks of 2^k stages
     # over the binary digits of N; power ends at Phi^N
     C, F, G, power, s = B.dot(Hinv).dot(B.T), Phi, np.zeros((n, n)), np.eye(n), N
@@ -589,11 +632,8 @@ def _stationary_border(A, B, constraint, rhs, gain):
             G += power.dot(C).dot(power.T)
             power = power.dot(F)
         C, F, s = C + F.dot(C).dot(F.T), F.dot(F), s >> 1
-
-    x_next, u, _ = solve(0.0, stat)
-    b = np.concatenate([-x_next[-1], freq - constraint.apply(u)])
     if not q:
-        return G, b, stacked
+        return G
 
     # each row on its canonical bin xi <= N/2 (alpha conjugated if mirrored)
     xi = constraint.row_bin % N
@@ -621,7 +661,7 @@ def _stationary_border(A, B, constraint, rhs, gain):
     S[n + i, n + j] += np.einsum("pk,pk->p", bH[i], beta[j].conj()).real
     # the rows x_N = 0 and sum_t F_t u_t = f: diag(I, -I) times the border
     S[n:] *= -1.0
-    return S, b, stacked
+    return S
 
 
 def lti_product(A, B, Q, R, constraint, z, free_end: bool = False) -> np.ndarray:
@@ -785,25 +825,30 @@ def lti_solve(A, B, Q, R, constraint, rhs, free_end: bool = False):
     (:func:`_stationary_gain`, doubling about 0 and then about sigma I, with
     B'P B of the size of R): every stage has one gain and a closed loop that
     decays over the horizon, and the border comes in closed form
-    (:func:`_stationary_border`), with no (N, q) array.  At a free end
-    (P_N = 0 is the problem's own), or when no such fixed point is found, the
-    sweep runs stage by stage from P_N (sigma I at a fixed end) and carries
-    the border columns through its backward scan
+    (:func:`_stationary_border`), with no (N, q) array; both are kept for
+    the next call with the same plant (:func:`_stationary_plan`).  At a free
+    end (P_N = 0 is the problem's own), or when no such fixed point is
+    found, the sweep runs stage by stage from P_N (sigma I at a fixed end)
+    and carries the border columns through its backward scan
     (:func:`_time_varying_border`).
     """
     A, B, Q, R = (np.asarray(a, dtype=float) for a in (A, B, Q, R))
     rhs = np.asarray(rhs, dtype=float)
     n = A.shape[0]
     threshold = INFEASIBILITY_TOL * (1.0 + abs(rhs).max(initial=0.0))
-    gain = terminal = None
+    plan = None
     if not free_end:
         sigma = _terminal_weight(R, B)
-        terminal = sigma * np.eye(n)
-        gain = _stationary_gain(A, B, Q, R, sigma, constraint.horizon)
-    if gain is not None:
-        S, b, stacked = _stationary_border(A, B, constraint, rhs, gain)
+        plan = _PLANS.get(
+            (content_key(A, B, Q, R), constraint.row_key),
+            lambda: _stationary_plan(A, B, Q, R, sigma, constraint),
+        )
+    if plan is not None:
+        gain, S = plan
+        b, stacked = _stationary_rhs(A, B, constraint, rhs, gain)
     else:
         N = constraint.horizon
+        terminal = None if free_end else sigma * np.eye(n)
         S, b, stacked = _time_varying_border(
             np.broadcast_to(A, (N,) + A.shape), np.broadcast_to(B, (N,) + B.shape),
             constraint, rhs, free_end, riccati_sweep(A, B, Q, R, N, terminal),

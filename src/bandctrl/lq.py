@@ -26,6 +26,18 @@ than over the whole stacked vector.  A max-norm residual of the whole
 first-order system above INFEASIBILITY_TOL * (1 + |rhs|) flags the transfer
 as infeasible.
 
+The endpoints x0 and xf enter only the right-hand side; the normality
+verdict (:func:`classify_normality_freq`) and, at a fixed end, the
+stationary gain and border matrix of :func:`bandctrl.kkt.lti_solve` depend
+on the plant alone.  Each is kept for the most recent plant, in one
+slot keyed by the content of what it depends on (shapes and float64 bytes
+of A and B, with Q and R for the gain and border, and the constraint's
+``row_key``), so solving one plant for many endpoint pairs computes them
+once; the border matrix is still factored once per solve.  A hit returns
+exactly what a fresh computation would: no result depends on what was
+solved before.  The slots retain O((n + q)^2) floats, about 19 MB after the
+baseline plant at N = 4096 (q = 1534).
+
 The returned states are those the first-order solve matched (x_N = xf, or
 A x_{N-1} + B u_{N-1} at a free end), so every dynamics row holds to the
 accuracy of the solve however unstable A is: no open-loop re-integration

@@ -57,7 +57,7 @@ from .extremal import (
     lift_from_solver,
 )
 from .kkt import StackedUnknowns
-from .lq import SolveStatus, lq_transfer_freq_solve
+from .lq import SolveStatus, _solve_transfer, lq_transfer_freq_solve
 from .problem import (
     ControlAffineDynamics,
     Fixed,
@@ -295,10 +295,14 @@ def residual_jacobian(
 
 
 def _initialize(spec: ProblemSpec, x0, xf):
-    """:func:`default_initialization`, plus the normality verdict of the
-    linearized transfer (for an LTI spec, the spec's own verdict)."""
+    """:func:`default_initialization`, plus the normality verdict of an LTI
+    spec (None for other dynamics).  Only an LTI spec's transfer is
+    classified: the linearized transfer of another spec has no verdict to
+    report, and the one refusal acted on here, an all-abnormal regime, holds
+    exactly when q + n > m N (:func:`classify_normality_freq`)."""
     n, m, N = spec.n, spec.m, spec.horizon
-    zeros = StackedUnknowns.zeros(n, m, N, spec.frequency_constraint.row_count)
+    fc = spec.frequency_constraint
+    zeros = StackedUnknowns.zeros(n, m, N, fc.row_count)
     x0 = np.asarray(x0, dtype=float).reshape(n)
     xf = np.asarray(xf, dtype=float).reshape(n)
     dyn = spec.dynamics
@@ -309,10 +313,15 @@ def _initialize(spec: ProblemSpec, x0, xf):
         Q, R = spec.cost.Q, spec.cost.R
     else:
         Q, R = np.eye(n), np.eye(m)
-    try:
-        sol = lq_transfer_freq_solve(A, B, Q, R, N, x0, xf, spec.frequency_constraint)
-    except AbnormalRegimeError as exc:
-        return zeros, True, exc.verdict
+    if isinstance(dyn, LtiDynamics):
+        try:
+            sol = lq_transfer_freq_solve(A, B, Q, R, N, x0, xf, fc)
+        except AbnormalRegimeError as exc:
+            return zeros, True, exc.verdict
+    elif fc.row_count + n > m * N:  # all abnormal
+        return zeros, True, None
+    else:
+        sol = _solve_transfer(A, B, Q, R, N, x0, xf, fc)
     if sol.status is not SolveStatus.SOLVED:
         return zeros, True, sol.normality
     traj = sol.trajectory
@@ -361,9 +370,7 @@ def newton_solve(
     init_warning, verdict = False, None
     if init is None:  # an LTI spec's initialization classifies the spec itself
         init, init_warning, verdict = _initialize(spec, x0, xf)
-    if not isinstance(spec.dynamics, LtiDynamics):
-        verdict = None
-    else:
+    if isinstance(spec.dynamics, LtiDynamics):
         if verdict is None:
             verdict = classify_normality_freq(
                 spec.dynamics.A, spec.dynamics.B, N, spec.frequency_constraint

@@ -124,7 +124,8 @@ class FrequencyConstraint:
     Row j is the real (cos) part, or where ``row_imag[j]`` the imaginary (sin)
     part, of the unitary DFT row of bin xi = ``row_bin[j]`` on channel
     ``row_channel[j]``; ``samples`` (horizon, q) holds each row's N samples,
-    and only the methods below read them.  ``blocks`` (horizon, q, channels)
+    and only the methods below read them; ``row_key`` compares constraints
+    by content.  ``blocks`` (horizon, q, channels)
     and ``stacked`` (q, horizon * channels) are dense copies, for tests and
     demonstrations.  The rows are orthogonal, with norms ``row_norms``, so
     ``effective_rank == row_count``; a repeated (channel, bin up to its
@@ -164,6 +165,14 @@ class FrequencyConstraint:
     @property
     def effective_rank(self) -> int:
         return self.row_count
+
+    @property
+    def row_key(self) -> tuple:
+        """The rows as a comparable value: horizon, channels and the bytes of
+        ``row_channel``, ``row_bin`` and ``row_imag``, which determine
+        everything the methods below compute.  Equal keys, equal rows."""
+        return (self.horizon, self.channels, self.row_channel.tobytes(),
+                self.row_bin.tobytes(), self.row_imag.tobytes())
 
     @property
     def row_norms(self) -> np.ndarray:

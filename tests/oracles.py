@@ -25,12 +25,17 @@ stage-by-stage form of ``riccati_solve``'s scan.  The dense Newton step is
 the step of ``newton_solve`` from the dense Jacobian, which the Riccati scan
 and border of ``kkt.time_varying_solve`` replaced.  ``dynamics_row_ulps``
 measures how well each row x_{t+1} = A x_t + B u_t of a returned trajectory
-holds, in units of the rounding of its terms.
+holds, in units of the rounding of its terms.  Inside ``empty_memos`` the
+one-plant memos of ``bandctrl.kkt`` and ``bandctrl.extremal`` start empty,
+so what is solved there is computed afresh.
 """
+
+import contextlib
 
 import numpy as np
 
-from bandctrl import kkt
+from bandctrl import extremal, kkt
+from bandctrl._memo import LastValue
 from bandctrl.extremal import (
     NormalityClass,
     NormalityVerdict,
@@ -154,6 +159,19 @@ def transfer_qp_oracle(A, B, Q, R, horizon, x0, xf=None, freq_matrix=None):
         "cost": quadratic_cost(Q, R, states, controls),
         "feasible": bool(feasible),
     }
+
+
+@contextlib.contextmanager
+def empty_memos():
+    """Run a block with empty plant memos (the stationary plan of
+    ``kkt.lti_solve`` and the verdict of ``classify_normality_freq``); the
+    memos outside the block are restored after it, untouched."""
+    saved = kkt._PLANS, extremal._VERDICTS
+    kkt._PLANS, extremal._VERDICTS = LastValue(), LastValue()
+    try:
+        yield
+    finally:
+        kkt._PLANS, extremal._VERDICTS = saved
 
 
 class DenseRows:

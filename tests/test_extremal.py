@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bandctrl import extremal
+from bandctrl._memo import LastValue
 from bandctrl.cli import BUILTINS
 
 from bandctrl.extremal import (
@@ -544,6 +545,7 @@ class TestNormalityFreq:
             return got
 
         sines = extremal._frequency_sines
+        monkeypatch.setattr(extremal, "_VERDICTS", LastValue())  # an empty memo: the sines are computed
         monkeypatch.setattr(extremal, "_frequency_sines", spy)
         rng = np.random.default_rng(horizon)
         classify_normality_freq(rng.standard_normal((2, 2)), rng.standard_normal((2, m)), horizon, fc)
@@ -675,6 +677,7 @@ class TestNormalityFreq:
             shapes.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
+        monkeypatch.setattr(extremal, "_VERDICTS", LastValue())  # an empty memo: the SVDs run
         monkeypatch.setattr(np.linalg, "svd", spy)
         tracemalloc.start()
         try:

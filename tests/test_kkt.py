@@ -1,6 +1,8 @@
 """Tests for the structured O(N) solve of the LTI first-order system, against
 the dense assembled system it replaces."""
 
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bandctrl import kkt
+from bandctrl._memo import LastValue
 from bandctrl.extremal import NormalityClass, classify_normality_freq
 from bandctrl.lq import (
     INFEASIBILITY_TOL,
@@ -23,6 +26,7 @@ from oracles import (
     dense_first_order_solve,
     dense_first_order_system,
     dynamics_row_ulps,
+    empty_memos,
     loop_riccati_sweep,
     random_banned_sets,
     random_lq_matrices,
@@ -221,10 +225,11 @@ class TestBorder:
         border, seen = kkt._stationary_border, []
 
         def spy(*args):
-            S, b, stacked = border(*args)
+            S = border(*args)
             seen.append(S.copy())
-            return S, b, stacked
+            return S
 
+        monkeypatch.setattr(kkt, "_PLANS", LastValue())  # an empty memo: S is formed here
         monkeypatch.setattr(kkt, "_stationary_border", spy)
         _, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, rhs)
         monkeypatch.undo()
@@ -371,6 +376,103 @@ class TestStructuredSolve:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(np.linalg.LinAlgError):
                 kkt.lti_solve([[1e-7]], [[1.17e170]], [[38.9]], [[1.0]], fc, rhs)
+
+
+class TestPlanMemo:
+    """``lti_solve`` keeps the plant half of its last stationary fixed-end
+    solve (gain and border matrix) for the next call with that plant; no
+    result depends on what was solved before."""
+
+    @staticmethod
+    def _plant(seed, N=32):
+        A, B, Q, R = random_lq_matrices(np.random.default_rng(seed), 3, 2)
+        fc = build_frequency_constraint(SupportSpec.from_banned([[1, 4], [2]], N), N, 2)
+        return [A, B, Q, R, fc]
+
+    @staticmethod
+    def _rhs(plant, seed):
+        A, fc, rng = plant[0], plant[4], np.random.default_rng(seed)
+        return kkt.boundary_rhs(
+            A @ rng.standard_normal(3), rng.standard_normal(3), 3, 2, fc.horizon, fc.row_count
+        )
+
+    @staticmethod
+    def _fresh(plant, rhs):
+        with empty_memos():
+            return kkt.lti_solve(*plant, rhs)
+
+    @staticmethod
+    def _same(got, ref):
+        return np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
+
+    def test_interleaved_plants_give_the_empty_memo_answer(self, monkeypatch):
+        plant, other = self._plant(1), self._plant(2)
+        e1, e2, e3 = (self._rhs(plant, seed) for seed in (1, 2, 3))
+        ref = self._fresh(plant, e2)
+        plans, planned = kkt._stationary_plan, []
+
+        def spy(*args):
+            planned.append(args[0])
+            return plans(*args)
+
+        monkeypatch.setattr(kkt, "_PLANS", LastValue())
+        monkeypatch.setattr(kkt, "_stationary_plan", spy)
+        kkt.lti_solve(*plant, e1)
+        hit = kkt.lti_solve(*plant, e2)
+        kkt.lti_solve(*other, e3)
+        miss = kkt.lti_solve(*plant, e2)
+        assert len(planned) == 3  # the second call reused the first one's plan
+        assert self._same(hit, ref) and self._same(miss, ref)
+        assert ref[2] and ref[1] <= 1e-12
+
+    @pytest.mark.parametrize("changed", [0, 2], ids=["A", "Q"])
+    def test_a_plant_changed_in_place_is_planned_again(self, changed):
+        plant = self._plant(3)
+        rhs = self._rhs(plant, 4)
+        before = kkt.lti_solve(*plant, rhs)
+        plant[changed] *= 1.01  # same array object, new content
+        after = kkt.lti_solve(*plant, rhs)
+        assert self._same(after, self._fresh(plant, rhs))
+        assert not np.array_equal(after[0], before[0])
+
+    def test_stored_arrays_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(kkt, "_PLANS", LastValue())
+        plant = self._plant(5)
+        kkt.lti_solve(*plant, self._rhs(plant, 6))
+        _, (gain, S) = kkt._PLANS._entry
+        assert S.shape == (3 + plant[4].row_count,) * 2
+        for a in (*gain, S):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    def test_threads_sharing_the_memo_get_the_empty_memo_answers(self):
+        # every thread alternates two plants, so the slot changes under the others
+        plants = [self._plant(7), self._plant(8)]
+        jobs = [(p, self._rhs(plants[p], seed)) for seed in range(6) for p in (0, 1)]
+        refs = [self._fresh(plants[p], rhs) for p, rhs in jobs]
+        wrong, done = [], []
+
+        def work(shift):
+            for i in range(len(jobs)):
+                k = (i + shift) % len(jobs)
+                p, rhs = jobs[k]
+                if not self._same(kkt.lti_solve(*plants[p], rhs), refs[k]):
+                    wrong.append(k)
+            done.append(shift)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(shift,)) for shift in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [0, 1, 2, 3] and wrong == []
 
 
 def _stationary_gain(A, B, Q, R, horizon=4096):

@@ -1,11 +1,18 @@
 """Tests for the exact LQ solvers, frozen against independent oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bandctrl.extremal import AbnormalRegimeError, lift_from_solver, verify_pmp
+from bandctrl.extremal import (
+    AbnormalRegimeError,
+    classify_normality_freq,
+    lift_from_solver,
+    verify_pmp,
+)
 from bandctrl.lq import (
     SolveStatus,
     lq_pmp_solve,
@@ -24,7 +31,9 @@ from bandctrl.spectrum import (
 )
 
 from oracles import (
+    dense_first_order_solve,
     dynamics_row_ulps,
+    empty_memos,
     loop_closed_loop_rollout,
     random_banned_sets,
     random_lq_matrices,
@@ -136,6 +145,29 @@ class TestLqPmp:
             sol = lq_pmp_solve(A, B, Q, R, horizon, x0)
             assert _rel_gap(traj_dp.states, sol.trajectory.states) < 1e-8
             assert _rel_gap(traj_dp.controls, sol.trajectory.controls) < 1e-8
+
+    def test_criterion_1_instances_match_the_dense_oracle(self):
+        # the instances of acceptance criterion 1, which compares riccati_solve
+        # with lq_pmp_solve; both run kkt.riccati_sweep, so here each meets the
+        # dense LU of the assembled first-order system instead
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(1, 4))
+            horizon = int(rng.integers(1, 21))
+            A, B, Q, R = random_lq_matrices(rng, n, m)
+            x0 = rng.standard_normal(n)
+            z, _, consistent = dense_first_order_solve(
+                A, B, Q, R, horizon, x0, None, np.zeros((horizon, 0, m))
+            )
+            assert consistent
+            dense = StackedUnknowns(z, n, m, horizon, 0)
+            states = np.vstack([x0, dense.states()])
+            states = np.vstack([states, A @ states[-1] + B @ dense.controls()[-1]])
+            _, traj_dp = riccati_solve(A, B, Q, R, horizon, x0)
+            for traj in (traj_dp, lq_pmp_solve(A, B, Q, R, horizon, x0).trajectory):
+                assert _rel_gap(traj.states, states) <= 1e-8, seed
+                assert _rel_gap(traj.controls, dense.controls()) <= 1e-8, seed
 
     def test_adjoints_match_value_matrices(self):
         rng = np.random.default_rng(13)
@@ -346,3 +378,85 @@ class TestFirstOrderSystem:
         sol = lq_pmp_solve(A, B, Q, R, horizon, x0)
         assert _rel_gap(traj_dp.controls, sol.trajectory.controls) < 1e-8
         assert _rel_gap(traj_dp.states, sol.trajectory.states) < 1e-8
+
+
+def _memo_plant(rng, n, m, horizon, radius):
+    A, B, Q, R = random_lq_matrices(rng, n, m, spectral_radius=radius)
+    return A, B, Q, R, horizon, random_banned_sets(rng, horizon, m, 3)
+
+
+def _transfer_record(plant, x0, xf):
+    """Everything a fixed-end transfer under bans reports, its certificate
+    included, as plain values for a bitwise comparison (the verdict alone
+    when it is refused)."""
+    A, B, Q, R, horizon, banned = plant
+    spec = lti_spec(A, B, Q, R, horizon, x0=x0, xf=xf, banned=banned)
+    try:
+        sol = lq_transfer_freq_solve(A, B, Q, R, horizon, x0, xf, spec.frequency_constraint)
+    except AbnormalRegimeError as exc:
+        return ["refused", exc.verdict]
+    record = [sol.status, sol.normality, sol.nu, sol.cost, sol.ls_residual, sol.endpoint_gap]
+    if sol.status is SolveStatus.SOLVED:
+        lift = lift_from_solver(spec, sol.trajectory, sol.adjoints, sol.nu)
+        cert = verify_pmp(sol.trajectory, lift, spec)
+        record += [*_path(sol), sol.adjoints, cert.passed, repr(dataclasses.astuple(cert))]
+    return record
+
+
+def _same_record(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(x, y, equal_nan=True) if isinstance(x, (np.ndarray, float)) else x == y
+        for x, y in zip(a, b)
+    )
+
+
+class TestPlantMemo:
+    """A transfer's verdict, solution and certificate do not depend on what
+    was solved before, although the verdict and the stationary plan of the
+    last plant are kept for the next call."""
+
+    def test_interleaved_plants_give_the_empty_memo_answer(self):
+        rng = np.random.default_rng(21)
+        plant, other = _memo_plant(rng, 3, 2, 48, 0.9), _memo_plant(rng, 2, 1, 40, 0.9)
+        e1, e2, e3 = (rng.standard_normal((2, 3)) for _ in range(3))
+        with empty_memos():
+            ref = _transfer_record(plant, *e2)
+        assert ref[0] is SolveStatus.SOLVED and ref[-2] is True  # a certified solve
+        _transfer_record(plant, *e1)
+        assert _same_record(_transfer_record(plant, *e2), ref)
+        _transfer_record(other, *e3[:, :2])
+        assert _same_record(_transfer_record(plant, *e2), ref)
+
+    def test_mismatched_constraint_raises_where_the_key_would_hit(self):
+        rng = np.random.default_rng(22)
+        A, B, Q, R, horizon, banned = _memo_plant(rng, 2, 1, 16, 0.9)
+        fc = build_frequency_constraint(SupportSpec.from_banned([[3]], horizon), horizon, 1)
+        x0, xf = rng.standard_normal(2), rng.standard_normal(2)
+        assert lq_transfer_freq_solve(A, B, Q, R, horizon, x0, xf, fc).status is SolveStatus.SOLVED
+        # A, B and the rows are those just classified; only the horizon differs
+        with pytest.raises(ValueError, match="constraint built for"):
+            classify_normality_freq(A, B, horizon + 1, fc)
+        with pytest.raises(ValueError, match="constraint built for"):
+            lq_transfer_freq_solve(A, B, Q, R, horizon + 1, x0, xf, fc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        calls=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=2, max_size=10),
+    )
+    def test_any_sequence_gives_the_empty_memo_answers(self, seed, calls):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        horizon = int(rng.integers(1, 33))
+        first = _memo_plant(rng, n, m, horizon, rng.uniform(0.1, 1.2))
+        plants = [
+            first,
+            _memo_plant(rng, n, m, horizon, rng.uniform(0.1, 1.2)),
+            first[:2] + (2.0 * first[2],) + first[3:],  # the verdict's key, another plan's
+            first[:5] + (random_banned_sets(rng, horizon, m, 3),),  # other rows
+        ]
+        ends = rng.standard_normal((4, 3, 2, n))
+        for p, e in calls:
+            got = _transfer_record(plants[p], *ends[p, e])
+            with empty_memos():
+                assert _same_record(got, _transfer_record(plants[p], *ends[p, e]))

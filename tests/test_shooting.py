@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bandctrl import extremal, lq, shooting
 from bandctrl.cli import BUILTINS
 from bandctrl.extremal import AbnormalRegimeError, verify_pmp
 from bandctrl.lq import lq_transfer_freq_solve
@@ -126,6 +127,20 @@ def _lti_setup(seed=0, banned=((2, 4),)):
     xf = rng.standard_normal(2)
     spec = lti_spec(A, B, Q, R, 6, x0=x0, xf=xf, banned=[list(b) for b in banned])
     return spec, x0, xf
+
+
+def _count_classifications(monkeypatch):
+    """The list to which every call of classify_normality_freq, from any
+    bandctrl module, now appends its arguments."""
+    calls, original = [], extremal.classify_normality_freq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (extremal, lq, shooting):
+        monkeypatch.setattr(module, "classify_normality_freq", counted)
+    return calls
 
 
 def _pack_from_lq(spec, sol):
@@ -366,6 +381,22 @@ class TestNewtonSolve:
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert result.converged
 
+    @pytest.mark.parametrize("model", ["lti", "affine_toy"])
+    def test_only_an_lti_spec_is_classified(self, monkeypatch, model):
+        # the verdict of a control-affine spec's linearized start is not reported
+        calls = _count_classifications(monkeypatch)
+        if model == "lti":
+            spec, x0, xf = _lti_setup(seed=3)
+        else:
+            x0, xf = [0.0], [1.5]
+            spec = control_affine_spec(
+                BUILTINS["affine_toy"](), [[1.0]], [[1.0]], 48, x0, xf, banned=[[2, 5]]
+            )
+        result = newton_solve(spec, x0, xf)
+        assert result.converged and not result.init_warning
+        assert len(calls) == (model == "lti")
+        assert (result.normality is None) == (model != "lti")
+
     def test_abnormal_lti_regime_is_refused(self):
         spec = lti_spec([[1.0]], [[1.0]], [[0.0]], [[1.0]], 2, x0=[0.0], xf=[0.0], banned=[[0, 1]])
         with pytest.raises(AbnormalRegimeError):
@@ -444,6 +475,17 @@ class TestDefaultInitialization:
         z, warned = default_initialization(spec, [0.0], [1.0])
         assert warned
         assert np.max(np.abs(z.z)) == 0.0
+
+    def test_over_banned_toy_falls_back_with_warning(self, monkeypatch):
+        # q + n > m N: every transfer is abnormal, which needs no classification
+        calls = _count_classifications(monkeypatch)
+        toy = BUILTINS["affine_toy"]()
+        spec = control_affine_spec(toy, [[1.0]], [[1.0]], 4, [0.0], [1.0], banned=[[0, 1, 2]])
+        assert spec.frequency_constraint.row_count + 1 > 4
+        z, warned = default_initialization(spec, [0.0], [1.0])
+        assert warned
+        assert np.max(np.abs(z.z)) == 0.0 and z.q == 4
+        assert calls == []
 
 
 class TestStructuredStep:

@@ -286,6 +286,17 @@ class TestFrequencyConstraint:
         assert fc.banned() == ((4,), (3, 5))
         assert fc.canonical_supports == SupportSpec.from_banned([[4], [3, 5]], 8)
 
+    def test_row_key_compares_content(self):
+        def build(banned, horizon=8, channels=2):
+            return build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, channels)
+
+        fc = build([[1], [3]])
+        assert build([[1], [3]]).row_key == fc.row_key  # another object, the same rows
+        assert build([[7], [5]]).row_key == fc.row_key  # the same mirror-closed bans
+        others = [build([[1], [2]]), build([[3], [1]]), build([[1], [3]], horizon=9),
+                  build([[1], [3], []], channels=3)]
+        assert all(other.row_key != fc.row_key for other in others)
+
 
 class TestUncertaintyCheck:
     def test_zero_channel_vacuous(self):
