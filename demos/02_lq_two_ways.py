@@ -2,11 +2,14 @@
 """Solve the free-endpoint LQ regulator two ways and confirm they coincide.
 
 The Bellman recursion produces value matrices and feedback gains; the
-first-order (adjoint) route solves the coupled state/adjoint/stationarity
-system.  Both characterize the same optimum.  The structured first-order
-solver runs the same backward Riccati recursion, so the two read-outs are
-not independent computations; tests/test_kkt.py checks that solver against a
-dense factorization of the whole system.
+first-order (adjoint) route reads the coupled state/adjoint/stationarity
+system.  Both characterize the same optimum.  At a free end that system has
+no border, and its block elimination is the backward Riccati recursion
+itself, so lq_pmp_solve returns riccati_solve's solution with the adjoints
+p_t = -S_{t+1} x_{t+1}: the two read-outs are one computation, and the gaps
+printed below are exactly zero.  The independent check is the dense
+factorization of the whole first-order system in tests/test_lq.py
+(TestLqPmp::test_criterion_1_instances_match_the_dense_oracle).
 """
 
 import numpy as np

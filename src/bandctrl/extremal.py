@@ -274,6 +274,11 @@ def verify_pmp(
     rejects) leaves its stage no feasible direction.
     """
     horizon, n, m = traj.horizon, traj.n, traj.m
+    if (horizon, n, m) != (spec.horizon, spec.n, spec.m):
+        raise ValueError(
+            f"trajectory has horizon, n, m = {horizon}, {n}, {m}; "
+            f"spec has {spec.horizon}, {spec.n}, {spec.m}"
+        )
     fc = spec.frequency_constraint or FrequencyConstraint(horizon, m)  # unvalidated
     q = fc.row_count
     eta_c = float(lift.eta_c)

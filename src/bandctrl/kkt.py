@@ -13,9 +13,6 @@ whose rows are, in order,
     -dc_t/du + (df_t/du)'p_t - F_t'nu = 0     t = 0..N-1
     sum_t F_t u_t = 0.
 
-With a free final state the layout is the same: x_N enters no row but the
-last dynamics row, which becomes the transversality condition p_{N-1} = 0.
-
 :func:`assemble` builds the Jacobian of these rows from per-stage derivative
 arrays as one dense matrix; it is the one place where the blocks are laid
 out, and no solver factors it: it serves the public dense Jacobian of
@@ -27,43 +24,45 @@ the rows are affine in z, and the solution solves
 derivatives and a gain-state cross term: the analytic Newton step of
 :mod:`bandctrl.shooting`) solve that system without forming it, in O(N) time
 and memory for fixed n, m (and O(N + q^2) in the number q of frequency
-rows).  The stage rows, with a terminal adjoint parameter w_N (fixed end
-only) and nu held as parameters, are a two-point LQ problem: a backward
-Riccati recursion gives u_t = K_t x_t + k_t and p_{t-1} = -P_t x_t + w_t.
-What is left is the border: the last dynamics row (x_N = xf) and the
-frequency rows, a dense system of size n + q in (w_N, nu), where
-w_N = p_{N-1} at a solution.  :func:`lti_solve` solves it by LU, or by least
-squares when LU fails or leaves a residual above
-INFEASIBILITY_TOL * (1 + |rhs|), so non-unique multipliers come out
-minimum-norm over (p_{N-1}, nu); :func:`time_varying_solve` by LU alone.
+rows).  The stage rows, with a terminal adjoint parameter w_N and nu held
+as parameters, are a two-point LQ problem: a backward Riccati recursion gives
+u_t = K_t x_t + k_t and p_{t-1} = -P_t x_t + w_t.  What is left is the
+border: the last dynamics row (x_N = xf) and the frequency rows, a dense
+system of size n + q in (w_N, nu), where w_N = p_{N-1} at a solution.
+:func:`lti_solve` solves it by LU, or by least squares when LU fails or
+leaves a residual above INFEASIBILITY_TOL * (1 + |rhs|), so non-unique
+multipliers come out minimum-norm over (p_{N-1}, nu);
+:func:`time_varying_solve` by LU alone.  (With a free final state and no
+frequency rows, p_{N-1} = 0 is given and there is no border: the elimination
+is the Riccati recursion from P_N = 0 itself, which
+:func:`bandctrl.lq.riccati_solve` runs.)
 
-At a fixed end the terminal weight P_N is free, and it is the stabilizing
-fixed point of the recursion, found by doubling: every stage then has the
-same gain K and closed loop Phi = A + B K, which must have decayed over the
-horizon (|Phi^N|_F <= 1/2, so rho(Phi) < 1).  The border comes in closed
-form, blocks by banned DFT bin (DFT orthogonality) plus a term of rank at
-most 2n (:func:`_stationary_border`), and its right-hand side from the solve
-at zero border unknowns (:func:`_stationary_rhs`); every pass is a
-single-column recursive-doubling scan with one matrix.  At a free end (where
-P_N = 0 is the problem's own), and
-at a fixed end where no such fixed point is found (a mode on or outside
-the unit circle that B does not reach, overflow, a recursion that wanders in
-its last bits, or a closed loop too slow for the horizon), the sweep
-(:func:`riccati_sweep`) runs stage by stage from P_N, stops once P_t reaches
-its floating-point fixed point and repeats that stage for the rest; the
-right-hand side and one unit column per border unknown are carried through a
-batched backward scan, and the border is the Gram product of those columns
+Since the end is fixed, the terminal weight P_N is free, and it is the
+stabilizing fixed point of the recursion, found by doubling: every stage
+then has the same gain K and closed loop Phi = A + B K, which must have
+decayed over the horizon (|Phi^N|_F <= 1/2, so rho(Phi) < 1).  The border
+comes in closed form, blocks by banned DFT bin (DFT orthogonality) plus a
+term of rank at most 2n (:func:`_stationary_border`), and its right-hand
+side from the solve at zero border unknowns (:func:`_stationary_rhs`); every
+pass is a single-column recursive-doubling scan with one matrix.  Where no
+such fixed point is found (a mode on or outside the unit circle that B does
+not reach, overflow, a recursion that wanders in its last bits, or a closed
+loop too slow for the horizon), the sweep (:func:`riccati_sweep`) runs stage
+by stage from P_N = sigma I, stops once P_t reaches its floating-point fixed
+point and repeats that stage for the rest; the right-hand side and one unit
+column per border unknown are carried through a batched backward scan, and
+the border is the Gram product of those columns
 (:func:`_time_varying_border`).  Either way, single-column passes then give
-the states, controls and adjoints.  :func:`time_varying_solve` takes the same
-border, from P_N = sigma I (the fixed-end rule of :func:`lti_solve`), with
-the recursion of every stage computed at once by an associative scan of the
-Riccati maps (:func:`riccati_scan`).
+the states, controls and adjoints.  :func:`time_varying_solve` takes the
+same border, from P_N = sigma I (the rule of :func:`lti_solve`'s sweep),
+with the recursion of every stage computed at once by an associative scan of
+the Riccati maps (:func:`riccati_scan`).
 :func:`lti_product` is ``assemble(...) @ z`` without the matrix.
 
 The stationary gain and the border matrix depend on the plant (A, B, Q, R)
 and the frequency rows, not on the right-hand side, in which alone the
 endpoints appear.  So :func:`lti_solve` keeps those of the most recent
-fixed-end plant, "no stationary gain" included, in one slot
+plant, "no stationary gain" included, in one slot
 (:class:`bandctrl._memo.LastValue`), keyed by the shapes and float64 bytes
 of A, B, Q and R and the constraint's ``row_key``.  The same plant with
 another right-hand side then forms only b, the LU solve of S against it and
@@ -96,7 +95,7 @@ MAX_DOUBLINGS = 50
 # stages of the Riccati recursion that may refine the doubled fixed point
 MAX_REFINEMENTS = 8
 
-# the plant half of the most recent fixed-end stationary solve (lti_solve)
+# the plant half of the most recent stationary solve (lti_solve)
 _PLANS = LastValue()
 
 __all__ = [
@@ -199,7 +198,7 @@ def _place(M: np.ndarray, row: int, col: int, blocks) -> None:
     M[rows[:, :, None], cols[:, None, :]] += blocks
 
 
-def assemble(jx, ju, Q, R, constraint, cross=None, free_end: bool = False) -> np.ndarray:
+def assemble(jx, ju, Q, R, constraint, cross=None) -> np.ndarray:
     """Jacobian of the first-order rows with respect to z.
 
     ``jx`` (N, n, n) and ``ju`` (N, n, m) are df_t/dx and df_t/du at each
@@ -207,8 +206,8 @@ def assemble(jx, ju, Q, R, constraint, cross=None, free_end: bool = False) -> np
     (m, m) are the stage-cost Hessians; ``constraint`` holds F_0..F_{N-1}.
     ``cross`` (N, m, n), when given, holds d((df_t/du)'p_t)/dx_t, the state
     derivative of the gain-adjoint product of control-affine dynamics
-    (``cross[0]`` is not read).  ``free_end`` replaces the last dynamics row
-    by p_{N-1} = 0.  Builds one dense matrix and writes every block into it.
+    (``cross[0]`` is not read).  Builds one dense matrix and writes every
+    block into it.
     """
     N, n, m = np.shape(ju)
     q = constraint.row_count
@@ -217,13 +216,10 @@ def assemble(jx, ju, Q, R, constraint, cross=None, free_end: bool = False) -> np
     r_adj, r_stat = N * n, (2 * N - 1) * n
     r_freq = r_stat + N * m
     M = np.zeros((ov + q, ov + q))
-    last = N - 1 if free_end else N  # dynamics rows kept
 
     _place(M, 0, 0, np.broadcast_to(np.eye(n), (N - 1, n, n)))  # x_{t+1}
-    _place(M, n, 0, -jx[1:last])  # -f_x x_t
-    _place(M, 0, ou, -ju[:last])  # -f_u u_t
-    if free_end:
-        M[r_adj - n : r_adj, op + (N - 1) * n : ov] = np.eye(n)
+    _place(M, n, 0, -jx[1:])  # -f_x x_t
+    _place(M, 0, ou, -ju)  # -f_u u_t
 
     _place(M, r_adj, op, np.broadcast_to(np.eye(n), (N - 1, n, n)))  # p_{t-1}
     _place(M, r_adj, op + n, -jx[1:].transpose(0, 2, 1))  # -f_x' p_t
@@ -243,12 +239,11 @@ def assemble(jx, ju, Q, R, constraint, cross=None, free_end: bool = False) -> np
 
 def boundary_rhs(ax0, xf, n: int, m: int, horizon: int, q: int) -> np.ndarray:
     """Right-hand side -r(0) of an LTI system.  At z = 0 every row vanishes
-    but the first dynamics row, r = -A x_0 (``ax0`` is A x_0), and at a fixed
-    end (``xf`` not None) the last one, r = x_N."""
+    but the first dynamics row, r = -A x_0 (``ax0`` is A x_0), and the last
+    one, r = x_N = ``xf`` (the same row when N = 1)."""
     rhs = np.zeros(segments(n, m, horizon, q)["nu"].stop)
     rhs[:n] = ax0
-    last = slice((horizon - 1) * n, horizon * n)
-    rhs[last] = 0.0 if xf is None else rhs[last] - xf
+    rhs[(horizon - 1) * n : horizon * n] -= xf
     return rhs
 
 
@@ -664,7 +659,7 @@ def _stationary_border(A, B, constraint, gain):
     return S
 
 
-def lti_product(A, B, Q, R, constraint, z, free_end: bool = False) -> np.ndarray:
+def lti_product(A, B, Q, R, constraint, z) -> np.ndarray:
     """``assemble(...) @ z`` for LTI dynamics, without forming the matrix."""
     N, q, m = constraint.horizon, constraint.row_count, constraint.channels
     n = np.shape(A)[0]
@@ -673,17 +668,13 @@ def lti_product(A, B, Q, R, constraint, z, free_end: bool = False) -> np.ndarray
     X[1:N] = un.states()
     U, P, nu = un.controls(), un.adjoints(), un.nu()
     dyn = X[1:] - X[:-1] @ A.T - U @ B.T
-    if free_end:
-        dyn[-1] = P[-1]
     adj = P[:-1] - P[1:] @ A + X[1:N] @ Q.T
     stat = P @ B - U @ R.T - constraint.apply_transpose(nu)
     freq = constraint.apply(U)
     return np.concatenate([dyn.ravel(), adj.ravel(), stat.ravel(), freq])
 
 
-
-
-def _time_varying_border(A, B, constraint, rhs, free_end, sweep):
+def _time_varying_border(A, B, constraint, rhs, sweep):
     """Border (S, b) and the map theta -> z of stage-varying dynamics, from
     a Riccati sweep ``sweep`` = (P, K, H^(-1)) (of :func:`riccati_sweep` or
     :func:`riccati_scan`), with the right-hand side and one column per border
@@ -708,21 +699,15 @@ def _time_varying_border(A, B, constraint, rhs, free_end, sweep):
     PhiT = Phi.transpose(0, 2, 1)
     BT = B.transpose(0, 2, 1)
 
-    # backward columns: the right-hand side, then w_N (fixed end), then nu
-    lam = 0 if free_end else n
-    c = 1 + lam + q
-    dyn, adj, stat, freq = _split_rows(rhs, n, m, N)
-    d = dyn
+    # backward columns: the right-hand side, then w_N, then nu
+    c = 1 + n + q
+    d, adj, stat, freq = _split_rows(rhs, n, m, N)
     g = np.zeros((N, m, c))  # F_t'nu + s_t: R u_t = B_t'p_t - g_t
     g[:, :, 0] = stat
-    g[:, :, 1 + lam :] = constraint.columns()
+    g[:, :, 1 + n :] = constraint.columns()
     wr = np.empty((N, n, c))  # w_N, w_{N-1}, ..., w_1: the scan order
     wr[0] = 0.0  # w_N = p_{N-1} + P_N x_N
-    if free_end:
-        wr[0, :, 0] = dyn[-1]
-        d = np.concatenate([dyn[:-1], np.zeros((1, n))])
-    else:
-        wr[0, :, 1 : 1 + lam] = np.eye(n)
+    wr[0, :, 1 : 1 + n] = np.eye(n)
     Pd = P[1:] @ d[:, :, None]  # P_{t+1} d_t
 
     # backward: w_t = Phi_t'(w_{t+1} - P_{t+1} d_t) - K_t' g_t + a_t from w_N,
@@ -746,18 +731,16 @@ def _time_varying_border(A, B, constraint, rhs, free_end, sweep):
         u = kt
         u[1:] += K[1:] @ x_next[:-1]
         p = w[:, :, :1] + w[:, :, 1:] @ theta[:, None] - P[1:] @ x_next
-        return np.concatenate([x_next[:-1].ravel(), u.ravel(), p.ravel(), theta[lam:]])
+        return np.concatenate([x_next[:-1].ravel(), u.ravel(), p.ravel(), theta[n:]])
 
-    if c == 1:
-        return np.zeros((0, 0)), np.zeros(0), stacked
-    # border rows x_N = 0 (fixed end) and sum_t F_t u_t = f, as functions
-    # of every column: diag(I, -I) (E'K + W'd), W'd in the rhs column only
+    # border rows x_N = 0 and sum_t F_t u_t = f, as functions of every
+    # column: diag(I, -I) (E'K + W'd), W'd in the rhs column only
     border = e.reshape(N * m, c).T @ k.reshape(N * m, c)
     border[:, 0] += d[::-1].ravel() @ wr.reshape(N * n, c)
     border = border[1:]
-    border[lam:] *= -1.0
+    border[n:] *= -1.0
     b = -border[:, 0]
-    b[lam:] += freq
+    b[n:] += freq
     return border[:, 1:], b, stacked
 
 
@@ -788,7 +771,7 @@ def time_varying_solve(A, B, Q, R, constraint, rhs, cross=None) -> np.ndarray:
     n = A.shape[1]
     sigma = _terminal_weight(R, B)
     sweep = riccati_scan(A, B, Q, R, sigma * np.eye(n), cross)
-    S, b, stacked = _time_varying_border(A, B, constraint, rhs, False, sweep)
+    S, b, stacked = _time_varying_border(A, B, constraint, rhs, sweep)
     try:
         with np.errstate(all="ignore"):  # overflow ends in the check below
             z = stacked(np.linalg.solve(S, b))
@@ -802,67 +785,62 @@ def time_varying_solve(A, B, Q, R, constraint, rhs, cross=None) -> np.ndarray:
     )
 
 
-def lti_solve(A, B, Q, R, constraint, rhs, free_end: bool = False):
+def lti_solve(A, B, Q, R, constraint, rhs):
     """Solve ``assemble(...) @ z = rhs`` for LTI dynamics in O(N).
 
     ``A``, ``B``, ``Q``, ``R`` and ``constraint`` are as in :func:`assemble`
-    with constant stage derivatives; ``rhs`` is any vector in
-    its row layout.  The border system in (w_N, nu) (nu alone at a free end)
-    is solved by LU; when that fails, gives non-finite values or leaves a
-    residual max-norm above INFEASIBILITY_TOL * (1 + |rhs|), by least
-    squares.  Returns ``(z, residual, consistent)``: the residual max-norm of
-    the returned z and whether it is within that threshold.  Raises
+    with constant stage derivatives; ``rhs`` is any vector in its row layout.
+    The border system in (w_N, nu) is solved by LU; when that fails, gives
+    non-finite values or leaves a residual max-norm above
+    INFEASIBILITY_TOL * (1 + |rhs|), by least squares.  Returns
+    ``(z, residual, consistent)``: the residual max-norm of the returned z
+    and whether it is within that threshold.  Raises
     ``numpy.linalg.LinAlgError`` when a Riccati pivot is singular, or when
     the border system that least squares would take is not finite.
 
-    At a fixed end the border unknown is w_N = p_{N-1} + P_N x_N, where x_N
-    is the residual of the last dynamics row (zero at a solution, so
-    w_N = p_{N-1} there), and the terminal weight P_N is free.  From P_N = 0
-    the closed loop A + B K_t is open loop in every mode Q does not weigh,
-    and an unstable such mode makes the right-hand-side and p_{N-1} columns
-    grow like rho(A)^N and cancel in x_t; a stabilizing weight avoids that.
-    So P_N is the stabilizing fixed point of the recursion
-    (:func:`_stationary_gain`, doubling about 0 and then about sigma I, with
-    B'P B of the size of R): every stage has one gain and a closed loop that
-    decays over the horizon, and the border comes in closed form
-    (:func:`_stationary_border`), with no (N, q) array; both are kept for
-    the next call with the same plant (:func:`_stationary_plan`).  At a free
-    end (P_N = 0 is the problem's own), or when no such fixed point is
-    found, the sweep runs stage by stage from P_N (sigma I at a fixed end)
-    and carries the border columns through its backward scan
-    (:func:`_time_varying_border`).
+    The border unknown is w_N = p_{N-1} + P_N x_N, where x_N is the residual
+    of the last dynamics row (zero at a solution, so w_N = p_{N-1} there),
+    and the terminal weight P_N is free.  From P_N = 0 the closed loop
+    A + B K_t is open loop in every mode Q does not weigh, and an unstable
+    such mode makes the right-hand-side and p_{N-1} columns grow like
+    rho(A)^N and cancel in x_t; a stabilizing weight avoids that.  So P_N is
+    the stabilizing fixed point of the recursion (:func:`_stationary_gain`,
+    doubling about 0 and then about sigma I, with B'P B of the size of R):
+    every stage has one gain and a closed loop that decays over the horizon,
+    and the border comes in closed form (:func:`_stationary_border`), with no
+    (N, q) array; both are kept for the next call with the same plant
+    (:func:`_stationary_plan`).  When no such fixed point is found, the sweep
+    runs stage by stage from P_N = sigma I and carries the border columns
+    through its backward scan (:func:`_time_varying_border`).
     """
     A, B, Q, R = (np.asarray(a, dtype=float) for a in (A, B, Q, R))
     rhs = np.asarray(rhs, dtype=float)
     n = A.shape[0]
     threshold = INFEASIBILITY_TOL * (1.0 + abs(rhs).max(initial=0.0))
-    plan = None
-    if not free_end:
-        sigma = _terminal_weight(R, B)
-        plan = _PLANS.get(
-            (content_key(A, B, Q, R), constraint.row_key),
-            lambda: _stationary_plan(A, B, Q, R, sigma, constraint),
-        )
+    sigma = _terminal_weight(R, B)
+    plan = _PLANS.get(
+        (content_key(A, B, Q, R), constraint.row_key),
+        lambda: _stationary_plan(A, B, Q, R, sigma, constraint),
+    )
     if plan is not None:
         gain, S = plan
         b, stacked = _stationary_rhs(A, B, constraint, rhs, gain)
     else:
         N = constraint.horizon
-        terminal = None if free_end else sigma * np.eye(n)
         S, b, stacked = _time_varying_border(
             np.broadcast_to(A, (N,) + A.shape), np.broadcast_to(B, (N,) + B.shape),
-            constraint, rhs, free_end, riccati_sweep(A, B, Q, R, N, terminal),
+            constraint, rhs, riccati_sweep(A, B, Q, R, N, sigma * np.eye(n)),
         )
 
     def residual(z):
-        return float(abs(lti_product(A, B, Q, R, constraint, z, free_end) - rhs).max())
+        return float(abs(lti_product(A, B, Q, R, constraint, z) - rhs).max())
 
     try:
-        z = stacked(np.linalg.solve(S, b) if b.size else b)
+        z = stacked(np.linalg.solve(S, b))
         res = residual(z) if np.isfinite(z).all() else np.inf
     except np.linalg.LinAlgError:
         res = np.inf
-    if b.size and not res <= threshold:
+    if not res <= threshold:
         if not (np.isfinite(S).all() and np.isfinite(b).all()):
             # LAPACK's least squares need not return on non-finite input
             raise np.linalg.LinAlgError("border system is not finite")

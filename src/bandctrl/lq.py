@@ -5,43 +5,40 @@ Four entry points, all for x_{t+1} = A x_t + B u_t with stage cost
 
 * :func:`riccati_solve` - free final state, backward value recursion and
   closed-loop rollout (one recursive-doubling scan);
-* :func:`lq_pmp_solve` - same problem through the first-order two-point
-  system;
+* :func:`lq_pmp_solve` - the same problem read as its first-order two-point
+  system, whose block elimination is that recursion;
 * :func:`lq_transfer_solve` - fixed endpoints x_0 = x0, x_N = xf;
 * :func:`lq_transfer_freq_solve` - fixed endpoints plus the banned-frequency
   equality constraint sum_t F_t u_t = 0, with its multiplier nu.
 
-The last three solve their first-order system, in the row layout of
+The last two solve their first-order system, in the row layout of
 :mod:`bandctrl.kkt`, with :func:`bandctrl.kkt.lti_solve`: a Riccati
 recursion reduces it to a Schur complement of size n + q on the border
-(p_{N-1} at a fixed end, and nu), and single-column scans give the solution;
-so no matrix larger than (n + q)^2 is factored.  At a fixed end the
-recursion starts at its stabilizing fixed point, found by doubling, and the
-border comes in closed form over the banned DFT bins; at a free end (or
-without such a fixed point) the sweep runs stage by stage and the border is
-a Gram product of one backward scan.  The border is solved by LU, and by least squares
-when LU fails or leaves too large a residual; when the multipliers are
-non-unique, (p_{N-1}, nu) is minimum-norm over those border unknowns rather
-than over the whole stacked vector.  A max-norm residual of the whole
-first-order system above INFEASIBILITY_TOL * (1 + |rhs|) flags the transfer
-as infeasible.
+(p_{N-1} and nu), and single-column scans give the solution; so no matrix
+larger than (n + q)^2 is factored.  The recursion starts at its stabilizing
+fixed point, found by doubling, and the border comes in closed form over the
+banned DFT bins; without such a fixed point the sweep runs stage by stage
+and the border is a Gram product of one backward scan.  The border is solved
+by LU, and by least squares when LU fails or leaves too large a residual;
+when the multipliers are non-unique, (p_{N-1}, nu) is minimum-norm over
+those border unknowns rather than over the whole stacked vector.  A max-norm
+residual of the whole first-order system above
+INFEASIBILITY_TOL * (1 + |rhs|) flags the transfer as infeasible.
 
 The endpoints x0 and xf enter only the right-hand side; the normality
-verdict (:func:`classify_normality_freq`) and, at a fixed end, the
-stationary gain and border matrix of :func:`bandctrl.kkt.lti_solve` depend
-on the plant alone.  Each is kept for the most recent plant, in one
-slot keyed by the content of what it depends on (shapes and float64 bytes
-of A and B, with Q and R for the gain and border, and the constraint's
-``row_key``), so solving one plant for many endpoint pairs computes them
-once; the border matrix is still factored once per solve.  A hit returns
-exactly what a fresh computation would: no result depends on what was
-solved before.  The slots retain O((n + q)^2) floats, about 19 MB after the
-baseline plant at N = 4096 (q = 1534).
+verdict (:func:`classify_normality_freq`) and the stationary gain and border
+matrix of :func:`bandctrl.kkt.lti_solve` depend on the plant alone.  Each is
+kept for the most recent plant, in one slot keyed by the content of what it
+depends on (shapes and float64 bytes of A and B, with Q and R for the gain
+and border, and the constraint's ``row_key``), so solving one plant for many
+endpoint pairs computes them once; the border matrix is still factored
+once per solve.  A hit returns exactly what a fresh computation would: no
+result depends on what was solved before.  The slots retain O((n + q)^2)
+floats, about 19 MB after the baseline plant at N = 4096 (q = 1534).
 
-The returned states are those the first-order solve matched (x_N = xf, or
-A x_{N-1} + B u_{N-1} at a free end), so every dynamics row holds to the
-accuracy of the solve however unstable A is: no open-loop re-integration
-amplifies its rounding.
+The returned states of a transfer are those the first-order solve matched
+(x_N = xf), so every dynamics row holds to the accuracy of the solve however
+unstable A is: no open-loop re-integration amplifies its rounding.
 """
 
 from __future__ import annotations
@@ -154,44 +151,38 @@ def riccati_adjoints(solution: RiccatiSolution, traj: Trajectory) -> np.ndarray:
 
 
 def _first_order_solve(A, B, Q, R, N, x0, xf, constraint):
-    """Structured solve of the LQ first-order system under the frequency
-    ``constraint`` (xf None frees the final state).  Returns (unknowns,
-    residual, consistent): the residual is the max-norm of the first-order
-    rows, consistency uses INFEASIBILITY_TOL * (1 + |rhs|).  Raises
-    ``numpy.linalg.LinAlgError`` on a singular Riccati pivot."""
+    """Structured solve of the fixed-end LQ first-order system under the
+    frequency ``constraint``.  Returns (unknowns, residual, consistent): the
+    residual is the max-norm of the first-order rows, consistency uses
+    INFEASIBILITY_TOL * (1 + |rhs|).  Raises ``numpy.linalg.LinAlgError`` on
+    a singular Riccati pivot."""
     n, m = B.shape
     q = constraint.row_count
     rhs = kkt.boundary_rhs(A @ x0, xf, n, m, N, q)
-    z, residual, consistent = kkt.lti_solve(A, B, Q, R, constraint, rhs, free_end=xf is None)
+    z, residual, consistent = kkt.lti_solve(A, B, Q, R, constraint, rhs)
     return kkt.StackedUnknowns(z, n, m, N, q), residual, consistent
 
 
 def lq_pmp_solve(A, B, Q, R, horizon: int, x0) -> LqSolution:
-    """Free-final-state LQ problem through its first-order system.
+    """Free-final-state LQ problem through its first-order system
 
-    Solves the system of :mod:`bandctrl.kkt` with x_N free, that is
-
-        x_{t+1} = A x_t + B u_t,       x_0 = x0,   t = 0..N-2,
+        x_{t+1} = A x_t + B u_t,       x_0 = x0,
         p_{t-1} = A'p_t - Q x_t,       t = 1..N-1,
-        R u_t   = B'p_t,               p_{N-1} = 0,
+        R u_t   = B'p_t,               p_{N-1} = 0.
 
-    with the structured solver (no border: q = 0 and p_{N-1} = 0 is given), and
-    takes the free x_N as A x_{N-1} + B u_{N-1}; a singular Riccati pivot
-    gives SINGULAR.  eta_c = 1 throughout: the
-    free-endpoint problem has no abnormal extremals (a zero cost multiplier
-    forces the whole adjoint sequence to zero).
+    With p_{N-1} = 0 given and no frequency rows the system has no border,
+    and its block elimination from the last stage is the Riccati recursion
+    from S_N = 0: u_t = K_t x_t and p_t = -S_{t+1} x_{t+1}.  So this is
+    :func:`riccati_solve`'s trajectory and cost with
+    :func:`riccati_adjoints`; SINGULAR when the recursion meets a singular
+    pivot.  eta_c = 1 throughout: the free-endpoint problem has no abnormal
+    extremals (a zero cost multiplier forces the whole adjoint sequence to
+    zero).
     """
-    A, B, Q, R, n, m, x0 = _as_lq(A, B, Q, R, horizon, x0)
-    N = horizon
-    try:
-        unknowns, _, _ = _first_order_solve(A, B, Q, R, N, x0, None, FrequencyConstraint(N, m))
-    except np.linalg.LinAlgError:
+    ric, traj = riccati_solve(A, B, Q, R, horizon, x0)
+    if traj is None:
         return LqSolution(None, None, np.zeros(0), float("nan"), SolveStatus.SINGULAR)
-    states, controls = np.concatenate([x0[None], unknowns.states()]), unknowns.controls()
-    x_end = A @ states[-1] + B @ controls[-1]  # the free end is its own dynamics row
-    traj = Trajectory(np.vstack([states, x_end]), controls)
-    cost = trajectory_cost(QuadraticCost(Q, R), traj)
-    return LqSolution(traj, unknowns.adjoints(), np.zeros(0), cost, SolveStatus.SOLVED)
+    return LqSolution(traj, riccati_adjoints(ric, traj), np.zeros(0), ric.cost, SolveStatus.SOLVED)
 
 
 def _solve_transfer(A, B, Q, R, N, x0, xf, constraint, normality=None) -> LqSolution:

@@ -92,8 +92,17 @@ class NewtonOptions:
     fd_jacobian: bool = False
 
     def __post_init__(self):
-        if self.tolerance <= 0 or self.max_iterations < 1:
-            raise ValueError("tolerance must be > 0 and max_iterations >= 1")
+        # each check fails on NaN too; a backtrack_factor of 1 or a min_step
+        # of 0 would never end the line search
+        for field, ok, expected in (
+            ("max_iterations", self.max_iterations >= 1, ">= 1"),
+            ("tolerance", 0.0 < self.tolerance < np.inf, "positive and finite"),
+            ("backtrack_factor", 0.0 < self.backtrack_factor < 1.0, "in (0, 1)"),
+            ("min_step", 0.0 < self.min_step <= 1.0, "in (0, 1]"),
+        ):
+            if not ok:
+                value = getattr(self, field)
+                raise ValueError(f"NewtonOptions.{field} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

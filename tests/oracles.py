@@ -7,12 +7,15 @@ eliminating the states with explicit matrix powers, and the nonlinear oracle
 is a generic constrained optimizer over the raw control vector started from
 several seeds.  The dense first-order oracle is the solve path that the
 structured solver of ``bandctrl.kkt`` replaced: the matrix of
-``kkt.assemble`` factored whole.  The loop oracles are the stage-by-stage
-forms of the PMP certificate and of the Newton residual that the batched
-evaluation replaced: they call the model once per stage and term, and the
-certificate's reference checks each stage set in its own form (dual cone,
-distance and feasible directions of a fixed point or a box, one stage at a
-time) where ``verify_pmp`` reduces bound arrays over all stages.  The loop
+``kkt.assemble`` factored whole.  At a free end it writes the transversality
+row p_{N-1} = 0 into that matrix itself, in place of the last dynamics row;
+it is the reference for ``lq.lq_pmp_solve``, which is the Riccati recursion
+of ``lq.riccati_solve``.  The loop oracles are the stage-by-stage forms of
+the PMP certificate and of the Newton residual that the batched evaluation
+replaced: they call the model once per stage and term, and the certificate's
+reference checks each stage set in its own form (dual cone, distance and
+feasible directions of a fixed point or a box, one stage at a time) where
+``verify_pmp`` reduces bound arrays over all stages.  The loop
 control-affine terms are the stage-by-stage form of the one-pass evaluation
 of a control-affine model in ``bandctrl.problem._stage_terms``.  The loop
 Riccati sweep is the recursion that ``kkt.riccati_sweep`` shortcuts and
@@ -198,14 +201,21 @@ class DenseRows:
 
 
 def dense_first_order_system(A, B, Q, R, N, x0, xf, blocks):
-    """First-order system of the LQ problem as (J, -r(0)); xf None frees the
-    final state."""
+    """First-order system of the LQ problem as (J, -r(0)).  xf None frees the
+    final state: the last dynamics row, the only one x_N enters, becomes the
+    transversality condition p_{N-1} = 0 with a zero right-hand side."""
     n, m = B.shape
     M = kkt.assemble(
-        np.broadcast_to(A, (N, n, n)), np.broadcast_to(B, (N, n, m)), Q, R, DenseRows(blocks),
-        free_end=xf is None,
+        np.broadcast_to(A, (N, n, n)), np.broadcast_to(B, (N, n, m)), Q, R, DenseRows(blocks)
     )
-    return M, kkt.boundary_rhs(A @ x0, xf, n, m, N, blocks.shape[1])
+    rhs = kkt.boundary_rhs(A @ x0, np.zeros(n) if xf is None else xf, n, m, N, blocks.shape[1])
+    if xf is None:
+        last = slice((N - 1) * n, N * n)
+        p_end = kkt.segments(n, m, N, blocks.shape[1])["adjoints"].stop
+        M[last] = 0.0
+        M[last, p_end - n : p_end] = np.eye(n)
+        rhs[last] = 0.0
+    return M, rhs
 
 
 def dense_solve_stacked(M, rhs):

@@ -138,6 +138,13 @@ class TestVerifyPmp:
         assert cert.passed
         assert cert.freq_residual <= 1e-9
 
+    def test_trajectory_of_another_horizon_is_named(self):
+        spec, sol = _transfer_setup(seed=6, horizon=5)
+        lift = lift_from_solver(spec, sol.trajectory, sol.adjoints, sol.nu)
+        longer, _ = _transfer_setup(seed=6, horizon=8)
+        with pytest.raises(ValueError, match="horizon, n, m = 5, 2, 1; spec has 8, 2, 1"):
+            verify_pmp(sol.trajectory, lift, longer)
+
     def test_perturbed_control_fails_condition_v(self):
         spec, sol = _transfer_setup(seed=7, banned=[[2]])
         lift = lift_from_solver(spec, sol.trajectory, sol.adjoints, sol.nu)

@@ -17,6 +17,7 @@ from bandctrl.lq import (
     INFEASIBILITY_TOL,
     SolveStatus,
     _first_order_solve,
+    lq_pmp_solve,
     lq_transfer_freq_solve,
 )
 from bandctrl.spectrum import FrequencyConstraint, SupportSpec, build_frequency_constraint
@@ -42,10 +43,9 @@ def _baseline_plant():
     return A, rng.standard_normal((4, 2)), np.eye(4), np.eye(2)
 
 
-def _dense(A, B, Q, R, blocks, free_end):
+def _dense(A, B, Q, R, blocks):
     n = A.shape[0]
-    xf = None if free_end else np.zeros(n)
-    return dense_first_order_system(A, B, Q, R, len(blocks), np.zeros(n), xf, blocks)[0]
+    return dense_first_order_system(A, B, Q, R, len(blocks), np.zeros(n), np.zeros(n), blocks)[0]
 
 
 class TestProduct:
@@ -57,10 +57,9 @@ class TestProduct:
             Q, R = rng.integers(-3, 4, (n, n)), rng.integers(-3, 4, (m, m))
             blocks = rng.integers(-3, 4, (N, q, m)).astype(float)
             z = rng.integers(-9, 10, kkt.segments(n, m, N, q)["nu"].stop).astype(float)
-            for free_end in (False, True):
-                M = _dense(A.astype(float), B.astype(float), Q, R, blocks, free_end)
-                product = kkt.lti_product(A, B, Q, R, DenseRows(blocks), z, free_end)
-                assert np.array_equal(product, M @ z)
+            M = _dense(A.astype(float), B.astype(float), Q, R, blocks)
+            product = kkt.lti_product(A, B, Q, R, DenseRows(blocks), z)
+            assert np.array_equal(product, M @ z)
 
 
 class TestRiccatiSweep:
@@ -240,17 +239,14 @@ class TestBorder:
         assert np.max(np.abs(S_nu - S_nu.T)) <= 10 * EPS * np.max(np.abs(S_nu))
         assert np.max(np.linalg.eigvalsh(0.5 * (S_nu + S_nu.T))) < 0.0
 
-    @pytest.mark.parametrize("free_end, banned", [(False, [[3]]), (True, [[]]), (True, [[3]])])
-    def test_two_scans_per_solve(self, monkeypatch, free_end, banned):
-        # at a free end the backward scan carries every column and the border
-        # comes from it; the one forward scan carries the solution alone.  At a
-        # fixed end every scan carries one column: a backward and a forward
-        # scan give the border's right-hand side (the solve at theta = 0), two
-        # more the solution
+    def test_two_scans_per_solve(self, monkeypatch):
+        # every scan carries one column: a backward and a forward scan give the
+        # border's right-hand side (the solve at theta = 0), two more the
+        # solution
         A, B, Q, R = _baseline_plant()
         N = 64
-        fc = build_frequency_constraint(SupportSpec.from_banned(banned + [[]], N), N, 2)
-        rhs = kkt.boundary_rhs(A @ np.ones(4), None if free_end else -np.ones(4), 4, 2, N, fc.row_count)
+        fc = build_frequency_constraint(SupportSpec.from_banned([[3], []], N), N, 2)
+        rhs = kkt.boundary_rhs(A @ np.ones(4), -np.ones(4), 4, 2, N, fc.row_count)
         calls = []
 
         def counted(scan):
@@ -262,12 +258,9 @@ class TestBorder:
 
         for scan in (kkt._scan, kkt._scan_stationary):
             monkeypatch.setattr(kkt, scan.__name__, counted(scan))
-        _, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, rhs, free_end)
+        _, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, rhs)
         assert consistent and residual <= 1e-12
-        if free_end:
-            assert calls == [("_scan", (4, 1 + fc.row_count)), ("_scan", (4, 1))]
-        else:
-            assert calls == [("_scan_stationary", (4,))] * 4
+        assert calls == [("_scan_stationary", (4,))] * 4
 
 
 class TestStructuredSolve:
@@ -298,8 +291,18 @@ class TestStructuredSolve:
             A[0, 0] = 1.1
             if xf is not None:
                 xf[0] = 1.1**horizon * x0[0]
-        fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, m)
-        unknowns, residual, consistent = _first_order_solve(A, B, Q, R, horizon, x0, xf, fc)
+        if free_end:  # the free-end solver, which takes no bans
+            fc = FrequencyConstraint(horizon, m)
+            sol = lq_pmp_solve(A, B, Q, R, horizon, x0)
+            consistent = sol.status is SolveStatus.SOLVED
+            if consistent:
+                traj = sol.trajectory
+                unknowns = kkt.StackedUnknowns.pack(
+                    traj.states[1:horizon], traj.controls, sol.adjoints, np.zeros(0)
+                )
+        else:
+            fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, m)
+            unknowns, _, consistent = _first_order_solve(A, B, Q, R, horizon, x0, xf, fc)
         z_dense, _, consistent_dense = dense_first_order_solve(A, B, Q, R, horizon, x0, xf, fc.blocks)
         M, rhs = dense_first_order_system(A, B, Q, R, horizon, x0, xf, fc.blocks)
         if consistent != consistent_dense:
@@ -350,22 +353,21 @@ class TestStructuredSolve:
         ]:
             A, B, Q, R = random_lq_matrices(rng, n, m, spectral_radius=1.05)
             fc = build_frequency_constraint(SupportSpec.from_banned(banned, N), N, m)
-            for free_end in (False, True):
-                M = _dense(A, B, Q, R, fc.blocks, free_end)
-                rhs = rng.standard_normal(M.shape[0])
-                z, residual, _ = kkt.lti_solve(A, B, Q, R, fc, rhs, free_end)
-                expected = np.linalg.solve(M, rhs)
-                scale = 1.0 + np.max(np.abs(expected))
-                assert np.max(np.abs(z - expected)) <= 1e-9 * scale
-                assert residual <= 1e-12 * scale
-                assert abs(residual - np.max(np.abs(M @ z - rhs))) <= 1e-14 * scale
+            M = _dense(A, B, Q, R, fc.blocks)
+            rhs = rng.standard_normal(M.shape[0])
+            z, residual, _ = kkt.lti_solve(A, B, Q, R, fc, rhs)
+            expected = np.linalg.solve(M, rhs)
+            scale = 1.0 + np.max(np.abs(expected))
+            assert np.max(np.abs(z - expected)) <= 1e-9 * scale
+            assert residual <= 1e-12 * scale
+            assert abs(residual - np.max(np.abs(M @ z - rhs))) <= 1e-14 * scale
 
     def test_singular_pivot_raises(self):
+        # Q = -1.5 has no real stationary gain, so the sweep runs from
+        # P_3 = sigma = 1: P_2 = -1.5 + 1 - 1/2 = -1 and H_1 = 1 + P_2 = 0
         rhs = np.ones(kkt.segments(1, 1, 3, 0)["nu"].stop)
         with pytest.raises(np.linalg.LinAlgError):
-            kkt.lti_solve(
-                [[1.0]], [[1.0]], [[0.0]], [[0.0]], FrequencyConstraint(3, 1), rhs, free_end=True
-            )
+            kkt.lti_solve([[1.0]], [[1.0]], [[-1.5]], [[1.0]], FrequencyConstraint(3, 1), rhs)
 
     def test_non_finite_border_raises(self):
         # |B| = 1e170 overflows the border; LAPACK's least squares would not

@@ -134,6 +134,8 @@ class TestLqPmp:
         assert sol.cost == pytest.approx(0.5)
 
     def test_agrees_with_riccati_on_random_instances(self):
+        # the free-end first-order system eliminates to the Riccati recursion,
+        # so the two read-outs are one computation: equal to the last bit
         rng = np.random.default_rng(12)
         for _ in range(30):
             n = int(rng.integers(1, 5))
@@ -141,15 +143,18 @@ class TestLqPmp:
             horizon = int(rng.integers(1, 16))
             A, B, Q, R = random_lq_matrices(rng, n, m)
             x0 = rng.standard_normal(n)
-            _, traj_dp = riccati_solve(A, B, Q, R, horizon, x0)
+            ric, traj_dp = riccati_solve(A, B, Q, R, horizon, x0)
             sol = lq_pmp_solve(A, B, Q, R, horizon, x0)
-            assert _rel_gap(traj_dp.states, sol.trajectory.states) < 1e-8
-            assert _rel_gap(traj_dp.controls, sol.trajectory.controls) < 1e-8
+            assert np.array_equal(traj_dp.states, sol.trajectory.states)
+            assert np.array_equal(traj_dp.controls, sol.trajectory.controls)
+            assert np.array_equal(riccati_adjoints(ric, traj_dp), sol.adjoints)
+            assert sol.cost == ric.cost
 
     def test_criterion_1_instances_match_the_dense_oracle(self):
         # the instances of acceptance criterion 1, which compares riccati_solve
-        # with lq_pmp_solve; both run kkt.riccati_sweep, so here each meets the
-        # dense LU of the assembled first-order system instead
+        # with lq_pmp_solve; lq_pmp_solve returns riccati_solve's solution, so
+        # here each meets the dense LU of the free-end first-order system
+        # (tests/oracles.py) instead
         for seed in range(100):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(1, 7))

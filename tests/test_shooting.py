@@ -446,6 +446,36 @@ class TestNewtonSolve:
         assert len(result.trace) == 2
 
 
+class TestNewtonOptions:
+    # newton_solve is never called with these: a backtrack_factor of 1 or a
+    # min_step of 0 would make its line search loop forever
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("backtrack_factor", 1.0),
+            ("backtrack_factor", 0.0),
+            ("backtrack_factor", 1.5),
+            ("backtrack_factor", float("nan")),
+            ("min_step", 0.0),
+            ("min_step", -1e-3),
+            ("min_step", 2.0),
+            ("min_step", float("inf")),
+            ("min_step", float("nan")),
+            ("tolerance", float("nan")),
+            ("tolerance", float("inf")),
+            ("tolerance", 0.0),
+            ("max_iterations", 0),
+        ],
+    )
+    def test_rejects_a_value_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"NewtonOptions.{field}"):
+            NewtonOptions(**{field: value})
+
+    def test_accepts_the_edges_of_the_ranges(self):
+        opts = NewtonOptions(backtrack_factor=0.999, min_step=1.0, tolerance=1e300)
+        assert (opts.backtrack_factor, opts.min_step) == (0.999, 1.0)
+
+
 class TestDefaultInitialization:
     def test_lti_init_is_exact(self):
         spec, x0, xf = _lti_setup(seed=8)
