@@ -1,8 +1,9 @@
 """A memo of one entry: the value computed for the most recent key.
 
 Some results depend on a plant alone, not on the endpoints of the transfer:
-the normality verdict of :mod:`bandctrl.extremal` and the stationary gain
-and border matrix of :mod:`bandctrl.kkt`.  Callers often solve one plant for
+the normality verdict of :mod:`bandctrl.extremal` and the stationary gain,
+border matrix and transfer map (the solution as a linear map of the
+boundary data) of :mod:`bandctrl.kkt`.  Callers often solve one plant for
 many endpoint pairs, so each keeps one :class:`LastValue`: a call with the
 most recent plant reads the stored value, any other plant replaces it.  A
 key is the content of everything the value depends on

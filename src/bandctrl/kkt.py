@@ -18,7 +18,8 @@ arrays as one dense matrix; it is the one place where the blocks are laid
 out, and no solver factors it: it serves the public dense Jacobian of
 :mod:`bandctrl.shooting` and the tests.  For LTI dynamics and quadratic cost
 the rows are affine in z, and the solution solves
-``assemble(...) @ z = boundary_rhs(...)``.
+``assemble(...) @ z = boundary_rhs(ax0, xf, ...)``, whose right-hand side
+is zero but for v = (A x0, xf) in the first and last dynamics rows.
 
 :func:`lti_solve` (LTI data) and :func:`time_varying_solve` (per-stage
 derivatives and a gain-state cross term: the analytic Newton step of
@@ -29,9 +30,10 @@ as parameters, are a two-point LQ problem: a backward Riccati recursion gives
 u_t = K_t x_t + k_t and p_{t-1} = -P_t x_t + w_t.  What is left is the
 border: the last dynamics row (x_N = xf) and the frequency rows, a dense
 system of size n + q in (w_N, nu), where w_N = p_{N-1} at a solution.
-:func:`lti_solve` solves it by LU, or by least squares when LU fails or
-leaves a residual above INFEASIBILITY_TOL * (1 + |rhs|), so non-unique
-multipliers come out minimum-norm over (p_{N-1}, nu);
+:func:`lti_solve` solves it by LU (once per plant at a stationary gain,
+below), or by least squares when LU fails or leaves a residual above
+INFEASIBILITY_TOL * (1 + |rhs|), so non-unique multipliers come out
+minimum-norm over (p_{N-1}, nu);
 :func:`time_varying_solve` by LU alone.  (With a free final state and no
 frequency rows, p_{N-1} = 0 is given and there is no border: the elimination
 is the Riccati recursion from P_N = 0 itself, which
@@ -43,33 +45,41 @@ then has the same gain K and closed loop Phi = A + B K, which must have
 decayed over the horizon (|Phi^N|_F <= 1/2, so rho(Phi) < 1).  The border
 comes in closed form, blocks by banned DFT bin (DFT orthogonality) plus a
 term of rank at most 2n (:func:`_stationary_border`), and its right-hand
-side from the solve at zero border unknowns (:func:`_stationary_rhs`); every
-pass is a single-column recursive-doubling scan with one matrix.  Where no
-such fixed point is found (a mode on or outside the unit circle that B does
-not reach, overflow, a recursion that wanders in its last bits, or a closed
-loop too slow for the horizon), the sweep (:func:`riccati_sweep`) runs stage
+sides from the solve at zero border unknowns (:func:`_stationary_columns`),
+whose recursive-doubling scans, with one matrix each, carry any number of
+boundary data as columns.  Every constraint is an equality, so the solution
+is a linear map of v, z = Z v (the explicit-LQR observation of Bemporad,
+Morari, Dua & Pistikopoulos, Automatica 38, 2002, with no regions): Z
+(len z, 2n) comes from one pass over the 2n unit boundary data and one LU
+solve of the border with 2n right-hand sides.  Where no such fixed point
+is found (a mode on or outside the unit circle that B does not reach,
+overflow, a recursion that wanders in its last bits, or a closed loop too
+slow for the horizon), the sweep (:func:`riccati_sweep`) runs stage
 by stage from P_N = sigma I, stops once P_t reaches its floating-point fixed
 point and repeats that stage for the rest; the right-hand side and one unit
 column per border unknown are carried through a batched backward scan, and
 the border is the Gram product of those columns
-(:func:`_time_varying_border`).  Either way, single-column passes then give
-the states, controls and adjoints.  :func:`time_varying_solve` takes the
-same border, from P_N = sigma I (the rule of :func:`lti_solve`'s sweep),
+(:func:`_time_varying_border`); single-column passes then give the states,
+controls and adjoints.  :func:`time_varying_solve` takes the same border,
+from P_N = sigma I (the rule of :func:`lti_solve`'s sweep),
 with the recursion of every stage computed at once by an associative scan of
 the Riccati maps (:func:`riccati_scan`).
 :func:`lti_product` is ``assemble(...) @ z`` without the matrix.
 
-The stationary gain and the border matrix depend on the plant (A, B, Q, R)
-and the frequency rows, not on the right-hand side, in which alone the
-endpoints appear.  So :func:`lti_solve` keeps those of the most recent
-plant, "no stationary gain" included, in one slot
+The stationary gain, the border matrix and Z depend on the plant
+(A, B, Q, R) and the frequency rows, not on v, in which alone the endpoints
+appear.  So :func:`lti_solve` keeps those of the most recent plant (its
+plan, :func:`_stationary_plan`), "no stationary gain" included, in one slot
 (:class:`bandctrl._memo.LastValue`), keyed by the shapes and float64 bytes
-of A, B, Q and R and the constraint's ``row_key``.  The same plant with
-another right-hand side then forms only b, the LU solve of S against it and
-z.  The stored arrays are read-only, and a hit returns exactly what a fresh
-computation would, so results do not depend on what was solved before.
-The slot retains O((n + q)^2) floats: about 19 MB after the baseline plant
-at N = 4096 (q = 1534).
+of A, B, Q and R and the constraint's ``row_key``.  Every stationary solve,
+on a new plant or a kept one, returns z = Z v once it passes the residual
+test, with no scan and no factorization after the plan; when it fails the
+test, or the LU solve of the plan failed and left no Z, the border is
+formed for v alone and solved by least squares.  The stored arrays are
+read-only, and a hit returns exactly what a fresh computation would, so
+results do not depend on what was solved before.  The slot retains
+O((n + q)^2 + 2n len z) floats: 20.7 MiB after the baseline plant at
+N = 4096 (q = 1534), of which S is 18.1 MiB and Z 2.6 MiB.
 """
 
 from __future__ import annotations
@@ -407,15 +417,23 @@ def _scan(G, h):
     return h
 
 
-def _scan_stationary(G, h):
-    """:func:`_scan` with one G (n, n) at every stage and one column: h (T, n)
-    holds y_t as rows.  G's powers come by squaring, so each step is one 2-D
-    product.  h is overwritten; returns y in h."""
-    T, s = len(h), 1
+def _scan_stationary(G, h, columns: int, backward: bool = False):
+    """:func:`_scan` with one G (n, n) at every stage, or with ``backward``
+    its mirror y_t = G y_{t+1} + h_t from y_{T-1} = h_{T-1}.  h (T c, n)
+    holds the c = ``columns`` columns of stage t as its rows t c..t c + c - 1,
+    so a shift by s stages is a shift by s c rows, and G's powers come by
+    squaring: each step is one 2-D product over every column.  h is
+    overwritten; returns y in h."""
+    T, s = len(h) // columns, 1
+    GT = G.T.copy()  # a contiguous right factor halves the cost of each product
     while s < T:
-        h[s:] += h[:-s].dot(G.T)  # ndarray.dot: less call overhead than @
+        k = s * columns
+        if backward:
+            h[:-k] += h[k:].dot(GT)
+        else:
+            h[k:] += h[:-k].dot(GT)
         if 2 * s < T:
-            G = G.dot(G)
+            GT = GT.dot(GT)
         s *= 2
     return h
 
@@ -492,16 +510,21 @@ def _stationary_gain(A, B, Q, R, sigma: float, horizon: int):
     stage of the sweep's own recursion moves it by at most 4 eps of its size,
     as the sweep stops at its fixed point (:func:`_confirmed_gain`).
     """
-    G = B.dot(_inv(R)).dot(B.T)
-    for centre in (0.0, sigma):
-        with np.errstate(all="ignore"):  # overflow ends in the checks below
+    with np.errstate(all="ignore"):  # overflow ends in the checks below
+        try:
+            G = B.dot(_inv(R)).dot(B.T)
+        except (np.linalg.LinAlgError, ZeroDivisionError):  # a singular R
+            return None
+        if not np.isfinite(G).all():
+            return None
+        for centre in (0.0, sigma):
             try:
                 P = _doubled_fixed_point(A, G, Q, centre)
                 gain = None if P is None else _confirmed_gain(A, B, Q, R, P, horizon)
             except (np.linalg.LinAlgError, ZeroDivisionError):  # a singular W or pivot
                 gain = None
-        if gain is not None:
-            return gain
+            if gain is not None:
+                return gain
     return None
 
 
@@ -548,54 +571,89 @@ def _split_rows(rhs, n: int, m: int, horizon: int):
 
 def _stationary_plan(A, B, Q, R, sigma: float, constraint):
     """The half of a fixed-end solve that depends on the plant alone, not on
-    the right-hand side: (gain, S), with ``gain`` = (P, K, H^(-1), Phi) of
-    :func:`_stationary_gain` and S the border matrix of
-    :func:`_stationary_border`, every array read-only; None when there is no
-    stationary gain."""
+    the endpoints: (gain, S, Z), with ``gain`` = (P, K, H^(-1), Phi) of
+    :func:`_stationary_gain`, S the border matrix of
+    :func:`_stationary_border` and Z (len z, 2n) the transfer map: column k
+    is the solution z for the boundary data v = (A x0, xf) = e_k, so that
+    any v has z = Z v.  Z comes from one pass of :func:`_stationary_columns`
+    over the 2n unit columns and one LU solve of S with 2n right-hand sides;
+    it is None when that solve fails or is not finite.  Every array is
+    read-only; None when there is no stationary gain."""
     gain = _stationary_gain(A, B, Q, R, sigma, constraint.horizon)
     if gain is None:
         return None
     S = _stationary_border(A, B, constraint, gain)
-    for a in (*gain, S):
-        a.setflags(write=False)
-    return gain, S
-
-
-def _stationary_rhs(A, B, constraint, rhs, gain):
-    """Border right-hand side b and the map theta -> z of a fixed end, for one
-    gain at every stage: ``gain`` = (P, K, H^(-1), Phi) of
-    :func:`_stationary_gain` and P_N = P, so that P_t = P, K_t = K and
-    Phi_t = Phi for every t.  b is the border at theta = 0: x_N and
-    sum_t F_t u_t of the solve with w_N = 0 and nu = 0."""
-    P, K, Hinv, Phi = gain
-    N, m = constraint.horizon, constraint.channels
     n = len(A)
-    d, adj, stat, freq = _split_rows(rhs, n, m, N)
+    unit = np.eye(2 * n)
+    b, stacked = _stationary_columns(B, constraint, gain, unit[:, :n], unit[:, n:])
+    try:
+        with np.errstate(all="ignore"):  # overflow ends in the check below
+            Z = stacked(np.linalg.solve(S, b))
+    except np.linalg.LinAlgError:
+        Z = None
+    if Z is not None and not np.isfinite(Z).all():
+        Z = None
+    for a in (*gain, S, Z):
+        if a is not None:
+            a.setflags(write=False)
+    return gain, S, Z
+
+
+def _stationary_columns(B, constraint, gain, ax0, xf):
+    """Border right-hand sides b and the map theta -> z of a fixed end, for
+    c boundary data at once: row k of ``ax0`` and of ``xf`` (c, n) holds the
+    A x0 and xf of column k, the only rows of :func:`boundary_rhs` that are
+    not zero.  ``gain`` = (P, K, H^(-1), Phi) of :func:`_stationary_gain` and
+    P_N = P, so that P_t = P, K_t = K and Phi_t = Phi for every t.  b
+    (n + q, c) is the border at theta = 0: x_N and sum_t F_t u_t of the solve
+    with w_N = 0 and nu = 0; ``stacked`` maps theta (n + q, c) to z
+    (len z, c).  A sequence over the stages is one (N c, k) array with the c
+    columns of stage t in rows t c..t c + c - 1, so that every product is
+    one 2-D product (ndarray.dot of a 3-D array leaves BLAS)."""
+    P, K, Hinv, Phi = gain
+    N = constraint.horizon
+    c, n = np.shape(ax0)
+    BT, KT, HinvT = B.T.copy(), K.T.copy(), Hinv.T.copy()
+    d = np.zeros((N * c, n))  # the dynamics rows: A x0 at t = 0, less xf at t = N-1
+    d[:c] = ax0
+    d[-c:] -= xf
     Pd = d.dot(P)  # P d_t, as rows (P is symmetric)
     BPd = Pd.dot(B)
-    drive = (adj - Pd[1:].dot(Phi))[::-1]  # a_t - Phi'P d_t for t = N-1..1
+    drive = -Pd[c:].dot(Phi)  # -Phi'P d_t for t = 1..N-1
 
     def solve(w_end, g):
-        """x_1..x_N, u and w_1..w_N from w_N and g_t = F_t'nu + s_t: backward
-        w_t = Phi'(w_{t+1} - P d_t) - K'g_t + a_t, k_t = H^(-1) e_t, then
+        """x_1..x_N, u and w_1..w_N from w_N and g_t = F_t'nu (None: zero):
+        backward w_t = Phi'(w_{t+1} - P d_t) - K'g_t, k_t = H^(-1) e_t, then
         forward x_{t+1} = Phi x_t + B k_t + d_t from x_0 = 0 (A x0 is in d_0)."""
-        wr = np.empty((N, n))  # w_N, w_{N-1}, ..., w_1: the scan order
-        wr[0] = w_end
-        wr[1:] = drive - g[:0:-1].dot(K)
-        w = _scan_stationary(Phi.T, wr)[::-1]
-        u = (w.dot(B) - g - BPd).dot(Hinv.T)
-        x_next = _scan_stationary(Phi, u.dot(B.T) + d)
-        u[1:] += x_next[:-1].dot(K.T)
+        w = np.empty((N * c, n))  # w_{t+1} at stage t
+        w[:-c] = drive
+        w[-c:] = w_end
+        if g is not None:
+            w[:-c] -= g[c:].dot(K)
+        _scan_stationary(Phi.T, w, c, backward=True)
+        e = w.dot(B) - BPd
+        if g is not None:
+            e -= g
+        u = e.dot(HinvT)
+        x_next = _scan_stationary(Phi, u.dot(BT) + d, c)
+        u[c:] += x_next[:-c].dot(KT)
         return x_next, u, w
+
+    def column_major(a):  # (T c, k) -> (T k, c), in the order of z
+        return a.reshape(-1, c, a.shape[1]).transpose(0, 2, 1).reshape(-1, c)
 
     def stacked(theta):
         nu = theta[n:]
-        x_next, u, w = solve(theta[:n], stat + constraint.apply_transpose(nu))
+        g = constraint.apply_transpose(nu).transpose(0, 2, 1).reshape(N * c, -1)
+        x_next, u, w = solve(theta[:n].T, g)
         p = w - x_next.dot(P)
-        return np.concatenate([x_next[:-1].ravel(), u.ravel(), p.ravel(), nu])
+        return np.concatenate(
+            [column_major(x_next[:-c]), column_major(u), column_major(p), nu]
+        )
 
-    x_next, u, _ = solve(0.0, stat)
-    return np.concatenate([-x_next[-1], freq - constraint.apply(u)]), stacked
+    x_next, u, _ = solve(0.0, None)
+    freq = constraint.apply(u.reshape(N, c, -1).transpose(0, 2, 1))
+    return np.concatenate([-x_next[-c:].T, -freq]), stacked
 
 
 def _stationary_border(A, B, constraint, gain):
@@ -785,18 +843,17 @@ def time_varying_solve(A, B, Q, R, constraint, rhs, cross=None) -> np.ndarray:
     )
 
 
-def lti_solve(A, B, Q, R, constraint, rhs):
-    """Solve ``assemble(...) @ z = rhs`` for LTI dynamics in O(N).
+def lti_solve(A, B, Q, R, constraint, ax0, xf):
+    """Solve ``assemble(...) @ z = boundary_rhs(ax0, xf, ...)`` for LTI
+    dynamics in O(N): the fixed-end transfer from A x0 = ``ax0`` to
+    x_N = ``xf``.
 
     ``A``, ``B``, ``Q``, ``R`` and ``constraint`` are as in :func:`assemble`
-    with constant stage derivatives; ``rhs`` is any vector in its row layout.
-    The border system in (w_N, nu) is solved by LU; when that fails, gives
-    non-finite values or leaves a residual max-norm above
-    INFEASIBILITY_TOL * (1 + |rhs|), by least squares.  Returns
-    ``(z, residual, consistent)``: the residual max-norm of the returned z
-    and whether it is within that threshold.  Raises
-    ``numpy.linalg.LinAlgError`` when a Riccati pivot is singular, or when
-    the border system that least squares would take is not finite.
+    with constant stage derivatives.  Returns ``(z, residual, consistent)``:
+    the residual max-norm of the returned z and whether it is within
+    INFEASIBILITY_TOL * (1 + |rhs|).  Raises ``numpy.linalg.LinAlgError``
+    when a Riccati pivot is singular, or when the border system that least
+    squares would take is not finite.
 
     The border unknown is w_N = p_{N-1} + P_N x_N, where x_N is the residual
     of the last dynamics row (zero at a solution, so w_N = p_{N-1} there),
@@ -807,40 +864,55 @@ def lti_solve(A, B, Q, R, constraint, rhs):
     the stabilizing fixed point of the recursion (:func:`_stationary_gain`,
     doubling about 0 and then about sigma I, with B'P B of the size of R):
     every stage has one gain and a closed loop that decays over the horizon,
-    and the border comes in closed form (:func:`_stationary_border`), with no
-    (N, q) array; both are kept for the next call with the same plant
-    (:func:`_stationary_plan`).  When no such fixed point is found, the sweep
-    runs stage by stage from P_N = sigma I and carries the border columns
-    through its backward scan (:func:`_time_varying_border`).
+    the border comes in closed form (:func:`_stationary_border`), with no
+    (N, q) array, and the solution is a fixed linear map of v = (ax0, xf),
+    z = Z v (:func:`_stationary_plan`, kept for the next call with the same
+    plant).  When that z fails the residual test, or there is no Z, the
+    border is formed for v (:func:`_stationary_columns`) and solved by least
+    squares.  When no stationary gain is found, the sweep runs stage by stage
+    from P_N = sigma I and carries the border columns through its backward
+    scan (:func:`_time_varying_border`); that border is solved by LU, and by
+    least squares when LU fails, gives non-finite values or fails the
+    residual test.
     """
-    A, B, Q, R = (np.asarray(a, dtype=float) for a in (A, B, Q, R))
-    rhs = np.asarray(rhs, dtype=float)
+    A, B, Q, R, ax0, xf = (np.asarray(a, dtype=float) for a in (A, B, Q, R, ax0, xf))
     n = A.shape[0]
+    N = constraint.horizon
+    rhs = boundary_rhs(ax0, xf, n, constraint.channels, N, constraint.row_count)
     threshold = INFEASIBILITY_TOL * (1.0 + abs(rhs).max(initial=0.0))
-    sigma = _terminal_weight(R, B)
     plan = _PLANS.get(
         (content_key(A, B, Q, R), constraint.row_key),
-        lambda: _stationary_plan(A, B, Q, R, sigma, constraint),
+        lambda: _stationary_plan(A, B, Q, R, _terminal_weight(R, B), constraint),
     )
-    if plan is not None:
-        gain, S = plan
-        b, stacked = _stationary_rhs(A, B, constraint, rhs, gain)
-    else:
-        N = constraint.horizon
-        S, b, stacked = _time_varying_border(
-            np.broadcast_to(A, (N,) + A.shape), np.broadcast_to(B, (N,) + B.shape),
-            constraint, rhs, riccati_sweep(A, B, Q, R, N, sigma * np.eye(n)),
-        )
 
     def residual(z):
+        if not np.isfinite(z).all():
+            return np.inf
         return float(abs(lti_product(A, B, Q, R, constraint, z) - rhs).max())
 
-    try:
-        z = stacked(np.linalg.solve(S, b))
-        res = residual(z) if np.isfinite(z).all() else np.inf
-    except np.linalg.LinAlgError:
-        res = np.inf
+    z = None
+    if plan is not None:
+        gain, S, Z = plan
+        if Z is not None:
+            z = Z.dot(np.concatenate([ax0, xf]))
+    else:
+        S, b, stacked = _time_varying_border(
+            np.broadcast_to(A, (N,) + A.shape), np.broadcast_to(B, (N,) + B.shape),
+            constraint, rhs, riccati_sweep(A, B, Q, R, N, _terminal_weight(R, B) * np.eye(n)),
+        )
+        try:
+            z = stacked(np.linalg.solve(S, b))
+        except np.linalg.LinAlgError:
+            pass
+    res = np.inf if z is None else residual(z)
     if not res <= threshold:
+        if plan is not None:  # the border of this v alone
+            b, columns = _stationary_columns(B, constraint, gain, ax0[None], xf[None])
+            b = b[:, 0]
+
+            def stacked(theta):
+                return columns(theta[:, None])[:, 0]
+
         if not (np.isfinite(S).all() and np.isfinite(b).all()):
             # LAPACK's least squares need not return on non-finite input
             raise np.linalg.LinAlgError("border system is not finite")

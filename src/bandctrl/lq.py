@@ -14,27 +14,31 @@ Four entry points, all for x_{t+1} = A x_t + B u_t with stage cost
 The last two solve their first-order system, in the row layout of
 :mod:`bandctrl.kkt`, with :func:`bandctrl.kkt.lti_solve`: a Riccati
 recursion reduces it to a Schur complement of size n + q on the border
-(p_{N-1} and nu), and single-column scans give the solution; so no matrix
-larger than (n + q)^2 is factored.  The recursion starts at its stabilizing
-fixed point, found by doubling, and the border comes in closed form over the
-banned DFT bins; without such a fixed point the sweep runs stage by stage
-and the border is a Gram product of one backward scan.  The border is solved
-by LU, and by least squares when LU fails or leaves too large a residual;
-when the multipliers are non-unique, (p_{N-1}, nu) is minimum-norm over
-those border unknowns rather than over the whole stacked vector.  A max-norm
-residual of the whole first-order system above
-INFEASIBILITY_TOL * (1 + |rhs|) flags the transfer as infeasible.
+(p_{N-1} and nu), and recursive-doubling scans give the solution; so no
+matrix larger than (n + q)^2 is factored.  The recursion starts at its
+stabilizing fixed point, found by doubling, and the border comes in closed
+form over the banned DFT bins, so the solution is a fixed linear map of
+(A x0, xf), formed once per plant from one LU solve of the border; without
+such a fixed point the sweep runs stage by stage and the border is a Gram
+product of one backward scan, solved by LU.  A solution that leaves too large a residual,
+or a border that LU cannot solve, goes to least squares; when the
+multipliers are non-unique, (p_{N-1}, nu) is minimum-norm over those border
+unknowns rather than over the whole stacked vector.  A max-norm residual of
+the whole first-order system above INFEASIBILITY_TOL * (1 + |rhs|) flags the
+transfer as infeasible.
 
 The endpoints x0 and xf enter only the right-hand side; the normality
-verdict (:func:`classify_normality_freq`) and the stationary gain and border
-matrix of :func:`bandctrl.kkt.lti_solve` depend on the plant alone.  Each is
-kept for the most recent plant, in one slot keyed by the content of what it
-depends on (shapes and float64 bytes of A and B, with Q and R for the gain
-and border, and the constraint's ``row_key``), so solving one plant for many
-endpoint pairs computes them once; the border matrix is still factored
-once per solve.  A hit returns exactly what a fresh computation would: no
-result depends on what was solved before.  The slots retain O((n + q)^2)
-floats, about 19 MB after the baseline plant at N = 4096 (q = 1534).
+verdict (:func:`classify_normality_freq`) and the stationary gain, border
+matrix and transfer map of :func:`bandctrl.kkt.lti_solve` depend on the
+plant alone.  Each is kept for the most recent plant, in one slot keyed by
+the content of what it depends on (shapes and float64 bytes of A and B,
+with Q and R for the plan of ``lti_solve``, and the constraint's
+``row_key``), so solving one plant for many endpoint pairs computes them
+once, and each further pair is one matrix-vector product and its residual
+check.  A hit returns exactly what a fresh computation would: no result
+depends on what was solved before.  The slots retain
+O((n + q)^2 + 2n len z) floats, len z the size of the stacked unknowns:
+20.7 MiB after the baseline plant at N = 4096 (q = 1534).
 
 The returned states of a transfer are those the first-order solve matched
 (x_N = xf), so every dynamics row holds to the accuracy of the solve however
@@ -157,10 +161,8 @@ def _first_order_solve(A, B, Q, R, N, x0, xf, constraint):
     INFEASIBILITY_TOL * (1 + |rhs|).  Raises ``numpy.linalg.LinAlgError`` on
     a singular Riccati pivot."""
     n, m = B.shape
-    q = constraint.row_count
-    rhs = kkt.boundary_rhs(A @ x0, xf, n, m, N, q)
-    z, residual, consistent = kkt.lti_solve(A, B, Q, R, constraint, rhs)
-    return kkt.StackedUnknowns(z, n, m, N, q), residual, consistent
+    z, residual, consistent = kkt.lti_solve(A, B, Q, R, constraint, A @ x0, xf)
+    return kkt.StackedUnknowns(z, n, m, N, constraint.row_count), residual, consistent
 
 
 def lq_pmp_solve(A, B, Q, R, horizon: int, x0) -> LqSolution:

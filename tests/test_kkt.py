@@ -216,11 +216,10 @@ class TestBorder:
         banned = [list(range(1, N // 8)), list(range(N // 4, N // 4 + N // 16))]
         fc = build_frequency_constraint(SupportSpec.from_banned(banned, N), N, 2)
         rng = np.random.default_rng(1)
-        rhs = kkt.boundary_rhs(A @ rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4), 4, 2, N, fc.row_count)
-        return A, B, Q, R, fc, rhs
+        return A, B, Q, R, fc, A @ rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
 
     def test_frequency_block_is_symmetric_negative_definite(self, monkeypatch):
-        A, B, Q, R, fc, rhs = self._transfer()
+        A, B, Q, R, fc, ax0, xf = self._transfer()
         border, seen = kkt._stationary_border, []
 
         def spy(*args):
@@ -230,7 +229,7 @@ class TestBorder:
 
         monkeypatch.setattr(kkt, "_PLANS", LastValue())  # an empty memo: S is formed here
         monkeypatch.setattr(kkt, "_stationary_border", spy)
-        _, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, rhs)
+        _, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, ax0, xf)
         monkeypatch.undo()
         assert consistent and residual <= 1e-12
         (S,) = seen
@@ -239,28 +238,38 @@ class TestBorder:
         assert np.max(np.abs(S_nu - S_nu.T)) <= 10 * EPS * np.max(np.abs(S_nu))
         assert np.max(np.linalg.eigvalsh(0.5 * (S_nu + S_nu.T))) < 0.0
 
-    def test_two_scans_per_solve(self, monkeypatch):
-        # every scan carries one column: a backward and a forward scan give the
-        # border's right-hand side (the solve at theta = 0), two more the
-        # solution
+    def test_a_miss_scans_the_unit_columns_and_a_hit_scans_nothing(self, monkeypatch):
+        # a miss carries the 2n unit boundary data through one pass of the
+        # scans (a backward and a forward scan for the border's right-hand
+        # sides, two more for the transfer map Z) and solves S once; a hit is
+        # z = Z v alone: no scan and no LU solve
         A, B, Q, R = _baseline_plant()
         N = 64
         fc = build_frequency_constraint(SupportSpec.from_banned([[3], []], N), N, 2)
-        rhs = kkt.boundary_rhs(A @ np.ones(4), -np.ones(4), 4, 2, N, fc.row_count)
-        calls = []
+        calls, solve = [], np.linalg.solve
 
         def counted(scan):
-            def spy(G, h):
-                calls.append((scan.__name__, h.shape[1:]))
-                return scan(G, h)
+            def spy(G, h, *args, **kwargs):
+                calls.append((scan.__name__, h.shape))
+                return scan(G, h, *args, **kwargs)
 
             return spy
 
+        def solve_spy(a, b):
+            calls.append(("solve", np.shape(b)))
+            return solve(a, b)
+
+        monkeypatch.setattr(kkt, "_PLANS", LastValue())
         for scan in (kkt._scan, kkt._scan_stationary):
             monkeypatch.setattr(kkt, scan.__name__, counted(scan))
-        _, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, rhs)
-        assert consistent and residual <= 1e-12
-        assert calls == [("_scan_stationary", (4,))] * 4
+        monkeypatch.setattr(np.linalg, "solve", solve_spy)
+        scans = [("_scan_stationary", (N * 8, 4))] * 2
+        miss = scans + [("solve", (4 + fc.row_count, 8))] + scans
+        for expected, x0 in [(miss, np.ones(4)), ([], -np.ones(4))]:
+            calls.clear()
+            _, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, A @ x0, -x0)
+            assert consistent and residual <= 1e-12
+            assert calls == expected
 
 
 class TestStructuredSolve:
@@ -344,6 +353,7 @@ class TestStructuredSolve:
         assert np.max(np.abs(unknowns.z - z_dense)) <= 1e-12 * (1.0 + np.max(np.abs(z_dense)))
 
     def test_any_right_hand_side(self):
+        # the right-hand sides lti_solve takes: any boundary data (A x0, xf)
         rng = np.random.default_rng(3)
         for n, m, N, banned in [
             (1, 1, 1, [[]]),
@@ -354,8 +364,9 @@ class TestStructuredSolve:
             A, B, Q, R = random_lq_matrices(rng, n, m, spectral_radius=1.05)
             fc = build_frequency_constraint(SupportSpec.from_banned(banned, N), N, m)
             M = _dense(A, B, Q, R, fc.blocks)
-            rhs = rng.standard_normal(M.shape[0])
-            z, residual, _ = kkt.lti_solve(A, B, Q, R, fc, rhs)
+            ax0, xf = rng.standard_normal((2, n))  # any A x0, not only one of a drawn x0
+            rhs = kkt.boundary_rhs(ax0, xf, n, m, N, fc.row_count)
+            z, residual, _ = kkt.lti_solve(A, B, Q, R, fc, ax0, xf)
             expected = np.linalg.solve(M, rhs)
             scale = 1.0 + np.max(np.abs(expected))
             assert np.max(np.abs(z - expected)) <= 1e-9 * scale
@@ -365,25 +376,23 @@ class TestStructuredSolve:
     def test_singular_pivot_raises(self):
         # Q = -1.5 has no real stationary gain, so the sweep runs from
         # P_3 = sigma = 1: P_2 = -1.5 + 1 - 1/2 = -1 and H_1 = 1 + P_2 = 0
-        rhs = np.ones(kkt.segments(1, 1, 3, 0)["nu"].stop)
         with pytest.raises(np.linalg.LinAlgError):
-            kkt.lti_solve([[1.0]], [[1.0]], [[-1.5]], [[1.0]], FrequencyConstraint(3, 1), rhs)
+            kkt.lti_solve([[1.0]], [[1.0]], [[-1.5]], [[1.0]], FrequencyConstraint(3, 1), [1.0], [1.0])
 
     def test_non_finite_border_raises(self):
         # |B| = 1e170 overflows the border; LAPACK's least squares would not
         # return on it, so the solve reports a LinAlgError (SINGULAR) instead
         fc = build_frequency_constraint(SupportSpec.from_banned([[7, 8, 14]], 16), 16, 1)
-        rhs = kkt.boundary_rhs(np.array([5e-7]), np.array([1.9]), 1, 1, 16, fc.row_count)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(np.linalg.LinAlgError):
-                kkt.lti_solve([[1e-7]], [[1.17e170]], [[38.9]], [[1.0]], fc, rhs)
+                kkt.lti_solve([[1e-7]], [[1.17e170]], [[38.9]], [[1.0]], fc, [5e-7], [1.9])
 
 
 class TestPlanMemo:
     """``lti_solve`` keeps the plant half of its last stationary fixed-end
-    solve (gain and border matrix) for the next call with that plant; no
-    result depends on what was solved before."""
+    solve (gain, border matrix and transfer map) for the next call with that
+    plant; no result depends on what was solved before."""
 
     @staticmethod
     def _plant(seed, N=32):
@@ -392,16 +401,14 @@ class TestPlanMemo:
         return [A, B, Q, R, fc]
 
     @staticmethod
-    def _rhs(plant, seed):
-        A, fc, rng = plant[0], plant[4], np.random.default_rng(seed)
-        return kkt.boundary_rhs(
-            A @ rng.standard_normal(3), rng.standard_normal(3), 3, 2, fc.horizon, fc.row_count
-        )
+    def _ends(plant, seed):
+        rng = np.random.default_rng(seed)
+        return plant[0] @ rng.standard_normal(3), rng.standard_normal(3)
 
     @staticmethod
-    def _fresh(plant, rhs):
+    def _fresh(plant, ends):
         with empty_memos():
-            return kkt.lti_solve(*plant, rhs)
+            return kkt.lti_solve(*plant, *ends)
 
     @staticmethod
     def _same(got, ref):
@@ -409,7 +416,7 @@ class TestPlanMemo:
 
     def test_interleaved_plants_give_the_empty_memo_answer(self, monkeypatch):
         plant, other = self._plant(1), self._plant(2)
-        e1, e2, e3 = (self._rhs(plant, seed) for seed in (1, 2, 3))
+        e1, e2, e3 = (self._ends(plant, seed) for seed in (1, 2, 3))
         ref = self._fresh(plant, e2)
         plans, planned = kkt._stationary_plan, []
 
@@ -419,10 +426,10 @@ class TestPlanMemo:
 
         monkeypatch.setattr(kkt, "_PLANS", LastValue())
         monkeypatch.setattr(kkt, "_stationary_plan", spy)
-        kkt.lti_solve(*plant, e1)
-        hit = kkt.lti_solve(*plant, e2)
-        kkt.lti_solve(*other, e3)
-        miss = kkt.lti_solve(*plant, e2)
+        kkt.lti_solve(*plant, *e1)
+        hit = kkt.lti_solve(*plant, *e2)
+        kkt.lti_solve(*other, *e3)
+        miss = kkt.lti_solve(*plant, *e2)
         assert len(planned) == 3  # the second call reused the first one's plan
         assert self._same(hit, ref) and self._same(miss, ref)
         assert ref[2] and ref[1] <= 1e-12
@@ -430,20 +437,21 @@ class TestPlanMemo:
     @pytest.mark.parametrize("changed", [0, 2], ids=["A", "Q"])
     def test_a_plant_changed_in_place_is_planned_again(self, changed):
         plant = self._plant(3)
-        rhs = self._rhs(plant, 4)
-        before = kkt.lti_solve(*plant, rhs)
+        ends = self._ends(plant, 4)
+        before = kkt.lti_solve(*plant, *ends)
         plant[changed] *= 1.01  # same array object, new content
-        after = kkt.lti_solve(*plant, rhs)
-        assert self._same(after, self._fresh(plant, rhs))
+        after = kkt.lti_solve(*plant, *ends)
+        assert self._same(after, self._fresh(plant, ends))
         assert not np.array_equal(after[0], before[0])
 
     def test_stored_arrays_are_read_only(self, monkeypatch):
         monkeypatch.setattr(kkt, "_PLANS", LastValue())
         plant = self._plant(5)
-        kkt.lti_solve(*plant, self._rhs(plant, 6))
-        _, (gain, S) = kkt._PLANS._entry
+        kkt.lti_solve(*plant, *self._ends(plant, 6))
+        _, (gain, S, Z) = kkt._PLANS._entry
         assert S.shape == (3 + plant[4].row_count,) * 2
-        for a in (*gain, S):
+        assert Z.shape == (kkt.segments(3, 2, plant[4].horizon, plant[4].row_count)["nu"].stop, 6)
+        for a in (*gain, S, Z):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0.0
@@ -451,15 +459,15 @@ class TestPlanMemo:
     def test_threads_sharing_the_memo_get_the_empty_memo_answers(self):
         # every thread alternates two plants, so the slot changes under the others
         plants = [self._plant(7), self._plant(8)]
-        jobs = [(p, self._rhs(plants[p], seed)) for seed in range(6) for p in (0, 1)]
-        refs = [self._fresh(plants[p], rhs) for p, rhs in jobs]
+        jobs = [(p, self._ends(plants[p], seed)) for seed in range(6) for p in (0, 1)]
+        refs = [self._fresh(plants[p], ends) for p, ends in jobs]
         wrong, done = [], []
 
         def work(shift):
             for i in range(len(jobs)):
                 k = (i + shift) % len(jobs)
-                p, rhs = jobs[k]
-                if not self._same(kkt.lti_solve(*plants[p], rhs), refs[k]):
+                p, ends = jobs[k]
+                if not self._same(kkt.lti_solve(*plants[p], *ends), refs[k]):
                     wrong.append(k)
             done.append(shift)
 

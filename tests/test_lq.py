@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from bandctrl import kkt
 from bandctrl.extremal import (
     AbnormalRegimeError,
     classify_normality_freq,
@@ -212,6 +213,21 @@ class TestTransfer:
         assert sol.status is SolveStatus.INFEASIBLE
         assert sol.ls_residual > 1e-3
         assert np.isnan(sol.cost)
+
+    @pytest.mark.parametrize(
+        "A, B, Q, R, x0, xf",
+        [
+            (np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)), [1, 0], [0, 1]),
+            (np.eye(1), np.eye(1), np.eye(1), [[0.0]], [1], [0]),
+        ],
+        ids=["m2", "m1"],
+    )
+    def test_singular_control_weight_is_singular(self, A, B, Q, R, x0, xf):
+        # R^-1 is taken in closed form, where a singular R raises
+        # ZeroDivisionError (m = 2) or warns of a division by zero (m = 1)
+        sol = lq_transfer_solve(A, B, Q, R, 4, x0, xf)
+        assert sol.status is SolveStatus.SINGULAR
+        assert sol.trajectory is None
 
     def test_single_step_transfer(self):
         # N = 1: the one control is pinned by the endpoint equation alone
@@ -431,6 +447,40 @@ class TestPlantMemo:
         assert _same_record(_transfer_record(plant, *e2), ref)
         _transfer_record(other, *e3[:, :2])
         assert _same_record(_transfer_record(plant, *e2), ref)
+
+    def test_a_plant_without_a_transfer_map_falls_back_to_least_squares(self):
+        # built like the benchmark's "unreachable" plants: a stable plant with
+        # one more stable mode that no input reaches, so the border is singular
+        # and no transfer map is kept; every solve is a least-squares one
+        rng = np.random.default_rng(23)
+        A1, B1, Q, R = random_lq_matrices(rng, 2, 1, spectral_radius=0.8)
+        A = np.zeros((3, 3))
+        A[:2, :2], A[2, 2] = A1, 0.7
+        B = np.vstack([B1, np.zeros((1, 1))])
+        Q = np.eye(3)
+        horizon = 16
+        fc = build_frequency_constraint(SupportSpec.from_banned([[3]], horizon), horizon, 1)
+        x0 = np.array([0.5, -0.5, 0.0])  # the unreached mode stays at 0
+
+        def solve(xf):
+            return lq_transfer_freq_solve(A, B, Q, R, horizon, x0, xf, fc)
+
+        with empty_memos():
+            refs = [solve(xf) for xf in ([0.3, 0.2, 0.8], [-0.3, 0.1, -0.6])]
+        first = solve([0.3, 0.2, 0.8])
+        gain, S, Z = kkt._PLANS._entry[1]
+        assert gain is not None and Z is None
+        hit = solve([-0.3, 0.1, -0.6])
+        for got, ref in [(first, refs[0]), (hit, refs[1])]:
+            assert got.status is ref.status is SolveStatus.INFEASIBLE
+            assert got.ls_residual == ref.ls_residual > 0.5
+            assert np.array_equal(got.nu, ref.nu)
+        # a target in the reachable subspace still solves, and certifies
+        reachable = solve([0.3, 0.2, 0.0])
+        assert reachable.status is SolveStatus.SOLVED and reachable.ls_residual <= 1e-12
+        spec = lti_spec(A, B, Q, R, horizon, x0=x0, xf=[0.3, 0.2, 0.0], banned=[[3]])
+        lift = lift_from_solver(spec, reachable.trajectory, reachable.adjoints, reachable.nu)
+        assert verify_pmp(reachable.trajectory, lift, spec).passed
 
     def test_mismatched_constraint_raises_where_the_key_would_hit(self):
         rng = np.random.default_rng(22)
