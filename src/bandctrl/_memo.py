@@ -1,15 +1,17 @@
 """A memo of one entry: the value computed for the most recent key.
 
 Some results depend on a plant alone, not on the endpoints of the transfer:
-the normality verdict of :mod:`bandctrl.extremal` and the stationary gain,
+the normality verdict of :mod:`bandctrl.extremal`, the stationary gain,
 border matrix and transfer map (the solution as a linear map of the
-boundary data) of :mod:`bandctrl.kkt`.  Callers often solve one plant for
-many endpoint pairs, so each keeps one :class:`LastValue`: a call with the
-most recent plant reads the stored value, any other plant replaces it.  A
-key is the content of everything the value depends on
-(:func:`content_key`), never an object's identity, so an equal copy hits and
-an array changed in place misses.  A hit returns what a fresh computation
-returns; only the memory of the last value is kept.
+boundary data) of :mod:`bandctrl.kkt`, and the frequency rows that
+:func:`bandctrl.problem.validate` builds from a horizon, a channel count
+and a ban set.  Callers often solve one plant for many endpoint pairs, so
+each keeps one :class:`LastValue`: a call with the most recent plant reads
+the stored value, any other plant replaces it.  A key is the content of
+everything the value depends on (:func:`content_key` for arrays, frozensets
+for the ban sets), never an object's identity, so an equal copy hits and an
+array or a set changed in place misses.  A hit returns what a fresh
+computation returns; only the memory of the last value is kept.
 """
 
 from __future__ import annotations

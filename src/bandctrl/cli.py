@@ -27,6 +27,7 @@ digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -612,7 +613,10 @@ def run(input_path: str, output_path: str, overrides=(), quiet: bool = True) -> 
     return finish(0 if cert.passed else 4)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process; parsing leaves it
+    unchanged (each call starts from fresh defaults)."""
     parser = argparse.ArgumentParser(
         prog="bandctrl",
         description="Solve a frequency-constrained optimal control problem file.",
@@ -630,7 +634,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--tolerance", type=float, help="certificate tolerance override")
     parser.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     overrides = list(args.overrides)
     if args.solver:

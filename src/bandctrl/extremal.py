@@ -345,10 +345,9 @@ def verify_pmp(
     vi_worst = 0.0 if vi_worst == -np.inf else vi_worst + 0.0
     control_gap = _worst(np.maximum(bounds[0] - controls, controls - bounds[1]))
 
-    # (vi) frequency residual
-    freq_terms = fc.stage_terms(controls)
-    freq_res = _inf(freq_terms.sum(axis=0))
-    freq_scale = _inf(freq_terms)
+    # (vi) frequency residual, against the largest term of its sum
+    freq_res = _inf(fc.apply(controls))
+    freq_scale = fc.term_scale(controls)
 
     state_tol = tol * (1 + state_scale)
     thresholds = {

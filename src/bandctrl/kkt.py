@@ -86,7 +86,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -158,16 +160,16 @@ class StackedUnknowns:
     horizon: int
     q: int
 
+    segments: Mapping[str, slice] = field(init=False, repr=False)  # of this layout, read-only
+
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float).ravel()
-        expected = self.segments["nu"].stop
+        layout = MappingProxyType(segments(self.n, self.m, self.horizon, self.q))
+        expected = layout["nu"].stop
         if z.size != expected:
             raise ValueError(f"flat vector has length {z.size}, layout requires {expected}")
         object.__setattr__(self, "z", z)
-
-    @property
-    def segments(self) -> dict[str, slice]:
-        return segments(self.n, self.m, self.horizon, self.q)
+        object.__setattr__(self, "segments", layout)
 
     def states(self) -> np.ndarray:
         return self.z[self.segments["states"]].reshape(self.horizon - 1, self.n)

@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from ._memo import LastValue
 from .spectrum import FrequencyConstraint, SupportSpec, build_frequency_constraint
 
 __all__ = [
@@ -49,6 +50,10 @@ __all__ = [
     "lti_spec",
     "control_affine_spec",
 ]
+
+
+# the frequency constraint of the most recent (horizon, m, supports) of validate
+_ROWS = LastValue()
 
 
 def _frozen_array(value, dtype=float) -> np.ndarray:
@@ -503,6 +508,14 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     Returns a completed copy with ``frequency_constraint`` filled in, or raises
     :class:`ProblemValidationError` carrying the complete list of violations,
     each naming the offending stage and field.
+
+    The constraint depends on the horizon, the channel count and the supports
+    alone, so the one built for the most recent of them is kept in one slot
+    (:class:`bandctrl._memo.LastValue`), keyed by a snapshot of their content
+    (each channel's set as a frozenset, with its type): validating specs that
+    share them builds the rows once and shares one read-only constraint.  A
+    set changed in place after a call misses, and a failed build is not
+    kept, so every invalid spec is reported in full.
     """
     errors: list[str] = []
     n, m = spec.dynamics.n, spec.dynamics.m
@@ -531,6 +544,8 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
             f"state_sets: expected {horizon + 1} entries, got {len(spec.state_sets)}"
         )
     for t, s in enumerate(spec.state_sets):
+        if isinstance(s, Free):  # most stages: nothing to check
+            continue
         if isinstance(s, Fixed):
             if s.point.shape != (n,):
                 errors.append(f"state_sets[{t}].point: expected dimension {n}, got {s.point.shape}")
@@ -538,15 +553,17 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
                 errors.append(f"state_sets[{t}].point[{i}]: must be finite, got {s.point[i]}")
         elif isinstance(s, Box):
             _check_box(f"state_sets[{t}]", s, n, errors)
-        elif not isinstance(s, Free):
+        else:
             errors.append(f"state_sets[{t}]: unknown set variant {type(s).__name__}")
 
     if len(spec.control_sets) != horizon:
         errors.append(f"control_sets: expected {horizon} entries, got {len(spec.control_sets)}")
     for t, s in enumerate(spec.control_sets):
+        if isinstance(s, Free):
+            continue
         if isinstance(s, Box):
             _check_box(f"control_sets[{t}]", s, m, errors)
-        elif not isinstance(s, Free):
+        else:
             errors.append(
                 f"control_sets[{t}]: {type(s).__name__} is not an admissible control set"
             )
@@ -558,7 +575,10 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
         )
     elif horizon >= 1:
         try:
-            constraint = build_frequency_constraint(spec.supports, horizon, m)
+            key = (horizon, m, tuple((type(s), frozenset(s)) for s in spec.supports.allowed))
+            constraint = _ROWS.get(
+                key, lambda: build_frequency_constraint(spec.supports, horizon, m)
+            )
         except ValueError as exc:
             errors.append(f"supports: {exc}")
 

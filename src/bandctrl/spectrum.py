@@ -19,6 +19,7 @@ constraint matrix full row rank, which the normality tests in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -125,12 +126,13 @@ class FrequencyConstraint:
     part, of the unitary DFT row of bin xi = ``row_bin[j]`` on channel
     ``row_channel[j]``; ``samples`` (horizon, q) holds each row's N samples,
     and only the methods below read them; ``row_key`` compares constraints
-    by content.  ``blocks`` (horizon, q, channels)
-    and ``stacked`` (q, horizon * channels) are dense copies, for tests and
-    demonstrations.  The rows are orthogonal, with norms ``row_norms``, so
-    ``effective_rank == row_count``; a repeated (channel, bin up to its
-    mirror N - xi, part) or the vanishing sin part of bin 0 or N/2 raises a
-    "dependent" ValueError.
+    by content.  Both are computed once, when the constraint is built, and
+    the weights of :meth:`term_scale` once, when first used.  ``blocks``
+    (horizon, q, channels) and ``stacked`` (q, horizon * channels) are dense
+    copies, for tests and demonstrations.  The rows are orthogonal, with
+    norms ``row_norms``, so ``effective_rank == row_count``; a repeated
+    (channel, bin up to its mirror N - xi, part) or the vanishing sin part
+    of bin 0 or N/2 raises a "dependent" ValueError.
     """
 
     horizon: int
@@ -139,6 +141,9 @@ class FrequencyConstraint:
     row_bin: np.ndarray = ()
     row_imag: np.ndarray = ()
     samples: np.ndarray = field(init=False, repr=False)
+    # horizon, channels and the bytes of row_channel, row_bin and row_imag,
+    # which determine everything the methods compute: equal keys, equal rows
+    row_key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         chan = np.array(self.row_channel, dtype=int).ravel()  # copies, made read-only below
@@ -157,6 +162,9 @@ class FrequencyConstraint:
         for name, a in dict(row_channel=chan, row_bin=bins, row_imag=imag, samples=samples).items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        object.__setattr__(
+            self, "row_key", (N, self.channels, chan.tobytes(), bins.tobytes(), imag.tobytes())
+        )
 
     @property
     def row_count(self) -> int:
@@ -165,14 +173,6 @@ class FrequencyConstraint:
     @property
     def effective_rank(self) -> int:
         return self.row_count
-
-    @property
-    def row_key(self) -> tuple:
-        """The rows as a comparable value: horizon, channels and the bytes of
-        ``row_channel``, ``row_bin`` and ``row_imag``, which determine
-        everything the methods below compute.  Equal keys, equal rows."""
-        return (self.horizon, self.channels, self.row_channel.tobytes(),
-                self.row_bin.tobytes(), self.row_imag.tobytes())
 
     @property
     def row_norms(self) -> np.ndarray:
@@ -186,9 +186,28 @@ class FrequencyConstraint:
         every = (self.samples.T @ u.reshape(len(u), -1)).reshape((self.row_count,) + u.shape[1:])
         return every[np.arange(self.row_count), self.row_channel]  # each row on its own channel
 
-    def stage_terms(self, controls) -> np.ndarray:
-        """F_t u_t for every t, (horizon, q)."""
-        return self.samples * np.asarray(controls, dtype=float)[:, self.row_channel]
+    def term_scale(self, controls) -> float:
+        """max over t and rows i of |F_{t,i} u_{t,c_i}|, the largest term of
+        the sum that :meth:`apply` forms, equal to it bit for bit without the
+        (horizon, q) terms: |u| times a non-negative weight rounds
+        monotonically in the weight, so per stage and channel only the least
+        and the largest |F_{t,i}| can give the maximum, or a NaN (0 * inf).
+        Channels without rows do not enter; 0.0 when q = 0."""
+        if not self.row_count:
+            return 0.0
+        channels, weights = self._term_weights
+        return float(np.max(np.abs(np.asarray(controls, dtype=float).T[channels]) * weights))
+
+    @functools.cached_property
+    def _term_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The channels that carry rows, and the least and the largest
+        |F_{t,i}| over the rows i of each, (2, channels with rows, horizon);
+        computed at the first :meth:`term_scale`, then kept."""
+        channels = np.unique(self.row_channel)
+        rows = [np.abs(self.samples.T[self.row_channel == c]) for c in channels]
+        weights = np.array([[r.min(axis=0) for r in rows], [r.max(axis=0) for r in rows]])
+        weights.setflags(write=False)
+        return channels, weights
 
     def apply_transpose(self, nu) -> np.ndarray:
         """F_t' nu for every t, (horizon, channels); (horizon, channels, r)
@@ -217,7 +236,7 @@ class FrequencyConstraint:
     def banned(self) -> tuple[tuple[int, ...], ...]:
         sets = [set() for _ in range(self.channels)]
         for k, xi in zip(self.row_channel.tolist(), self.row_bin.tolist()):
-            sets[k].update((xi, -xi % self.horizon))
+            sets[k].update((xi % self.horizon, -xi % self.horizon))
         return tuple(tuple(sorted(s)) for s in sets)
 
     @property

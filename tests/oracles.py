@@ -37,7 +37,7 @@ import contextlib
 
 import numpy as np
 
-from bandctrl import extremal, kkt
+from bandctrl import extremal, kkt, problem
 from bandctrl._memo import LastValue
 from bandctrl.extremal import (
     NormalityClass,
@@ -167,14 +167,15 @@ def transfer_qp_oracle(A, B, Q, R, horizon, x0, xf=None, freq_matrix=None):
 @contextlib.contextmanager
 def empty_memos():
     """Run a block with empty plant memos (the stationary plan of
-    ``kkt.lti_solve`` and the verdict of ``classify_normality_freq``); the
-    memos outside the block are restored after it, untouched."""
-    saved = kkt._PLANS, extremal._VERDICTS
-    kkt._PLANS, extremal._VERDICTS = LastValue(), LastValue()
+    ``kkt.lti_solve``, the verdict of ``classify_normality_freq`` and the
+    frequency rows of ``problem.validate``); the memos outside the block are
+    restored after it, untouched."""
+    saved = kkt._PLANS, extremal._VERDICTS, problem._ROWS
+    kkt._PLANS, extremal._VERDICTS, problem._ROWS = LastValue(), LastValue(), LastValue()
     try:
         yield
     finally:
-        kkt._PLANS, extremal._VERDICTS = saved
+        kkt._PLANS, extremal._VERDICTS, problem._ROWS = saved
 
 
 class DenseRows:

@@ -428,6 +428,23 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert json.loads((tmp_path / "r.json").read_text())["solver"] == "transfer"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--set", "horizon=16", "--solver", "transfer"], ["--solver", "transfer", "--tolerance", "1e-6"]],
+        ids=["set", "no-set"],
+    )
+    def test_a_call_leaves_no_override_for_the_next(self, tmp_path, flags):
+        # one parser serves every call of the process; its defaults stay fresh
+        inp = _write(tmp_path, "p.json", _transfer_doc(banned_frequencies=[[]]))
+        out = tmp_path / "r.json"
+        argv = ["--input", inp, "--output", str(out), "--quiet"]
+        assert cli.main(argv + flags) == 0
+        assert json.loads(out.read_text())["solver"] == "transfer"
+        assert cli.main(argv) == 0  # the file's solver and horizon again
+        result = json.loads(out.read_text())
+        assert result["solver"] == "transfer_freq" and len(result["trajectory"]["controls"]) == 8
+        assert cli._parser() is cli._parser()
+
 
 # any JSON value, kept small; the floats include NaN and the infinities, which
 # json.dumps writes and json.loads reads back

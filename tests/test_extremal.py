@@ -40,9 +40,10 @@ from bandctrl.problem import (
     trajectory_cost,
 )
 from bandctrl.shooting import SingularJacobianError, newton_solve
-from bandctrl.spectrum import SupportSpec, build_frequency_constraint
+from bandctrl.spectrum import FrequencyConstraint, SupportSpec, build_frequency_constraint
 
 from oracles import (
+    DenseRows,
     has_nontrivial_nullspace,
     loop_verify_pmp,
     quadratic_cost,
@@ -154,6 +155,32 @@ class TestVerifyPmp:
         cert = verify_pmp(perturbed, lift, spec, tol=1e-7)
         assert not cert.condition_passed["v"]
         assert cert.hamiltonian_vi_worst > 1e-4
+
+    @settings(max_examples=200, deadline=None)
+    @given(horizon=st.integers(1, 24), data=st.data())
+    def test_frequency_threshold_is_the_largest_dense_term(self, horizon, data):
+        # rows on channels 0 and 1 at any bin, its mirror N - xi included, or
+        # none (q = 0); channel 2 carries no rows and may hold NaN or inf
+        drawn = data.draw(st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, horizon - 1), st.booleans()), max_size=8
+        ))
+        rows = {}
+        for c, xi, imag in drawn:
+            if not (imag and 2 * xi % horizon == 0):
+                rows.setdefault((c, min(xi, -xi % horizon), imag), (c, xi, imag))
+        channel, bins, imag = (list(col) for col in zip(*rows.values())) if rows else ([], [], [])
+        fc = FrequencyConstraint(horizon, 3, channel, bins, imag)
+        spec = lti_spec(np.eye(2), np.ones((2, 3)), np.eye(2), np.eye(3), horizon)
+        spec = dataclasses.replace(spec, frequency_constraint=fc)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u = rng.uniform(-1, 1, (horizon, 3)) * 10.0 ** rng.integers(-3, 4, (horizon, 3))
+        u[:, 2] = data.draw(st.sampled_from([0.0, 1.0, np.nan, np.inf, -np.inf]))
+        lift = ExtremalLift(1.0, np.ones(fc.row_count), np.ones((horizon, 2)), np.zeros((horizon + 1, 2)))
+        with np.errstate(all="ignore"):
+            cert = verify_pmp(Trajectory(np.zeros((horizon + 1, 2)), u), lift, spec, tol=1e-7)
+        rowless = np.where(np.arange(3) == 2, 0.0, u)  # F_t has zero columns there
+        largest = np.max(np.abs(DenseRows(fc.blocks).stage_terms(rowless)), initial=0.0)
+        assert cert.thresholds["freq_residual"] == 1e-7 * (1 + largest)
 
     def test_all_zero_lift_fails_nontriviality(self):
         spec, sol = _transfer_setup(seed=8)

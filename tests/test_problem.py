@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from bandctrl import problem
+from bandctrl._memo import LastValue
 from bandctrl.extremal import ExtremalLift, lift_from_solver, verify_pmp
 from bandctrl.lq import lq_transfer_freq_solve, riccati_solve
 from bandctrl.problem import (
@@ -30,9 +32,9 @@ from bandctrl.problem import (
     validate,
 )
 from bandctrl.shooting import StackedUnknowns, newton_solve
-from bandctrl.spectrum import SupportSpec
+from bandctrl.spectrum import FrequencyConstraint, SupportSpec, build_frequency_constraint
 
-from oracles import loop_control_affine_terms
+from oracles import empty_memos, loop_control_affine_terms
 
 
 def _plain_spec(horizon=4, n=2, m=1, **kwargs):
@@ -286,7 +288,7 @@ _ARRAY_CONTAINERS = {
     "Box": lambda: Box([0.0, 0.0], [1.0, 1.0]),
     "Trajectory": lambda: Trajectory(np.zeros((3, 2)), np.zeros((2, 2))),
     "ProblemSpec": _di_spec,
-    "FrequencyConstraint": lambda: _di_spec().frequency_constraint,
+    "FrequencyConstraint": lambda: build_frequency_constraint(SupportSpec.from_banned([[1]], 8), 8, 1),
     "StackedUnknowns": lambda: StackedUnknowns.zeros(2, 1, 3, 0),
     "ExtremalLift": lambda: ExtremalLift(1.0, [0.5, 0.5], np.zeros((2, 2)), np.zeros((3, 2))),
     "RiccatiSolution": lambda: riccati_solve(np.eye(2), np.eye(2), np.eye(2), np.eye(2), 3, [1.0, 1.0])[0],
@@ -303,6 +305,86 @@ class TestContainerEquality:
         assert (a == a) is True
         assert (a == b) is False and (a != b) is True
         assert len({a, b, a}) == 2
+
+
+def _baseline_plant():
+    """The n=4, m=2 plant of the transfer_n256 benchmark workload, at N=64."""
+    rng = np.random.default_rng(0)
+    A = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+    return A, rng.standard_normal((4, 2)), np.eye(4), np.eye(2), 64
+
+
+def _certified_transfer(plant, x0, xf, banned):
+    A, B, Q, R, N = plant
+    spec = lti_spec(A, B, Q, R, N, x0=x0, xf=xf, banned=banned)
+    sol = lq_transfer_freq_solve(A, B, Q, R, N, x0, xf, spec.frequency_constraint)
+    return spec, sol, verify_pmp(sol.trajectory, lift_from_solver(spec, sol.trajectory, sol.adjoints, sol.nu), spec)
+
+
+class TestFrequencyRowsMemo:
+    """validate keeps the constraint of the most recent (horizon, m, supports)."""
+
+    @pytest.fixture(autouse=True)
+    def _empty(self, monkeypatch):
+        monkeypatch.setattr(problem, "_ROWS", LastValue())
+
+    def test_equal_supports_built_afresh_hit(self):
+        first = validate(_plain_spec(8, supports=SupportSpec.from_banned([[1, 3]], 8)))
+        again = validate(_plain_spec(8, supports=SupportSpec.from_banned([[3, 1]], 8)))
+        assert again.frequency_constraint is first.frequency_constraint
+        other = validate(_plain_spec(8, supports=SupportSpec.from_banned([[1]], 8)))
+        assert other.frequency_constraint.row_key != first.frequency_constraint.row_key
+
+    def test_a_set_changed_in_place_misses(self):
+        allowed = set(range(8)) - {1, 7}
+        supports = SupportSpec((allowed,))  # the caller's mutable set, not copied
+        before = validate(_plain_spec(8, supports=supports)).frequency_constraint
+        allowed.discard(2)
+        after = validate(_plain_spec(8, supports=supports)).frequency_constraint
+        fresh = build_frequency_constraint(SupportSpec((frozenset(allowed),)), 8, 1)
+        assert after.row_key == fresh.row_key != before.row_key
+
+    def test_a_failed_build_is_reported_every_time(self):
+        bad = _plain_spec(8, supports=SupportSpec((frozenset({0, 9}),)))
+        for _ in range(2):
+            with pytest.raises(ProblemValidationError, match=r"supports: channel 0: allowed indices \[9\]"):
+                validate(bad)
+        assert problem._ROWS._entry is None
+
+    def test_results_do_not_depend_on_what_was_validated_before(self):
+        # A, B, A gives the A of empty memos: spec, solve and certificate
+        plant = _baseline_plant()
+        x0, xf = np.zeros(4), np.ones(4)
+        ban_a, ban_b = [[1, 2], [16]], [[3], []]
+        with empty_memos():
+            fresh = _certified_transfer(plant, x0, xf, ban_a)
+        _certified_transfer(plant, x0, xf, ban_a)
+        _certified_transfer(plant, -xf, x0, ban_b)
+        (spec, sol, cert), (ref_spec, ref_sol, ref_cert) = _certified_transfer(plant, x0, xf, ban_a), fresh
+        fc, ref_fc = spec.frequency_constraint, ref_spec.frequency_constraint
+        assert fc.row_key == ref_fc.row_key and fc.samples.tobytes() == ref_fc.samples.tobytes()
+        for got, expected in [(sol.trajectory.states, ref_sol.trajectory.states),
+                              (sol.trajectory.controls, ref_sol.trajectory.controls),
+                              (sol.adjoints, ref_sol.adjoints), (sol.nu, ref_sol.nu)]:
+            assert got.tobytes() == expected.tobytes()
+        assert cert.to_dict() == ref_cert.to_dict() and cert.passed
+
+    def test_a_repeated_plant_builds_the_rows_once(self, monkeypatch):
+        # lti_spec, lq_transfer_freq_solve and verify_pmp for three endpoint
+        # pairs of one plant and ban set: the first validate builds the rows,
+        # and nothing builds any after it
+        built, init = [], FrequencyConstraint.__post_init__
+
+        def spy(self):
+            init(self)
+            built.append(self.row_count)
+
+        monkeypatch.setattr(FrequencyConstraint, "__post_init__", spy)
+        plant = _baseline_plant()
+        for k in range(3):
+            _, _, cert = _certified_transfer(plant, np.full(4, k), np.ones(4), [[1, 2], [16]])
+            assert cert.passed
+        assert built == [6]
 
 
 class TestCheckJacobians:

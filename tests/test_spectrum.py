@@ -256,7 +256,6 @@ class TestFrequencyConstraint:
             (fc.apply(u), dense.apply(u)),
             (fc.apply(basis), dense.apply(basis)),
             (constraint_residual(fc, u), dense.apply(u)),
-            (fc.stage_terms(u), dense.stage_terms(u)),
             (fc.apply_transpose(nu), dense.apply_transpose(nu)),
             (fc.apply_transpose(nus), dense.apply_transpose(nus)),
         ]:
@@ -285,6 +284,32 @@ class TestFrequencyConstraint:
         fc = FrequencyConstraint(8, 2, row_channel=[1, 0, 1], row_bin=[3, 4, 3], row_imag=[0, 0, 1])
         assert fc.banned() == ((4,), (3, 5))
         assert fc.canonical_supports == SupportSpec.from_banned([[4], [3, 5]], 8)
+
+    @pytest.mark.parametrize("xi", [6, 58, 70, -6, -58])
+    def test_banned_bins_are_reduced_mod_the_horizon(self, xi):
+        # every bin congruent to 6 or 58 mod 64 is the cos row of bin 6
+        fc = FrequencyConstraint(64, 1, [0], [xi], [False])
+        reference = build_frequency_constraint(SupportSpec.from_banned([[6]], 64), 64, 1)
+        assert fc.banned() == reference.banned() == ((6, 58),)
+        assert fc.canonical_supports == SupportSpec.from_banned([[6, 58]], 64)
+        assert_allclose(fc.samples[:, 0], reference.samples[:, 0], rtol=0, atol=1e-15)  # its cos row
+
+    @settings(max_examples=300, deadline=None)
+    @given(horizon=st.integers(1, 40), m=st.integers(1, 3), data=st.data())
+    def test_term_scale_is_the_largest_row_term_bit_for_bit(self, horizon, m, data):
+        index = st.one_of(st.sampled_from([0, horizon // 2]), st.integers(0, horizon - 1))
+        banned = data.draw(st.lists(st.lists(index, max_size=5), min_size=m, max_size=m))
+        fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, m)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u = rng.uniform(-1, 1, (horizon, m)) * 10.0 ** rng.integers(-300, 300, (horizon, m))
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, np.finfo(float).max]
+        for _ in range(data.draw(st.integers(0, 3))):  # anywhere, rows or not
+            u[rng.integers(horizon), rng.integers(m)] = special[rng.integers(len(special))]
+        with np.errstate(all="ignore"):
+            terms = fc.blocks[:, np.arange(fc.row_count), fc.row_channel] * u[:, fc.row_channel]
+            scale = fc.term_scale(u)
+        expected = float(np.max(np.abs(terms), initial=0.0))
+        assert scale == expected or (np.isnan(scale) and np.isnan(expected))
 
     def test_row_key_compares_content(self):
         def build(banned, horizon=8, channels=2):
