@@ -5,7 +5,8 @@ the normality verdict of :mod:`bandctrl.extremal`, the stationary gain,
 border matrix and transfer map (the solution as a linear map of the
 boundary data) of :mod:`bandctrl.kkt`, and the frequency rows that
 :func:`bandctrl.problem.validate` builds from a horizon, a channel count
-and a ban set.  Callers often solve one plant for many endpoint pairs, so
+and a ban set, and the verdict of its checks of the plant and weight
+matrices.  Callers often solve one plant for many endpoint pairs, so
 each keeps one :class:`LastValue`: a call with the most recent plant reads
 the stored value, any other plant replaces it.  A key is the content of
 everything the value depends on (:func:`content_key` for arrays, frozensets

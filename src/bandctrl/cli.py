@@ -55,7 +55,6 @@ from .problem import (
     Box,
     ControlAffineDynamics,
     Fixed,
-    Free,
     FREE,
     LtiDynamics,
     ProblemSpec,
@@ -330,15 +329,17 @@ def parse_problem(doc: dict) -> CliProblem:
             supports=supports,
         )
     )
-    # every shipped solver works with free control sets and free interior states
+    # every shipped solver works with free control sets and free interior
+    # states; validate admits no control set but Free and Box
+    state_arrays, control_arrays = spec.set_arrays
+    constrained = sorted(state_arrays.fixed.tolist() + state_arrays.boxes.tolist())
     dispatch_errors = [
         f"control_sets[{t}]: solver {solver!r} requires free control sets"
-        for t, s in enumerate(spec.control_sets)
-        if not isinstance(s, Free)
+        for t in control_arrays.boxes.tolist()
     ] + [
         f"state_sets[{t}]: solver {solver!r} requires free interior state sets"
-        for t in range(1, horizon)
-        if not isinstance(spec.state_sets[t], Free)
+        for t in constrained
+        if 0 < t < horizon
     ]
     if dispatch_errors:
         raise ProblemValidationError(dispatch_errors)

@@ -10,10 +10,15 @@ constrained to the dual cone of the stage set at the trajectory point
 active coordinates only).  :func:`verify_pmp` evaluates the six first-order
 conditions numerically and reports per-condition residuals and a verdict.
 It evaluates the model terms of every stage once, batched (matrix products
-for LTI dynamics and quadratic cost), reads the stage sets once as arrays of
-lower and upper bounds (+-inf on free stages, the point twice on fixed ones)
-and computes each condition, set conditions included, as an array reduction
-over the stages.
+for LTI dynamics and quadratic cost), reads the stage sets as the arrays
+that :func:`bandctrl.problem.validate` built once per spec (lower and upper
+bounds, +-inf on free stages and the point twice on fixed ones, and the
+indices of the fixed and the box stages), and computes each condition, set
+conditions included, as an array reduction over the stages.  Without boxes
+the active bounds are those of the fixed stages, so the dual-cone and the
+variational-inequality terms need no comparison with the bounds.  Every
+max-norm is one reduction through an ndarray method, and the norms of the
+rescaled multipliers are those of the given ones divided by the scale.
 
 The conditions are positively homogeneous in the joint multiplier vector, so
 the verifier rescales the lift to unit max-norm before measuring residuals;
@@ -34,13 +39,14 @@ than n columns, and the verdict does not depend on the size of A^N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from ._memo import LastValue, content_key
-from .problem import FREE, Box, Fixed, ProblemSpec, Trajectory, _stage_terms
+from .problem import ProblemSpec, SetArrays, Trajectory, _stage_terms
 from .spectrum import FrequencyConstraint, _rank_cutoff, numerical_rank
 
 __all__ = [
@@ -70,8 +76,19 @@ _VERDICTS = LastValue()
 
 
 def _inf(a) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    """The largest |a_i|, 0.0 for an empty array, NaN when an entry is."""
+    return float(abs(np.asarray(a)).max(initial=0.0))
+
+
+def _row_sizes(*rows: np.ndarray) -> list[float]:
+    """:func:`_inf` of each of the equally long ``rows``, in one reduction."""
+    return abs(np.array(rows)).max(axis=1, initial=0.0).tolist()
+
+
+def _largest(*values: float) -> float:
+    """The largest of ``values``, NaN when one is (as numpy's max; the
+    builtin's answer depends on where the NaN is)."""
+    return math.nan if any(v != v for v in values) else max(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,32 +231,45 @@ class PmpCertificate:
         }
 
 
-def _stage_bounds(stage_sets, dim: int):
-    """The stage sets as one (2, len, dim) array of lower and upper bounds,
-    +-inf on free stages and the point twice on fixed ones, and the mask of
-    the fixed stages.  Sets that are neither fixed nor boxes count as free."""
-    size = len(stage_sets)
-    bounds = np.full((2, size, dim), np.inf)
-    bounds[0] = -np.inf
-    fixed = np.zeros(size, dtype=bool)
-    for t, stage_set in enumerate(stage_sets):
-        if stage_set is FREE:  # the common case, passed over without a type test
-            continue
-        if isinstance(stage_set, Fixed):
-            bounds[:, t] = stage_set.point
-            fixed[t] = True
-        elif isinstance(stage_set, Box):
-            bounds[:, t] = stage_set.lower, stage_set.upper
-    return bounds, fixed
-
-
-def _active(points: np.ndarray, bounds: np.ndarray, fixed: np.ndarray, active_tol: float):
-    """(2, len, dim) masks of the coordinates at their lower and at their upper
-    bound.  An infinite bound is never active; both bounds of a fixed stage
-    always are, since its multiplier is unconstrained."""
+def _active(points: np.ndarray, sets: SetArrays, active_tol: float) -> np.ndarray:
+    """(2, stages, dim) masks of the coordinates at their lower and at their
+    upper bound.  An infinite bound is never active; both bounds of a fixed
+    stage always are, since its multiplier is unconstrained."""
+    bounds = sets.bounds
     active = np.isfinite(bounds) & (np.abs(points - bounds) <= active_tol * (1.0 + np.abs(bounds)))
-    active[:, fixed] = True
+    active[:, sets.fixed] = True
     return active
+
+
+def _cone_gaps(points: np.ndarray, mult: np.ndarray, sets: SetArrays, active_tol: float):
+    """Per coordinate, how far the multiplier ``mult`` lies outside the dual
+    cone of its stage set at ``points``: its negative part at an active lower
+    bound, its positive part at an active upper one, |mult| off both, 0 on a
+    fixed stage.  Without boxes the active masks are the fixed stages."""
+    if sets.boxes.size:
+        active = _active(points, sets, active_tol)
+        return np.maximum(np.where(active[0], 0.0, -mult), np.where(active[1], 0.0, mult))
+    gaps = abs(mult)
+    gaps[sets.fixed] = 0.0
+    return gaps
+
+
+def _slopes(points: np.ndarray, grad: np.ndarray, sets: SetArrays, active_tol: float):
+    """Per coordinate, the largest slope <grad, d> over the feasible ones of
+    the signed directions -e_j, +e_j into the stage set at ``points``
+    (-inf when neither is: a fixed stage, or both bounds active)."""
+    if sets.boxes.size:
+        active = _active(points, sets, active_tol)
+        return np.maximum(np.where(active[0], -np.inf, -grad), np.where(active[1], -np.inf, grad))
+    slopes = abs(grad)
+    slopes[sets.fixed] = -np.inf
+    return slopes
+
+
+def _set_gaps(points: np.ndarray, sets: SetArrays) -> np.ndarray:
+    """Per coordinate, how far ``points`` lie outside their stage sets
+    (negative inside, -inf on free stages, NaN at a NaN point)."""
+    return np.maximum(sets.bounds[0] - points, points - sets.bounds[1])
 
 
 def _worst(a: np.ndarray) -> float:
@@ -291,18 +321,22 @@ def verify_pmp(
         raise ValueError("lift dimensions do not match the trajectory")
 
     nonneg = bool(eta_c >= 0.0)
-    nontrivial = bool(max(abs(eta_c), _inf(nu), _inf(p)) > 0.0)
+    nu_size, p_size = _inf(nu), _inf(p)
+    nontrivial = bool(max(abs(eta_c), nu_size, p_size) > 0.0)
 
     # rescale the whole multiplier vector to unit max-norm: the conditions are
-    # positively homogeneous in it, so verdicts become scale-invariant
-    mu = float(np.max([abs(eta_c), _inf(nu), _inf(p), _inf(etax)]))  # NaN if any is
-    if mu > 0.0:
-        eta_s, nu_s, p_s, etax_s = eta_c / mu, nu / mu, p / mu, etax / mu
-    else:
-        eta_s, nu_s, p_s, etax_s = eta_c, nu, p, etax
+    # positively homogeneous in it, so verdicts become scale-invariant.  The
+    # division by unit > 0 rounds monotonically, so the max-norm of a scaled
+    # array is its max-norm divided by unit, bit for bit.
+    inner_size = _inf(etax[1:horizon])
+    first_size, last_size, p_last_size = _row_sizes(etax[0], etax[horizon], p[horizon - 1])
+    mu = _largest(abs(eta_c), nu_size, p_size, inner_size, first_size, last_size)
+    unit = mu if mu > 0.0 else 1.0
+    eta_s, nu_s, p_s, etax_s = eta_c / unit, nu / unit, p / unit, etax / unit
 
     states, controls = traj.states, traj.controls
     terms = _stage_terms(spec.dynamics, spec.cost, states, controls, jx0=True)
+    state_sets, control_sets = spec.sets_as_arrays()
 
     # (iii) state dynamics
     state_res = _inf(states[1:] - terms.f)
@@ -312,24 +346,22 @@ def verify_pmp(
     jxp = np.einsum("tij,ti->tj", terms.jx[1:], p_s[1:])
     cgrad = eta_s * terms.cx[1:]
     adj_res = _inf(p_s[:-1] - (jxp - cgrad - etax_s[1:horizon]))
-    adj_scale = max(_inf(p_s), _inf(jxp), _inf(cgrad), _inf(etax_s[1:horizon]))
+    adj_scale = max(p_size / unit, _inf(jxp), _inf(cgrad), inner_size / unit)
 
     # (iii), (iv) multipliers in the dual cones of their stage sets: no
     # negative entry off the lower bound, no positive entry off the upper one
-    bounds, fixed = _stage_bounds(spec.state_sets, n)
-    cone_gap = np.where(_active(states, bounds, fixed, active_tol), 0.0, [-etax_s, etax_s])
-    adj_res = max(adj_res, _worst(cone_gap[:, 1:horizon]))
-    set_gap = np.maximum(bounds[0] - states, states - bounds[1])
+    cone_gap = _cone_gaps(states, etax_s, state_sets, active_tol)
+    adj_res = max(adj_res, _worst(cone_gap[1:horizon]))
+    set_gap = _set_gaps(states, state_sets)
     interior_gap = _worst(set_gap[1:horizon])
 
     # (iv) transversality at both ends
     dh_dx0 = terms.jx[0].T @ p_s[0] - eta_s * terms.cx[0]
-    trans_res = max(
-        _inf(dh_dx0 - etax_s[0]),
-        _inf(p_s[horizon - 1] + etax_s[horizon]),
-        _worst(cone_gap[:, [0, horizon]]),
+    start_res, end_res, dh_size = _row_sizes(
+        dh_dx0 - etax_s[0], p_s[horizon - 1] + etax_s[horizon], dh_dx0
     )
-    trans_scale = max(_inf(dh_dx0), _inf(etax_s[0]), _inf(p_s[horizon - 1]), _inf(etax_s[horizon]))
+    trans_res = max(start_res, end_res, _worst(cone_gap[[0, horizon]]))
+    trans_scale = max(dh_size, first_size / unit, p_last_size / unit, last_size / unit)
     endpoint_gap = _worst(set_gap[[0, horizon]])
 
     # (v) Hamiltonian variational inequality on the signed coordinate
@@ -337,13 +369,14 @@ def verify_pmp(
     # +e_j unless it is at its upper bound
     grad = np.einsum("tij,ti->tj", terms.ju, p_s) - eta_s * terms.cu - fc.apply_transpose(nu_s)
     vi_scale = _inf(grad)
-    bounds, fixed = _stage_bounds(spec.control_sets, m)
-    slopes = np.where(_active(controls, bounds, fixed, active_tol), -np.inf, [-grad, grad])
-    vi_worst = float(slopes.max())
+    if control_sets.boxes.size or control_sets.fixed.size:
+        vi_worst = float(_slopes(controls, grad, control_sets, active_tol).max())
+    else:  # every direction is feasible: the largest slope is the gradient's norm
+        vi_worst = vi_scale
     # every direction pinned: the inequality is vacuous; a zero worst reads
     # +0.0, and a NaN gradient stays NaN
     vi_worst = 0.0 if vi_worst == -np.inf else vi_worst + 0.0
-    control_gap = _worst(np.maximum(bounds[0] - controls, controls - bounds[1]))
+    control_gap = _worst(_set_gaps(controls, control_sets))
 
     # (vi) frequency residual, against the largest term of its sum
     freq_res = _inf(fc.apply(controls))

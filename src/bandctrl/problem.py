@@ -3,8 +3,8 @@
 A :class:`ProblemSpec` bundles the horizon, a dynamics model, a stage-cost
 model, per-stage state and control sets, and the per-channel frequency
 supports.  :func:`validate` checks consistency, builds the frequency
-constraint, and either returns the completed spec or raises with the complete
-list of violations.
+constraint and the stage sets as bound arrays, and either returns the
+completed spec or raises with the complete list of violations.
 
 Specs are immutable once validated and safe to share across threads.  The
 frozen containers that hold arrays (models, sets, trajectories, specs)
@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import is_not
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._memo import LastValue
+from ._memo import LastValue, content_key
 from .spectrum import FrequencyConstraint, SupportSpec, build_frequency_constraint
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "FREE",
     "Trajectory",
     "ProblemSpec",
+    "SetArrays",
     "ProblemValidationError",
     "validate",
     "check_jacobians",
@@ -54,6 +57,8 @@ __all__ = [
 
 # the frequency constraint of the most recent (horizon, m, supports) of validate
 _ROWS = LastValue()
+# the matrix errors of the most recent dynamics and cost matrices of validate
+_MATRICES = LastValue()
 
 
 def _frozen_array(value, dtype=float) -> np.ndarray:
@@ -454,9 +459,24 @@ def _stage_terms(
 # ---------------------------------------------------------------------------
 
 
+class SetArrays(NamedTuple):
+    """The stage sets of one kind (states or controls) as read-only arrays."""
+
+    bounds: np.ndarray  # (2, stages, dim) lower and upper: +-inf free, the point twice fixed
+    fixed: np.ndarray  # ascending indices of the Fixed stages
+    boxes: np.ndarray  # ascending indices of the Box stages
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Full problem statement; run :func:`validate` before handing to solvers."""
+    """Full problem statement; run :func:`validate` before handing to solvers.
+
+    A validated spec carries, besides its ``frequency_constraint``, its stage
+    sets as arrays (``set_arrays``, see :meth:`sets_as_arrays`).  That field
+    is not an argument: every spec built by ``ProblemSpec(...)`` or
+    ``dataclasses.replace`` starts without it, so its arrays are read from
+    its own sets, never copied from another spec.
+    """
 
     horizon: int
     dynamics: DynamicsModel
@@ -465,6 +485,7 @@ class ProblemSpec:
     control_sets: tuple
     supports: SupportSpec
     frequency_constraint: FrequencyConstraint | None = None
+    set_arrays: tuple[SetArrays, SetArrays] | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -473,6 +494,18 @@ class ProblemSpec:
     @property
     def m(self) -> int:
         return self.dynamics.m
+
+    def sets_as_arrays(self) -> tuple[SetArrays, SetArrays]:
+        """The state and the control sets as arrays: those :func:`validate`
+        stored, or read from the sets now on a spec that it did not return.
+        Fixed points and boxes of the right dimension enter them, a Fixed
+        control set (which validate rejects) too; every other set counts as
+        free."""
+        if self.set_arrays is not None:
+            return self.set_arrays
+        return _read_sets("state_sets", self.state_sets, self.n), _read_sets(
+            "control_sets", self.control_sets, self.m
+        )
 
 
 class ProblemValidationError(ValueError):
@@ -483,31 +516,149 @@ class ProblemValidationError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-def _check_symmetric(name: str, mat: np.ndarray, errors: list[str]) -> None:
-    scale = 1.0 + float(np.max(np.abs(mat))) if mat.size else 1.0
-    if np.max(np.abs(mat - mat.T)) > 1e-10 * scale:
+def _check_matrix(name: str, mat: np.ndarray, errors: list[str], symmetric=False) -> bool:
+    """Whether every entry of ``mat`` is finite, with an error when not; a
+    symmetric one must also be symmetric to 1e-10 relative to its largest
+    entry."""
+    size = float(abs(mat).max(initial=0.0))  # NaN or inf when an entry is
+    if not math.isfinite(size):
+        errors.append(f"{name}: entries must be finite")
+        return False
+    if symmetric and mat.size and float(abs(mat - mat.T).max()) > 1e-10 * (1.0 + size):
         errors.append(f"{name}: matrix is not symmetric")
+    return True
 
 
-def _check_box(name: str, box: Box, dim: int, errors: list[str]) -> None:
-    """Box bounds of dimension ``dim``, none NaN, lower <= upper; an infinite
-    bound is a half-space and allowed."""
-    if box.lower.shape != (dim,) or box.upper.shape != (dim,):
-        errors.append(f"{name}: box bounds must have dimension {dim}")
-        return
-    for side, bound in (("lower", box.lower), ("upper", box.upper)):
-        for i in np.flatnonzero(np.isnan(bound)):
-            errors.append(f"{name}: box {side}[{i}] is NaN")
-    for i in np.flatnonzero(box.lower > box.upper):
-        errors.append(f"{name}: box lower[{i}]={box.lower[i]} > upper[{i}]={box.upper[i]}")
+def _matrix_errors(dynamics, cost, n: int, m: int) -> tuple[str, ...]:
+    """The violations of the matrices of LTI ``dynamics`` and of a quadratic
+    ``cost``, for n states and m controls."""
+    errors: list[str] = []
+    if isinstance(dynamics, LtiDynamics):
+        _check_matrix("dynamics.A", dynamics.A, errors)
+        _check_matrix("dynamics.B", dynamics.B, errors)
+    if isinstance(cost, QuadraticCost):
+        Q, R = cost.Q, cost.R
+        if Q.shape != (n, n):
+            errors.append(f"cost.Q: expected shape ({n}, {n}), got {Q.shape}")
+        elif _check_matrix("cost.Q", Q, errors, symmetric=True):
+            if np.min(np.linalg.eigvalsh((Q + Q.T) / 2)) < -1e-10:
+                errors.append("cost.Q: not positive semidefinite")
+        if R.shape != (m, m):
+            errors.append(f"cost.R: expected shape ({m}, {m}), got {R.shape}")
+        elif _check_matrix("cost.R", R, errors, symmetric=True):
+            if np.min(np.linalg.eigvalsh((R + R.T) / 2)) <= 0.0:
+                errors.append("cost.R: R not positive definite")
+    return tuple(errors)
+
+
+def _read_sets(label: str, sets, dim: int, errors: list[str] | None = None) -> SetArrays:
+    """The stage sets ``sets`` of ``label`` (state_sets or control_sets;
+    Fixed is admissible among the states only) of vectors of dimension
+    ``dim`` as read-only arrays, in one pass over the sets that are not
+    ``FREE`` (:func:`_not_free`), so a free stage costs no Python step.
+    The Fixed points and the box bounds are checked as stacked arrays.  With ``errors`` given, every violation is appended to
+    it, ordered by stage, then check, then coordinate."""
+    size, check = len(sets), errors is not None
+    fixed_ok = label == "state_sets"
+    found = []  # (stage, check, coordinate, message)
+    fixed, boxes = [], []
+    for t in _not_free(sets):
+        s = sets[t]
+        if isinstance(s, Free):
+            continue
+        if isinstance(s, Fixed) and s.point.shape == (dim,):
+            fixed.append(t)  # a Fixed control set too, reported below
+        elif isinstance(s, Box) and s.lower.shape == s.upper.shape == (dim,):
+            boxes.append(t)
+        if not check:
+            continue
+        if isinstance(s, Fixed) and fixed_ok:
+            if s.point.shape != (dim,):
+                found.append((t, 0, 0, f"{label}[{t}].point: expected dimension {dim}, got {s.point.shape}"))
+                found += [
+                    (t, 1, i, f"{label}[{t}].point[{i}]: must be finite, got {s.point[i]}")
+                    for i in np.flatnonzero(~np.isfinite(s.point))
+                ]
+        elif isinstance(s, Box):
+            if not s.lower.shape == s.upper.shape == (dim,):
+                found.append((t, 0, 0, f"{label}[{t}]: box bounds must have dimension {dim}"))
+        elif fixed_ok:
+            found.append((t, 0, 0, f"{label}[{t}]: unknown set variant {type(s).__name__}"))
+        else:
+            found.append((t, 0, 0, f"{label}[{t}]: {type(s).__name__} is not an admissible control set"))
+    bounds = np.full((2, size, dim), np.inf)
+    bounds[0] = -np.inf
+    if fixed:
+        points = np.array([sets[t].point for t in fixed])
+        bounds[:, fixed] = points
+        if check and fixed_ok:
+            found += [
+                (fixed[r], 1, i, f"{label}[{fixed[r]}].point[{i}]: must be finite, got {points[r, i]}")
+                for r, i in zip(*np.nonzero(~np.isfinite(points)))
+            ]
+    if boxes:
+        lower = np.array([sets[t].lower for t in boxes])
+        upper = np.array([sets[t].upper for t in boxes])
+        bounds[0, boxes], bounds[1, boxes] = lower, upper
+        if check:
+            # an infinite bound is a half-space and allowed
+            for rank, (side, bound) in enumerate((("lower", lower), ("upper", upper)), 1):
+                found += [
+                    (boxes[r], rank, i, f"{label}[{boxes[r]}]: box {side}[{i}] is NaN")
+                    for r, i in zip(*np.nonzero(np.isnan(bound)))
+                ]
+            found += [
+                (boxes[r], 3, i,
+                 f"{label}[{boxes[r]}]: box lower[{i}]={lower[r, i]} > upper[{i}]={upper[r, i]}")
+                for r, i in zip(*np.nonzero(lower > upper))
+            ]
+    if found:
+        found.sort()
+        errors += [message for *_, message in found]
+    bounds.setflags(write=False)
+    return SetArrays(bounds, _stage_indices(fixed), _stage_indices(boxes))
+
+
+def _not_free(sets):
+    """The stages whose set is not ``FREE``, ascending, found by C-level
+    scans.  A fixed-endpoint spec has ``FREE`` everywhere but at the ends, so
+    one count of the sets equal to ``FREE`` (a Free, by the dataclass
+    equality) settles that case; otherwise a scan by identity finds them."""
+    size = len(sets)
+    try:
+        ends = [t for t in sorted({0, size - 1}) if size and sets[t] != FREE]
+        if sets.count(FREE) + len(ends) == size:
+            return ends
+    except (TypeError, ValueError):  # a set whose comparison with FREE raises
+        pass
+    return compress(range(size), map(is_not, sets, repeat(FREE)))
+
+
+_NO_STAGES = np.zeros(0, dtype=np.intp)
+_NO_STAGES.setflags(write=False)
+
+
+def _stage_indices(stages: list[int]) -> np.ndarray:
+    if not stages:
+        return _NO_STAGES
+    out = np.array(stages, dtype=np.intp)
+    out.setflags(write=False)
+    return out
 
 
 def validate(spec: ProblemSpec) -> ProblemSpec:
-    """Check dimensions, definiteness, and bounds; build the frequency constraint.
+    """Check dimensions, finiteness, definiteness, and bounds; build the
+    frequency constraint and the stage sets as arrays.
 
-    Returns a completed copy with ``frequency_constraint`` filled in, or raises
-    :class:`ProblemValidationError` carrying the complete list of violations,
-    each naming the offending stage and field.
+    Returns a completed copy, or raises :class:`ProblemValidationError`
+    carrying the complete list of violations, each naming the offending stage
+    and field.  The copy carries ``frequency_constraint`` and ``set_arrays``:
+    for the states and for the controls, the (2, stages, dim) lower and upper
+    bounds (+-inf on free stages, the point twice on fixed ones) and the
+    indices of the Fixed and of the Box stages, all read-only.  They come
+    from the one pass over the sets that also checks them, in which the
+    ``FREE`` stages are skipped by a C-level scan, and the Fixed points and
+    box bounds are checked as stacked arrays.
 
     The constraint depends on the horizon, the channel count and the supports
     alone, so the one built for the most recent of them is kept in one slot
@@ -515,7 +666,10 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     (each channel's set as a frozenset, with its type): validating specs that
     share them builds the rows once and shares one read-only constraint.  A
     set changed in place after a call misses, and a failed build is not
-    kept, so every invalid spec is reported in full.
+    kept, so every invalid spec is reported in full.  The errors of the
+    matrices (A, B of LTI dynamics, Q, R of a quadratic cost: finite,
+    symmetric, definite) are kept the same way for the most recent
+    matrices, keyed by their shapes and float64 bytes.
     """
     errors: list[str] = []
     n, m = spec.dynamics.n, spec.dynamics.m
@@ -524,49 +678,23 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     if horizon < 1:
         errors.append(f"horizon: must be >= 1, got {spec.horizon}")
 
-    cost = spec.cost
-    if isinstance(cost, QuadraticCost):
-        if cost.Q.shape != (n, n):
-            errors.append(f"cost.Q: expected shape ({n}, {n}), got {cost.Q.shape}")
-        else:
-            _check_symmetric("cost.Q", cost.Q, errors)
-            if np.min(np.linalg.eigvalsh((cost.Q + cost.Q.T) / 2)) < -1e-10:
-                errors.append("cost.Q: not positive semidefinite")
-        if cost.R.shape != (m, m):
-            errors.append(f"cost.R: expected shape ({m}, {m}), got {cost.R.shape}")
-        else:
-            _check_symmetric("cost.R", cost.R, errors)
-            if np.min(np.linalg.eigvalsh((cost.R + cost.R.T) / 2)) <= 0.0:
-                errors.append("cost.R: R not positive definite")
+    dynamics, cost = spec.dynamics, spec.cost
+    lti, quadratic = isinstance(dynamics, LtiDynamics), isinstance(cost, QuadraticCost)
+    if lti or quadratic:
+        matrices = ((dynamics.A, dynamics.B) if lti else ()) + ((cost.Q, cost.R) if quadratic else ())
+        errors += _MATRICES.get(
+            (n, m, lti, quadratic, content_key(*matrices)),
+            lambda: _matrix_errors(dynamics, cost, n, m),
+        )
 
     if len(spec.state_sets) != horizon + 1:
         errors.append(
             f"state_sets: expected {horizon + 1} entries, got {len(spec.state_sets)}"
         )
-    for t, s in enumerate(spec.state_sets):
-        if isinstance(s, Free):  # most stages: nothing to check
-            continue
-        if isinstance(s, Fixed):
-            if s.point.shape != (n,):
-                errors.append(f"state_sets[{t}].point: expected dimension {n}, got {s.point.shape}")
-            for i in np.flatnonzero(~np.isfinite(s.point)):
-                errors.append(f"state_sets[{t}].point[{i}]: must be finite, got {s.point[i]}")
-        elif isinstance(s, Box):
-            _check_box(f"state_sets[{t}]", s, n, errors)
-        else:
-            errors.append(f"state_sets[{t}]: unknown set variant {type(s).__name__}")
-
+    state_arrays = _read_sets("state_sets", spec.state_sets, n, errors)
     if len(spec.control_sets) != horizon:
         errors.append(f"control_sets: expected {horizon} entries, got {len(spec.control_sets)}")
-    for t, s in enumerate(spec.control_sets):
-        if isinstance(s, Free):
-            continue
-        if isinstance(s, Box):
-            _check_box(f"control_sets[{t}]", s, m, errors)
-        else:
-            errors.append(
-                f"control_sets[{t}]: {type(s).__name__} is not an admissible control set"
-            )
+    control_arrays = _read_sets("control_sets", spec.control_sets, m, errors)
 
     constraint = None
     if spec.supports.channels != m:
@@ -584,7 +712,9 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
 
     if errors:
         raise ProblemValidationError(errors)
-    return dataclasses.replace(spec, frequency_constraint=constraint)
+    spec = dataclasses.replace(spec, frequency_constraint=constraint)
+    object.__setattr__(spec, "set_arrays", (state_arrays, control_arrays))  # set before it is shared
+    return spec
 
 
 def _quadratic_spec(dynamics, Q, R, horizon: int, x0, xf, banned) -> ProblemSpec:

@@ -196,7 +196,7 @@ class FrequencyConstraint:
         if not self.row_count:
             return 0.0
         channels, weights = self._term_weights
-        return float(np.max(np.abs(np.asarray(controls, dtype=float).T[channels]) * weights))
+        return float((abs(np.asarray(controls, dtype=float).T[channels]) * weights).max())
 
     @functools.cached_property
     def _term_weights(self) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,9 @@ the PMP certificate and of the Newton residual that the batched evaluation
 replaced: they call the model once per stage and term, and the certificate's
 reference checks each stage set in its own form (dual cone, distance and
 feasible directions of a fixed point or a box, one stage at a time) where
-``verify_pmp`` reduces bound arrays over all stages.  The loop
+``verify_pmp`` reduces bound arrays over all stages.  The loop validation
+errors are the stage-set checks of ``bandctrl.problem.validate`` made one
+stage and one set at a time, where ``validate`` checks stacked arrays.  The loop
 control-affine terms are the stage-by-stage form of the one-pass evaluation
 of a control-affine model in ``bandctrl.problem._stage_terms``.  The loop
 Riccati sweep is the recursion that ``kkt.riccati_sweep`` shortcuts and
@@ -47,7 +49,7 @@ from bandctrl.extremal import (
     reachability_stack,
 )
 from bandctrl.lq import INFEASIBILITY_TOL
-from bandctrl.problem import Box, Fixed
+from bandctrl.problem import Box, Fixed, Free
 from bandctrl.shooting import _unpack, assemble_residual, residual_jacobian
 from bandctrl.spectrum import numerical_rank
 
@@ -168,14 +170,15 @@ def transfer_qp_oracle(A, B, Q, R, horizon, x0, xf=None, freq_matrix=None):
 def empty_memos():
     """Run a block with empty plant memos (the stationary plan of
     ``kkt.lti_solve``, the verdict of ``classify_normality_freq`` and the
-    frequency rows of ``problem.validate``); the memos outside the block are
-    restored after it, untouched."""
-    saved = kkt._PLANS, extremal._VERDICTS, problem._ROWS
-    kkt._PLANS, extremal._VERDICTS, problem._ROWS = LastValue(), LastValue(), LastValue()
+    frequency rows and matrix errors of ``problem.validate``); the memos
+    outside the block are restored after it, untouched."""
+    saved = kkt._PLANS, extremal._VERDICTS, problem._ROWS, problem._MATRICES
+    kkt._PLANS, extremal._VERDICTS = LastValue(), LastValue()
+    problem._ROWS, problem._MATRICES = LastValue(), LastValue()
     try:
         yield
     finally:
-        kkt._PLANS, extremal._VERDICTS, problem._ROWS = saved
+        kkt._PLANS, extremal._VERDICTS, problem._ROWS, problem._MATRICES = saved
 
 
 class DenseRows:
@@ -527,6 +530,48 @@ def loop_verify_pmp(traj, lift, spec, tol=1e-7, active_tol=1e-8, comparisons=Non
         condition_passed=condition_passed,
         passed=all(condition_passed.values()),
     )
+
+
+def _loop_check_box(name, box, dim, errors):
+    if box.lower.shape != (dim,) or box.upper.shape != (dim,):
+        errors.append(f"{name}: box bounds must have dimension {dim}")
+        return
+    for side, bound in (("lower", box.lower), ("upper", box.upper)):
+        for i in np.flatnonzero(np.isnan(bound)):
+            errors.append(f"{name}: box {side}[{i}] is NaN")
+    for i in np.flatnonzero(box.lower > box.upper):
+        errors.append(f"{name}: box lower[{i}]={box.lower[i]} > upper[{i}]={box.upper[i]}")
+
+
+def loop_validate_errors(spec):
+    """The errors that ``bandctrl.problem.validate`` reports for the stage
+    sets of ``spec``, checked stage by stage and set by set."""
+    errors = []
+    n, m, horizon = spec.n, spec.m, int(spec.horizon)
+    if len(spec.state_sets) != horizon + 1:
+        errors.append(f"state_sets: expected {horizon + 1} entries, got {len(spec.state_sets)}")
+    for t, s in enumerate(spec.state_sets):
+        if isinstance(s, Free):
+            continue
+        if isinstance(s, Fixed):
+            if s.point.shape != (n,):
+                errors.append(f"state_sets[{t}].point: expected dimension {n}, got {s.point.shape}")
+            for i in np.flatnonzero(~np.isfinite(s.point)):
+                errors.append(f"state_sets[{t}].point[{i}]: must be finite, got {s.point[i]}")
+        elif isinstance(s, Box):
+            _loop_check_box(f"state_sets[{t}]", s, n, errors)
+        else:
+            errors.append(f"state_sets[{t}]: unknown set variant {type(s).__name__}")
+    if len(spec.control_sets) != horizon:
+        errors.append(f"control_sets: expected {horizon} entries, got {len(spec.control_sets)}")
+    for t, s in enumerate(spec.control_sets):
+        if isinstance(s, Free):
+            continue
+        if isinstance(s, Box):
+            _loop_check_box(f"control_sets[{t}]", s, m, errors)
+        else:
+            errors.append(f"control_sets[{t}]: {type(s).__name__} is not an admissible control set")
+    return errors
 
 
 def loop_residual_vec(zvec, spec, x0, xf):

@@ -1,6 +1,7 @@
 """Tests for Hamiltonian evaluation, PMP certificates, and normality classification."""
 
 import dataclasses
+import json
 import tracemalloc
 import warnings
 
@@ -31,6 +32,7 @@ from bandctrl.problem import (
     FREE,
     Box,
     Fixed,
+    Free,
     LtiDynamics,
     Trajectory,
     control_affine_spec,
@@ -38,6 +40,7 @@ from bandctrl.problem import (
     lti_spec,
     rollout,
     trajectory_cost,
+    validate,
 )
 from bandctrl.shooting import SingularJacobianError, newton_solve
 from bandctrl.spectrum import FrequencyConstraint, SupportSpec, build_frequency_constraint
@@ -307,15 +310,18 @@ class TestVerifyPmp:
         assert not cert.condition_passed["v"] and not cert.passed
 
 
-def _random_set(rng, point, allow_fixed=True):
-    """Free, Fixed at the point, or a Box with each bound active, 0.5 away or
-    infinite."""
-    kind = rng.choice(["free", "fixed", "box"] if allow_fixed else ["free", "box"])
+def _random_set(rng, point, allow_fixed=True, allow_box=True):
+    """Free (a ``Free()`` that is not ``FREE`` half the time), Fixed at the
+    point, or a Box with each bound active, 0.5 away or infinite, or
+    infinite on every side."""
+    kind = rng.choice(["free"] + ["fixed"] * allow_fixed + ["box"] * allow_box)
     if kind == "free":
-        return FREE
+        return FREE if rng.random() < 0.5 else Free()
     if kind == "fixed":
         return Fixed(point.copy())
     offsets = [0.0, 0.5, np.inf]
+    if rng.random() < 0.2:
+        offsets = [np.inf]
     return Box(point - rng.choice(offsets, point.size), point + rng.choice(offsets, point.size))
 
 
@@ -365,12 +371,16 @@ def _certificate_inputs(rng, model, n, m, horizon, eta_c):
         traj = rollout(spec.dynamics, x0, u.reshape(horizon, m))
         nu = rng.standard_normal(fc.row_count)
         adjoints = adjoint_backward(traj, eta_c, nu, rng.standard_normal(n), None, spec)
-    state_sets = [_random_set(rng, x) if rng.random() < 0.3 else FREE for x in traj.states]
+    boxes = rng.random() < 0.5  # without boxes the certificate reads the fixed stages alone
+    state_sets = [
+        _random_set(rng, x, allow_box=boxes) if rng.random() < 0.3 else FREE for x in traj.states
+    ]
     for t in (0, horizon):
         if rng.random() < 0.75:
             state_sets[t] = Fixed(traj.states[t].copy())
     control_sets = [
-        _random_set(rng, u, allow_fixed=False) if rng.random() < 0.3 else FREE for u in traj.controls
+        _random_set(rng, u, allow_fixed=False, allow_box=boxes) if rng.random() < 0.3 else FREE
+        for u in traj.controls
     ]
     spec = dataclasses.replace(spec, state_sets=tuple(state_sets), control_sets=tuple(control_sets))
     return spec, traj, lift_from_solver(spec, traj, adjoints, nu, eta_c=eta_c)
@@ -438,6 +448,53 @@ class TestVerifyPmpAgainstLoopOracle:
         assert got.thresholds.keys() == expected.keys()
         for name, bound in expected.items():
             assert got.thresholds[name] == pytest.approx(bound, rel=1e-12, abs=0.0), name
+
+
+def _bits(cert) -> str:
+    """The certificate with every float written exactly."""
+    return json.dumps(cert.to_dict(), sort_keys=True)
+
+
+class TestSetArrays:
+    """A spec carries its stage sets as the arrays that validate built; a
+    spec that validate did not return reads them from its own sets."""
+
+    def test_replaced_sets_are_read_afresh(self):
+        spec, sol = _transfer_setup(seed=3)
+        traj = sol.trajectory
+        lift = lift_from_solver(spec, traj, sol.adjoints, sol.nu)
+        assert verify_pmp(traj, lift, spec).passed
+        boxed = dataclasses.replace(
+            spec, control_sets=tuple(Box(u + 1.0, u + 2.0) for u in traj.controls)
+        )
+        assert boxed.set_arrays is None
+        cert = verify_pmp(traj, lift, boxed)
+        assert not cert.condition_passed["v"] and cert.set_violation == pytest.approx(1.0)
+        assert _bits(cert) == _bits(verify_pmp(traj, lift, validate(boxed)))
+        freed = dataclasses.replace(validate(boxed), control_sets=spec.control_sets)
+        assert _bits(verify_pmp(traj, lift, freed)) == _bits(verify_pmp(traj, lift, spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(["lti", "wrap_lti", "toy"]),
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        horizon=st.integers(1, 24),
+        eta_c=st.sampled_from([0.0, 1.0]),
+        noise=st.sampled_from([0.0, 1e-7, 1e-1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unvalidated_spec_certifies_like_its_validated_twin(
+        self, model, n, m, horizon, eta_c, noise, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if model.endswith("toy"):
+            n = m = 1
+        spec, traj, lift = _certificate_inputs(rng, model, n, m, horizon, eta_c)
+        traj, lift = _perturbed(rng, traj, lift, noise)
+        twin = validate(spec)
+        assert spec.set_arrays is None and twin.set_arrays is not None
+        assert _bits(verify_pmp(traj, lift, spec)) == _bits(verify_pmp(traj, lift, twin))
 
 
 class TestStageEvaluationAtLongHorizon:

@@ -1,6 +1,7 @@
 """Tests for problem validation, model variants, the batched stage terms,
 container equality, and derivative checking."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from bandctrl.problem import (
     ControlAffineDynamics,
     FREE,
     Fixed,
+    Free,
     GeneralDynamics,
     LtiDynamics,
     ProblemSpec,
@@ -34,7 +36,7 @@ from bandctrl.problem import (
 from bandctrl.shooting import StackedUnknowns, newton_solve
 from bandctrl.spectrum import FrequencyConstraint, SupportSpec, build_frequency_constraint
 
-from oracles import empty_memos, loop_control_affine_terms
+from oracles import empty_memos, loop_control_affine_terms, loop_validate_errors
 
 
 def _plain_spec(horizon=4, n=2, m=1, **kwargs):
@@ -122,6 +124,83 @@ class TestValidate:
         with pytest.raises(ProblemValidationError) as err:
             validate(spec)
         assert any("channel 0" in e for e in err.value.errors)
+
+
+class Ball:
+    """A stage set variant that validate does not know."""
+
+    kind = "ball"
+
+
+def _random_stage_set(rng, dim):
+    """One stage set, valid or not, of a random variant."""
+    odd = [np.nan, np.inf, -np.inf, -1.0, 0.0, 1.0]
+    kind = rng.integers(9)
+    if kind == 0:
+        return FREE
+    if kind == 1:
+        return Free()
+    if kind == 2:
+        return Fixed(rng.standard_normal(dim))
+    if kind == 3:
+        return Fixed(rng.choice(odd, dim))
+    if kind == 4:
+        return Fixed(rng.choice(odd, dim + int(rng.choice([-1, 1, 2]))))
+    if kind == 5:
+        mid, offsets = rng.standard_normal(dim), [0.0, 1.0, np.inf]
+        return Box(mid - rng.choice(offsets, dim), mid + rng.choice(offsets, dim))
+    if kind == 6:
+        return Box(rng.choice(odd, dim), rng.choice(odd, dim))
+    if kind == 7:
+        wrong = max(dim + int(rng.choice([-1, 1])), 0)
+        sizes = [(wrong, dim), (dim, wrong), (wrong, wrong)][rng.integers(3)]
+        return Box(rng.choice(odd, sizes[0]), rng.choice(odd, sizes[1]))
+    return Ball()
+
+
+def _random_stage_sets(rng, count, dim):
+    """``count`` stage sets, give or take one, FREE but for a random share."""
+    share = rng.choice([0.0, 0.1, 0.5, 1.0])
+    count += int(rng.choice([0, 0, 0, -1, 1]))
+    return tuple(_random_stage_set(rng, dim) if rng.random() < share else FREE for _ in range(count))
+
+
+class TestSetValidationAgainstLoopOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        horizon=st.integers(1, 12),
+        n=st.integers(1, 2),
+        m=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_errors_match_the_stage_loop(self, horizon, n, m, seed):
+        rng = np.random.default_rng(seed)
+        spec = _plain_spec(
+            horizon, n, m,
+            state_sets=_random_stage_sets(rng, horizon + 1, n),
+            control_sets=_random_stage_sets(rng, horizon, m),
+        )
+        expected = loop_validate_errors(spec)
+        if not expected:
+            validate(spec)
+            return
+        with pytest.raises(ProblemValidationError) as err:
+            validate(spec)
+        assert err.value.errors == expected
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["dynamics.A", "dynamics.B", "cost.Q", "cost.R"])
+    def test_non_finite_matrix_is_named(self, field, value):
+        mats = {"A": np.eye(2), "B": np.ones((2, 1)), "Q": np.eye(2), "R": np.eye(1)}
+        mats[field[-1]][-1, -1] = value  # R = [[inf]] once
+        bad = dataclasses.replace(
+            _plain_spec(2, 2, 1),
+            dynamics=LtiDynamics(mats["A"], mats["B"]),
+            cost=QuadraticCost(mats["Q"], mats["R"]),
+        )
+        with pytest.raises(ProblemValidationError) as err:
+            validate(bad)
+        assert err.value.errors == [f"{field}: entries must be finite"]
 
 
 class TestModelVariants:
@@ -385,6 +464,35 @@ class TestFrequencyRowsMemo:
             _, _, cert = _certified_transfer(plant, np.full(4, k), np.ones(4), [[1, 2], [16]])
             assert cert.passed
         assert built == [6]
+
+
+class TestMatrixMemo:
+    """validate keeps the matrix errors of the most recent dynamics and cost."""
+
+    @pytest.fixture(autouse=True)
+    def _empty(self, monkeypatch):
+        monkeypatch.setattr(problem, "_MATRICES", LastValue())
+
+    def test_a_repeated_plant_checks_its_matrices_once(self, monkeypatch):
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        plant = _baseline_plant()
+        for k in range(3):
+            _, _, cert = _certified_transfer(plant, np.full(4, k), np.ones(4), [[1, 2], [16]])
+            assert cert.passed
+        assert calls == [(4, 4), (2, 2)]
+
+    def test_errors_do_not_depend_on_what_was_validated_before(self):
+        good = _plain_spec()
+        bad = dataclasses.replace(good, cost=QuadraticCost(np.eye(2), -np.eye(1)))
+        for spec, expected in [(good, None), (bad, ["cost.R: R not positive definite"]),
+                               (bad, ["cost.R: R not positive definite"]), (good, None)]:
+            if expected is None:
+                validate(spec)
+                continue
+            with pytest.raises(ProblemValidationError) as err:
+                validate(spec)
+            assert err.value.errors == expected
 
 
 class TestCheckJacobians:
