@@ -369,10 +369,7 @@ def verify_pmp(
     # +e_j unless it is at its upper bound
     grad = np.einsum("tij,ti->tj", terms.ju, p_s) - eta_s * terms.cu - fc.apply_transpose(nu_s)
     vi_scale = _inf(grad)
-    if control_sets.boxes.size or control_sets.fixed.size:
-        vi_worst = float(_slopes(controls, grad, control_sets, active_tol).max())
-    else:  # every direction is feasible: the largest slope is the gradient's norm
-        vi_worst = vi_scale
+    vi_worst = float(_slopes(controls, grad, control_sets, active_tol).max())
     # every direction pinned: the inequality is vacuous; a zero worst reads
     # +0.0, and a NaN gradient stays NaN
     vi_worst = 0.0 if vi_worst == -np.inf else vi_worst + 0.0

@@ -471,11 +471,12 @@ class SetArrays(NamedTuple):
 class ProblemSpec:
     """Full problem statement; run :func:`validate` before handing to solvers.
 
-    A validated spec carries, besides its ``frequency_constraint``, its stage
-    sets as arrays (``set_arrays``, see :meth:`sets_as_arrays`).  That field
-    is not an argument: every spec built by ``ProblemSpec(...)`` or
-    ``dataclasses.replace`` starts without it, so its arrays are read from
-    its own sets, never copied from another spec.
+    A validated spec holds its stage sets as tuples and carries, besides its
+    ``frequency_constraint``, those sets as arrays (``set_arrays``, see
+    :meth:`sets_as_arrays`).  That field is not an argument: every spec
+    built by ``ProblemSpec(...)`` or ``dataclasses.replace`` starts without
+    it, so its arrays are read from its own sets, never copied from another
+    spec.
     """
 
     horizon: int
@@ -554,84 +555,55 @@ def _matrix_errors(dynamics, cost, n: int, m: int) -> tuple[str, ...]:
 def _read_sets(label: str, sets, dim: int, errors: list[str] | None = None) -> SetArrays:
     """The stage sets ``sets`` of ``label`` (state_sets or control_sets;
     Fixed is admissible among the states only) of vectors of dimension
-    ``dim`` as read-only arrays, in one pass over the sets that are not
-    ``FREE`` (:func:`_not_free`), so a free stage costs no Python step.
-    The Fixed points and the box bounds are checked as stacked arrays.  With ``errors`` given, every violation is appended to
-    it, ordered by stage, then check, then coordinate."""
-    size, check = len(sets), errors is not None
+    ``dim`` as read-only arrays.  One pass visits the sets that are not
+    ``FREE``, found by a C-level identity scan, so a ``FREE`` stage costs no
+    Python step.  With ``errors`` given, every violation is appended to it."""
+    bounds = np.full((2, len(sets), dim), np.inf)
+    bounds[0] = -np.inf
     fixed_ok = label == "state_sets"
-    found = []  # (stage, check, coordinate, message)
     fixed, boxes = [], []
-    for t in _not_free(sets):
-        s = sets[t]
+    for t in compress(range(len(sets)), map(is_not, sets, repeat(FREE))):
+        s, name = sets[t], f"{label}[{t}]"
         if isinstance(s, Free):
             continue
-        if isinstance(s, Fixed) and s.point.shape == (dim,):
-            fixed.append(t)  # a Fixed control set too, reported below
-        elif isinstance(s, Box) and s.lower.shape == s.upper.shape == (dim,):
-            boxes.append(t)
-        if not check:
-            continue
-        if isinstance(s, Fixed) and fixed_ok:
-            if s.point.shape != (dim,):
-                found.append((t, 0, 0, f"{label}[{t}].point: expected dimension {dim}, got {s.point.shape}"))
-                found += [
-                    (t, 1, i, f"{label}[{t}].point[{i}]: must be finite, got {s.point[i]}")
-                    for i in np.flatnonzero(~np.isfinite(s.point))
-                ]
+        if isinstance(s, Fixed):
+            if s.point.shape == (dim,):
+                bounds[:, t] = s.point
+                fixed.append(t)  # a Fixed control set too, reported below
+            if errors is not None and fixed_ok:
+                if s.point.shape != (dim,):
+                    errors.append(f"{name}.point: expected dimension {dim}, got {s.point.shape}")
+                for i in np.flatnonzero(~np.isfinite(s.point)):
+                    errors.append(f"{name}.point[{i}]: must be finite, got {s.point[i]}")
+                continue
         elif isinstance(s, Box):
-            if not s.lower.shape == s.upper.shape == (dim,):
-                found.append((t, 0, 0, f"{label}[{t}]: box bounds must have dimension {dim}"))
-        elif fixed_ok:
-            found.append((t, 0, 0, f"{label}[{t}]: unknown set variant {type(s).__name__}"))
-        else:
-            found.append((t, 0, 0, f"{label}[{t}]: {type(s).__name__} is not an admissible control set"))
-    bounds = np.full((2, size, dim), np.inf)
-    bounds[0] = -np.inf
-    if fixed:
-        points = np.array([sets[t].point for t in fixed])
-        bounds[:, fixed] = points
-        if check and fixed_ok:
-            found += [
-                (fixed[r], 1, i, f"{label}[{fixed[r]}].point[{i}]: must be finite, got {points[r, i]}")
-                for r, i in zip(*np.nonzero(~np.isfinite(points)))
-            ]
-    if boxes:
-        lower = np.array([sets[t].lower for t in boxes])
-        upper = np.array([sets[t].upper for t in boxes])
-        bounds[0, boxes], bounds[1, boxes] = lower, upper
-        if check:
-            # an infinite bound is a half-space and allowed
-            for rank, (side, bound) in enumerate((("lower", lower), ("upper", upper)), 1):
-                found += [
-                    (boxes[r], rank, i, f"{label}[{boxes[r]}]: box {side}[{i}] is NaN")
-                    for r, i in zip(*np.nonzero(np.isnan(bound)))
-                ]
-            found += [
-                (boxes[r], 3, i,
-                 f"{label}[{boxes[r]}]: box lower[{i}]={lower[r, i]} > upper[{i}]={upper[r, i]}")
-                for r, i in zip(*np.nonzero(lower > upper))
-            ]
-    if found:
-        found.sort()
-        errors += [message for *_, message in found]
+            if s.lower.shape == s.upper.shape == (dim,):
+                bounds[:, t] = s.lower, s.upper
+                boxes.append(t)
+            if errors is not None:
+                _check_box(name, s, dim, errors)
+            continue
+        if errors is not None:
+            errors.append(
+                f"{name}: unknown set variant {type(s).__name__}"
+                if fixed_ok
+                else f"{name}: {type(s).__name__} is not an admissible control set"
+            )
     bounds.setflags(write=False)
     return SetArrays(bounds, _stage_indices(fixed), _stage_indices(boxes))
 
 
-def _not_free(sets):
-    """The stages whose set is not ``FREE``, ascending, found by C-level
-    scans.  A fixed-endpoint spec has ``FREE`` everywhere but at the ends, so
-    one count of the sets equal to ``FREE`` (a Free, by the dataclass
-    equality) settles that case; otherwise a scan by identity finds them."""
-    size = len(sets)
-    try:
-        ends = [t for t in sorted({0, size - 1}) if size and sets[t] != FREE]
-        if sets.count(FREE) + len(ends) == size:
-            return ends
-    except (TypeError, ValueError):  # a set whose comparison with FREE raises
-        pass
-    return compress(range(size), map(is_not, sets, repeat(FREE)))
+def _check_box(name: str, box: Box, dim: int, errors: list[str]) -> None:
+    """Box bounds of dimension ``dim``, none NaN, lower <= upper; an infinite
+    bound is a half-space and allowed."""
+    if box.lower.shape != (dim,) or box.upper.shape != (dim,):
+        errors.append(f"{name}: box bounds must have dimension {dim}")
+        return
+    for side, bound in (("lower", box.lower), ("upper", box.upper)):
+        for i in np.flatnonzero(np.isnan(bound)):
+            errors.append(f"{name}: box {side}[{i}] is NaN")
+    for i in np.flatnonzero(box.lower > box.upper):
+        errors.append(f"{name}: box lower[{i}]={box.lower[i]} > upper[{i}]={box.upper[i]}")
 
 
 _NO_STAGES = np.zeros(0, dtype=np.intp)
@@ -652,13 +624,14 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
 
     Returns a completed copy, or raises :class:`ProblemValidationError`
     carrying the complete list of violations, each naming the offending stage
-    and field.  The copy carries ``frequency_constraint`` and ``set_arrays``:
-    for the states and for the controls, the (2, stages, dim) lower and upper
-    bounds (+-inf on free stages, the point twice on fixed ones) and the
-    indices of the Fixed and of the Box stages, all read-only.  They come
-    from the one pass over the sets that also checks them, in which the
-    ``FREE`` stages are skipped by a C-level scan, and the Fixed points and
-    box bounds are checked as stacked arrays.
+    and field.  The copy holds its stage sets as tuples and carries
+    ``frequency_constraint`` and ``set_arrays``: for the states and for the
+    controls, the (2, stages, dim) lower and upper bounds (+-inf on free
+    stages, the point twice on fixed ones) and the indices of the Fixed and
+    of the Box stages, all read-only.  They come from the one pass over the
+    sets that also checks them, which skips the ``FREE`` stages by a C-level
+    scan.  The matrices A, B of LTI dynamics and Q, R of a quadratic cost
+    must be finite; Q and R symmetric, Q semidefinite and R definite.
 
     The constraint depends on the horizon, the channel count and the supports
     alone, so the one built for the most recent of them is kept in one slot
@@ -667,9 +640,8 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     share them builds the rows once and shares one read-only constraint.  A
     set changed in place after a call misses, and a failed build is not
     kept, so every invalid spec is reported in full.  The errors of the
-    matrices (A, B of LTI dynamics, Q, R of a quadratic cost: finite,
-    symmetric, definite) are kept the same way for the most recent
-    matrices, keyed by their shapes and float64 bytes.
+    matrices are kept the same way for the most recent matrices, keyed by
+    their shapes and float64 bytes.
     """
     errors: list[str] = []
     n, m = spec.dynamics.n, spec.dynamics.m
@@ -712,7 +684,12 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
 
     if errors:
         raise ProblemValidationError(errors)
-    spec = dataclasses.replace(spec, frequency_constraint=constraint)
+    spec = dataclasses.replace(
+        spec,
+        state_sets=tuple(spec.state_sets),
+        control_sets=tuple(spec.control_sets),
+        frequency_constraint=constraint,
+    )
     object.__setattr__(spec, "set_arrays", (state_arrays, control_arrays))  # set before it is shared
     return spec
 

@@ -16,9 +16,9 @@ replaced: they call the model once per stage and term, and the certificate's
 reference checks each stage set in its own form (dual cone, distance and
 feasible directions of a fixed point or a box, one stage at a time) where
 ``verify_pmp`` reduces bound arrays over all stages.  The loop validation
-errors are the stage-set checks of ``bandctrl.problem.validate`` made one
-stage and one set at a time, where ``validate`` checks stacked arrays.  The loop
-control-affine terms are the stage-by-stage form of the one-pass evaluation
+errors are the stage-set checks of ``bandctrl.problem.validate`` made on
+every stage, where ``validate`` visits only the stages that are not
+``FREE``.  The loop control-affine terms are the stage-by-stage form of the one-pass evaluation
 of a control-affine model in ``bandctrl.problem._stage_terms``.  The loop
 Riccati sweep is the recursion that ``kkt.riccati_sweep`` shortcuts and
 ``kkt.riccati_scan`` reorders: every stage swept, with a general inverse of

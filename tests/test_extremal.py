@@ -474,6 +474,18 @@ class TestSetArrays:
         freed = dataclasses.replace(validate(boxed), control_sets=spec.control_sets)
         assert _bits(verify_pmp(traj, lift, freed)) == _bits(verify_pmp(traj, lift, spec))
 
+    def test_a_list_changed_after_validate_leaves_the_spec_as_it_was(self):
+        spec, sol = _transfer_setup(seed=3)
+        traj = sol.trajectory
+        lift = lift_from_solver(spec, traj, sol.adjoints, sol.nu)
+        states, controls = list(spec.state_sets), list(spec.control_sets)
+        checked = validate(dataclasses.replace(spec, state_sets=states, control_sets=controls))
+        states[1] = Fixed(traj.states[1] + 1.0)
+        controls[0] = Box(traj.controls[0] + 1.0, traj.controls[0] + 2.0)
+        assert type(checked.state_sets) is type(checked.control_sets) is tuple
+        assert checked.state_sets[1] is checked.control_sets[0] is FREE
+        assert _bits(verify_pmp(traj, lift, checked)) == _bits(verify_pmp(traj, lift, spec))
+
     @settings(max_examples=60, deadline=None)
     @given(
         model=st.sampled_from(["lti", "wrap_lti", "toy"]),
