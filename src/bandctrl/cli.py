@@ -12,16 +12,20 @@ Problem files are JSON documents::
       "options": {"tolerance": 1e-7, "max_iterations": 60}
     }
 
-Matrices are row-major nested lists of decimals.  Solvers: ``riccati``,
-``lq_pmp`` (free final state), ``transfer``, ``transfer_freq`` (fixed
-endpoints), ``shooting`` (fixed endpoints, LTI or builtin control-affine
-dynamics).  Exit codes: 0 solved with a passing certificate, 1 input or spec
-errors, 2 infeasible transfer, 3 all-abnormal regime, 4 non-convergence (or a
-solve whose certificate fails).  A result file is written in every case except
-exit 1.  Result files are compact JSON (sorted keys, no whitespace, one
-trailing newline) and deterministic: identical inputs produce identical bytes
-(floats serialize at shortest round-trip precision, up to 17 significant
-digits).
+Matrices are row-major nested lists of decimals.  Solvers: ``riccati`` and
+``lq_pmp`` (free final state; one computation, the Riccati recursion, which
+is also the block elimination of the first-order system), ``transfer``,
+``transfer_freq`` (fixed endpoints), ``shooting`` (fixed endpoints, LTI or
+builtin control-affine dynamics).  Every solver returns the same outcome to
+:func:`run`, and one table (:data:`EXIT_CODES`) maps its status to the exit
+code: 0 ``SOLVED`` with a passing certificate, 2 ``INFEASIBLE``, 3
+``ABNORMAL_REGIME``, 4 ``SINGULAR``, ``NOT_CONVERGED`` or a ``SOLVED`` whose
+certificate fails; exit 1 is an input or spec error.  A result file is
+written in every case except exit 1, with the normality verdict whenever the
+solver has one and the status is not ``SINGULAR``.  Result files are compact
+JSON (sorted keys, no whitespace, one trailing newline) and deterministic:
+identical inputs produce identical bytes (floats serialize at shortest
+round-trip precision, up to 17 significant digits).
 """
 
 from __future__ import annotations
@@ -32,25 +36,19 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
 from .extremal import (
     AbnormalRegimeError,
+    NormalityVerdict,
     classify_normality_classic,
     lift_from_solver,
     verify_pmp,
 )
-from .lq import (
-    SolveStatus,
-    lq_pmp_solve,
-    lq_transfer_freq_solve,
-    lq_transfer_solve,
-    riccati_adjoints,
-    riccati_solve,
-)
+from .lq import LqSolution, lq_pmp_solve, lq_transfer_freq_solve, lq_transfer_solve
 from .problem import (
     Box,
     ControlAffineDynamics,
@@ -60,15 +58,15 @@ from .problem import (
     ProblemSpec,
     ProblemValidationError,
     QuadraticCost,
+    Trajectory,
     trajectory_cost,
     validate,
 )
 from .shooting import NewtonOptions, SingularJacobianError, newton_solve
-from .spectrum import SupportSpec, forward_dft, uncertainty_check
+from .spectrum import SupportSpec, uncertainty_check
 
 __all__ = ["run", "main", "parse_problem", "serialize_problem", "spectrum_report", "BUILTINS"]
 
-SOLVERS = ("riccati", "lq_pmp", "transfer", "transfer_freq", "shooting")
 # options that must be positive: (name, "number" or "integer")
 POSITIVE_OPTIONS = (
     ("tolerance", "number"),
@@ -418,19 +416,16 @@ def spectrum_report(result: dict) -> list[dict]:
 
 
 def _spectra_doc(controls: np.ndarray, banned_sets) -> list[dict]:
-    out = []
-    for k in range(controls.shape[1]):
-        comp = forward_dft(controls[:, k])
-        banned = set(banned_sets[k]) if k < len(banned_sets) else set()
-        out.append(
-            {
-                "channel": k,
-                "magnitude": np.abs(comp).tolist(),
-                "phase": np.angle(comp).tolist(),
-                "banned": [xi in banned for xi in range(controls.shape[0])],
-            }
+    comp = np.fft.fft(controls, axis=0, norm="ortho").T  # (channel, frequency)
+    banned = np.zeros(comp.shape, dtype=bool)
+    for k, chan in enumerate(banned_sets):
+        banned[k, list(chan)] = True
+    return [
+        {"channel": k, "magnitude": mag, "phase": phase, "banned": ban}
+        for k, (mag, phase, ban) in enumerate(
+            zip(np.abs(comp).tolist(), np.angle(comp).tolist(), banned.tolist())
         )
-    return out
+    ]
 
 
 def _json_default(obj):
@@ -450,6 +445,79 @@ def _write_result(path: str, doc: dict) -> None:
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
+
+
+@dataclass(frozen=True, eq=False)
+class _Outcome:
+    """What every solver returns to :func:`run`: a status of
+    :data:`EXIT_CODES`, the solution (SOLVED only), and the normality verdict
+    when the solver has one."""
+
+    status: str
+    trajectory: Trajectory | None = None
+    adjoints: np.ndarray | None = None
+    nu: np.ndarray | None = None
+    cost: float | None = None
+    verdict: NormalityVerdict | None = None
+
+
+def _lq_outcome(sol: LqSolution, verdict: NormalityVerdict | None = None) -> _Outcome:
+    return _Outcome(sol.status.value, sol.trajectory, sol.adjoints, sol.nu, sol.cost, verdict)
+
+
+def _lq_data(spec: ProblemSpec):
+    return spec.dynamics.A, spec.dynamics.B, spec.cost.Q, spec.cost.R, spec.horizon
+
+
+def _free_end(problem: CliProblem, diagnostics: dict) -> _Outcome:
+    # riccati and lq_pmp: lq_pmp_solve returns riccati_solve's solution
+    return _lq_outcome(lq_pmp_solve(*_lq_data(problem.spec), problem.x0))
+
+
+def _transfer(problem: CliProblem, diagnostics: dict) -> _Outcome:
+    A, B, Q, R, N = _lq_data(problem.spec)
+    sol = lq_transfer_solve(A, B, Q, R, N, problem.x0, problem.xf)
+    diagnostics["ls_residual"] = sol.ls_residual
+    return _lq_outcome(sol, classify_normality_classic(A, B, N))
+
+
+def _transfer_freq(problem: CliProblem, diagnostics: dict) -> _Outcome:
+    spec = problem.spec
+    sol = lq_transfer_freq_solve(*_lq_data(spec), problem.x0, problem.xf, spec.frequency_constraint)
+    diagnostics["ls_residual"] = sol.ls_residual
+    return _lq_outcome(sol, sol.normality)
+
+
+def _shooting(problem: CliProblem, diagnostics: dict) -> _Outcome:
+    spec = problem.spec
+    opts = NewtonOptions(
+        max_iterations=int(problem.options.get("max_iterations", 60)),
+        tolerance=float(problem.options.get("newton_tolerance", 1e-10)),
+    )
+    try:
+        shot = newton_solve(spec, problem.x0, problem.xf, opts=opts)
+    except SingularJacobianError as exc:
+        diagnostics["singular_jacobian"] = {
+            key: getattr(exc, key)
+            for key in ("iteration", "rank", "size", "residual", "stage", "pivot")
+        }
+        return _Outcome("SINGULAR")
+    diagnostics["iterations"] = shot.iterations
+    diagnostics["final_residual"] = shot.final_residual
+    diagnostics["init_warning"] = shot.init_warning
+    diagnostics["trace"] = [list(step) for step in shot.trace]
+    if not shot.converged:
+        return _Outcome("NOT_CONVERGED", verdict=shot.normality)
+    traj = shot.trajectory
+    cost = trajectory_cost(spec.cost, traj)
+    return _Outcome("SOLVED", traj, shot.lift.adjoints, shot.lift.nu, cost, shot.normality)
+
+
+SOLVE = {"riccati": _free_end, "lq_pmp": _free_end, "transfer": _transfer,
+         "transfer_freq": _transfer_freq, "shooting": _shooting}
+SOLVERS = tuple(SOLVE)
+# a SOLVED result whose certificate fails exits 4 as well
+EXIT_CODES = {"SOLVED": 0, "INFEASIBLE": 2, "ABNORMAL_REGIME": 3, "SINGULAR": 4, "NOT_CONVERGED": 4}
 
 
 def run(input_path: str, output_path: str, overrides=(), quiet: bool = True) -> int:
@@ -478,140 +546,55 @@ def run(input_path: str, output_path: str, overrides=(), quiet: bool = True) -> 
         return 1
 
     spec, solver = problem.spec, problem.solver
-    x0, xf = problem.x0, problem.xf
-    cert_tol = float(problem.options.get("tolerance", 1e-7))
+    diagnostics = {"overrides": list(overrides)}
+    try:
+        outcome = SOLVE[solver](problem, diagnostics)
+    except AbnormalRegimeError as exc:
+        outcome = _Outcome("ABNORMAL_REGIME", verdict=exc.verdict)
+    status, traj, verdict = outcome.status, outcome.trajectory, outcome.verdict
+    code = EXIT_CODES[status]
     result = {
         "tool": {"name": "bandctrl", "version": __version__},
         "input_digest": "sha256:" + hashlib.sha256(raw).hexdigest(),
         "problem": serialize_problem(problem),
         "solver": solver,
-        "status": None,
-        "cost": None,
-        "trajectory": None,
-        "multipliers": None,
-        "spectra": None,
-        "certificate": None,
-        "normality": None,
-        "uncertainty": None,
-        "diagnostics": {"overrides": list(overrides)},
+        "status": status,
+        "normality": None if verdict is None or status == "SINGULAR" else verdict.to_dict(),
+        "diagnostics": diagnostics,
+        # the solution's fields, filled when SOLVED
+        **dict.fromkeys(
+            ("cost", "trajectory", "multipliers", "spectra", "certificate", "uncertainty")
+        ),
     }
-    banned_sets = spec.frequency_constraint.banned()
+    if status == "SOLVED":
+        lift = lift_from_solver(spec, traj, outcome.adjoints, outcome.nu)
+        cert = verify_pmp(traj, lift, spec, tol=float(problem.options.get("tolerance", 1e-7)))
+        code = 0 if cert.passed else 4
+        result.update(
+            cost=outcome.cost,
+            trajectory={"states": traj.states.tolist(), "controls": traj.controls.tolist()},
+            multipliers={
+                "adjoints": np.asarray(outcome.adjoints).tolist(),
+                "nu": np.asarray(outcome.nu).tolist(),
+            },
+            spectra=_spectra_doc(traj.controls, spec.frequency_constraint.banned()),
+            certificate=cert.to_dict(),
+            uncertainty=[asdict(rep) for rep in uncertainty_check(traj.controls)],
+        )
 
-    def finish(code: int) -> int:
-        _write_result(output_path, result)
-        if not quiet:
-            print(f"status: {result['status']}  solver: {solver}  exit: {code}")
-            if result["cost"] is not None:
-                print(f"cost: {result['cost']:.12g}")
-            if result["spectra"] is not None:
-                print("channel  frequency  magnitude      banned")
-                for row in spectrum_report(result):
-                    print(
-                        f"{row['channel']:>7d}  {row['frequency']:>9d}  "
-                        f"{row['magnitude']:<13.6e}  {'yes' if row['banned'] else 'no'}"
-                    )
-        return code
-
-    traj = adjoints = nu = None
-    normality = None
-    diagnostics = result["diagnostics"]
-    A = B = None
-    if isinstance(spec.dynamics, LtiDynamics):
-        A, B = spec.dynamics.A, spec.dynamics.B
-
-    try:
-        if solver == "riccati":
-            sol, traj = riccati_solve(A, B, spec.cost.Q, spec.cost.R, spec.horizon, x0)
-            if sol.status is not SolveStatus.SOLVED:
-                result["status"] = sol.status.value
-                return finish(4)
-            adjoints = riccati_adjoints(sol, traj)
-            nu = np.zeros(0)
-            result["cost"] = sol.cost
-        elif solver == "lq_pmp":
-            sol = lq_pmp_solve(A, B, spec.cost.Q, spec.cost.R, spec.horizon, x0)
-            if sol.status is not SolveStatus.SOLVED:
-                result["status"] = sol.status.value
-                return finish(4)
-            traj, adjoints, nu = sol.trajectory, sol.adjoints, sol.nu
-            result["cost"] = sol.cost
-        elif solver in ("transfer", "transfer_freq"):
-            if solver == "transfer":
-                sol = lq_transfer_solve(A, B, spec.cost.Q, spec.cost.R, spec.horizon, x0, xf)
-                normality = classify_normality_classic(A, B, spec.horizon)
-            else:
-                sol = lq_transfer_freq_solve(
-                    A, B, spec.cost.Q, spec.cost.R, spec.horizon, x0, xf, spec.frequency_constraint
+    _write_result(output_path, result)
+    if not quiet:
+        print(f"status: {status}  solver: {solver}  exit: {code}")
+        if result["cost"] is not None:
+            print(f"cost: {result['cost']:.12g}")
+        if result["spectra"] is not None:
+            print("channel  frequency  magnitude      banned")
+            for row in spectrum_report(result):
+                print(
+                    f"{row['channel']:>7d}  {row['frequency']:>9d}  "
+                    f"{row['magnitude']:<13.6e}  {'yes' if row['banned'] else 'no'}"
                 )
-                normality = sol.normality
-            diagnostics["ls_residual"] = sol.ls_residual
-            if sol.status is SolveStatus.INFEASIBLE:
-                result["status"] = "INFEASIBLE"
-                result["normality"] = normality.to_dict()
-                return finish(2)
-            if sol.status is not SolveStatus.SOLVED:
-                result["status"] = sol.status.value
-                return finish(4)
-            traj, adjoints, nu = sol.trajectory, sol.adjoints, sol.nu
-            result["cost"] = sol.cost
-        else:  # shooting
-            opts = NewtonOptions(
-                max_iterations=int(problem.options.get("max_iterations", 60)),
-                tolerance=float(problem.options.get("newton_tolerance", 1e-10)),
-            )
-            try:
-                shot = newton_solve(spec, x0, xf, opts=opts)
-            except SingularJacobianError as exc:
-                result["status"] = "SINGULAR"
-                diagnostics["singular_jacobian"] = {
-                    "iteration": exc.iteration,
-                    "rank": exc.rank,
-                    "size": exc.size,
-                    "residual": exc.residual,
-                    "stage": exc.stage,
-                    "pivot": exc.pivot,
-                }
-                return finish(4)
-            diagnostics["iterations"] = shot.iterations
-            diagnostics["final_residual"] = shot.final_residual
-            diagnostics["init_warning"] = shot.init_warning
-            diagnostics["trace"] = [list(step) for step in shot.trace]
-            normality = shot.normality
-            if not shot.converged:
-                result["status"] = "NOT_CONVERGED"
-                if normality is not None:
-                    result["normality"] = normality.to_dict()
-                return finish(4)
-            traj, adjoints, nu = shot.trajectory, shot.lift.adjoints, shot.lift.nu
-            result["cost"] = trajectory_cost(spec.cost, traj)
-    except AbnormalRegimeError as exc:
-        result["status"] = "ABNORMAL_REGIME"
-        result["normality"] = exc.verdict.to_dict()
-        return finish(3)
-
-    lift = lift_from_solver(spec, traj, adjoints, nu)
-    cert = verify_pmp(traj, lift, spec, tol=cert_tol)
-    result["status"] = "SOLVED"
-    result["trajectory"] = {
-        "states": traj.states.tolist(),
-        "controls": traj.controls.tolist(),
-    }
-    result["multipliers"] = {"adjoints": np.asarray(adjoints).tolist(), "nu": np.asarray(nu).tolist()}
-    result["spectra"] = _spectra_doc(traj.controls, banned_sets)
-    result["certificate"] = cert.to_dict()
-    result["normality"] = normality.to_dict() if normality is not None else None
-    result["uncertainty"] = [
-        {
-            "channel": rep.channel,
-            "time_support": rep.time_support,
-            "freq_support": rep.freq_support,
-            "lower_bound": rep.lower_bound,
-            "satisfied": rep.satisfied,
-            "vacuous": rep.vacuous,
-        }
-        for rep in uncertainty_check(traj.controls)
-    ]
-    return finish(0 if cert.passed else 4)
+    return code
 
 
 @functools.cache

@@ -12,33 +12,18 @@ Four entry points, all for x_{t+1} = A x_t + B u_t with stage cost
   equality constraint sum_t F_t u_t = 0, with its multiplier nu.
 
 The last two solve their first-order system, in the row layout of
-:mod:`bandctrl.kkt`, with :func:`bandctrl.kkt.lti_solve`: a Riccati
-recursion reduces it to a Schur complement of size n + q on the border
-(p_{N-1} and nu), and recursive-doubling scans give the solution; so no
-matrix larger than (n + q)^2 is factored.  The recursion starts at its
-stabilizing fixed point, found by doubling, and the border comes in closed
-form over the banned DFT bins, so the solution is a fixed linear map of
-(A x0, xf), formed once per plant from one LU solve of the border; without
-such a fixed point the sweep runs stage by stage and the border is a Gram
-product of one backward scan, solved by LU.  A solution that leaves too large a residual,
-or a border that LU cannot solve, goes to least squares; when the
-multipliers are non-unique, (p_{N-1}, nu) is minimum-norm over those border
-unknowns rather than over the whole stacked vector.  A max-norm residual of
-the whole first-order system above INFEASIBILITY_TOL * (1 + |rhs|) flags the
-transfer as infeasible.
+:mod:`bandctrl.kkt`, with :func:`bandctrl.kkt.lti_solve`, which factors no
+matrix larger than (n + q)^2; when the multipliers are non-unique,
+(p_{N-1}, nu) is minimum-norm over those border unknowns.  A max-norm
+residual of the whole first-order system above
+INFEASIBILITY_TOL * (1 + |rhs|) flags the transfer as infeasible.
 
-The endpoints x0 and xf enter only the right-hand side; the normality
-verdict (:func:`classify_normality_freq`) and the stationary gain, border
-matrix and transfer map of :func:`bandctrl.kkt.lti_solve` depend on the
-plant alone.  Each is kept for the most recent plant, in one slot keyed by
-the content of what it depends on (shapes and float64 bytes of A and B,
-with Q and R for the plan of ``lti_solve``, and the constraint's
-``row_key``), so solving one plant for many endpoint pairs computes them
-once, and each further pair is one matrix-vector product and its residual
-check.  A hit returns exactly what a fresh computation would: no result
-depends on what was solved before.  The slots retain
-O((n + q)^2 + 2n len z) floats, len z the size of the stacked unknowns:
-20.7 MiB after the baseline plant at N = 4096 (q = 1534).
+The endpoints x0 and xf enter only the right-hand side, so what depends on
+the plant alone is kept for the most recent plant, in one slot each: the
+normality verdict (:func:`classify_normality_freq`) and the plan of
+``lti_solve`` (see :mod:`bandctrl.kkt` for its content, key and memory).
+Solving one plant for many endpoint pairs computes them once, and a hit
+returns exactly what a fresh computation would.
 
 The returned states of a transfer are those the first-order solve matched
 (x_N = xf), so every dynamics row holds to the accuracy of the solve however
@@ -154,17 +139,6 @@ def riccati_adjoints(solution: RiccatiSolution, traj: Trajectory) -> np.ndarray:
     return -np.einsum("tij,tj->ti", solution.value_matrices[1:], traj.states[1:])
 
 
-def _first_order_solve(A, B, Q, R, N, x0, xf, constraint):
-    """Structured solve of the fixed-end LQ first-order system under the
-    frequency ``constraint``.  Returns (unknowns, residual, consistent): the
-    residual is the max-norm of the first-order rows, consistency uses
-    INFEASIBILITY_TOL * (1 + |rhs|).  Raises ``numpy.linalg.LinAlgError`` on
-    a singular Riccati pivot."""
-    n, m = B.shape
-    z, residual, consistent = kkt.lti_solve(A, B, Q, R, constraint, A @ x0, xf)
-    return kkt.StackedUnknowns(z, n, m, N, constraint.row_count), residual, consistent
-
-
 def lq_pmp_solve(A, B, Q, R, horizon: int, x0) -> LqSolution:
     """Free-final-state LQ problem through its first-order system
 
@@ -191,12 +165,13 @@ def _solve_transfer(A, B, Q, R, N, x0, xf, constraint, normality=None) -> LqSolu
     A, B, Q, R, n, m, x0 = _as_lq(A, B, Q, R, N, x0)
     xf = np.asarray(xf, dtype=float).reshape(n)
     try:
-        unknowns, residual, consistent = _first_order_solve(A, B, Q, R, N, x0, xf, constraint)
-    except np.linalg.LinAlgError:
+        z, residual, consistent = kkt.lti_solve(A, B, Q, R, constraint, A @ x0, xf)
+    except np.linalg.LinAlgError:  # a singular Riccati pivot
         return LqSolution(
             None, None, np.zeros(constraint.row_count), float("nan"), SolveStatus.SINGULAR,
             normality=normality,
         )
+    unknowns = kkt.StackedUnknowns(z, n, m, N, constraint.row_count)
     nu = unknowns.nu().copy()
     if not consistent:
         return LqSolution(

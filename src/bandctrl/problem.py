@@ -19,8 +19,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import is_not
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -556,13 +554,13 @@ def _read_sets(label: str, sets, dim: int, errors: list[str] | None = None) -> S
     """The stage sets ``sets`` of ``label`` (state_sets or control_sets;
     Fixed is admissible among the states only) of vectors of dimension
     ``dim`` as read-only arrays.  One pass visits the sets that are not
-    ``FREE``, found by a C-level identity scan, so a ``FREE`` stage costs no
-    Python step.  With ``errors`` given, every violation is appended to it."""
+    ``FREE``, found by one identity test per stage in a list comprehension.
+    With ``errors`` given, every violation is appended to it."""
     bounds = np.full((2, len(sets), dim), np.inf)
     bounds[0] = -np.inf
     fixed_ok = label == "state_sets"
     fixed, boxes = [], []
-    for t in compress(range(len(sets)), map(is_not, sets, repeat(FREE))):
+    for t in [t for t, s in enumerate(sets) if s is not FREE]:
         s, name = sets[t], f"{label}[{t}]"
         if isinstance(s, Free):
             continue
@@ -629,9 +627,9 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     controls, the (2, stages, dim) lower and upper bounds (+-inf on free
     stages, the point twice on fixed ones) and the indices of the Fixed and
     of the Box stages, all read-only.  They come from the one pass over the
-    sets that also checks them, which skips the ``FREE`` stages by a C-level
-    scan.  The matrices A, B of LTI dynamics and Q, R of a quadratic cost
-    must be finite; Q and R symmetric, Q semidefinite and R definite.
+    sets that also checks them, which skips the ``FREE`` stages.  The
+    matrices A, B of LTI dynamics and Q, R of a quadratic cost must be
+    finite; Q and R symmetric, Q semidefinite and R definite.
 
     The constraint depends on the horizon, the channel count and the supports
     alone, so the one built for the most recent of them is kept in one slot

@@ -60,13 +60,12 @@ from .kkt import StackedUnknowns
 from .lq import SolveStatus, _solve_transfer, lq_transfer_freq_solve
 from .problem import (
     ControlAffineDynamics,
-    Fixed,
-    Free,
     GeneralCost,
     LtiDynamics,
     ProblemSpec,
     QuadraticCost,
     Trajectory,
+    _fd_jacobian,
     _stage_terms,
 )
 from .spectrum import numerical_rank
@@ -148,29 +147,28 @@ class SingularJacobianError(RuntimeError):
 
 
 def _check_supported(spec: ProblemSpec) -> None:
+    """Refuse a spec that is not validated, or whose sets are not the ones
+    shooting solves for: free controls, free interior states, fixed
+    endpoints.  Reads the set arrays of :func:`bandctrl.problem.validate`,
+    which rejects any other set variant."""
     if not isinstance(spec.dynamics, (LtiDynamics, ControlAffineDynamics)):
         raise ValueError(
             f"shooting requires LTI or control-affine dynamics, got {type(spec.dynamics).__name__}"
         )
-    for t, s in enumerate(spec.control_sets):
-        if not isinstance(s, Free):
-            raise ValueError(
-                f"shooting requires free control sets; control_sets[{t}] is {type(s).__name__}"
-            )
-    for t in range(1, spec.horizon):
-        if not isinstance(spec.state_sets[t], Free):
-            raise ValueError(
-                f"shooting requires free interior state sets; state_sets[{t}] is "
-                f"{type(spec.state_sets[t]).__name__}"
-            )
-    for t in (0, spec.horizon):
-        if not isinstance(spec.state_sets[t], Fixed):
-            raise ValueError(
-                f"shooting requires fixed endpoints; state_sets[{t}] is "
-                f"{type(spec.state_sets[t]).__name__}"
-            )
-    if spec.frequency_constraint is None:
-        raise ValueError("spec must be validated first (frequency constraint missing)")
+    if spec.set_arrays is None:
+        raise ValueError("spec must be validated first (bandctrl.problem.validate)")
+    states, controls = spec.set_arrays
+    fixed, N = states.fixed.tolist(), spec.horizon
+    for rule, label, sets, stages in (
+        ("free control sets", "control_sets", spec.control_sets,
+         controls.fixed.tolist() + controls.boxes.tolist()),
+        ("free interior state sets", "state_sets", spec.state_sets,
+         [t for t in fixed + states.boxes.tolist() if 0 < t < N]),
+        ("fixed endpoints", "state_sets", spec.state_sets, [t for t in (0, N) if t not in fixed]),
+    ):
+        if stages:
+            t = min(stages)
+            raise ValueError(f"shooting requires {rule}; {label}[{t}] is {type(sets[t]).__name__}")
 
 
 def _unpack(zvec: np.ndarray, spec: ProblemSpec, x0, xf):
@@ -279,16 +277,7 @@ def _fd_step(zvec, residual, spec, x0, xf) -> np.ndarray:
 
 
 def _jacobian_fd(zvec, spec, x0, xf) -> np.ndarray:
-    size = zvec.size
-    jac = np.zeros((size, size))
-    for j in range(size):
-        h = 1e-7 * (1.0 + abs(zvec[j]))
-        zp = zvec.copy()
-        zm = zvec.copy()
-        zp[j] += h
-        zm[j] -= h
-        jac[:, j] = (_residual_vec(zp, spec, x0, xf) - _residual_vec(zm, spec, x0, xf)) / (2 * h)
-    return jac
+    return _fd_jacobian(lambda v: _residual_vec(v, spec, x0, xf), zvec)
 
 
 def residual_jacobian(

@@ -337,6 +337,73 @@ class TestRun:
         assert result["normality"]["classification"] == "ALL_NORMAL"
 
 
+_TOY = {
+    "dynamics": {"builtin": "affine_toy"},
+    "cost": {"Q": [[1.0]], "R": [[1.0]]},
+    "solver": "shooting",
+}
+# A^N overflows, so the Riccati recursion meets a singular pivot
+_OVERFLOW = {
+    "horizon": 6,
+    "dynamics": {"kind": "lti", "A": [[1e200]], "B": [[1.0]]},
+    "cost": {"Q": [[1.0]], "R": [[1.0]]},
+}
+_ABNORMAL = _transfer_doc(
+    horizon=2, banned_frequencies=[[0, 1]], boundary={"x0": [0.0], "xf": [0.0]}
+)
+SOLUTION_FIELDS = ("cost", "trajectory", "multipliers", "spectra", "certificate", "uncertainty")
+# case: (document, exit code, status, whether the result carries a normality verdict)
+STATUS_CASES = {
+    "solved": (_transfer_doc(), 0, "SOLVED", True),
+    "certificate-fails": (_transfer_doc(options={"tolerance": 1e-300}), 4, "SOLVED", True),
+    "infeasible": (
+        {
+            "horizon": 3,
+            "dynamics": {"kind": "lti", "A": [[0.0, 0.0], [0.0, 0.0]], "B": [[1.0], [0.0]]},
+            "cost": {"Q": [[0.0, 0.0], [0.0, 0.0]], "R": [[1.0]]},
+            "boundary": {"x0": [0.0, 0.0], "xf": [0.0, 1.0]},
+            "solver": "transfer",
+        },
+        2, "INFEASIBLE", True,
+    ),
+    "abnormal": (_ABNORMAL, 3, "ABNORMAL_REGIME", True),
+    "abnormal-shooting": (dict(_ABNORMAL, solver="shooting"), 3, "ABNORMAL_REGIME", True),
+    **{
+        f"singular-{solver}": (
+            dict(_OVERFLOW, solver=solver, boundary={"x0": [1.0], "xf": xf}), 4, "SINGULAR", False
+        )
+        for solver, xf in (
+            ("riccati", "free"), ("lq_pmp", "free"), ("transfer", [1.0]), ("transfer_freq", [1.0])
+        )
+    },
+    "singular-newton": (
+        dict(_TOY, horizon=16, boundary={"x0": [0.0], "xf": [-0.5]}, banned_frequencies=[[0]]),
+        4, "SINGULAR", False,
+    ),
+    "not-converged": (
+        dict(_TOY, horizon=6, boundary={"x0": [0.0], "xf": [3.0]}, options={"max_iterations": 1}),
+        4, "NOT_CONVERGED", False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(STATUS_CASES))
+def test_status_gives_exit_code_and_fields(tmp_path, case):
+    # one rule for every solver: the status table gives the exit code (a
+    # failed certificate turns 0 into 4), the solution is written when SOLVED
+    # only, and the verdict whenever the solver has one, but not for SINGULAR
+    doc, code, status, has_verdict = STATUS_CASES[case]
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(_write(tmp_path, "p.json", doc), str(out)) == code
+    result = json.loads(out.read_text())
+    assert result["status"] == status
+    assert cli.EXIT_CODES[status] == (0 if status == "SOLVED" else code)
+    assert [result[key] is None for key in SOLUTION_FIELDS] == [status != "SOLVED"] * 6
+    assert (result["normality"] is not None) == has_verdict
+
+
 class TestParsing:
     def test_round_trip_is_semantically_identical(self):
         doc = _transfer_doc()

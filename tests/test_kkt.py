@@ -16,7 +16,6 @@ from bandctrl.extremal import NormalityClass, classify_normality_freq
 from bandctrl.lq import (
     INFEASIBILITY_TOL,
     SolveStatus,
-    _first_order_solve,
     lq_pmp_solve,
     lq_transfer_freq_solve,
 )
@@ -311,7 +310,8 @@ class TestStructuredSolve:
                 )
         else:
             fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, m)
-            unknowns, _, consistent = _first_order_solve(A, B, Q, R, horizon, x0, xf, fc)
+            z, _, consistent = kkt.lti_solve(A, B, Q, R, fc, A @ x0, xf)
+            unknowns = kkt.StackedUnknowns(z, n, m, horizon, fc.row_count)
         z_dense, _, consistent_dense = dense_first_order_solve(A, B, Q, R, horizon, x0, xf, fc.blocks)
         M, rhs = dense_first_order_system(A, B, Q, R, horizon, x0, xf, fc.blocks)
         if consistent != consistent_dense:
@@ -346,11 +346,11 @@ class TestStructuredSolve:
         A, B, Q, R = np.array(A), np.array(B), np.array(Q), np.eye(1)
         x0, xf = np.array(x0), np.array(xf)
         fc = build_frequency_constraint(SupportSpec.from_banned(banned, N), N, 1)
-        unknowns, residual, consistent = _first_order_solve(A, B, Q, R, N, x0, xf, fc)
+        z, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, A @ x0, xf)
         z_dense, _, consistent_dense = dense_first_order_solve(A, B, Q, R, N, x0, xf, fc.blocks)
         assert consistent and consistent_dense
         assert residual <= 1e-14
-        assert np.max(np.abs(unknowns.z - z_dense)) <= 1e-12 * (1.0 + np.max(np.abs(z_dense)))
+        assert np.max(np.abs(z - z_dense)) <= 1e-12 * (1.0 + np.max(np.abs(z_dense)))
 
     def test_any_right_hand_side(self):
         # the right-hand sides lti_solve takes: any boundary data (A x0, xf)
@@ -548,10 +548,10 @@ class TestStationaryGain:
         assert _stationary_gain(one, one, Q, one, 16) is None
         fc = build_frequency_constraint(SupportSpec.from_banned([[3]], 16), 16, 1)
         ends = (16, np.ones(1), -np.ones(1))
-        unknowns, residual, consistent = _first_order_solve(one, one, Q, one, *ends, fc)
+        z, residual, consistent = kkt.lti_solve(one, one, Q, one, fc, one @ ends[1], ends[2])
         z_dense = dense_first_order_solve(one, one, Q, one, *ends, fc.blocks)[0]
         assert consistent and residual <= 1e-14
-        assert np.max(np.abs(unknowns.z - z_dense)) <= 1e-12 * np.max(np.abs(z_dense))
+        assert np.max(np.abs(z - z_dense)) <= 1e-12 * np.max(np.abs(z_dense))
 
 
 class TestMemory:

@@ -1,5 +1,6 @@
 """Tests for the stacked residual system and the damped-Newton BVP solver."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,11 +15,15 @@ from bandctrl.problem import (
     Box,
     ControlAffineDynamics,
     FREE,
+    Fixed,
+    GeneralCost,
     QuadraticCost,
     _stage_terms,
     control_affine_spec,
+    general_wrap,
     lti_spec,
     trajectory_cost,
+    validate,
 )
 from bandctrl.shooting import (
     NewtonOptions,
@@ -187,18 +192,44 @@ class TestAssembleResidual:
 
     def test_unsupported_variant_is_named(self):
         spec, x0, xf = _lti_setup(seed=3)
-        boxed = spec.__class__(
-            horizon=spec.horizon,
-            dynamics=spec.dynamics,
-            cost=spec.cost,
-            state_sets=spec.state_sets,
-            control_sets=(Box([-1.0], [1.0]),) + (FREE,) * (spec.horizon - 1),
-            supports=spec.supports,
-            frequency_constraint=spec.frequency_constraint,
-        )
+        boxed = validate(dataclasses.replace(
+            spec, control_sets=(Box([-1.0], [1.0]),) + (FREE,) * (spec.horizon - 1)
+        ))
         z = StackedUnknowns.zeros(2, 1, 6, spec.frequency_constraint.row_count)
         with pytest.raises(ValueError, match="Box"):
             assemble_residual(z, boxed, x0, xf)
+
+    @pytest.mark.parametrize("case, message", [
+        ("general dynamics", "LTI or control-affine dynamics, got GeneralDynamics"),
+        ("not validated", "spec must be validated first"),
+        ("interior fixed", r"free interior state sets; state_sets\[2\] is Fixed"),
+        ("interior box", r"free interior state sets; state_sets\[5\] is Box"),
+        ("free end", r"fixed endpoints; state_sets\[6\] is Free"),
+    ])
+    def test_unsupported_spec_is_refused_by_every_entry(self, case, message):
+        spec, x0, xf = _lti_setup(seed=3)
+        states = list(spec.state_sets)
+        changes = {
+            "general dynamics": {"dynamics": general_wrap(spec.dynamics)},
+            "not validated": {},
+            "interior fixed": {"state_sets": states[:2] + [Fixed([0.0, 0.0])] + states[3:]},
+            "interior box": {
+                "state_sets": states[:5] + [Box([-1.0, -1.0], [1.0, 1.0])] + states[6:]
+            },
+            "free end": {"state_sets": states[:6] + [FREE]},
+        }[case]
+        bad = dataclasses.replace(spec, **changes)
+        if case != "not validated":
+            bad = validate(bad)
+        z = StackedUnknowns.zeros(2, 1, 6, spec.frequency_constraint.row_count)
+        for call in (
+            lambda: assemble_residual(z, bad, x0, xf),
+            lambda: residual_jacobian(z, bad, x0, xf),
+            lambda: default_initialization(bad, x0, xf),
+            lambda: newton_solve(bad, x0, xf),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestBatchedResidual:
@@ -737,3 +768,18 @@ class TestFdStep:
         jac = _jacobian_fd(z, spec, x0, xf)
         gap = np.linalg.norm(jac @ step + residual) / np.linalg.norm(residual)
         assert gap <= 10 * np.finfo(float).eps * np.linalg.cond(jac)
+
+    def test_general_cost_meets_the_quadratic_solution(self):
+        # a GeneralCost forces the finite-difference Jacobian; central
+        # differences are exact on this residual, quadratic in z
+        quadratic = _toy_spec(banned=[[3]], horizon=16)
+        general = validate(dataclasses.replace(quadratic, cost=GeneralCost(
+            lambda t, x, u: 0.5 * float(x @ x) + 0.5 * float(u @ u),
+            lambda t, x, u: x,
+            lambda t, x, u: u,
+        )))
+        ref = newton_solve(quadratic, [0.0], [1.0])
+        got = newton_solve(general, [0.0], [1.0])
+        assert ref.converged and got.converged
+        assert np.max(np.abs(got.trajectory.controls - ref.trajectory.controls)) <= 1e-12
+        assert verify_pmp(got.trajectory, got.lift, general).passed
