@@ -43,6 +43,7 @@ import numpy as np
 from . import __version__
 from .extremal import (
     AbnormalRegimeError,
+    ExtremalLift,
     NormalityVerdict,
     classify_normality_classic,
     lift_from_solver,
@@ -450,19 +451,20 @@ def _write_result(path: str, doc: dict) -> None:
 @dataclass(frozen=True, eq=False)
 class _Outcome:
     """What every solver returns to :func:`run`: a status of
-    :data:`EXIT_CODES`, the solution (SOLVED only), and the normality verdict
-    when the solver has one."""
+    :data:`EXIT_CODES`, the solution with its multipliers lifted (SOLVED
+    only), and the normality verdict when the solver has one."""
 
     status: str
     trajectory: Trajectory | None = None
-    adjoints: np.ndarray | None = None
-    nu: np.ndarray | None = None
+    lift: ExtremalLift | None = None
     cost: float | None = None
     verdict: NormalityVerdict | None = None
 
 
-def _lq_outcome(sol: LqSolution, verdict: NormalityVerdict | None = None) -> _Outcome:
-    return _Outcome(sol.status.value, sol.trajectory, sol.adjoints, sol.nu, sol.cost, verdict)
+def _lq_outcome(sol: LqSolution, spec: ProblemSpec, verdict=None) -> _Outcome:
+    traj = sol.trajectory  # None unless SOLVED
+    lift = None if traj is None else lift_from_solver(spec, traj, sol.adjoints, sol.nu)
+    return _Outcome(sol.status.value, traj, lift, sol.cost, verdict)
 
 
 def _lq_data(spec: ProblemSpec):
@@ -471,21 +473,21 @@ def _lq_data(spec: ProblemSpec):
 
 def _free_end(problem: CliProblem, diagnostics: dict) -> _Outcome:
     # riccati and lq_pmp: lq_pmp_solve returns riccati_solve's solution
-    return _lq_outcome(lq_pmp_solve(*_lq_data(problem.spec), problem.x0))
+    return _lq_outcome(lq_pmp_solve(*_lq_data(problem.spec), problem.x0), problem.spec)
 
 
 def _transfer(problem: CliProblem, diagnostics: dict) -> _Outcome:
     A, B, Q, R, N = _lq_data(problem.spec)
     sol = lq_transfer_solve(A, B, Q, R, N, problem.x0, problem.xf)
     diagnostics["ls_residual"] = sol.ls_residual
-    return _lq_outcome(sol, classify_normality_classic(A, B, N))
+    return _lq_outcome(sol, problem.spec, classify_normality_classic(A, B, N))
 
 
 def _transfer_freq(problem: CliProblem, diagnostics: dict) -> _Outcome:
     spec = problem.spec
     sol = lq_transfer_freq_solve(*_lq_data(spec), problem.x0, problem.xf, spec.frequency_constraint)
     diagnostics["ls_residual"] = sol.ls_residual
-    return _lq_outcome(sol, sol.normality)
+    return _lq_outcome(sol, spec, sol.normality)
 
 
 def _shooting(problem: CliProblem, diagnostics: dict) -> _Outcome:
@@ -510,7 +512,7 @@ def _shooting(problem: CliProblem, diagnostics: dict) -> _Outcome:
         return _Outcome("NOT_CONVERGED", verdict=shot.normality)
     traj = shot.trajectory
     cost = trajectory_cost(spec.cost, traj)
-    return _Outcome("SOLVED", traj, shot.lift.adjoints, shot.lift.nu, cost, shot.normality)
+    return _Outcome("SOLVED", traj, shot.lift, cost, shot.normality)
 
 
 SOLVE = {"riccati": _free_end, "lq_pmp": _free_end, "transfer": _transfer,
@@ -567,16 +569,13 @@ def run(input_path: str, output_path: str, overrides=(), quiet: bool = True) -> 
         ),
     }
     if status == "SOLVED":
-        lift = lift_from_solver(spec, traj, outcome.adjoints, outcome.nu)
+        lift = outcome.lift
         cert = verify_pmp(traj, lift, spec, tol=float(problem.options.get("tolerance", 1e-7)))
         code = 0 if cert.passed else 4
         result.update(
             cost=outcome.cost,
             trajectory={"states": traj.states.tolist(), "controls": traj.controls.tolist()},
-            multipliers={
-                "adjoints": np.asarray(outcome.adjoints).tolist(),
-                "nu": np.asarray(outcome.nu).tolist(),
-            },
+            multipliers={"adjoints": lift.adjoints.tolist(), "nu": lift.nu.tolist()},
             spectra=_spectra_doc(traj.controls, spec.frequency_constraint.banned()),
             certificate=cert.to_dict(),
             uncertainty=[asdict(rep) for rep in uncertainty_check(traj.controls)],

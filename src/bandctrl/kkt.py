@@ -13,23 +13,26 @@ whose rows are, in order,
     -dc_t/du + (df_t/du)'p_t - F_t'nu = 0     t = 0..N-1
     sum_t F_t u_t = 0.
 
-:func:`assemble` builds the Jacobian of these rows from per-stage derivative
-arrays as one dense matrix; it is the one place where the blocks are laid
-out, and no solver factors it: it serves the public dense Jacobian of
-:mod:`bandctrl.shooting` and the tests.  For LTI dynamics and quadratic cost
-the rows are affine in z, and the solution solves
-``assemble(...) @ z = boundary_rhs(ax0, xf, ...)``, whose right-hand side
-is zero but for v = (A x0, xf) in the first and last dynamics rows.
+:func:`assemble` builds the Jacobian of these rows as one dense matrix from
+per-stage blocks: df_t/dx, df_t/du and the second-order blocks of the stage
+Lagrangians l_t = p_t'f_t - c_t (Q and R, constant or one per stage, and a
+cross term).  It is the one place where the blocks are laid out, and no
+solver factors it: it serves the public dense ``residual_jacobian`` of
+:mod:`bandctrl.shooting`, which the benchmark probes, and the tests.  For
+LTI dynamics and quadratic cost the rows are affine in z, and the solution
+solves ``assemble(...) @ z = boundary_rhs(ax0, xf, ...)``, whose right-hand
+side is zero but for v = (A x0, xf) in the first and last dynamics rows.
 
 :func:`lti_solve` (LTI data) and :func:`time_varying_solve` (per-stage
-derivatives and a gain-state cross term: the analytic Newton step of
-:mod:`bandctrl.shooting`) solve that system without forming it, in O(N) time
-and memory for fixed n, m (and O(N + q^2) in the number q of frequency
-rows).  The stage rows, with a terminal adjoint parameter w_N and nu held
-as parameters, are a two-point LQ problem: a backward Riccati recursion gives
-u_t = K_t x_t + k_t and p_{t-1} = -P_t x_t + w_t.  What is left is the
-border: the last dynamics row (x_N = xf) and the frequency rows, a dense
-system of size n + q in (w_N, nu), where w_N = p_{N-1} at a solution.
+blocks: the one Newton step of :mod:`bandctrl.shooting`, with analytic or
+finite-difference second-order blocks) solve that system without forming
+it, in O(N) time and memory for fixed n, m (and O(N + q^2) in the number q
+of frequency rows).  The stage rows, with a terminal adjoint parameter w_N
+and nu held as parameters, are a two-point LQ problem: a backward Riccati
+recursion gives u_t = K_t x_t + k_t and p_{t-1} = -P_t x_t + w_t.  What is
+left is the border: the last dynamics row (x_N = xf) and the frequency rows,
+a dense system of size n + q in (w_N, nu), where w_N = p_{N-1} at a
+solution.
 :func:`lti_solve` solves it by LU (once per plant at a stationary gain,
 below), or by least squares when LU fails or leaves a residual above
 INFEASIBILITY_TOL * (1 + |rhs|), so non-unique multipliers come out
@@ -126,10 +129,10 @@ __all__ = [
 
 
 class SingularSystemError(np.linalg.LinAlgError):
-    """A structured solve met an exactly singular or non-finite Riccati pivot
-    H_t (``stage`` t, ``pivot`` its smallest |eigenvalue|, NaN when H_t is
-    not finite) or border (``deficiency`` = its size less its numerical rank,
-    None when it is not finite)."""
+    """A structured solve met an exactly singular or non-finite control
+    weight R_t or Riccati pivot H_t (``stage`` t, ``pivot`` its smallest
+    |eigenvalue|, NaN when it is not finite) or border (``deficiency`` = its
+    size less its numerical rank, None when it is not finite)."""
 
     def __init__(self, message, stage=None, pivot=None, deficiency=None):
         super().__init__(message)
@@ -214,12 +217,13 @@ def assemble(jx, ju, Q, R, constraint, cross=None) -> np.ndarray:
     """Jacobian of the first-order rows with respect to z.
 
     ``jx`` (N, n, n) and ``ju`` (N, n, m) are df_t/dx and df_t/du at each
-    stage; ``jx[0]`` is not read, since x_0 is fixed.  ``Q`` (n, n) and ``R``
-    (m, m) are the stage-cost Hessians; ``constraint`` holds F_0..F_{N-1}.
-    ``cross`` (N, m, n), when given, holds d((df_t/du)'p_t)/dx_t, the state
-    derivative of the gain-adjoint product of control-affine dynamics
-    (``cross[0]`` is not read).  Builds one dense matrix and writes every
-    block into it.
+    stage; ``jx[0]`` is not read, since x_0 is fixed.  ``Q`` and ``R`` are
+    -d2l_t/dx2 and -d2l_t/du2 of the stage Lagrangian l_t = p_t'f_t - c_t,
+    (n, n) and (m, m) for every stage (a quadratic cost's Hessians) or per
+    stage, (N, n, n) and (N, m, m).  ``constraint`` holds F_0..F_{N-1}.
+    ``cross`` (N, m, n), when given, holds d2l_t/du dx_t (``cross[0]``, like
+    ``Q[0]``, is not read).  Builds one dense matrix and writes every block
+    into it.
     """
     N, n, m = np.shape(ju)
     q = constraint.row_count
@@ -235,9 +239,9 @@ def assemble(jx, ju, Q, R, constraint, cross=None) -> np.ndarray:
 
     _place(M, r_adj, op, np.broadcast_to(np.eye(n), (N - 1, n, n)))  # p_{t-1}
     _place(M, r_adj, op + n, -jx[1:].transpose(0, 2, 1))  # -f_x' p_t
-    _place(M, r_adj, 0, np.broadcast_to(Q, (N - 1, n, n)))  # Q x_t
+    _place(M, r_adj, 0, np.broadcast_to(Q, (N, n, n))[1:])  # Q x_t
 
-    _place(M, r_stat, ou, np.broadcast_to(-np.asarray(R), (N, m, m)))  # -R u_t
+    _place(M, r_stat, ou, -np.broadcast_to(R, (N, m, m)))  # -R u_t
     _place(M, r_stat, op, ju.transpose(0, 2, 1))  # f_u' p_t
     M[r_stat:r_freq, ov:] = -constraint.columns().reshape(N * m, q)  # row t m + i: -F_t'
 
@@ -320,37 +324,53 @@ def riccati_sweep(A, B, Q, R, horizon: int, terminal=None):
 
 
 def _inv_stack(M):
-    """Inverses of a stack of small square matrices (T, k, k).  An exactly
-    singular or non-finite one comes out non-finite (NaN or inf) instead of
-    raising; the others are unaffected."""
+    """Inverses of a stack of small square matrices (..., k, k), a single
+    one included.  An exactly singular or non-finite one comes out non-finite
+    (NaN or inf) instead of raising; the others are unaffected."""
     if M.shape[-1] == 1:
         return 1.0 / M
     try:
         return np.linalg.inv(M)
     except np.linalg.LinAlgError:  # one singular matrix fails the whole batch
         out = np.full_like(M, np.nan)
-        for i, Mi in enumerate(M):
+        for i in np.ndindex(M.shape[:-2]):
             try:
-                out[i] = np.linalg.inv(Mi)
+                out[i] = np.linalg.inv(M[i])
             except np.linalg.LinAlgError:
                 pass
         return out
 
 
+def _check_stages(name: str, M, Minv) -> None:
+    """Raise :class:`SingularSystemError` at the last stage t of a stack
+    (N, k, k) whose ``name`` M_t or its inverse Minv_t is not finite."""
+    bad = ~(np.isfinite(M).all(axis=(1, 2)) & np.isfinite(Minv).all(axis=(1, 2)))
+    if bad.any():
+        t = int(np.flatnonzero(bad)[-1])
+        pivot = np.nan
+        if np.isfinite(M[t]).all():
+            pivot = float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (M[t] + M[t].T)))))
+        raise SingularSystemError(
+            f"singular {name} at stage {t} (smallest |eigenvalue| {pivot:.3e})",
+            stage=t, pivot=pivot,
+        )
+
+
 def riccati_scan(A, B, Q, R, terminal, cross=None):
     """The Riccati recursion of stage-varying dynamics x_{t+1} = A_t x_t +
-    B_t u_t under stage cost 0.5 x'Qx + 0.5 u'Ru - u'C_t x, from P_N =
+    B_t u_t under stage cost 0.5 x'Q_tx + 0.5 u'R_tu - u'C_t x, from P_N =
     ``terminal``:
 
-        H_t = R + B_t'P_{t+1}B_t,   K_t = -H_t^(-1) (B_t'P_{t+1}A_t - C_t),
-        P_t = Q + A_t'P_{t+1}A_t - K_t'H_tK_t,
+        H_t = R_t + B_t'P_{t+1}B_t,   K_t = -H_t^(-1) (B_t'P_{t+1}A_t - C_t),
+        P_t = Q_t + A_t'P_{t+1}A_t - K_t'H_tK_t,
 
     where ``A`` (N, n, n), ``B`` (N, n, m) and ``cross`` (N, m, n, zero when
-    None) hold A_t, B_t and C_t.  Returns P (N+1, n, n), K (N, m, n) and
-    H_t^(-1) (N, m, m), as :func:`riccati_sweep` does.
+    None) hold A_t, B_t and C_t, and ``Q``, ``R`` are constant or per stage.
+    Returns P (N+1, n, n), K (N, m, n) and H_t^(-1) (N, m, m), as
+    :func:`riccati_sweep` does.
 
-    No stage loop: with Abar_t = A_t + B_t R^(-1) C_t, G_t = B_t R^(-1) B_t'
-    and Hbar_t = Q - C_t'R^(-1) C_t a stage is the map
+    No stage loop: with Abar_t = A_t + B_t R_t^(-1) C_t, G_t = B_t R_t^(-1)
+    B_t' and Hbar_t = Q_t - C_t'R_t^(-1) C_t a stage is the map
     P -> Hbar + Abar'P(I + G P)^(-1) Abar, and two such maps compose into one
     of the same form (the doubling of :func:`_doubled_fixed_point`, with two
     different maps).  An outer element o (stage t) and an inner one i (stage
@@ -361,11 +381,13 @@ def riccati_scan(A, B, Q, R, terminal, cross=None):
     and P_N is the constant map (0, 0, P_N).  A Hillis-Steele scan of the
     suffixes takes log2(N + 1) batched steps (Sarkka & Garcia-Fernandez, IEEE
     TAC 2023); H of every suffix is then P_t.  Raises
-    :class:`SingularSystemError` at the last stage t whose pivot H_t is
-    exactly singular or not finite.
+    :class:`SingularSystemError` at the last stage t whose R_t, or else whose
+    pivot H_t, is exactly singular or not finite.
     """
     N, n, m = np.shape(B)
-    Rinv = np.linalg.inv(R)
+    with np.errstate(all="ignore"):  # a singular R_t ends in the check below
+        Rinv = _inv_stack(R)
+    _check_stages("control weight", np.broadcast_to(R, (N, m, m)), np.broadcast_to(Rinv, (N, m, m)))
     BT = B.transpose(0, 2, 1)
     Am, Gm, Hm = np.empty((3, N + 1, n, n))
     Am[:N], Gm[:N], Hm[:N] = A, B @ Rinv @ BT, Q
@@ -393,16 +415,7 @@ def riccati_scan(A, B, Q, R, terminal, cross=None):
         H = R + BT @ PB
         Hinv = _inv_stack(H)
         K = -Hinv @ (PB.transpose(0, 2, 1) @ A - (0.0 if cross is None else cross))
-    bad = ~(np.isfinite(H).all(axis=(1, 2)) & np.isfinite(Hinv).all(axis=(1, 2)))
-    if bad.any():
-        t = int(np.flatnonzero(bad)[-1])
-        pivot = np.nan
-        if np.isfinite(H[t]).all():
-            pivot = float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (H[t] + H[t].T)))))
-        raise SingularSystemError(
-            f"singular Riccati pivot at stage {t} (smallest |eigenvalue| {pivot:.3e})",
-            stage=t, pivot=pivot,
-        )
+    _check_stages("Riccati pivot", H, Hinv)
     return P, K, Hinv
 
 
@@ -806,26 +819,28 @@ def _time_varying_border(A, B, constraint, rhs, sweep):
 
 def _terminal_weight(R, B) -> float:
     """sigma of the fixed-end terminal weight sigma I: |R|_F / |B|_F^2, so that
-    B'P B is of the size of R (1.0 at zero gain).  A stack B (N, n, m) takes
-    the mean of |B_t|_F^2 over its stages."""
-    bb = float(np.sum(B * B))
-    if np.ndim(B) == 3:
-        bb /= len(B)
-    return np.linalg.norm(R) / bb if bb > 0.0 else 1.0
+    B'P B is of the size of R (1.0 at zero gain or a non-finite ratio).  A
+    stack B (N, n, m) takes the mean of |B_t|_F^2 over its stages, a stack R
+    (N, m, m) the root mean square of |R_t|_F."""
+    bb = float(np.sum(B * B)) / (len(B) if np.ndim(B) == 3 else 1)
+    r = np.linalg.norm(R) / (math.sqrt(len(R)) if np.ndim(R) == 3 else 1.0)
+    sigma = r / bb if bb > 0.0 else 1.0
+    return sigma if sigma < np.inf else 1.0
 
 
 def time_varying_solve(A, B, Q, R, constraint, rhs, cross=None) -> np.ndarray:
     """Solve ``assemble(A, B, Q, R, constraint, cross) @ z = rhs`` at a fixed
     end in O(N) time and memory, without forming the matrix.
 
-    ``A`` (N, n, n), ``B`` (N, n, m) and ``cross`` (N, m, n) are the stage
-    derivatives of :func:`assemble`.  The terminal weight is sigma I
-    (:func:`_terminal_weight`, over the mean gain), the Riccati recursion comes
-    from :func:`riccati_scan`, and the border in (w_N, nu) from
+    ``A`` (N, n, n), ``B`` (N, n, m), ``Q``, ``R`` and ``cross`` (N, m, n)
+    are the stage blocks of :func:`assemble`, ``Q`` and ``R`` constant or per
+    stage.  The terminal weight is sigma I (:func:`_terminal_weight`, over the
+    mean gain and weight), the Riccati recursion comes from
+    :func:`riccati_scan`, and the border in (w_N, nu) from
     :func:`_time_varying_border`, solved by LU.  Raises
-    :class:`SingularSystemError` when a pivot or the border is exactly singular
-    or the solution is not finite: with block elimination the matrix has rank
-    ``len(rhs) - deficiency``.
+    :class:`SingularSystemError` when an R_t, a pivot or the border is exactly
+    singular or the solution is not finite: with block elimination the matrix
+    has rank ``len(rhs) - deficiency``.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     n = A.shape[1]

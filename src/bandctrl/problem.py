@@ -748,20 +748,21 @@ class JacobianCheck:
 
 
 def _fd_jacobian(fun, v: np.ndarray) -> np.ndarray:
-    """Central finite differences columnwise, step 1e-6 * (1 + |coordinate|)."""
-    base = np.atleast_1d(np.asarray(fun(v), dtype=float))
-    jac = np.zeros((base.size, v.size))
+    """Central finite differences columnwise, step 1e-6 * (1 + |coordinate|):
+    2 len(v) evaluations of ``fun``, whose output size the first pair gives.
+    ``v`` must not be empty."""
+    columns = []
     for j in range(v.size):
         h = 1e-6 * (1.0 + abs(v[j]))
         vp = v.copy()
         vm = v.copy()
         vp[j] += h
         vm[j] -= h
-        jac[:, j] = (
+        columns.append((
             np.atleast_1d(np.asarray(fun(vp), dtype=float))
             - np.atleast_1d(np.asarray(fun(vm), dtype=float))
-        ) / (2 * h)
-    return jac
+        ) / (2 * h))
+    return np.stack(columns, axis=1)
 
 
 def check_jacobians(dynamics: DynamicsModel, cost: CostModel, samples) -> JacobianCheck:

@@ -9,35 +9,28 @@ p_0 and p_{N-1}; they stay free unknowns.  The Newton iteration backtracks on
 the residual max-norm; for LTI dynamics the residual is affine in z, so one
 undamped step solves the system from any starting point.
 
-A step with the analytic Jacobian is a linear-quadratic problem with
-per-stage dynamics and a stage cross weight, solved without forming the
-Jacobian (:func:`bandctrl.kkt.time_varying_solve`): a Riccati recursion by
-associative scan and a dense border of size n + q, so O(N) time and memory.
-The finite-difference path (``NewtonOptions.fd_jacobian``, or a general
-cost) builds the dense Jacobian and solves it by LU and one step of
-iterative refinement.  The Riccati pivots are not checked for inertia:
-where Q - C_t'R^(-1)C_t is indefinite (large adjoints) the scan is less
-accurate than a dense LU, and Newton's next iterate absorbs the error, as
-iterative refinement would.
+Every Newton step is one structured solve,
+:func:`bandctrl.kkt.time_varying_solve` (a Riccati scan and a dense border of
+size n + q, O(N) time and memory), with the model's first derivatives and
+per-stage second-order blocks of the stage Lagrangians l_t = p_t'f_t - c_t.
+By default those are analytic: the cost Hessians and the cross term
+d((df_t/du)'p_t)/dx_t of the gain's state Jacobian, with second derivatives
+of the drift and gain taken as zero, which is exact for LTI models and for
+control-affine models whose drift and gain are both affine in the state (an
+affine drift Jacobian is not enough).  With ``NewtonOptions.fd_jacobian``,
+or a general cost, they are central differences of the stage gradients, one
+coordinate of every stage at once: 2 (n + m) evaluations of the model terms
+per step, whatever N.  The pivots are not checked for inertia: where
+Q_t - C_t'R_t^(-1)C_t is indefinite (large adjoints) the scan is less
+accurate than a dense LU, and Newton's next iterate absorbs the error.
 
 Each residual evaluates the model terms of all stages once, batched (see
 :func:`bandctrl.problem._stage_terms`): a control-affine model has its drift,
 gain and their Jacobians called once per stage, or once in all when it is
 vectorized.  Newton keeps the terms of the accepted iterate, and its step
-reuses them, the gain's state Jacobian included, without calling the model
-again.
-
-The result carries the final iterate's states (x_N = xf exactly), whose
-dynamics rows hold only to its ``final_residual``.
-
-The analytic residual Jacobian (the matrix of :func:`residual_jacobian`, and
-the system the structured step solves) uses first derivatives of the
-dynamics plus the gain's state Jacobian; second derivatives of the drift and
-gain are taken as zero, which is exact for LTI models and for control-affine
-models whose drift Jacobian and gain are affine in the state (such as the
-builtin toy).  Set ``NewtonOptions.fd_jacobian`` for models with curvature
-beyond that; a general (non-quadratic) cost forces the finite-difference
-path as well.
+reuses them; the analytic step calls the model not at all.  The result
+carries the final iterate's states (x_N = xf exactly), whose dynamics rows
+hold only to its ``final_residual``.
 """
 
 from __future__ import annotations
@@ -65,10 +58,8 @@ from .problem import (
     ProblemSpec,
     QuadraticCost,
     Trajectory,
-    _fd_jacobian,
     _stage_terms,
 )
-from .spectrum import numerical_rank
 
 __all__ = [
     "StackedUnknowns",
@@ -84,6 +75,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NewtonOptions:
+    """Budget, tolerance and line search of :func:`newton_solve`.
+    ``fd_jacobian`` takes the second-order stage blocks of the one structured
+    step from central differences of the stage gradients."""
+
     max_iterations: int = 60
     tolerance: float = 1e-10  # absolute, residual max-norm
     backtrack_factor: float = 0.5
@@ -120,24 +115,20 @@ class SingularJacobianError(RuntimeError):
     """Newton hit a singular residual Jacobian; carries iterate diagnostics.
 
     ``size`` is the Jacobian's size and ``rank`` its numerical rank.  When the
-    analytic step stopped at a singular or non-finite Riccati pivot, ``stage``
-    and ``pivot`` (the pivot's smallest |eigenvalue|) say where, and ``rank``
-    is None: a pivot does not determine it.  ``rank`` is also None when the
-    border is not finite."""
+    step stopped at a singular or non-finite Riccati pivot or control weight
+    R_t, ``stage`` and ``pivot`` (its smallest |eigenvalue|) say where, and
+    ``rank`` is None: a pivot does not determine it.  ``rank`` is also None
+    when the border is not finite."""
 
     def __init__(
         self, iteration: int, size: int, rank: int | None, residual: float,
         stage: int | None = None, pivot: float | None = None,
     ):
-        self.iteration = iteration
-        self.size = size
-        self.rank = rank
-        self.residual = residual
-        self.stage = stage
-        self.pivot = pivot
+        self.iteration, self.size, self.rank = iteration, size, rank
+        self.residual, self.stage, self.pivot = residual, stage, pivot
         where = f"numerical rank {rank} of {size}"
         if stage is not None:
-            where = f"singular Riccati pivot at stage {stage} (smallest |eigenvalue| {pivot:.3e})"
+            where = f"singular pivot or weight at stage {stage} (smallest |eigenvalue| {pivot:.3e})"
         elif rank is None:
             where = f"non-finite border, Jacobian size {size}"
         super().__init__(
@@ -223,73 +214,66 @@ def assemble_residual(z: StackedUnknowns, spec: ProblemSpec, x0, xf) -> np.ndarr
     return _residual_vec(z.z, spec, x0, xf)
 
 
-def _cross(zvec, spec, x0, xf, terms):
-    """The cross term d((df_t/du)'p_t)/dx_t (N, m, n) from the gain's state
-    Jacobian that the terms carry (``terms.gx``, control-affine models with a
-    ``gain_jac``); None without one."""
-    if terms.gx is None:
-        return None
-    adjoints = _unpack(zvec, spec, x0, xf)[2]
-    return np.einsum("tijl,ti->tjl", terms.gx, adjoints)
+def _fd_blocks(spec: ProblemSpec, states, controls, adjoints):
+    """(Q_t, R_t, C_t) = (-d2l_t/dx2, -d2l_t/du2, d2l_t/du dx), symmetrized,
+    by central differences of the gradients (jx_t'p_t - cx_t, ju_t'p_t - cu_t)
+    of the stage Lagrangians.  Stage t's gradient depends on (x_t, u_t) alone,
+    so coordinate k moves at every stage at once, by 1e-6 (1 + |coordinate|).
+    Stage 0's x blocks are not meaningful (x_0 is fixed) and not read."""
+    N, n = len(controls), spec.n
+    xu = np.concatenate([states[:N], controls], axis=1)
+    hess = np.empty((N, xu.shape[1], xu.shape[1]))
+    for k in range(xu.shape[1]):
+        h = 1e-6 * (1.0 + abs(xu[:, k]))
+        grads = []
+        for sign in (1.0, -1.0):
+            v = xu.copy()
+            v[:, k] += sign * h
+            terms = _stage_terms(spec.dynamics, spec.cost, v[:, :n], v[:, n:], step=False)
+            grads.append(np.concatenate([
+                np.einsum("tij,ti->tj", terms.jx, adjoints) - terms.cx,
+                np.einsum("tij,ti->tj", terms.ju, adjoints) - terms.cu,
+            ], axis=1))
+        hess[:, :, k] = (grads[0] - grads[1]) / (2.0 * h[:, None])
+    hess = 0.5 * (hess + hess.transpose(0, 2, 1))
+    return -hess[:, :n, :n], -hess[:, n:, n:], hess[:, n:, :n]
 
 
-def _jacobian_analytic(zvec, spec, x0, xf, terms) -> np.ndarray:
-    """Assemble the Jacobian from the stage terms of the iterate ``zvec``.
+def _stage_blocks(zvec, spec: ProblemSpec, x0, xf, terms, fd: bool):
+    """(Q, R, cross) of the Newton system at ``zvec``, whose model terms are
+    ``terms``: :func:`_fd_blocks` with ``fd``, else the cost Hessians and the
+    cross term d((df_t/du)'p_t)/dx_t (N, m, n) from ``terms.gx`` (None
+    without a gain Jacobian)."""
+    states, controls, adjoints, _ = _unpack(zvec, spec, x0, xf)
+    if fd:
+        return _fd_blocks(spec, states, controls, adjoints)
+    cross = None if terms.gx is None else np.einsum("tijl,ti->tjl", terms.gx, adjoints)
+    return spec.cost.Q, spec.cost.R, cross
 
-    Second derivatives of the drift and gain are taken as zero, apart from
-    the cross term of :func:`_cross`.  The model is not called.
-    """
-    return kkt.assemble(
-        terms.jx, terms.ju, spec.cost.Q, spec.cost.R, spec.frequency_constraint,
-        _cross(zvec, spec, x0, xf, terms),
-    )
 
-
-def _analytic_step(zvec, residual, spec, x0, xf, terms) -> np.ndarray:
-    """The Newton step J^(-1)(-residual) for the analytic Jacobian of
-    :func:`_jacobian_analytic`, by :func:`bandctrl.kkt.time_varying_solve`:
-    a Riccati scan and a border of size n + q, no dense Jacobian.  Raises
-    :class:`bandctrl.kkt.SingularSystemError` when a pivot or the border is
-    singular."""
+def _step(zvec, residual, spec: ProblemSpec, x0, xf, terms, fd: bool) -> np.ndarray:
+    """The Newton step at ``zvec``; raises
+    :class:`bandctrl.kkt.SingularSystemError` when an R_t, a pivot or the
+    border is singular."""
+    Q, R, cross = _stage_blocks(zvec, spec, x0, xf, terms, fd)
     return kkt.time_varying_solve(
-        terms.jx, terms.ju, spec.cost.Q, spec.cost.R, spec.frequency_constraint,
-        -residual, _cross(zvec, spec, x0, xf, terms),
+        terms.jx, terms.ju, Q, R, spec.frequency_constraint, -residual, cross
     )
-
-
-def _fd_step(zvec, residual, spec, x0, xf) -> np.ndarray:
-    """The Newton step for the dense finite-difference Jacobian, by LU and
-    one step of iterative refinement with the same matrix: partial pivoting
-    in the row order of :func:`bandctrl.kkt.assemble` is not backward stable
-    (a relative residual of 4.7e-4 at a condition number of 3.8e3 was seen).
-    Raises :class:`bandctrl.kkt.SingularSystemError` when the Jacobian is
-    singular or the step is not finite."""
-    jac = _jacobian_fd(zvec, spec, x0, xf)
-    try:
-        step = np.linalg.solve(jac, -residual)
-        step = step + np.linalg.solve(jac, -residual - jac @ step)
-        if np.all(np.isfinite(step)):
-            return step
-    except np.linalg.LinAlgError:
-        pass
-    deficiency = jac.shape[0] - numerical_rank(jac) if np.isfinite(jac).all() else None
-    raise kkt.SingularSystemError("singular Jacobian", deficiency=deficiency)
-
-
-def _jacobian_fd(zvec, spec, x0, xf) -> np.ndarray:
-    return _fd_jacobian(lambda v: _residual_vec(v, spec, x0, xf), zvec)
 
 
 def residual_jacobian(
     z: StackedUnknowns, spec: ProblemSpec, x0, xf, fd: bool = False
 ) -> np.ndarray:
-    """Jacobian of :func:`assemble_residual` with respect to the unknowns."""
+    """Jacobian of :func:`assemble_residual`, the dense matrix that a Newton
+    step solves: first-order blocks from the model's derivatives, second-order
+    stage blocks analytic or, with ``fd`` or a general cost, central
+    differences of the stage gradients."""
     _check_supported(spec)
-    if fd or isinstance(spec.cost, GeneralCost):
-        return _jacobian_fd(z.z, spec, x0, xf)
     states, controls, _, _ = _unpack(z.z, spec, x0, xf)
     terms = _stage_terms(spec.dynamics, spec.cost, states, controls, step=False)
-    return _jacobian_analytic(z.z, spec, x0, xf, terms)
+    fd = fd or isinstance(spec.cost, GeneralCost)
+    Q, R, cross = _stage_blocks(z.z, spec, x0, xf, terms, fd)
+    return kkt.assemble(terms.jx, terms.ju, Q, R, spec.frequency_constraint, cross)
 
 
 def _initialize(spec: ProblemSpec, x0, xf):
@@ -381,15 +365,12 @@ def newton_solve(
     norm = _inf(residual)
     trace: list[tuple[int, float, float]] = [(0, norm, 0.0)]
     iterations = 0
-    use_fd = opts.fd_jacobian or isinstance(spec.cost, GeneralCost)
+    fd = opts.fd_jacobian or isinstance(spec.cost, GeneralCost)
 
     while norm > opts.tolerance and iterations < opts.max_iterations:
         iterations += 1
         try:
-            if use_fd:
-                step = _fd_step(z, residual, spec, x0, xf)
-            else:
-                step = _analytic_step(z, residual, spec, x0, xf, terms)
+            step = _step(z, residual, spec, x0, xf, terms, fd)
         except kkt.SingularSystemError as exc:
             size = residual.size
             rank = None if exc.deficiency is None else size - exc.deficiency

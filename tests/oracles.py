@@ -28,7 +28,10 @@ the raw reachability stack [B'(A')^(N-1); ...; B'] and of that stack
 bordered by the frequency rows.  The closed-loop rollout is the
 stage-by-stage form of ``riccati_solve``'s scan.  The dense Newton step is
 the step of ``newton_solve`` from the dense Jacobian, which the Riccati scan
-and border of ``kkt.time_varying_solve`` replaced.  ``dynamics_row_ulps``
+and border of ``kkt.time_varying_solve`` replaced.  The finite-difference
+residual Jacobian is the matrix that ``newton_solve``'s finite-difference
+step factored before it became the same structured solve: central
+differences of the whole residual, first-order blocks included.  ``dynamics_row_ulps``
 measures how well each row x_{t+1} = A x_t + B u_t of a returned trajectory
 holds, in units of the rounding of its terms.  Inside ``empty_memos`` the
 one-plant memos of ``bandctrl.kkt`` and ``bandctrl.extremal`` start empty,
@@ -50,7 +53,7 @@ from bandctrl.extremal import (
 )
 from bandctrl.lq import INFEASIBILITY_TOL
 from bandctrl.problem import Box, Fixed, Free
-from bandctrl.shooting import _unpack, assemble_residual, residual_jacobian
+from bandctrl.shooting import _residual_vec, _unpack, assemble_residual, residual_jacobian
 from bandctrl.spectrum import numerical_rank
 
 
@@ -618,6 +621,13 @@ def dense_newton_step(z, spec, x0, xf):
     return step + np.linalg.solve(jac, rhs - jac @ step), jac
 
 
+def fd_residual_jacobian(zvec, spec, x0, xf):
+    """Central differences of the whole stacked residual at ``zvec``, one
+    column per unknown (2 len(z) residual evaluations), step
+    1e-6 (1 + |z_j|)."""
+    return problem._fd_jacobian(lambda v: _residual_vec(v, spec, x0, xf), zvec)
+
+
 def loop_control_affine_terms(dynamics, states, controls, step=True, jx0=False):
     """(f, jx, ju, gx) of ``bandctrl.problem._stage_terms`` for a control-affine
     model, stage by stage from its per-stage ``step``, ``jac_x`` and ``jac_u``
@@ -643,9 +653,10 @@ def loop_riccati_sweep(A, B, Q, R, horizon, terminal=None, cross=None):
         H_t = R + B_t'P_{t+1}B_t,   K_t = -H_t^(-1) (B_t'P_{t+1}A_t - C_t),
         P_t = Q + A_t'P_{t+1}(A_t + B_t K_t) - C_t'K_t,   symmetrized.
 
-    ``A`` and ``B`` are one matrix or one per stage ((N, n, n), (N, n, m));
-    ``cross`` holds C_t (N, m, n), zero when None.  Returns P (N+1, n, n), K
-    (N, m, n) and H_t^(-1) (N, m, m)."""
+    ``A`` and ``B`` are one matrix or one per stage ((N, n, n), (N, n, m)),
+    and so are ``Q`` and ``R`` ((N, n, n), (N, m, m)); ``cross`` holds C_t
+    (N, m, n), zero when None.  Returns P (N+1, n, n), K (N, m, n) and
+    H_t^(-1) (N, m, m)."""
     A, B, Q, R = (np.asarray(a, float) for a in (A, B, Q, R))
     n, m = B.shape[-2:]
     P = np.zeros((horizon + 1, n, n))
@@ -655,10 +666,11 @@ def loop_riccati_sweep(A, B, Q, R, horizon, terminal=None, cross=None):
     Hinv = np.zeros((horizon, m, m))
     for t in range(horizon - 1, -1, -1):
         At, Bt = (A[t], B[t]) if B.ndim == 3 else (A, B)
+        Qt, Rt = (Q[t], R[t]) if R.ndim == 3 else (Q, R)
         Ct = 0.0 if cross is None else cross[t]
-        Hinv[t] = np.linalg.inv(R + Bt.T @ P[t + 1] @ Bt)
+        Hinv[t] = np.linalg.inv(Rt + Bt.T @ P[t + 1] @ Bt)
         K[t] = -Hinv[t] @ (Bt.T @ P[t + 1] @ At - Ct)
-        Pt = Q + At.T @ P[t + 1] @ (At + Bt @ K[t])
+        Pt = Qt + At.T @ P[t + 1] @ (At + Bt @ K[t])
         if cross is not None:
             Pt -= cross[t].T @ K[t]
         P[t] = 0.5 * (Pt + Pt.T)

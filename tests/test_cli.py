@@ -336,6 +336,22 @@ class TestRun:
         result = json.loads((tmp_path / "r.json").read_text())
         assert result["normality"]["classification"] == "ALL_NORMAL"
 
+    @pytest.mark.parametrize(
+        "doc", [_transfer_doc(), _transfer_doc(solver="shooting")], ids=["transfer_freq", "shooting"]
+    )
+    def test_one_lift_per_solve(self, tmp_path, monkeypatch, doc):
+        calls = []
+        original = extremal.lift_from_solver
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (extremal, shooting, cli):
+            monkeypatch.setattr(module, "lift_from_solver", counted)
+        assert run(_write(tmp_path, "p.json", doc), str(tmp_path / "r.json")) == 0
+        assert len(calls) == 1
+
 
 _TOY = {
     "dynamics": {"builtin": "affine_toy"},

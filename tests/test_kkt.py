@@ -115,19 +115,24 @@ class TestRiccatiSweep:
             assert np.max(np.abs(a - b)) <= tol
 
 
-def _stage_data(rng, n, m, horizon, radius, convex_cross):
+def _stage_data(rng, n, m, horizon, radius, convex_cross, per_stage=False):
     """Per-stage A_t (spectral radius at most ``radius``) and B_t, Q >= I/2,
     R, and with ``convex_cross`` a cross term C_t small enough that
-    Q - C_t'R^-1 C_t >= Q/4."""
+    Q_t - C_t'R_t^-1 C_t >= Q_t/4.  With ``per_stage`` Q and R are stacks
+    (N, n, n) and (N, m, m), Q_t and R_t scaled by factors in [1/2, 2]."""
     A = rng.standard_normal((horizon, n, n))
     A *= radius / np.maximum(np.max(np.abs(np.linalg.eigvals(A)), axis=1), 1e-12)[:, None, None]
     B = rng.standard_normal((horizon, n, m))
     _, _, Q, R = random_lq_matrices(rng, n, m)
     Q = Q + 0.5 * np.eye(n)
+    room = np.min(np.linalg.eigvalsh(Q)) * np.min(np.linalg.eigvalsh(R))
+    if per_stage:
+        Q = Q * rng.uniform(0.5, 2.0, (horizon, 1, 1))
+        R = R * rng.uniform(0.5, 2.0, (horizon, 1, 1))
+        room /= 4.0
     cross = None
     if convex_cross:
         cross = rng.standard_normal((horizon, m, n))
-        room = np.min(np.linalg.eigvalsh(Q)) * np.min(np.linalg.eigvalsh(R))
         cross *= 0.5 * np.sqrt(room) / np.max(np.linalg.norm(cross, 2, axis=(1, 2)))
     return A, B, Q, R, cross
 
@@ -140,12 +145,13 @@ class TestRiccatiScan:
         horizon=st.integers(1, 300),
         radius=st.floats(0.1, 1.1),
         convex_cross=st.booleans(),
+        per_stage=st.booleans(),
         sigma=st.floats(0.1, 10.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_loop_oracle(self, n, m, horizon, radius, convex_cross, sigma, seed):
+    def test_matches_loop_oracle(self, n, m, horizon, radius, convex_cross, per_stage, sigma, seed):
         rng = np.random.default_rng(seed)
-        A, B, Q, R, cross = _stage_data(rng, n, m, horizon, radius, convex_cross)
+        A, B, Q, R, cross = _stage_data(rng, n, m, horizon, radius, convex_cross, per_stage)
         terminal = sigma * np.eye(n)
         P, K, Hinv = kkt.riccati_scan(A, B, Q, R, terminal, cross)
         P_o, K_o, Hinv_o = loop_riccati_sweep(A, B, Q, R, horizon, terminal, cross)
@@ -170,6 +176,20 @@ class TestRiccatiScan:
             kkt.riccati_scan(one, one, np.ones((1, 1)), np.ones((1, 1)), -np.ones((1, 1)))
         assert (err.value.stage, err.value.pivot) == (2, 0.0)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_singular_or_non_finite_weight_names_its_stage(self, m):
+        N = 6
+        one = np.ones((N, 1, 1))
+        B = np.ones((N, 1, m))
+        for bad, stage in ((0.0, 3), (np.nan, 4)):
+            R = np.broadcast_to(np.eye(m), (N, m, m)).copy()
+            R[stage] = bad
+            for weight in (R, R[stage]):  # per stage, and one for every stage
+                with pytest.raises(kkt.SingularSystemError) as err:
+                    kkt.time_varying_solve(one, B, np.eye(1), weight, FrequencyConstraint(N, m),
+                                           np.ones(kkt.segments(1, m, N, 0)["nu"].stop))
+                assert err.value.stage == (stage if weight.ndim == 3 else N - 1)
+
     def test_a_singular_pivot_leaves_the_others(self):
         rng = np.random.default_rng(5)
         M = rng.standard_normal((50, 2, 2))
@@ -192,6 +212,21 @@ class TestTimeVaryingSolve:
         expected = np.linalg.solve(M, rhs)
         assert np.max(np.abs(z - expected)) <= 1e-10 * (1.0 + np.max(np.abs(expected)))
 
+    def test_per_stage_weights_match_the_dense_system(self):
+        N, m = 23, 2
+        rng = np.random.default_rng(N)
+        A, B, Q, R, cross = _stage_data(rng, 3, m, N, 1.05, True, per_stage=True)
+        fc = build_frequency_constraint(SupportSpec.from_banned([[2], [5]], N), N, m)
+        M = kkt.assemble(A, B, Q, R, fc, cross)
+        # Q_0 and C_0 are not read: x_0 is fixed
+        Q0, cross0 = Q.copy(), cross.copy()
+        Q0[0], cross0[0] = np.nan, np.nan
+        assert np.array_equal(M, kkt.assemble(A, B, Q0, R, fc, cross0))
+        rhs = rng.standard_normal(M.shape[0])
+        z = kkt.time_varying_solve(A, B, Q0, R, fc, rhs, cross0)
+        expected = np.linalg.solve(M, rhs)
+        assert np.max(np.abs(z - expected)) <= 1e-10 * (1.0 + np.max(np.abs(expected)))
+
     def test_singular_border_reports_its_deficiency(self):
         # B = 0: x_N does not depend on the unknowns, so the w_N block is zero
         N, fc = 3, FrequencyConstraint(3, 1)
@@ -207,6 +242,10 @@ class TestTimeVaryingSolve:
         stages = np.stack([B, 2.0 * B])  # mean |B_t|_F^2 = 2.5 |B|_F^2
         assert kkt._terminal_weight(R, stages) == pytest.approx(np.linalg.norm(R) / (2.5 * np.sum(B * B)))
         assert kkt._terminal_weight(R, np.zeros((3, 2, 2))) == 1.0
+        # a stack R_t takes the root mean square of |R_t|_F
+        weights = np.stack([R, 7.0 * R])
+        assert kkt._terminal_weight(weights, B) == pytest.approx(5.0 * np.linalg.norm(R) / np.sum(B * B))
+        assert kkt._terminal_weight(np.full((2, 2), np.inf), B) == 1.0
 
 
 class TestBorder:

@@ -530,6 +530,20 @@ class TestCheckJacobians:
         report = check_jacobians(dyn, QuadraticCost(np.eye(2), np.eye(1)), [(0, [1.0, 2.0], [0.5])])
         assert report.dynamics_jac_x == pytest.approx(0.1, rel=1e-4)
 
+    def test_fd_jacobian_makes_two_evaluations_per_coordinate(self):
+        calls = []
+
+        def fun(v):
+            calls.append(v.copy())
+            return np.array([v[0] * v[1], v[1] ** 2, v[2]])
+
+        v = np.array([1.0, 2.0, -3.0])
+        jac = problem._fd_jacobian(fun, v)
+        assert len(calls) == 2 * v.size
+        assert_allclose(jac, [[2.0, 1.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 1.0]], atol=1e-8)
+        # a scalar function gives one row
+        assert problem._fd_jacobian(lambda w: float(w @ w), v).shape == (1, 3)
+
     def test_evaluator_failure_carries_sample_tag(self):
         def boom(t, x, u):
             raise RuntimeError("bad evaluator")

@@ -27,12 +27,10 @@ from bandctrl.problem import (
 )
 from bandctrl.shooting import (
     NewtonOptions,
-    _analytic_step,
     _evaluate,
-    _fd_step,
-    _jacobian_fd,
-    _jacobian_analytic,
     _residual_vec,
+    _step,
+    _unpack,
     SingularJacobianError,
     StackedUnknowns,
     assemble_residual,
@@ -45,6 +43,7 @@ from bandctrl.spectrum import forward_dft
 from oracles import (
     dense_newton_step,
     direct_transcription_oracle,
+    fd_residual_jacobian,
     loop_residual_vec,
     random_banned_sets,
     random_lq_matrices,
@@ -288,11 +287,11 @@ class TestJacobian:
         spec = control_affine_spec(dyn, [[1.0]], [[1.0]], 10, [0.0], [1.0], banned=[[3]])
         q = spec.frequency_constraint.row_count
         z = np.full(9 + 10 + 10 + q, 0.5)
-        _, terms = _evaluate(z, spec, [0.0], [1.0])
+        residual, terms = _evaluate(z, spec, [0.0], [1.0])
         # x_0 is fixed, so stage 0 needs no state derivatives
         assert calls == {"drift": 10, "gain": 10, "drift_jac": 9, "gain_jac": 9}
         calls.update(dict.fromkeys(calls, 0))
-        _jacobian_analytic(z, spec, [0.0], [1.0], terms)
+        _step(z, residual, spec, [0.0], [1.0], terms, fd=False)
         assert calls == dict.fromkeys(calls, 0)
 
     def test_public_jacobian_evaluates_no_dynamics_step(self):
@@ -584,7 +583,7 @@ class TestStructuredStep:
             Bx *= 0.5 * np.sqrt(room) / max(np.max(np.linalg.norm(C, 2, axis=(1, 2))), 1.0)
         residual, terms = _evaluate(z.z, spec, x0, xf)
         try:
-            step = _analytic_step(z.z, residual, spec, x0, xf, terms)
+            step = _step(z.z, residual, spec, x0, xf, terms, fd=False)
             dense, jac = dense_newton_step(z, spec, x0, xf)
         except np.linalg.LinAlgError:  # kkt.SingularSystemError is one
             # either side may fail where the other does not only on a
@@ -614,7 +613,10 @@ class TestStructuredStep:
         assert result.converged and result.iterations == 3
         assert peak < 10e6
 
-    def test_no_dense_solve_on_the_analytic_path(self, monkeypatch):
+    @staticmethod
+    def _assert_no_dense_solve(monkeypatch, opts):
+        """Newton on the toy at N = 256 converges, and every np.linalg.solve
+        or lstsq it makes is of a matrix no larger than the border, n + q."""
         spec = control_affine_spec(
             _toy_dynamics(), [[1.0]], [[1.0]], 256, [0.0], [1.0], banned=[[3, 253]]
         )
@@ -629,9 +631,15 @@ class TestStructuredStep:
 
         for name in ("solve", "lstsq"):
             monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
-        result = newton_solve(spec, [0.0], [1.0])
+        result = newton_solve(spec, [0.0], [1.0], opts=opts)
         assert result.converged and result.iterations >= 2
         assert sizes and max(sizes) <= spec.n + spec.frequency_constraint.row_count
+
+    def test_no_dense_solve_on_the_analytic_path(self, monkeypatch):
+        self._assert_no_dense_solve(monkeypatch, NewtonOptions())
+
+    def test_no_dense_solve_on_the_fd_path(self, monkeypatch):
+        self._assert_no_dense_solve(monkeypatch, NewtonOptions(fd_jacobian=True))
 
 
 def _newton_fields(result):
@@ -749,12 +757,42 @@ class TestVectorizedModels:
             assert np.max(np.abs(a - b), initial=0.0) <= 1e-9 * max(np.max(np.abs(a), initial=0.0), 1.0)
 
 
+def _fd_error_bound(jac, z, step, residual):
+    """A bound on |J s + r| / |r| for a step s against the central-difference
+    Jacobian J of the residual r at z.  An entry (i, j) that the rows'
+    sparsity does not force to zero carries a rounding error of about
+    2 eps T_i / h_j (a few roundings of row i's terms, of size
+    T_i = (|J| (1 + |z|) + |r|)_i, over the step h_j = 1e-6 (1 + |z_j|)), and
+    such errors add up as a random sum.  The stage blocks of the step err
+    alike, which doubles it.  The solve adds 10 eps cond(J)."""
+    eps = np.finfo(float).eps
+    h = 1e-6 * (1.0 + np.abs(z))
+    size = np.abs(jac) @ (1.0 + np.abs(z)) + np.abs(residual)
+    rounding = 4.0 * eps * size * np.sqrt((jac != 0) @ (step / h) ** 2)
+    return np.linalg.norm(rounding) / np.linalg.norm(residual) + 10 * eps * np.linalg.cond(jac)
+
+
 class TestFdStep:
+    """The finite-difference step: the structured solve with second-order
+    stage blocks from central differences, against the oracle, the dense
+    central-difference Jacobian of the whole residual."""
+
+    @staticmethod
+    def _gap(spec, x0, xf, z):
+        """|J s + r| / |r| of the FD step s at z against the oracle J, and
+        its bound."""
+        residual, terms = _evaluate(z, spec, x0, xf)
+        step = _step(z, residual, spec, x0, xf, terms, fd=True)
+        jac = fd_residual_jacobian(z, spec, x0, xf)
+        gap = np.linalg.norm(jac @ step + residual) / np.linalg.norm(residual)
+        return gap, _fd_error_bound(jac, z, step, residual)
+
     @pytest.mark.parametrize("seed", [608, 1099])
     def test_residual_within_the_conditioning(self, seed):
-        # partial pivoting on the row order of kkt.assemble left relative
-        # residuals of 4.7e-4 (seed 608, cond 3.8e3) and 1.6e-11 (seed 1099,
-        # cond 55) on these draws; one step of refinement mends them
+        # an LU of the oracle on the row order of kkt.assemble, unrefined,
+        # left relative residuals of 4.7e-4 (seed 608, cond 3.8e3) and
+        # 1.6e-11 (seed 1099, cond 55) on these draws; the structured step
+        # leaves 2.8e-11 and 1.5e-11, the rounding of the differences
         n, m, N = 3, 1, 53
         rng = np.random.default_rng(seed)
         x0, xf = rng.standard_normal(n), rng.standard_normal(n)
@@ -763,15 +801,97 @@ class TestFdStep:
         spec = lti_spec(A, B, Q, R, N, x0=x0, xf=xf, banned=banned)
         init, _ = default_initialization(spec, x0, xf)
         z = init.z + 0.1 * rng.standard_normal(init.z.size)
-        residual = _evaluate(z, spec, x0, xf)[0]
-        step = _fd_step(z, residual, spec, x0, xf)
-        jac = _jacobian_fd(z, spec, x0, xf)
-        gap = np.linalg.norm(jac @ step + residual) / np.linalg.norm(residual)
-        assert gap <= 10 * np.finfo(float).eps * np.linalg.cond(jac)
+        gap, bound = self._gap(spec, x0, xf, z)
+        assert gap <= bound and gap <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        horizon=st.integers(2, 40),
+        model=st.sampled_from(["lti", "affine", "affine_gain_jac"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_draws_within_the_fd_error(self, n, m, horizon, model, seed):
+        rng = np.random.default_rng(seed)
+        x0, xf = rng.standard_normal(n), rng.standard_normal(n)
+        banned = random_banned_sets(rng, horizon, m, 3)
+        A, B, Q, R = random_lq_matrices(rng, n, m, spectral_radius=rng.uniform(0.1, 1.1))
+        if model == "lti":
+            spec = lti_spec(A, B, Q, R, horizon, x0=x0, xf=xf, banned=banned)
+        else:
+            dyn, Bx = _random_affine(rng, n, m, model == "affine_gain_jac")
+            Q = Q + 0.5 * np.eye(n)
+            spec = control_affine_spec(dyn, Q, R, horizon, x0, xf, banned=banned)
+        init, _ = default_initialization(spec, x0, xf)
+        z = init.z + 0.1 * rng.standard_normal(init.z.size)
+        if model != "lti":
+            # the step's first-order blocks are the model's, so a model
+            # without a gain_jac must have a gain that the state does not
+            # move.  With one, the gain's state dependence is scaled as in
+            # TestStructuredStep, for a convex linearization: where it is
+            # indefinite the scan is less accurate than the differences
+            C = np.einsum("ijl,ti->tjl", Bx, _unpack(z, spec, x0, xf)[2])
+            room = np.min(np.linalg.eigvalsh(Q)) * np.min(np.linalg.eigvalsh(R))
+            Bx *= 0.0 if model == "affine" else 0.5 * np.sqrt(room) / max(
+                np.max(np.linalg.norm(C, 2, axis=(1, 2))), 1.0
+            )
+        try:
+            gap, bound = self._gap(spec, x0, xf, z)
+        except np.linalg.LinAlgError:  # kkt.SingularSystemError is one
+            # a ban set that leaves no solution: the oracle is singular too
+            assert np.linalg.cond(fd_residual_jacobian(z, spec, x0, xf)) > 1e12
+            return
+        assert gap <= bound
+
+    def test_model_calls_per_step_do_not_grow_with_n(self):
+        evaluations = []
+        for N in (16, 64):
+            calls, dyn = _counted_toy()
+            spec = control_affine_spec(dyn, [[1.0]], [[1.0]], N, [0.0], [1.0], banned=[[3]])
+            q = spec.frequency_constraint.row_count
+            z = np.full((N - 1) + N + N + q, 0.5)
+            residual, terms = _evaluate(z, spec, [0.0], [1.0])
+            calls.update(dict.fromkeys(calls, 0))
+            _step(z, residual, spec, [0.0], [1.0], terms, fd=True)
+            # 2 (n + m) evaluations of the stage gradients, each calling the
+            # per-stage model once per stage (stage 0 without state
+            # derivatives) and never its drift
+            evaluations.append({
+                "drift": calls["drift"], "gain": calls["gain"] / N,
+                "drift_jac": calls["drift_jac"] / (N - 1), "gain_jac": calls["gain_jac"] / (N - 1),
+            })
+        assert evaluations[0] == evaluations[1] == {
+            "drift": 0, "gain": 4.0, "drift_jac": 4.0, "gain_jac": 4.0
+        }
+
+    def test_curved_drift_converges_and_certifies(self):
+        # the drift 0.5 x + 0.1 x^2 has a Jacobian affine in x, yet the
+        # analytic blocks drop its second derivative 0.2 p_t: they are not
+        # the Jacobian's, and their Newton converges only linearly
+        dyn = ControlAffineDynamics(
+            n=1,
+            m=1,
+            drift=lambda t, x: 0.5 * x + 0.1 * x**2,
+            gain=lambda t, x: np.array([[1.0]]),
+            drift_jac=lambda t, x: np.array([[0.5 + 0.2 * x[0]]]),
+        )
+        spec = control_affine_spec(dyn, [[1.0]], [[1.0]], 6, [0.0], [1.0], banned=[[3]])
+        init, _ = default_initialization(spec, [0.0], [1.0])
+        analytic = residual_jacobian(init, spec, [0.0], [1.0])
+        fd = residual_jacobian(init, spec, [0.0], [1.0], fd=True)
+        assert np.max(np.abs(analytic - fd)) > 0.1
+        oracle = fd_residual_jacobian(init.z, spec, [0.0], [1.0])
+        assert np.max(np.abs(fd - oracle)) <= 1e-8
+        slow = newton_solve(spec, [0.0], [1.0])
+        got = newton_solve(spec, [0.0], [1.0], opts=NewtonOptions(fd_jacobian=True))
+        assert got.converged and got.iterations < slow.iterations
+        assert verify_pmp(got.trajectory, got.lift, spec).passed
 
     def test_general_cost_meets_the_quadratic_solution(self):
-        # a GeneralCost forces the finite-difference Jacobian; central
-        # differences are exact on this residual, quadratic in z
+        # a GeneralCost forces the finite-difference blocks; central
+        # differences are exact, to rounding, on its stage gradients, affine
+        # in (x_t, u_t)
         quadratic = _toy_spec(banned=[[3]], horizon=16)
         general = validate(dataclasses.replace(quadratic, cost=GeneralCost(
             lambda t, x, u: 0.5 * float(x @ x) + 0.5 * float(u @ u),
