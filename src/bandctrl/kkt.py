@@ -66,7 +66,8 @@ the border is the Gram product of those columns
 controls and adjoints.  :func:`time_varying_solve` takes the same border,
 from P_N = sigma I (the rule of :func:`lti_solve`'s sweep),
 with the recursion of every stage computed at once by an associative scan of
-the Riccati maps (:func:`riccati_scan`).
+the Riccati maps (:func:`riccati_scan`; about sigma I where an R_t has no
+inverse, so that a cost without curvature in u is solved too).
 :func:`lti_product` is ``assemble(...) @ z`` without the matrix.
 
 The stationary gain, the border matrix and Z depend on the plant
@@ -129,10 +130,11 @@ __all__ = [
 
 
 class SingularSystemError(np.linalg.LinAlgError):
-    """A structured solve met an exactly singular or non-finite control
-    weight R_t or Riccati pivot H_t (``stage`` t, ``pivot`` its smallest
-    |eigenvalue|, NaN when it is not finite) or border (``deficiency`` = its
-    size less its numerical rank, None when it is not finite)."""
+    """A structured solve met an exactly singular or non-finite (shifted)
+    control weight R_t or Riccati pivot H_t (``stage`` t, ``pivot`` its
+    smallest |eigenvalue|, NaN when it is not finite) or border
+    (``deficiency`` = its size less its numerical rank, None when it is not
+    finite)."""
 
     def __init__(self, message, stage=None, pivot=None, deficiency=None):
         super().__init__(message)
@@ -381,22 +383,47 @@ def riccati_scan(A, B, Q, R, terminal, cross=None):
     and P_N is the constant map (0, 0, P_N).  A Hillis-Steele scan of the
     suffixes takes log2(N + 1) batched steps (Sarkka & Garcia-Fernandez, IEEE
     TAC 2023); H of every suffix is then P_t.  Raises
-    :class:`SingularSystemError` at the last stage t whose R_t, or else whose
-    pivot H_t, is exactly singular or not finite.
+    :class:`SingularSystemError` at the last stage t whose weight R_t (or
+    its shift below), or else whose pivot H_t, is exactly singular or not
+    finite.
+
+    The stage maps need R_t^(-1), but the pivots need not: a cost with no
+    curvature in u has R_t = 0.  When an R_t is singular to working
+    precision (|R_t|_F |R_t^(-1)|_F above eps^(-1/2), or not finite), the
+    scan runs on D_t = P_t - sigma I instead, with sigma of
+    :func:`_terminal_weight` (1.0 where every R_t is zero).
+    D_t has the recursion of the same form with
+
+        Q_t + sigma (A_t'A_t - I),   R_t + sigma B_t'B_t,   C_t - sigma B_t'A_t
+
+    and D_N = P_N - sigma I (the centre of :func:`_doubled_fixed_point`),
+    the same pivots H_t and gains K_t; the shifted weight is invertible
+    wherever B_t has full column rank and R_t is positive semidefinite.
     """
     N, n, m = np.shape(B)
+    BT = B.transpose(0, 2, 1)
+    Q_scan, R_scan, cross_scan, shift = Q, R, cross, 0.0
     with np.errstate(all="ignore"):  # a singular R_t ends in the check below
         Rinv = _inv_stack(R)
-    _check_stages("control weight", np.broadcast_to(R, (N, m, m)), np.broadcast_to(Rinv, (N, m, m)))
-    BT = B.transpose(0, 2, 1)
+        # (|R_t|_F |R_t^(-1)|_F)^2, NaN or inf where either is not finite
+        kappa2 = np.sum(R * R, axis=(-2, -1)) * np.sum(Rinv * Rinv, axis=(-2, -1))
+        if not (kappa2 <= 1.0 / EPS).all():  # scan D_t = P_t - sigma I
+            shift = _terminal_weight(R, B) or 1.0
+            Q_scan = Q + shift * (A.transpose(0, 2, 1) @ A - np.eye(n))
+            R_scan = R + shift * (BT @ B)
+            cross_scan = (0.0 if cross is None else cross) - shift * (BT @ A)
+            Rinv = _inv_stack(R_scan)
+            _check_stages("control weight", R_scan, Rinv)
     Am, Gm, Hm = np.empty((3, N + 1, n, n))
-    Am[:N], Gm[:N], Hm[:N] = A, B @ Rinv @ BT, Q
-    if cross is not None:
-        Am[:N] += B @ (Rinv @ cross)
-        Hm[:N] -= cross.transpose(0, 2, 1) @ Rinv @ cross
-    Am[N], Gm[N], Hm[N] = 0.0, 0.0, terminal
-    mul = np.multiply if n == 1 else np.matmul  # 1 x 1: a third of matmul's call cost
+    Am[:N], Gm[:N], Hm[:N] = A, B @ Rinv @ BT, Q_scan
+    if cross_scan is not None:
+        Am[:N] += B @ (Rinv @ cross_scan)
+        Hm[:N] -= cross_scan.transpose(0, 2, 1) @ Rinv @ cross_scan
     eye, s = np.eye(n), 1
+    Am[N], Gm[N], Hm[N] = 0.0, 0.0, terminal
+    if shift:
+        Hm[N] -= shift * eye
+    mul = np.multiply if n == 1 else np.matmul  # 1 x 1: a third of matmul's call cost
     with np.errstate(all="ignore"):  # a singular W or overflow ends in the pivot check
         while s <= N:
             Ao, Go, Ho = Am[:-s], Gm[:-s], Hm[:-s]
@@ -411,6 +438,8 @@ def riccati_scan(A, B, Q, R, terminal, cross=None):
             Gm[:-s], Hm[:-s] = G, H
             s *= 2
         P = Hm
+        if shift:
+            P += shift * eye
         PB = P[1:] @ B
         H = R + BT @ PB
         Hinv = _inv_stack(H)
@@ -822,10 +851,16 @@ def _terminal_weight(R, B) -> float:
     B'P B is of the size of R (1.0 at zero gain or a non-finite ratio).  A
     stack B (N, n, m) takes the mean of |B_t|_F^2 over its stages, a stack R
     (N, m, m) the root mean square of |R_t|_F."""
-    bb = float(np.sum(B * B)) / (len(B) if np.ndim(B) == 3 else 1)
-    r = np.linalg.norm(R) / (math.sqrt(len(R)) if np.ndim(R) == 3 else 1.0)
+    bb = float(np.sum(B * B))
+    if np.ndim(B) == 3:
+        bb /= len(B)
+    r = np.linalg.norm(R)
+    if np.ndim(R) == 3:
+        r /= math.sqrt(len(R))
     sigma = r / bb if bb > 0.0 else 1.0
-    return sigma if sigma < np.inf else 1.0
+    if not sigma < np.inf:
+        return 1.0
+    return sigma
 
 
 def time_varying_solve(A, B, Q, R, constraint, rhs, cross=None) -> np.ndarray:
@@ -835,16 +870,16 @@ def time_varying_solve(A, B, Q, R, constraint, rhs, cross=None) -> np.ndarray:
     ``A`` (N, n, n), ``B`` (N, n, m), ``Q``, ``R`` and ``cross`` (N, m, n)
     are the stage blocks of :func:`assemble`, ``Q`` and ``R`` constant or per
     stage.  The terminal weight is sigma I (:func:`_terminal_weight`, over the
-    mean gain and weight), the Riccati recursion comes from
-    :func:`riccati_scan`, and the border in (w_N, nu) from
-    :func:`_time_varying_border`, solved by LU.  Raises
-    :class:`SingularSystemError` when an R_t, a pivot or the border is exactly
-    singular or the solution is not finite: with block elimination the matrix
-    has rank ``len(rhs) - deficiency``.
+    mean gain and weight; 1.0 where R is zero, which the scan allows), the
+    Riccati recursion comes from :func:`riccati_scan`, and the border in
+    (w_N, nu) from :func:`_time_varying_border`, solved by LU.  Raises
+    :class:`SingularSystemError` when a (shifted) R_t, a pivot or the border
+    is exactly singular or the solution is not finite: with block elimination
+    the matrix has rank ``len(rhs) - deficiency``.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     n = A.shape[1]
-    sigma = _terminal_weight(R, B)
+    sigma = _terminal_weight(R, B) or 1.0  # P_N = 0 would leave H_{N-1} = R_{N-1}
     sweep = riccati_scan(A, B, Q, R, sigma * np.eye(n), cross)
     S, b, stacked = _time_varying_border(A, B, constraint, rhs, sweep)
     try:

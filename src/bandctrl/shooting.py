@@ -20,7 +20,9 @@ control-affine models whose drift and gain are both affine in the state (an
 affine drift Jacobian is not enough).  With ``NewtonOptions.fd_jacobian``,
 or a general cost, they are central differences of the stage gradients, one
 coordinate of every stage at once: 2 (n + m) evaluations of the model terms
-per step, whatever N.  The pivots are not checked for inertia: where
+per step, whatever N; a cost with no curvature in u (R_t = 0) is allowed,
+since the scan then shifts its weights (:func:`bandctrl.kkt.riccati_scan`).
+The pivots are not checked for inertia: where
 Q_t - C_t'R_t^(-1)C_t is indefinite (large adjoints) the scan is less
 accurate than a dense LU, and Newton's next iterate absorbs the error.
 
@@ -124,8 +126,12 @@ class SingularJacobianError(RuntimeError):
         self, iteration: int, size: int, rank: int | None, residual: float,
         stage: int | None = None, pivot: float | None = None,
     ):
-        self.iteration, self.size, self.rank = iteration, size, rank
-        self.residual, self.stage, self.pivot = residual, stage, pivot
+        self.iteration = iteration
+        self.size = size
+        self.rank = rank
+        self.residual = residual
+        self.stage = stage
+        self.pivot = pivot
         where = f"numerical rank {rank} of {size}"
         if stage is not None:
             where = f"singular pivot or weight at stage {stage} (smallest |eigenvalue| {pivot:.3e})"
@@ -239,16 +245,19 @@ def _fd_blocks(spec: ProblemSpec, states, controls, adjoints):
     return -hess[:, :n, :n], -hess[:, n:, n:], hess[:, n:, :n]
 
 
-def _stage_blocks(zvec, spec: ProblemSpec, x0, xf, terms, fd: bool):
+def _stage_blocks(zvec, spec: ProblemSpec, x0, xf, terms, fd: bool, unpacked=None):
     """(Q, R, cross) of the Newton system at ``zvec``, whose model terms are
     ``terms``: :func:`_fd_blocks` with ``fd``, else the cost Hessians and the
     cross term d((df_t/du)'p_t)/dx_t (N, m, n) from ``terms.gx`` (None
-    without a gain Jacobian)."""
-    states, controls, adjoints, _ = _unpack(zvec, spec, x0, xf)
+    without a gain Jacobian).  ``unpacked`` is ``_unpack(zvec, ...)`` when
+    the caller has it; else the iterate is unpacked only if a block reads
+    it."""
+    if not fd and terms.gx is None:
+        return spec.cost.Q, spec.cost.R, None
+    states, controls, adjoints, _ = unpacked or _unpack(zvec, spec, x0, xf)
     if fd:
         return _fd_blocks(spec, states, controls, adjoints)
-    cross = None if terms.gx is None else np.einsum("tijl,ti->tjl", terms.gx, adjoints)
-    return spec.cost.Q, spec.cost.R, cross
+    return spec.cost.Q, spec.cost.R, np.einsum("tijl,ti->tjl", terms.gx, adjoints)
 
 
 def _step(zvec, residual, spec: ProblemSpec, x0, xf, terms, fd: bool) -> np.ndarray:
@@ -269,10 +278,10 @@ def residual_jacobian(
     stage blocks analytic or, with ``fd`` or a general cost, central
     differences of the stage gradients."""
     _check_supported(spec)
-    states, controls, _, _ = _unpack(z.z, spec, x0, xf)
-    terms = _stage_terms(spec.dynamics, spec.cost, states, controls, step=False)
+    unpacked = _unpack(z.z, spec, x0, xf)
+    terms = _stage_terms(spec.dynamics, spec.cost, *unpacked[:2], step=False)
     fd = fd or isinstance(spec.cost, GeneralCost)
-    Q, R, cross = _stage_blocks(z.z, spec, x0, xf, terms, fd)
+    Q, R, cross = _stage_blocks(z.z, spec, x0, xf, terms, fd, unpacked)
     return kkt.assemble(terms.jx, terms.ju, Q, R, spec.frequency_constraint, cross)
 
 

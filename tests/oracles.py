@@ -31,7 +31,9 @@ the step of ``newton_solve`` from the dense Jacobian, which the Riccati scan
 and border of ``kkt.time_varying_solve`` replaced.  The finite-difference
 residual Jacobian is the matrix that ``newton_solve``'s finite-difference
 step factored before it became the same structured solve: central
-differences of the whole residual, first-order blocks included.  ``dynamics_row_ulps``
+differences of the whole residual, first-order blocks included; the dense
+finite-difference Newton iteration factors it by LU with one refinement
+step, as that step did.  ``dynamics_row_ulps``
 measures how well each row x_{t+1} = A x_t + B u_t of a returned trajectory
 holds, in units of the rounding of its terms.  Inside ``empty_memos`` the
 one-plant memos of ``bandctrl.kkt`` and ``bandctrl.extremal`` start empty,
@@ -626,6 +628,35 @@ def fd_residual_jacobian(zvec, spec, x0, xf):
     column per unknown (2 len(z) residual evaluations), step
     1e-6 (1 + |z_j|)."""
     return problem._fd_jacobian(lambda v: _residual_vec(v, spec, x0, xf), zvec)
+
+
+def dense_fd_newton(spec, x0, xf, z, max_iterations=60, tolerance=1e-10, min_step=2.0**-30):
+    """The damped Newton iteration of ``bandctrl.shooting.newton_solve`` with
+    the finite-difference step it took before the structured solve: the
+    Jacobian of :func:`fd_residual_jacobian`, factored whole by LU, plus one
+    step of iterative refinement.  Returns the final iterate, the residual
+    max-norm and the accepted step lengths, one per iteration; with
+    ``min_step`` = 1 it stops at the first full step that does not lower the
+    residual."""
+    z = np.array(z, dtype=float)
+    residual = _residual_vec(z, spec, x0, xf)
+    norm, alphas = np.max(np.abs(residual)), []
+    while norm > tolerance and len(alphas) < max_iterations:
+        jac = fd_residual_jacobian(z, spec, x0, xf)
+        step = np.linalg.solve(jac, -residual)
+        step += np.linalg.solve(jac, -residual - jac @ step)
+        alpha = 1.0
+        while alpha >= min_step:
+            r_try = _residual_vec(z + alpha * step, spec, x0, xf)
+            if np.max(np.abs(r_try)) < norm:
+                break
+            alpha *= 0.5
+        else:
+            break
+        z, residual = z + alpha * step, r_try
+        norm = np.max(np.abs(residual))
+        alphas.append(alpha)
+    return z, norm, alphas
 
 
 def loop_control_affine_terms(dynamics, states, controls, step=True, jx0=False):

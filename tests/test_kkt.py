@@ -177,18 +177,62 @@ class TestRiccatiScan:
         assert (err.value.stage, err.value.pivot) == (2, 0.0)
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_singular_or_non_finite_weight_names_its_stage(self, m):
-        N = 6
+    def test_non_finite_weight_names_its_stage(self, m):
+        N, stage = 6, 4
         one = np.ones((N, 1, 1))
         B = np.ones((N, 1, m))
-        for bad, stage in ((0.0, 3), (np.nan, 4)):
-            R = np.broadcast_to(np.eye(m), (N, m, m)).copy()
-            R[stage] = bad
-            for weight in (R, R[stage]):  # per stage, and one for every stage
-                with pytest.raises(kkt.SingularSystemError) as err:
-                    kkt.time_varying_solve(one, B, np.eye(1), weight, FrequencyConstraint(N, m),
-                                           np.ones(kkt.segments(1, m, N, 0)["nu"].stop))
-                assert err.value.stage == (stage if weight.ndim == 3 else N - 1)
+        R = np.broadcast_to(np.eye(m), (N, m, m)).copy()
+        R[stage] = np.nan
+        for weight in (R, R[stage]):  # per stage, and one for every stage
+            with pytest.raises(kkt.SingularSystemError) as err:
+                kkt.time_varying_solve(one, B, np.eye(1), weight, FrequencyConstraint(N, m),
+                                       np.ones(kkt.segments(1, m, N, 0)["nu"].stop))
+            assert err.value.stage == (stage if weight.ndim == 3 else N - 1)
+
+    def test_a_weight_the_shift_leaves_singular_names_its_stage(self):
+        # R_3 = 0 and B_3'B_3 of rank 1 < m = 2: R_3 + sigma B_3'B_3 is singular
+        N, m = 6, 2
+        R = np.broadcast_to(np.eye(m), (N, m, m)).copy()
+        R[3] = 0.0
+        rhs = np.ones(kkt.segments(1, m, N, 0)["nu"].stop)
+        with pytest.raises(kkt.SingularSystemError) as err:
+            kkt.time_varying_solve(np.ones((N, 1, 1)), np.ones((N, 1, m)), np.eye(1), R,
+                                   FrequencyConstraint(N, m), rhs)
+        assert err.value.stage == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 3),
+        horizon=st.integers(1, 200),
+        radius=st.floats(0.1, 1.1),
+        weights=st.sampled_from(["zero", "some zero", "rank deficient"]),
+        sigma=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_singular_weights_match_loop_oracle(self, n, m, horizon, radius, weights, sigma, seed):
+        # R_t without an inverse, exactly or to working precision: the scan
+        # runs on P_t - sigma I; the loop inverts only the pivots H_t,
+        # positive definite here (Q_t > 0 and B_t of full column rank).
+        # With R_t = 0 and m = n, H_t = B_t'P_{t+1}B_t can be ill-conditioned
+        # (cond up to 1e8 on 400 draws), and both sides err by about
+        # eps cond(H_t): up to 1.2e-10 where cond(H_t) = 4.5e6
+        m = min(m, n)
+        rng = np.random.default_rng(seed)
+        A, B, Q, R, _ = _stage_data(rng, n, m, horizon, radius, False, per_stage=True)
+        if weights == "zero":
+            R = np.zeros_like(R)
+        elif weights == "some zero":
+            R[rng.random(horizon) < 0.5] = 0.0
+        else:
+            v = rng.standard_normal((horizon, m, max(m - 1, 1)))
+            R = v @ v.transpose(0, 2, 1) * (m > 1)
+        terminal = sigma * np.eye(n)
+        P, K, Hinv = kkt.riccati_scan(A, B, Q, R, terminal)
+        P_o, K_o, Hinv_o = loop_riccati_sweep(A, B, Q, R, horizon, terminal)
+        tol = 1e-12 + 10.0 * np.finfo(float).eps * np.max(np.linalg.cond(Hinv_o))
+        for a, b in [(P, P_o), (K, K_o), (Hinv, Hinv_o)]:
+            assert np.max(np.abs(a - b)) <= tol * (1.0 + np.max(np.abs(b)))
 
     def test_a_singular_pivot_leaves_the_others(self):
         rng = np.random.default_rng(5)
@@ -224,6 +268,22 @@ class TestTimeVaryingSolve:
         assert np.array_equal(M, kkt.assemble(A, B, Q0, R, fc, cross0))
         rhs = rng.standard_normal(M.shape[0])
         z = kkt.time_varying_solve(A, B, Q0, R, fc, rhs, cross0)
+        expected = np.linalg.solve(M, rhs)
+        assert np.max(np.abs(z - expected)) <= 1e-10 * (1.0 + np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    def test_zero_weights_match_the_dense_system(self, weight):
+        # R_t = 0 at every stage, or at every other one: a cost with no
+        # curvature in u, and a gain-state cross term on top
+        N, m = 19, 2
+        rng = np.random.default_rng(7)
+        A, B, Q, R, cross = _stage_data(rng, 3, m, N, 1.05, True, per_stage=True)
+        R[::2] = 0.0
+        R[1::2] *= weight
+        fc = build_frequency_constraint(SupportSpec.from_banned([[2], [5]], N), N, m)
+        M = kkt.assemble(A, B, Q, R, fc, cross)
+        rhs = rng.standard_normal(M.shape[0])
+        z = kkt.time_varying_solve(A, B, Q, R, fc, rhs, cross)
         expected = np.linalg.solve(M, rhs)
         assert np.max(np.abs(z - expected)) <= 1e-10 * (1.0 + np.max(np.abs(expected)))
 

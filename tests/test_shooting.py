@@ -41,6 +41,7 @@ from bandctrl.shooting import (
 from bandctrl.spectrum import forward_dft
 
 from oracles import (
+    dense_fd_newton,
     dense_newton_step,
     direct_transcription_oracle,
     fd_residual_jacobian,
@@ -809,10 +810,14 @@ class TestFdStep:
         n=st.integers(1, 3),
         m=st.integers(1, 2),
         horizon=st.integers(2, 40),
-        model=st.sampled_from(["lti", "affine", "affine_gain_jac"]),
+        model=st.sampled_from(["lti", "affine_constant_gain", "affine_gain_jac"]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_draws_within_the_fd_error(self, n, m, horizon, model, seed):
+        # convex linearizations only: where Q_t - C_t'R_t^(-1)C_t is
+        # indefinite the scan can be far less accurate than the differences,
+        # which test_indefinite_draws_converge_where_the_dense_step_does
+        # covers at the level of Newton's iterations
         rng = np.random.default_rng(seed)
         x0, xf = rng.standard_normal(n), rng.standard_normal(n)
         banned = random_banned_sets(rng, horizon, m, 3)
@@ -825,17 +830,16 @@ class TestFdStep:
             spec = control_affine_spec(dyn, Q, R, horizon, x0, xf, banned=banned)
         init, _ = default_initialization(spec, x0, xf)
         z = init.z + 0.1 * rng.standard_normal(init.z.size)
-        if model != "lti":
-            # the step's first-order blocks are the model's, so a model
-            # without a gain_jac must have a gain that the state does not
-            # move.  With one, the gain's state dependence is scaled as in
-            # TestStructuredStep, for a convex linearization: where it is
-            # indefinite the scan is less accurate than the differences
+        if model == "affine_constant_gain":
+            # a model may leave out gain_jac only when the state does not
+            # move its gain (test_state_dependent_gain_needs_a_gain_jac)
+            Bx *= 0.0
+        elif model == "affine_gain_jac":
+            # the gain's state dependence scaled as in TestStructuredStep,
+            # for a convex linearization
             C = np.einsum("ijl,ti->tjl", Bx, _unpack(z, spec, x0, xf)[2])
             room = np.min(np.linalg.eigvalsh(Q)) * np.min(np.linalg.eigvalsh(R))
-            Bx *= 0.0 if model == "affine" else 0.5 * np.sqrt(room) / max(
-                np.max(np.linalg.norm(C, 2, axis=(1, 2))), 1.0
-            )
+            Bx *= 0.5 * np.sqrt(room) / max(np.max(np.linalg.norm(C, 2, axis=(1, 2))), 1.0)
         try:
             gap, bound = self._gap(spec, x0, xf, z)
         except np.linalg.LinAlgError:  # kkt.SingularSystemError is one
@@ -843,6 +847,77 @@ class TestFdStep:
             assert np.linalg.cond(fd_residual_jacobian(z, spec, x0, xf)) > 1e12
             return
         assert gap <= bound
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="without a gain_jac the step's first-order blocks, like "
+        "verify_pmp, take jac_x = drift_jac and miss d(gain u)/dx; nothing "
+        "checks that such a model's gain does not depend on x",
+    )
+    def test_state_dependent_gain_needs_a_gain_jac(self):
+        # the gain B0 + Bx x with no gain_jac: the step's Jacobian is not the
+        # residual's (relative residual 5.2e-3 against the oracle here, for
+        # an FD error bound of 2.4e-9)
+        n, m, horizon = 1, 1, 2
+        rng = np.random.default_rng(0)
+        x0, xf = rng.standard_normal(n), rng.standard_normal(n)
+        _, _, Q, R = random_lq_matrices(rng, n, m)
+        dyn, _ = _random_affine(rng, n, m, with_gain_jac=False)
+        spec = control_affine_spec(dyn, Q + 0.5 * np.eye(n), R, horizon, x0, xf)
+        init, _ = default_initialization(spec, x0, xf)
+        z = init.z + 0.1 * rng.standard_normal(init.z.size)
+        gap, bound = self._gap(spec, x0, xf, z)
+        assert gap <= bound
+
+    def test_indefinite_draws_converge_where_the_dense_step_does(self):
+        # the gain's state dependence is not scaled down and Q is only
+        # positive semidefinite, so Q_t - C_t'R^(-1)C_t is often indefinite.
+        # On every draw where Newton with the dense LU step on the
+        # whole-residual FD Jacobian converges without backtracking, the
+        # structured FD step converges too, in as many iterations, and
+        # certifies
+        checked, indefinite = 0, 0
+        for seed in range(60):
+            sizes = np.random.default_rng(1000 + seed)
+            n, m, horizon = (int(sizes.integers(lo, hi)) for lo, hi in ((1, 4), (1, 3), (2, 11)))
+            rng = np.random.default_rng(seed)
+            x0, xf = rng.standard_normal(n), rng.standard_normal(n)
+            banned = random_banned_sets(rng, horizon, m, 3)
+            _, _, Q, R = random_lq_matrices(rng, n, m)
+            dyn, Bx = _random_affine(rng, n, m, True, vectorized=True)
+            spec = control_affine_spec(dyn, Q, R, horizon, x0, xf, banned=banned)
+            init, _ = default_initialization(spec, x0, xf)
+            try:
+                z, norm, alphas = dense_fd_newton(spec, x0, xf, init.z, 20, min_step=1.0)
+            except np.linalg.LinAlgError:
+                continue
+            if norm > 1e-10:
+                continue
+            got = newton_solve(spec, x0, xf, opts=NewtonOptions(fd_jacobian=True))
+            assert got.converged and got.iterations == len(alphas)
+            assert verify_pmp(got.trajectory, got.lift, spec).passed
+            checked += 1
+            for iterate in (init.z, z):
+                C = np.einsum("ijl,ti->tjl", Bx, _unpack(iterate, spec, x0, xf)[2])
+                reduced = Q - C.transpose(0, 2, 1) @ np.linalg.solve(R, C)
+                if np.min(np.linalg.eigvalsh(reduced)) < 0.0:
+                    indefinite += 1
+                    break
+        assert checked >= 8 and indefinite >= 4  # 11 and 5 when written
+
+    @pytest.mark.parametrize("horizon", [4, 8])
+    def test_general_cost_without_curvature_in_u_certifies(self, horizon):
+        # c = 0.5 x'x: every R_t is zero, so the scan runs on P_t - sigma I;
+        # the dense LU step took 4 iterations here too
+        spec = _toy_spec(banned=[[1]], horizon=horizon)
+        spec = validate(dataclasses.replace(spec, cost=GeneralCost(
+            lambda t, x, u: 0.5 * float(x @ x),
+            lambda t, x, u: x,
+            lambda t, x, u: 0.0 * u,
+        )))
+        got = newton_solve(spec, [0.0], [1.0])
+        assert got.converged and got.iterations == 4
+        assert verify_pmp(got.trajectory, got.lift, spec).passed
 
     def test_model_calls_per_step_do_not_grow_with_n(self):
         evaluations = []
