@@ -9,16 +9,20 @@ constrained to the dual cone of the stage set at the trajectory point
 (free set -> {0}, fixed point -> unconstrained, box -> signed entries on
 active coordinates only).  :func:`verify_pmp` evaluates the six first-order
 conditions numerically and reports per-condition residuals and a verdict.
-It evaluates the model terms of every stage once, batched (matrix products
-for LTI dynamics and quadratic cost), reads the stage sets as the arrays
-that :func:`bandctrl.problem.validate` built once per spec (lower and upper
-bounds, +-inf on free stages and the point twice on fixed ones, and the
-indices of the fixed and the box stages), and computes each condition, set
-conditions included, as an array reduction over the stages.  Without boxes
-the active bounds are those of the fixed stages, so the dual-cone and the
-variational-inequality terms need no comparison with the bounds.  Every
-max-norm is one reduction through an ndarray method, and the norms of the
-rescaled multipliers are those of the given ones divided by the scale.
+It evaluates the model terms of every stage once, batched: for LTI
+dynamics as 2-D products with A and B, with no (N, n, n) stage stack; for
+other models over the stacks of :func:`bandctrl.problem._stage_terms`.  It
+reads the stage sets as the arrays that :func:`bandctrl.problem.validate`
+built once per spec (lower and upper bounds, +-inf on free stages and the
+point twice on fixed ones, and the indices of the fixed and the box
+stages), and computes each condition, set conditions included, as an array
+reduction over the stages.  Without boxes the active bounds are those of
+the fixed stages, so the dual-cone and the variational-inequality terms
+need no comparison with the bounds, and with finite states only the fixed
+stages can lie outside their sets.  The max-norms are two reductions
+(:func:`bandctrl._norms.max_norms`), one before and one after the rescaling
+below, and the norms of the rescaled multipliers are those of the given ones
+divided by the scale.
 
 The conditions are positively homogeneous in the joint multiplier vector, so
 the verifier rescales the lift to unit max-norm before measuring residuals;
@@ -39,14 +43,14 @@ than n columns, and the verdict does not depend on the size of A^N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from ._memo import LastValue, content_key
-from .problem import ProblemSpec, SetArrays, Trajectory, _stage_terms
+from ._norms import largest, max_norms
+from .problem import LtiDynamics, ProblemSpec, SetArrays, Trajectory, _cost_gradients, _stage_terms
 from .spectrum import FrequencyConstraint, _rank_cutoff, numerical_rank
 
 __all__ = [
@@ -78,17 +82,6 @@ _VERDICTS = LastValue()
 def _inf(a) -> float:
     """The largest |a_i|, 0.0 for an empty array, NaN when an entry is."""
     return float(abs(np.asarray(a)).max(initial=0.0))
-
-
-def _row_sizes(*rows: np.ndarray) -> list[float]:
-    """:func:`_inf` of each of the equally long ``rows``, in one reduction."""
-    return abs(np.array(rows)).max(axis=1, initial=0.0).tolist()
-
-
-def _largest(*values: float) -> float:
-    """The largest of ``values``, NaN when one is (as numpy's max; the
-    builtin's answer depends on where the NaN is)."""
-    return math.nan if any(v != v for v in values) else max(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,6 +270,9 @@ def _worst(a: np.ndarray) -> float:
     return float(a.max(initial=0.0)) + 0.0
 
 
+_NO_GAPS = np.zeros(0)
+
+
 def verify_pmp(
     traj: Trajectory,
     lift: ExtremalLift,
@@ -302,6 +298,14 @@ def verify_pmp(
     ``Box([-inf], [inf])`` is certified like a free set.  A fixed stage's
     multiplier is unconstrained, and a fixed control set (which ``validate``
     rejects) leaves its stage no feasible direction.
+
+    For LTI dynamics f, the adjoint products p_t'A and p_t'B and A'p_0 are
+    2-D products with A and B, not einsums over their stage stacks, so the
+    fields of an LTI certificate may differ from the stage-stack form in
+    their last bits: by at most 1.2e-15 (1 + scale)(1 + |A| + |B|) in
+    20000 random draws (max-row-sum norms), with the same verdicts.  Every
+    other field, and every field for other models, is bit for bit that
+    form.
     """
     horizon, n, m = traj.horizon, traj.n, traj.m
     if (horizon, n, m) != (spec.horizon, spec.n, spec.m):
@@ -320,64 +324,100 @@ def verify_pmp(
     if p.shape != (horizon, n) or etax.shape != (horizon + 1, n):
         raise ValueError("lift dimensions do not match the trajectory")
 
+    states, controls = traj.states, traj.controls
+    x, dynamics = states[:horizon], spec.dynamics
+    lti = isinstance(dynamics, LtiDynamics)
+    if lti:
+        A, B = dynamics.A, dynamics.B
+        f = x @ A.T + controls @ B.T
+        cx, cu = _cost_gradients(spec.cost, x, controls)
+    else:
+        terms = _stage_terms(dynamics, spec.cost, states, controls, jx0=True)
+        f, cx, cu = terms.f, terms.cx, terms.cu
+    state_sets, control_sets = spec.sets_as_arrays()
+
+    # the sizes of the given arrays, and (iii) the state dynamics and (vi)
+    # the frequency residual, against the largest term of its sum
+    (
+        nu_size, p_size, inner_size, first_size, last_size, p_last_size,
+        state_res, states_size, f_size, controls_size, freq_res,
+    ) = max_norms(
+        nu, p, etax[1:horizon], etax[0], etax[horizon], p[horizon - 1],
+        states[1:] - f, states, f, controls, fc.apply(controls),
+    )
+    state_scale = max(states_size, f_size)
+    freq_scale = fc.term_scale(controls)
     nonneg = bool(eta_c >= 0.0)
-    nu_size, p_size = _inf(nu), _inf(p)
     nontrivial = bool(max(abs(eta_c), nu_size, p_size) > 0.0)
 
     # rescale the whole multiplier vector to unit max-norm: the conditions are
     # positively homogeneous in it, so verdicts become scale-invariant.  The
     # division by unit > 0 rounds monotonically, so the max-norm of a scaled
     # array is its max-norm divided by unit, bit for bit.
-    inner_size = _inf(etax[1:horizon])
-    first_size, last_size, p_last_size = _row_sizes(etax[0], etax[horizon], p[horizon - 1])
-    mu = _largest(abs(eta_c), nu_size, p_size, inner_size, first_size, last_size)
+    mu = largest(abs(eta_c), nu_size, p_size, inner_size, first_size, last_size)
     unit = mu if mu > 0.0 else 1.0
     eta_s, nu_s, p_s, etax_s = eta_c / unit, nu / unit, p / unit, etax / unit
 
-    states, controls = traj.states, traj.controls
-    terms = _stage_terms(spec.dynamics, spec.cost, states, controls, jx0=True)
-    state_sets, control_sets = spec.sets_as_arrays()
-
-    # (iii) state dynamics
-    state_res = _inf(states[1:] - terms.f)
-    state_scale = max(_inf(states), _inf(terms.f))
-
-    # (iii) adjoint recursion, t = 1..N-1
-    jxp = np.einsum("tij,ti->tj", terms.jx[1:], p_s[1:])
-    cgrad = eta_s * terms.cx[1:]
-    adj_res = _inf(p_s[:-1] - (jxp - cgrad - etax_s[1:horizon]))
-    adj_scale = max(p_size / unit, _inf(jxp), _inf(cgrad), inner_size / unit)
-
+    # the adjoint products (df_t/dx)'p_t for t = 1..N-1 and t = 0, and
+    # (df_t/du)'p_t: 2-D products for LTI dynamics, else over the stage stacks
+    if lti:
+        jxp, jx0p, jup = p_s[1:] @ A, A.T @ p_s[0], p_s @ B
+    else:
+        jxp = np.einsum("tij,ti->tj", terms.jx[1:], p_s[1:])
+        jx0p = terms.jx[0].T @ p_s[0]
+        jup = np.einsum("tij,ti->tj", terms.ju, p_s)
+    cgrad = eta_s * cx[1:]
+    dh_dx0 = jx0p - eta_s * cx[0]
+    # (v) the gradient of the Hamiltonian in u
+    grad = jup - eta_s * cu - fc.apply_transpose(nu_s)
     # (iii), (iv) multipliers in the dual cones of their stage sets: no
     # negative entry off the lower bound, no positive entry off the upper one
     cone_gap = _cone_gaps(states, etax_s, state_sets, active_tol)
-    adj_res = max(adj_res, _worst(cone_gap[1:horizon]))
-    set_gap = _set_gaps(states, state_sets)
-    interior_gap = _worst(set_gap[1:horizon])
-
-    # (iv) transversality at both ends
-    dh_dx0 = terms.jx[0].T @ p_s[0] - eta_s * terms.cx[0]
-    start_res, end_res, dh_size = _row_sizes(
-        dh_dx0 - etax_s[0], p_s[horizon - 1] + etax_s[horizon], dh_dx0
+    # (iii), (iv) states in their stage sets.  Without boxes a state lies
+    # |x - point| outside a fixed stage's set, and -inf (below the floor 0.0
+    # of the violation) outside a free one, or NaN where x is not finite; so
+    # with finite states only the fixed stages count, rows i..j-1 of ``gaps``
+    # the interior ones.  validate admits no fixed control set, and with
+    # neither those nor boxes every control direction is feasible.
+    plain = (
+        states_size < np.inf
+        and controls_size < np.inf
+        and not (state_sets.boxes.size or control_sets.boxes.size or control_sets.fixed.size)
     )
-    trans_res = max(start_res, end_res, _worst(cone_gap[[0, horizon]]))
+    gaps, i, j = _NO_GAPS, 0, 0
+    if plain:
+        stages = state_sets.fixed
+        gaps = states[stages] - state_sets.bounds[0, stages]
+        i, j = stages.searchsorted((1, horizon))
+    # (iii) adjoint recursion, t = 1..N-1, (iv) transversality at both ends;
+    # a cone gap is not negative, so its largest entry is its size
+    (
+        adj_res, jxp_size, cgrad_size, inner_cone, start_res, end_res, dh_size, end_cone, vi_scale,
+        interior_gap, first_gap, last_gap,
+    ) = max_norms(
+        p_s[:-1] - (jxp - cgrad - etax_s[1:horizon]), jxp, cgrad, cone_gap[1:horizon],
+        dh_dx0 - etax_s[0], p_s[horizon - 1] + etax_s[horizon], dh_dx0, cone_gap[[0, horizon]],
+        grad, gaps[i:j], gaps[:i], gaps[j:],
+    )
+    adj_res = max(adj_res, inner_cone)
+    adj_scale = max(p_size / unit, jxp_size, cgrad_size, inner_size / unit)
+    trans_res = max(start_res, end_res, end_cone)
     trans_scale = max(dh_size, first_size / unit, p_last_size / unit, last_size / unit)
-    endpoint_gap = _worst(set_gap[[0, horizon]])
 
     # (v) Hamiltonian variational inequality on the signed coordinate
     # directions into the control set: -e_j unless u_j is at its lower bound,
     # +e_j unless it is at its upper bound
-    grad = np.einsum("tij,ti->tj", terms.ju, p_s) - eta_s * terms.cu - fc.apply_transpose(nu_s)
-    vi_scale = _inf(grad)
-    vi_worst = float(_slopes(controls, grad, control_sets, active_tol).max())
-    # every direction pinned: the inequality is vacuous; a zero worst reads
-    # +0.0, and a NaN gradient stays NaN
-    vi_worst = 0.0 if vi_worst == -np.inf else vi_worst + 0.0
-    control_gap = _worst(_set_gaps(controls, control_sets))
-
-    # (vi) frequency residual, against the largest term of its sum
-    freq_res = _inf(fc.apply(controls))
-    freq_scale = fc.term_scale(controls)
+    if plain:
+        endpoint_gap, control_gap, vi_worst = largest(first_gap, last_gap), 0.0, vi_scale
+    else:
+        set_gap = _set_gaps(states, state_sets)
+        interior_gap = _worst(set_gap[1:horizon])
+        endpoint_gap = _worst(set_gap[[0, horizon]])
+        control_gap = _worst(_set_gaps(controls, control_sets))
+        vi_worst = float(_slopes(controls, grad, control_sets, active_tol).max())
+        # every direction pinned: the inequality is vacuous; a zero worst
+        # reads +0.0, and a NaN gradient stays NaN
+        vi_worst = 0.0 if vi_worst == -np.inf else vi_worst + 0.0
 
     state_tol = tol * (1 + state_scale)
     thresholds = {
@@ -387,7 +427,7 @@ def verify_pmp(
         "hamiltonian_vi_worst": tol * (1 + vi_scale),
         "freq_residual": tol * (1 + freq_scale),
         "state_set_violation": state_tol,
-        "control_set_violation": tol * (1 + _inf(controls)),
+        "control_set_violation": tol * (1 + controls_size),
     }
     condition_passed = {
         "i": bool(nonneg),
@@ -495,13 +535,17 @@ def reachability_stack(A, B, horizon: int) -> np.ndarray:
 
 def _reachable_subspace(A, B, horizon: int):
     """Orthonormal basis V (n, r) of the states reachable in the horizon, the
-    range of [B, AB, ..., A^(k-1) B] with k = min(N, n), and its rank r.
+    range of [B, AB, ..., A^(k-1) B] with k = min(N, n), and its rank r;
+    V is None (and r 0) when those blocks leave the floating-point range.
 
     No power above A^(n-1) enters, so the rank does not depend on the size of
     A^N.  The SVD is of an n x mk matrix.
     """
     n, m = B.shape
-    blocks = controllability_matrix(A, B)[:, : m * min(horizon, n)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = controllability_matrix(A, B)[:, : m * min(horizon, n)]
+    if not np.isfinite(blocks).all():
+        return None, 0
     u, s, _ = np.linalg.svd(blocks, full_matrices=False)
     rank = int(np.count_nonzero(s >= _rank_cutoff(s[0], max(blocks.shape)))) if s.size else 0
     return u[:, :rank], rank
@@ -535,7 +579,8 @@ def _impulse_rows(A, B, horizon: int):
 def _reachability_basis(A, B, horizon: int):
     """Orthonormal basis (m N, r) of the range of the reachability stack
     [B'(A')^(N-1); ...; B'] (rows t m + i), and its rank r; the basis is
-    None when the factors leave the floating-point range.
+    None when the factors leave the floating-point range (and r is 0 when
+    already the controllability blocks do).
 
     When r < n the stack is first written in an orthonormal basis V of the
     reachable states: S V stacks B_r'(A_r')^k with A_r = V'AV, B_r = V'B, has
@@ -555,6 +600,8 @@ def _reachability_basis(A, B, horizon: int):
     """
     v, rank = _reachable_subspace(A, B, horizon)
     n, m = B.shape
+    if v is None:
+        return None, 0
     if rank == 0:
         return np.zeros((m * horizon, 0)), 0
     if rank < n:
@@ -609,12 +656,17 @@ def classify_normality_classic(A, B, horizon: int) -> NormalityVerdict:
     (of an n x nm matrix); ``rank_augmented`` is the rank of the reachability
     stack over the horizon, which by Cayley-Hamilton is that of the first
     min(N, n) blocks, as in :func:`classify_normality_freq`.  With no
-    frequency rows there are no angles, and the margin is 1.0.
+    frequency rows there are no angles, and the margin is 1.0; when the
+    blocks overflow the verdict is UNDETERMINED, with margin 0.0 and both
+    ranks 0 (not computed).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n, m = B.shape
-    ctrl = controllability_matrix(A, B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ctrl = controllability_matrix(A, B)
+    if not np.isfinite(ctrl).all():
+        return NormalityVerdict(NormalityClass.UNDETERMINED, 0, 0, (n, m, horizon, 0), 0.0)
     rank_ctrl = numerical_rank(ctrl)
     rank_aug = rank_ctrl if horizon >= n else numerical_rank(ctrl[:, : m * horizon])
     cls = (
@@ -646,7 +698,8 @@ def classify_normality_freq(A, B, horizon: int, constraint: FrequencyConstraint)
     of A^N, and every SVD is of a matrix with at most n columns or rows.  When the
     factors overflow (rho(A)^N near 1e308) the verdict is UNDETERMINED
     (unless q + n > m*N), with margin 0.0 and rank_augmented 0 (not
-    computed).
+    computed), and rank_reachability 0 too when already the controllability
+    blocks overflow.
 
     The verdict depends on A, B and the frequency rows alone (the horizon is
     the constraint's), so the verdict of the most recent of them is kept in

@@ -68,7 +68,8 @@ from P_N = sigma I (the rule of :func:`lti_solve`'s sweep),
 with the recursion of every stage computed at once by an associative scan of
 the Riccati maps (:func:`riccati_scan`; about sigma I where an R_t has no
 inverse, so that a cost without curvature in u is solved too).
-:func:`lti_product` is ``assemble(...) @ z`` without the matrix.
+:func:`lti_product` is ``assemble(...) @ z`` without the matrix, and
+:func:`lti_solve` checks its residual block by block.
 
 The stationary gain, the border matrix and Z depend on the plant
 (A, B, Q, R) and the frequency rows, not on v, in which alone the endpoints
@@ -97,6 +98,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ._memo import LastValue, content_key
+from ._norms import largest, max_norms
 from .spectrum import numerical_rank
 
 # a first-order residual max-norm above INFEASIBILITY_TOL * (1 + |rhs|)
@@ -258,11 +260,21 @@ def assemble(jx, ju, Q, R, constraint, cross=None) -> np.ndarray:
 def boundary_rhs(ax0, xf, n: int, m: int, horizon: int, q: int) -> np.ndarray:
     """Right-hand side -r(0) of an LTI system.  At z = 0 every row vanishes
     but the first dynamics row, r = -A x_0 (``ax0`` is A x_0), and the last
-    one, r = x_N = ``xf`` (the same row when N = 1)."""
+    one, r = x_N = ``xf`` (the same row when N = 1): see :func:`_boundary_rows`."""
     rhs = np.zeros(segments(n, m, horizon, q)["nu"].stop)
-    rhs[:n] = ax0
-    rhs[(horizon - 1) * n : horizon * n] -= xf
+    first, last = _boundary_rows(ax0, xf, horizon)
+    rhs[:n] = first
+    rhs[(horizon - 1) * n : horizon * n] = last
     return rhs
+
+
+def _boundary_rows(ax0, xf, horizon: int):
+    """The first and the last dynamics rows of :func:`boundary_rhs`, A x0
+    and 0 - xf, or A x0 - xf twice when N = 1 and they are one row."""
+    if horizon == 1:
+        first = ax0 - xf
+        return first, first
+    return ax0, 0.0 - xf
 
 
 def riccati_sweep(A, B, Q, R, horizon: int, terminal=None):
@@ -763,17 +775,26 @@ def _stationary_border(A, B, constraint, gain):
 
 def lti_product(A, B, Q, R, constraint, z) -> np.ndarray:
     """``assemble(...) @ z`` for LTI dynamics, without forming the matrix."""
-    N, q, m = constraint.horizon, constraint.row_count, constraint.channels
     n = np.shape(A)[0]
-    un = StackedUnknowns(z, n, m, N, q)
+    z = StackedUnknowns(z, n, constraint.channels, constraint.horizon, constraint.row_count).z
+    return np.concatenate([b.ravel() for b in _product_blocks(A, B, Q, R, constraint, z)])
+
+
+def _product_blocks(A, B, Q, R, constraint, z):
+    """The dynamics (N, n), adjoint (N-1, n), stationarity (N, m) and
+    frequency (q,) blocks of :func:`lti_product`, for a z of its length."""
+    N, m = constraint.horizon, constraint.channels
+    n = len(A)
+    ou = (N - 1) * n
+    op = ou + N * m
+    ov = op + N * n
     X = np.zeros((N + 1, n))
-    X[1:N] = un.states()
-    U, P, nu = un.controls(), un.adjoints(), un.nu()
+    X[1:N] = z[:ou].reshape(N - 1, n)
+    U, P, nu = z[ou:op].reshape(N, m), z[op:ov].reshape(N, n), z[ov:]
     dyn = X[1:] - X[:-1] @ A.T - U @ B.T
     adj = P[:-1] - P[1:] @ A + X[1:N] @ Q.T
     stat = P @ B - U @ R.T - constraint.apply_transpose(nu)
-    freq = constraint.apply(U)
-    return np.concatenate([dyn.ravel(), adj.ravel(), stat.ravel(), freq])
+    return dyn, adj, stat, constraint.apply(U)
 
 
 def _time_varying_border(A, B, constraint, rhs, sweep):
@@ -926,12 +947,18 @@ def lti_solve(A, B, Q, R, constraint, ax0, xf):
     scan (:func:`_time_varying_border`); that border is solved by LU, and by
     least squares when LU fails, gives non-finite values or fails the
     residual test.
+
+    The residual test is |``assemble(...) @ z`` - rhs|_max with the blocks of
+    :func:`lti_product` reduced where they are computed, the rhs subtracted
+    only in the first and the last dynamics rows, where v enters: the same
+    operations in the same order as on the whole vector, so the same bits,
+    without a vector of the length of z.
     """
     A, B, Q, R, ax0, xf = (np.asarray(a, dtype=float) for a in (A, B, Q, R, ax0, xf))
     n = A.shape[0]
     N = constraint.horizon
-    rhs = boundary_rhs(ax0, xf, n, constraint.channels, N, constraint.row_count)
-    threshold = INFEASIBILITY_TOL * (1.0 + abs(rhs).max(initial=0.0))
+    first, last = _boundary_rows(ax0, xf, N)  # the rows of the rhs that are not zero
+    threshold = INFEASIBILITY_TOL * (1.0 + abs(np.concatenate([first, last])).max(initial=0.0))
     plan = _PLANS.get(
         (content_key(A, B, Q, R), constraint.row_key),
         lambda: _stationary_plan(A, B, Q, R, _terminal_weight(R, B), constraint),
@@ -940,7 +967,11 @@ def lti_solve(A, B, Q, R, constraint, ax0, xf):
     def residual(z):
         if not np.isfinite(z).all():
             return np.inf
-        return float(abs(lti_product(A, B, Q, R, constraint, z) - rhs).max())
+        dyn, adj, stat, freq = _product_blocks(A, B, Q, R, constraint, z)
+        dyn[0] -= first
+        if N > 1:
+            dyn[-1] -= last
+        return largest(*max_norms(dyn, adj, stat, freq))
 
     z = None
     if plan is not None:
@@ -948,6 +979,7 @@ def lti_solve(A, B, Q, R, constraint, ax0, xf):
         if Z is not None:
             z = Z.dot(np.concatenate([ax0, xf]))
     else:
+        rhs = boundary_rhs(ax0, xf, n, constraint.channels, N, constraint.row_count)
         S, b, stacked = _time_varying_border(
             np.broadcast_to(A, (N,) + A.shape), np.broadcast_to(B, (N,) + B.shape),
             constraint, rhs, riccati_sweep(A, B, Q, R, N, _terminal_weight(R, B) * np.eye(n)),

@@ -45,7 +45,7 @@ from .extremal import (
     NormalityVerdict,
     classify_normality_freq,
 )
-from .problem import QuadraticCost, Trajectory, trajectory_cost
+from .problem import Trajectory, _quadratic_value
 from .spectrum import FrequencyConstraint
 
 __all__ = [
@@ -130,7 +130,7 @@ def riccati_solve(A, B, Q, R, horizon: int, x0) -> tuple[RiccatiSolution, Trajec
     states = np.concatenate([x0[None], kkt._scan(phi, start)[:, :, 0]])
     controls = (K @ states[:-1, :, None])[:, :, 0]
     traj = Trajectory(states=states, controls=controls)
-    cost = trajectory_cost(QuadraticCost(Q, R), traj)
+    cost = _quadratic_value(Q, R, traj.states[:-1], traj.controls)
     return RiccatiSolution(S, K, cost, SolveStatus.SOLVED), traj
 
 
@@ -178,10 +178,11 @@ def _solve_transfer(A, B, Q, R, N, x0, xf, constraint, normality=None) -> LqSolu
             None, None, nu, float("nan"), SolveStatus.INFEASIBLE, residual, normality=normality
         )
     states = np.concatenate([x0[None], unknowns.states(), xf[None]])
-    traj = Trajectory(states, unknowns.controls())
-    cost = trajectory_cost(QuadraticCost(Q, R), traj)
+    controls = unknowns.controls()
     return LqSolution(
-        traj, unknowns.adjoints(), nu, cost, SolveStatus.SOLVED, residual, normality=normality
+        Trajectory(states, controls), unknowns.adjoints(), nu,
+        _quadratic_value(Q, R, states[:-1], controls), SolveStatus.SOLVED, residual,
+        normality=normality,
     )
 
 

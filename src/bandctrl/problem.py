@@ -361,11 +361,15 @@ def rollout(dynamics: DynamicsModel, x0, controls) -> Trajectory:
 def trajectory_cost(cost: CostModel, traj: Trajectory) -> float:
     """Total stage cost sum_{t=0}^{N-1} c_t(x_t, u_t)."""
     if isinstance(cost, QuadraticCost):
-        x, u = traj.states[:-1], traj.controls
-        return 0.5 * float(np.sum((x @ cost.Q.T) * x)) + 0.5 * float(np.sum((u @ cost.R.T) * u))
+        return _quadratic_value(cost.Q, cost.R, traj.states[:-1], traj.controls)
     return float(
         sum(cost.value(t, traj.states[t], traj.controls[t]) for t in range(traj.horizon))
     )
+
+
+def _quadratic_value(Q, R, x, u) -> float:
+    """sum_t 0.5 x_t'Q x_t + 0.5 u_t'R u_t over the rows of ``x`` and ``u``."""
+    return 0.5 * float(((x @ Q.T) * x).sum()) + 0.5 * float(((u @ R.T) * u).sum())
 
 
 class _StageTerms(NamedTuple):
@@ -444,12 +448,19 @@ def _stage_terms(
         for t in range(0 if jx0 else 1, N):
             jx[t] = dynamics.jac_x(t, x[t], u[t])
         ju = np.array([dynamics.jac_u(t, x[t], u[t]) for t in range(N)]).reshape(N, n, m)
+    return _StageTerms(f, jx, ju, *_cost_gradients(cost, x, u), gx)
+
+
+def _cost_gradients(cost: CostModel, x, u) -> tuple[np.ndarray, np.ndarray]:
+    """dc_t/dx (N, n) and dc_t/du (N, m) at the (N, n) states ``x`` and the
+    (N, m) controls ``u``: two products for a quadratic cost, else one call of
+    ``grad_x`` and of ``grad_u`` per stage."""
     if isinstance(cost, QuadraticCost):
-        cx, cu = x @ cost.Q.T, u @ cost.R.T
-    else:
-        cx = np.array([cost.grad_x(t, x[t], u[t]) for t in range(N)]).reshape(N, n)
-        cu = np.array([cost.grad_u(t, x[t], u[t]) for t in range(N)]).reshape(N, m)
-    return _StageTerms(f, jx, ju, cx, cu, gx)
+        return x @ cost.Q.T, u @ cost.R.T
+    N, n = x.shape
+    cx = np.array([cost.grad_x(t, x[t], u[t]) for t in range(N)]).reshape(N, n)
+    cu = np.array([cost.grad_u(t, x[t], u[t]) for t in range(N)]).reshape(N, u.shape[1])
+    return cx, cu
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,12 @@ class FrequencyConstraint:
     ``row_channel[j]``; ``samples`` (horizon, q) holds each row's N samples,
     and only the methods below read them; ``row_key`` compares constraints
     by content.  Both are computed once, when the constraint is built, and
-    the weights of :meth:`term_scale` once, when first used.  ``blocks``
+    the weights of :meth:`term_scale` and the flat index of :meth:`apply`
+    once, when first used.  :meth:`apply` and :meth:`apply_transpose` are one
+    matrix product of ``samples`` with every channel, m times the flops of
+    the rows' own channels, and a gather from it (a scatter into its
+    transpose's input) at each row's channel by that index: a copy of the
+    samples split by channel would cost a second (horizon, q) table.  ``blocks``
     (horizon, q, channels) and ``stacked`` (q, horizon * channels) are dense
     copies, for tests and demonstrations.  The rows are orthogonal, with
     norms ``row_norms``, so ``effective_rank == row_count``; a repeated
@@ -183,8 +188,8 @@ class FrequencyConstraint:
         """sum_t F_t u_t, (q,) for controls (horizon, channels); (q, r) for
         (horizon, channels, r), one per trailing column."""
         u = np.asarray(controls, dtype=float)
-        every = (self.samples.T @ u.reshape(len(u), -1)).reshape((self.row_count,) + u.shape[1:])
-        return every[np.arange(self.row_count), self.row_channel]  # each row on its own channel
+        every = self.samples.T @ u.reshape(len(u), -1)  # every row on every channel
+        return every.reshape((-1,) + u.shape[2:])[self._flat_rows]  # each on its own
 
     def term_scale(self, controls) -> float:
         """max over t and rows i of |F_{t,i} u_{t,c_i}|, the largest term of
@@ -213,10 +218,19 @@ class FrequencyConstraint:
         """F_t' nu for every t, (horizon, channels); (horizon, channels, r)
         for nu (q, r), one per trailing column."""
         nu = np.asarray(nu, dtype=float)
-        spread = np.zeros((self.row_count, self.channels) + nu.shape[1:])  # nu_j on its channel
-        spread[np.arange(self.row_count), self.row_channel] = nu
-        flat = spread.reshape(self.row_count, math.prod(spread.shape[1:]))
-        return (self.samples @ flat).reshape((self.horizon,) + spread.shape[1:])
+        spread = np.zeros((self.row_count * self.channels,) + nu.shape[1:])
+        spread[self._flat_rows] = nu  # nu_j on its channel, zero on the others
+        flat = spread.reshape(self.row_count, self.channels * math.prod(nu.shape[1:]))
+        return (self.samples @ flat).reshape((self.horizon, self.channels) + nu.shape[1:])
+
+    @functools.cached_property
+    def _flat_rows(self) -> np.ndarray:
+        """Row j on its channel c_j in a (q, channels) array read flat,
+        j * channels + c_j: the entries of sum_t F_t u_t in the product of
+        ``samples.T`` with every channel, and of nu in its transpose's input."""
+        rows = np.arange(self.row_count) * self.channels + self.row_channel
+        rows.setflags(write=False)
+        return rows
 
     def columns(self) -> np.ndarray:
         """The dense F_t', (horizon, channels, q), read-only."""

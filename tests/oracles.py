@@ -33,7 +33,12 @@ residual Jacobian is the matrix that ``newton_solve``'s finite-difference
 step factored before it became the same structured solve: central
 differences of the whole residual, first-order blocks included; the dense
 finite-difference Newton iteration factors it by LU with one refinement
-step, as that step did.  ``dynamics_row_ulps``
+step, as that step did.  The stage-stack certificate is ``verify_pmp`` as
+it was before it took LTI products from A and B and fused its max-norms:
+einsums over the broadcast stage stacks, one reduction per norm, the set
+gaps of every stage.  The channel-spread kernels are ``apply`` and
+``apply_transpose`` of ``FrequencyConstraint`` before its flat index: a 2-D
+fancy index and a (q, channels) zero spread.  ``dynamics_row_ulps``
 measures how well each row x_{t+1} = A x_t + B u_t of a returned trajectory
 holds, in units of the rounding of its terms.  Inside ``empty_memos`` the
 one-plant memos of ``bandctrl.kkt`` and ``bandctrl.extremal`` start empty,
@@ -41,11 +46,13 @@ so what is solved there is computed afresh.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
 from bandctrl import extremal, kkt, problem
 from bandctrl._memo import LastValue
+from bandctrl._norms import largest
 from bandctrl.extremal import (
     NormalityClass,
     NormalityVerdict,
@@ -56,7 +63,7 @@ from bandctrl.extremal import (
 from bandctrl.lq import INFEASIBILITY_TOL
 from bandctrl.problem import Box, Fixed, Free
 from bandctrl.shooting import _residual_vec, _unpack, assemble_residual, residual_jacobian
-from bandctrl.spectrum import numerical_rank
+from bandctrl.spectrum import FrequencyConstraint, numerical_rank
 
 
 def naive_dft(signal):
@@ -535,6 +542,120 @@ def loop_verify_pmp(traj, lift, spec, tol=1e-7, active_tol=1e-8, comparisons=Non
         condition_passed=condition_passed,
         passed=all(condition_passed.values()),
     )
+
+
+def stage_stack_verify_pmp(traj, lift, spec, tol=1e-7, active_tol=1e-8):
+    """``verify_pmp`` in the form that LTI products and fused norms replaced:
+    every model term over the (N, n, n) and (N, n, m) stage stacks of
+    ``problem._stage_terms`` (broadcast views of A and B for LTI dynamics),
+    the adjoint products as einsums over them, each max-norm its own
+    reduction, and the set gaps of every stage."""
+    def size(a):
+        return float(abs(np.asarray(a)).max(initial=0.0))
+
+    def worst(a):
+        return float(a.max(initial=0.0)) + 0.0
+
+    def set_gaps(points, sets):
+        return np.maximum(sets.bounds[0] - points, points - sets.bounds[1])
+
+    horizon = traj.horizon
+    fc = spec.frequency_constraint or FrequencyConstraint(horizon, traj.m)
+    eta_c = float(lift.eta_c)
+    nu = lift.nu if lift.nu.size else np.zeros(fc.row_count)
+    p, etax = lift.adjoints, lift.state_multipliers
+    states, controls = traj.states, traj.controls
+    nu_size, p_size, inner_size = size(nu), size(p), size(etax[1:horizon])
+    first_size, last_size, p_last_size = size(etax[0]), size(etax[horizon]), size(p[horizon - 1])
+    mu = largest(abs(eta_c), nu_size, p_size, inner_size, first_size, last_size)
+    unit = mu if mu > 0.0 else 1.0
+    eta_s, nu_s, p_s, etax_s = eta_c / unit, nu / unit, p / unit, etax / unit
+    terms = problem._stage_terms(spec.dynamics, spec.cost, states, controls, jx0=True)
+    state_sets, control_sets = spec.sets_as_arrays()
+
+    state_res = size(states[1:] - terms.f)
+    state_scale = max(size(states), size(terms.f))
+    jxp = np.einsum("tij,ti->tj", terms.jx[1:], p_s[1:])
+    cgrad = eta_s * terms.cx[1:]
+    adj_res = size(p_s[:-1] - (jxp - cgrad - etax_s[1:horizon]))
+    adj_scale = max(p_size / unit, size(jxp), size(cgrad), inner_size / unit)
+    cone_gap = extremal._cone_gaps(states, etax_s, state_sets, active_tol)
+    adj_res = max(adj_res, worst(cone_gap[1:horizon]))
+    set_gap = set_gaps(states, state_sets)
+    interior_gap = worst(set_gap[1:horizon])
+    dh_dx0 = terms.jx[0].T @ p_s[0] - eta_s * terms.cx[0]
+    start_res, end_res = size(dh_dx0 - etax_s[0]), size(p_s[horizon - 1] + etax_s[horizon])
+    trans_res = max(start_res, end_res, worst(cone_gap[[0, horizon]]))
+    trans_scale = max(size(dh_dx0), first_size / unit, p_last_size / unit, last_size / unit)
+    endpoint_gap = worst(set_gap[[0, horizon]])
+    grad = np.einsum("tij,ti->tj", terms.ju, p_s) - eta_s * terms.cu - fc.apply_transpose(nu_s)
+    vi_scale = size(grad)
+    vi_worst = float(extremal._slopes(controls, grad, control_sets, active_tol).max())
+    vi_worst = 0.0 if vi_worst == -np.inf else vi_worst + 0.0
+    control_gap = worst(set_gaps(controls, control_sets))
+    freq_res = size(fc.apply(controls))
+
+    state_tol = tol * (1 + state_scale)
+    thresholds = {
+        "state_dyn_residual": state_tol,
+        "adjoint_dyn_residual": tol * (1 + adj_scale),
+        "transversality_residual": tol * (1 + trans_scale),
+        "hamiltonian_vi_worst": tol * (1 + vi_scale),
+        "freq_residual": tol * (1 + fc.term_scale(controls)),
+        "state_set_violation": state_tol,
+        "control_set_violation": tol * (1 + size(controls)),
+    }
+    condition_passed = {
+        "i": eta_c >= 0.0,
+        "ii": max(abs(eta_c), nu_size, p_size) > 0.0,
+        "iii": bool(
+            state_res <= state_tol
+            and adj_res <= thresholds["adjoint_dyn_residual"]
+            and interior_gap <= state_tol
+        ),
+        "iv": bool(trans_res <= thresholds["transversality_residual"] and endpoint_gap <= state_tol),
+        "v": bool(
+            vi_worst <= thresholds["hamiltonian_vi_worst"]
+            and control_gap <= thresholds["control_set_violation"]
+        ),
+        "vi": bool(freq_res <= thresholds["freq_residual"]),
+    }
+    return PmpCertificate(
+        nonneg=condition_passed["i"],
+        nontrivial=condition_passed["ii"],
+        state_dyn_residual=state_res,
+        adjoint_dyn_residual=adj_res,
+        transversality_residual=trans_res,
+        hamiltonian_vi_worst=vi_worst,
+        freq_residual=freq_res,
+        set_violation=max(interior_gap, endpoint_gap, control_gap),
+        tol=tol,
+        condition_passed=condition_passed,
+        passed=all(condition_passed.values()),
+        thresholds=thresholds,
+    )
+
+
+def channel_spread_apply(constraint, controls):
+    """``FrequencyConstraint.apply`` in the form that the flat index
+    replaced: the product with every channel, then each row's own channel
+    gathered by a 2-D fancy index."""
+    u = np.asarray(controls, dtype=float)
+    q = constraint.row_count
+    every = (constraint.samples.T @ u.reshape(len(u), -1)).reshape((q,) + u.shape[1:])
+    return every[np.arange(q), constraint.row_channel]
+
+
+def channel_spread_apply_transpose(constraint, nu):
+    """``FrequencyConstraint.apply_transpose`` in the form that the flat
+    index replaced: nu spread over a (q, channels, ...) zero array by a 2-D
+    fancy index, then the product with the samples."""
+    nu = np.asarray(nu, dtype=float)
+    q = constraint.row_count
+    spread = np.zeros((q, constraint.channels) + nu.shape[1:])
+    spread[np.arange(q), constraint.row_channel] = nu
+    flat = spread.reshape(q, math.prod(spread.shape[1:]))
+    return (constraint.samples @ flat).reshape((constraint.horizon,) + spread.shape[1:])
 
 
 def _loop_check_box(name, box, dim, errors):

@@ -630,10 +630,24 @@ def doc_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli_property")
 
 
+# A B overflows, so the controllability blocks of the normality test do; the
+# transfer ends SINGULAR (exit 4)
+_OVERFLOWING_BLOCKS = _transfer_doc(
+    horizon=3,
+    dynamics={"A": np.diag([0.0, 0.0, 10.0]).tolist(),
+              "B": np.diag([0.0, 0.0, 1.797693134862316e307]).tolist()},
+    cost={"Q": np.zeros((3, 3)).tolist(), "R": np.eye(3).tolist()},
+    boundary={"x0": [0.0] * 3, "xf": [0.0] * 3},
+    banned_frequencies=[[], [], []],
+)
+
+
 class TestAnyDocument:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(doc=_or_junk(_problem_documents()))
     @example(doc=_transfer_doc(dynamics={"builtin": []}))
+    @example(doc=_OVERFLOWING_BLOCKS)
+    @example(doc={**_OVERFLOWING_BLOCKS, "solver": "transfer"})
     def test_run_ends_in_an_exit_code(self, doc_dir, doc):
         inp, out = doc_dir / "p.json", doc_dir / "r.json"
         inp.write_text(json.dumps(doc))

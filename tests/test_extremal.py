@@ -52,8 +52,11 @@ from oracles import (
     quadratic_cost,
     random_banned_sets,
     random_lq_matrices,
+    stage_stack_verify_pmp,
     svd_classify_normality_freq,
 )
+
+EPS = float(np.finfo(float).eps)
 
 
 def _transfer_setup(seed=0, horizon=8, n=2, m=1, banned=None):
@@ -450,6 +453,64 @@ class TestVerifyPmpAgainstLoopOracle:
             assert got.thresholds[name] == pytest.approx(bound, rel=1e-12, abs=0.0), name
 
 
+class TestVerifyPmpAgainstStageStacks:
+    """For LTI dynamics the certificate takes the adjoint products from A and
+    B, which moves its fields by rounding; for any other model it is the
+    stage-stack form bit for bit, NaN and infinite inputs included."""
+
+    FIELDS = TestVerifyPmpAgainstLoopOracle.FIELDS
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model=st.sampled_from(["lti", "wrap_lti", "toy", "wrap_toy"]),
+        n=st.integers(1, 4),
+        m=st.integers(1, 2),
+        horizon=st.integers(1, 48),
+        eta_c=st.sampled_from([0.0, 1.0]),
+        noise=st.sampled_from([0.0, 1e-10, 1e-7, 1e-4, 1e-1]),
+        special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certificate_matches_the_stage_stack_form(
+        self, model, n, m, horizon, eta_c, noise, special, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if model.endswith("toy"):
+            n = m = 1
+        spec, traj, lift = _certificate_inputs(rng, model, n, m, horizon, eta_c)
+        traj, lift = _perturbed(rng, traj, lift, noise)
+        if special is not None:  # one entry of a state, control or multiplier
+            arrays = [traj.states.copy(), traj.controls.copy(), lift.adjoints.copy(),
+                      lift.state_multipliers.copy(), lift.nu.copy()]
+            target = arrays[rng.integers(5)]
+            if target.size:
+                target.flat[rng.integers(target.size)] = special
+            traj = Trajectory(arrays[0], arrays[1])
+            lift = ExtremalLift(lift.eta_c, arrays[4], arrays[2], arrays[3])
+        with np.errstate(all="ignore"):
+            got = verify_pmp(traj, lift, spec)
+            ref = stage_stack_verify_pmp(traj, lift, spec)
+        assert got.passed == ref.passed and got.condition_passed == ref.condition_passed
+        if not isinstance(spec.dynamics, LtiDynamics):
+            assert _bits(got) == _bits(ref)
+            return
+        assert (got.nonneg, got.nontrivial) == (ref.nonneg, ref.nontrivial)
+        # a product with A or B rounds its n terms in another order, off by up
+        # to about n eps of their size, (1 + |A| + |B|) times that of the
+        # scaled multipliers and the states; 20000 draws moved by 5 eps at most
+        A, B = spec.dynamics.A, spec.dynamics.B
+        rounding = 8 * n * EPS * (1.0 + np.linalg.norm(A, np.inf) + np.linalg.norm(B, np.inf))
+
+        def close(a, b, size):
+            return a == b or abs(a - b) <= rounding * size or (np.isnan(a) and np.isnan(b))
+
+        for name, bound in ref.thresholds.items():
+            assert close(got.thresholds[name], bound, bound), name
+        for field in self.FIELDS:  # rounding relative to 1 + scale
+            bound = ref.thresholds["state_set_violation" if field == "set_violation" else field]
+            assert close(getattr(got, field), getattr(ref, field), bound / ref.tol), field
+
+
 def _bits(cert) -> str:
     """The certificate with every float written exactly."""
     return json.dumps(cert.to_dict(), sort_keys=True)
@@ -767,6 +828,17 @@ class TestNormalityFreq:
         # the classic test raises no power past A^(n-1)
         assert classic.classification is NormalityClass.ALL_NORMAL
         assert classic.to_dict()["margin"] == 1.0
+
+    def test_overflowing_controllability_blocks_are_undetermined_without_a_warning(self):
+        # A B overflows: 10 * 1.8e307; the SVD of those blocks did not converge
+        A, B = np.diag([0.0, 0.0, 10.0]), np.diag([0.0, 0.0, 1.797693134862316e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = classify_normality_freq(A, B, 3, FrequencyConstraint(3, 3))
+            classic = classify_normality_classic(A, B, 3)
+        for v in (verdict, classic):
+            assert v.classification is NormalityClass.UNDETERMINED
+            assert (v.margin, v.rank_reachability, v.rank_augmented) == (0.0, 0, 0)
 
     def test_no_tall_svd_and_linear_memory(self, monkeypatch):
         # the baseline plant at N = 4096 (q = 1534): a dense copy of the

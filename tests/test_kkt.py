@@ -431,6 +431,35 @@ class TestStructuredSolve:
         # two backward-stable solves differ by up to about cond(M) eps relative
         assert gap <= 1e-9 or gap <= 10 * EPS * np.linalg.cond(M)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 2),
+        horizon=st.one_of(st.just(1), st.integers(1, 40)),
+        radius=st.floats(0.1, 1.1),
+        plant=st.sampled_from(["generic", "unweighted", "unreachable"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reported_residual_is_that_of_the_whole_system_bit_for_bit(
+        self, n, m, horizon, radius, plant, seed
+    ):
+        rng = np.random.default_rng(seed)
+        A, B, Q, R = random_lq_matrices(rng, n, m, spectral_radius=radius)
+        if plant == "unweighted":  # Q = 0 and A unstable, stabilizable through B
+            A, Q = A * (1.1 / radius), np.zeros((n, n))
+        if plant == "unreachable":  # a mode that B does not reach: mostly infeasible
+            A[0], B[0] = 0.0, 0.0
+            A[0, 0] = 1.1
+        x0, xf = rng.standard_normal(n), rng.standard_normal(n)
+        banned = random_banned_sets(rng, horizon, m, 3)
+        fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, m)
+        z, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, A @ x0, xf)
+        # the rhs is zero but for A x0 and xf, in one row when N = 1
+        rhs = kkt.boundary_rhs(A @ x0, xf, n, m, horizon, fc.row_count)
+        whole = float(np.abs(kkt.lti_product(A, B, Q, R, fc, z) - rhs).max())
+        assert np.float64(residual).tobytes() == np.float64(whole).tobytes()
+        assert consistent == (whole <= INFEASIBILITY_TOL * (1.0 + np.abs(rhs).max()))
+
     @pytest.mark.parametrize(
         "A, B, Q, N, x0, xf, banned",
         [

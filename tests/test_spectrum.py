@@ -16,7 +16,7 @@ from bandctrl.spectrum import (
     uncertainty_check,
 )
 
-from oracles import DenseRows, naive_dft
+from oracles import DenseRows, channel_spread_apply, channel_spread_apply_transpose, naive_dft
 
 
 class TestDftMatrix:
@@ -265,6 +265,31 @@ class TestFrequencyConstraint:
         assert np.array_equal(fc.stacked, dense.blocks.transpose(1, 0, 2).reshape(fc.row_count, horizon * m))
         norms = np.sqrt(np.sum(fc.stacked**2, axis=1))
         assert np.max(np.abs(fc.row_norms - norms), initial=0.0) <= 1e-14
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        horizon=st.one_of(st.integers(1, 80), st.integers(0, 40).map(lambda k: 2 * k + 1)),
+        m=st.integers(1, 3),
+        columns=st.sampled_from([(), (1,), (3,), (2, 2)]),
+        data=st.data(),
+    )
+    def test_flat_index_kernels_are_the_channel_spread_bit_for_bit(self, horizon, m, columns, data):
+        # DC and N/2, the bins without a sine row, are drawn often; odd
+        # horizons have no N/2
+        index = st.one_of(st.sampled_from([0, horizon // 2]), st.integers(0, horizon - 1))
+        banned = data.draw(st.lists(st.lists(index, max_size=6), min_size=m, max_size=m))
+        fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, m)
+        dense = DenseRows(fc.blocks)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u = rng.uniform(-1, 1, (horizon, m) + columns)
+        nu = rng.uniform(-1, 1, (fc.row_count,) + columns)  # 1-D without columns
+        for got, exact, dense_form in [
+            (fc.apply(u), channel_spread_apply(fc, u), dense.apply(u)),
+            (fc.apply_transpose(nu), channel_spread_apply_transpose(fc, nu), dense.apply_transpose(nu)),
+        ]:
+            assert got.shape == exact.shape == dense_form.shape
+            assert got.tobytes() == exact.tobytes()
+            assert np.max(np.abs(got - dense_form), initial=0.0) <= 1e-14
 
     @pytest.mark.parametrize(
         "rows",
