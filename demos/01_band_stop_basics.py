@@ -34,6 +34,12 @@ print("\nBanning frequency 3 of a single channel:")
 fc = build_frequency_constraint(SupportSpec.from_banned([[3]], N), N, 1)
 print(f"  enforced banned set (mirror-closed): {fc.banned()[0]}")
 print(f"  constraint rows q = {fc.row_count}, effective rank = {fc.effective_rank}")
+# the rows F, read off by applying the constraint to every unit impulse, are
+# the real and imaginary parts of row 3 of the unitary DFT matrix
+rows = fc.apply(np.eye(N)[:, None, :])
+dft_row = np.fft.fft(np.eye(N), norm="ortho")[3]
+print(f"  rows = Re, Im of DFT row 3: max gap "
+      f"{np.max(np.abs(rows - np.array([dft_row.real, dft_row.imag]))):.1e}")
 
 rng = np.random.default_rng(0)
 u = rng.standard_normal((N, 1))
@@ -43,9 +49,7 @@ print(f"  |u_hat[3]|, |u_hat[5]| = "
       f"{abs(forward_dft(u[:, 0])[3]):.3f}, {abs(forward_dft(u[:, 0])[5]):.3f}")
 
 # project onto the constraint null space: residual and banned components vanish together
-stacked = fc.stacked
-w = u.ravel() - stacked.T @ np.linalg.solve(stacked @ stacked.T, stacked @ u.ravel())
-u_feasible = w.reshape(N, 1)
+u_feasible = u - (rows.T @ np.linalg.solve(rows @ rows.T, fc.apply(u)))[:, None]
 comp = forward_dft(u_feasible[:, 0])
 print("After projecting onto the feasible subspace:")
 print(f"  |residual| = {np.max(np.abs(constraint_residual(fc, u_feasible))):.2e}")

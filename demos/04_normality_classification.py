@@ -10,28 +10,33 @@ abnormal.  Otherwise the classifier measures the principal angles between the
 two ranges with orthonormal bases; the smallest sine is the verdict's margin,
 and a zero angle (margin at rounding level) means an abnormal lift exists.
 Because the bases are built from orthonormal factors, the verdict does not
-change when A^N grows huge.
+change when A^N grows huge.  The classic test without frequency constraints
+is the case q = 0: there are no angles, n > m*N is all abnormal, and
+otherwise the transfer is normal when the horizon reaches every state.
 """
 
 import numpy as np
 
 from bandctrl import (
+    FrequencyConstraint,
     SupportSpec,
     build_frequency_constraint,
     classify_normality_classic,
     classify_normality_freq,
 )
 
-print("Classic transfers (no frequency constraints):")
+print("Classic transfers (no frequency constraints, the q = 0 case):")
 cases = [
     ("double integrator, N = 6", [[1.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]], 6),
     ("uncontrollable pair, N = 5", np.eye(2), [[1.0], [0.0]], 5),
-    ("horizon shorter than n", np.eye(3), np.eye(3), 2),
+    ("N = 2 < n = 3, but m*N >= n", np.eye(3), np.eye(3), 2),
+    ("triple integrator, n > m*N", np.eye(3, k=1) + np.eye(3), [[0.0], [0.0], [1.0]], 2),
 ]
 for name, A, B, N in cases:
     verdict = classify_normality_classic(A, B, N)
+    same = verdict == classify_normality_freq(A, B, N, FrequencyConstraint(N, np.shape(B)[1]))
     print(f"  {name:30s} -> {verdict.classification.value} "
-          f"(reachability rank {verdict.rank_reachability})")
+          f"(rank {verdict.rank_reachability}; frequency test with q = 0 agrees: {same})")
 
 print("\nScalar integrator with growing banned sets, N = 4 (m*N = 4):")
 for banned in ([], [2], [1], [1, 2], [0, 1, 2]):

@@ -1,10 +1,11 @@
-"""Max-norms of several arrays in one numpy reduction.
+"""Max-norms of one array, and of several arrays in one numpy reduction.
 
 A certificate or a residual check takes the max-norm of a dozen small
 arrays, and each reduction of its own costs more in numpy's call overhead
 than in arithmetic.  :func:`max_norms` lays them end to end and reduces them
 once; a maximum rounds nothing, so each norm is bit for bit that of the
-array alone.
+array alone, :func:`max_norm`.  That one-array form stays for callers with a
+single array, such as Newton's line search, where it is the cheaper call.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ import math
 import numpy as np
 
 _ZERO = np.zeros(1)
+
+
+def max_norm(a) -> float:
+    """The largest |a_i|, 0.0 for an empty array, NaN when an entry is."""
+    return float(abs(np.asarray(a)).max(initial=0.0))
 
 
 def max_norms(*arrays: np.ndarray) -> list[float]:

@@ -14,15 +14,16 @@ Problem files are JSON documents::
 
 Matrices are row-major nested lists of decimals.  Solvers: ``riccati`` and
 ``lq_pmp`` (free final state; one computation, the Riccati recursion, which
-is also the block elimination of the first-order system), ``transfer``,
-``transfer_freq`` (fixed endpoints), ``shooting`` (fixed endpoints, LTI or
-builtin control-affine dynamics).  Every solver returns the same outcome to
-:func:`run`, and one table (:data:`EXIT_CODES`) maps its status to the exit
-code: 0 ``SOLVED`` with a passing certificate, 2 ``INFEASIBLE``, 3
-``ABNORMAL_REGIME``, 4 ``SINGULAR``, ``NOT_CONVERGED`` or a ``SOLVED`` whose
-certificate fails; exit 1 is an input or spec error.  A result file is
-written in every case except exit 1, with the normality verdict whenever the
-solver has one and the status is not ``SINGULAR``.  Result files are compact
+is also the block elimination of the first-order system), ``transfer_freq``
+(fixed endpoints) and ``transfer`` (``transfer_freq`` without bans; one
+computation), ``shooting`` (fixed endpoints, LTI or builtin control-affine
+dynamics).  Every solver returns the same outcome to :func:`run`, and one
+table (:data:`EXIT_CODES`) maps its status to the exit code: 0 ``SOLVED``
+with a passing certificate, 2 ``INFEASIBLE``, 3 ``ABNORMAL_REGIME``, 4
+``SINGULAR``, ``NOT_CONVERGED`` or a ``SOLVED`` whose certificate fails;
+exit 1 is an input or spec error.  A result file is written in every case
+except exit 1, with the normality verdict whenever the solver has one and
+the status is not ``SINGULAR``.  Result files are compact
 JSON (sorted keys, no whitespace, one trailing newline) and deterministic:
 identical inputs produce identical bytes (floats serialize at shortest
 round-trip precision, up to 17 significant digits).
@@ -45,11 +46,10 @@ from .extremal import (
     AbnormalRegimeError,
     ExtremalLift,
     NormalityVerdict,
-    classify_normality_classic,
     lift_from_solver,
     verify_pmp,
 )
-from .lq import LqSolution, lq_pmp_solve, lq_transfer_freq_solve, lq_transfer_solve
+from .lq import LqSolution, lq_pmp_solve, lq_transfer_freq_solve
 from .problem import (
     Box,
     ControlAffineDynamics,
@@ -461,10 +461,10 @@ class _Outcome:
     verdict: NormalityVerdict | None = None
 
 
-def _lq_outcome(sol: LqSolution, spec: ProblemSpec, verdict=None) -> _Outcome:
+def _lq_outcome(sol: LqSolution, spec: ProblemSpec) -> _Outcome:
     traj = sol.trajectory  # None unless SOLVED
     lift = None if traj is None else lift_from_solver(spec, traj, sol.adjoints, sol.nu)
-    return _Outcome(sol.status.value, traj, lift, sol.cost, verdict)
+    return _Outcome(sol.status.value, traj, lift, sol.cost, sol.normality)
 
 
 def _lq_data(spec: ProblemSpec):
@@ -476,18 +476,11 @@ def _free_end(problem: CliProblem, diagnostics: dict) -> _Outcome:
     return _lq_outcome(lq_pmp_solve(*_lq_data(problem.spec), problem.x0), problem.spec)
 
 
-def _transfer(problem: CliProblem, diagnostics: dict) -> _Outcome:
-    A, B, Q, R, N = _lq_data(problem.spec)
-    sol = lq_transfer_solve(A, B, Q, R, N, problem.x0, problem.xf)
-    diagnostics["ls_residual"] = sol.ls_residual
-    return _lq_outcome(sol, problem.spec, classify_normality_classic(A, B, N))
-
-
 def _transfer_freq(problem: CliProblem, diagnostics: dict) -> _Outcome:
     spec = problem.spec
     sol = lq_transfer_freq_solve(*_lq_data(spec), problem.x0, problem.xf, spec.frequency_constraint)
     diagnostics["ls_residual"] = sol.ls_residual
-    return _lq_outcome(sol, spec, sol.normality)
+    return _lq_outcome(sol, spec)
 
 
 def _shooting(problem: CliProblem, diagnostics: dict) -> _Outcome:
@@ -515,7 +508,8 @@ def _shooting(problem: CliProblem, diagnostics: dict) -> _Outcome:
     return _Outcome("SOLVED", traj, shot.lift, cost, shot.normality)
 
 
-SOLVE = {"riccati": _free_end, "lq_pmp": _free_end, "transfer": _transfer,
+# transfer is transfer_freq without bans: parse_problem refuses bans for it
+SOLVE = {"riccati": _free_end, "lq_pmp": _free_end, "transfer": _transfer_freq,
          "transfer_freq": _transfer_freq, "shooting": _shooting}
 SOLVERS = tuple(SOLVE)
 # a SOLVED result whose certificate fails exits 4 as well

@@ -34,11 +34,13 @@ abnormal lift: a nonzero (lambda, nu) with R_stack lambda = G nu, where the
 reachability stack R_stack has rows B'(A')^(N-1-t) and G stacks the
 transposed frequency blocks.  :func:`classify_normality_freq` compares
 orthonormal bases of the two ranges: the rank comes from the controllability
-matrix (no power past A^(n-1)), the basis of range(R_stack) from small QR
+blocks (no power past A^(n-1)), the basis of range(R_stack) from small QR
 factorizations over chunks of stages in which A^k grows by a bounded factor,
 and the verdict from the principal angles to the orthonormal frequency
 columns, whose smallest sine is reported as the ``margin``.  No SVD has more
-than n columns, and the verdict does not depend on the size of A^N.
+than n columns, and the verdict does not depend on the size of A^N.  Without
+frequency rows (q = 0) there are no angles and the rank alone decides: that
+is :func:`classify_normality_classic`.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from enum import Enum
 import numpy as np
 
 from ._memo import LastValue, content_key
-from ._norms import largest, max_norms
+from ._norms import largest, max_norm, max_norms
 from .problem import LtiDynamics, ProblemSpec, SetArrays, Trajectory, _cost_gradients, _stage_terms
-from .spectrum import FrequencyConstraint, _rank_cutoff, numerical_rank
+from .spectrum import FrequencyConstraint, _rank_cutoff
 
 __all__ = [
     "ExtremalLift",
@@ -65,8 +67,6 @@ __all__ = [
     "lift_from_solver",
     "classify_normality_classic",
     "classify_normality_freq",
-    "controllability_matrix",
-    "reachability_stack",
 ]
 
 
@@ -77,11 +77,6 @@ IMPULSE_GROWTH = 1e3
 
 # the verdict of the most recent plant of classify_normality_freq
 _VERDICTS = LastValue()
-
-
-def _inf(a) -> float:
-    """The largest |a_i|, 0.0 for an empty array, NaN when an entry is."""
-    return float(abs(np.asarray(a)).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +138,7 @@ def adjoint_backward(
     """
     horizon, n = traj.horizon, traj.n
     terms = _stage_terms(spec.dynamics, spec.cost, traj.states, traj.controls)
-    gap = _inf(traj.states[1:] - terms.f)
+    gap = max_norm(traj.states[1:] - terms.f)
     if gap > dynamics_tol:
         raise ValueError(f"trajectory violates dynamics by {gap:.3e} (tol {dynamics_tol:.1e})")
     if state_multipliers is None:
@@ -512,27 +507,6 @@ class AbnormalRegimeError(RuntimeError):
         )
 
 
-def controllability_matrix(A, B) -> np.ndarray:
-    """[B, AB, ..., A^(n-1) B]."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    cols = [B]
-    for _ in range(A.shape[0] - 1):
-        cols.append(A @ cols[-1])
-    return np.hstack(cols)
-
-
-def reachability_stack(A, B, horizon: int) -> np.ndarray:
-    """Row-stacked transposed reachability matrix over the horizon:
-    [B'(A')^(N-1); ...; B'] of shape (m*N, n)."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    powers = [np.eye(A.shape[0])]
-    for _ in range(horizon - 1):
-        powers.append(A @ powers[-1])
-    return np.vstack([B.T @ powers[horizon - 1 - t].T for t in range(horizon)])
-
-
 def _reachable_subspace(A, B, horizon: int):
     """Orthonormal basis V (n, r) of the states reachable in the horizon, the
     range of [B, AB, ..., A^(k-1) B] with k = min(N, n), and its rank r;
@@ -541,9 +515,11 @@ def _reachable_subspace(A, B, horizon: int):
     No power above A^(n-1) enters, so the rank does not depend on the size of
     A^N.  The SVD is of an n x mk matrix.
     """
-    n, m = B.shape
+    cols = [B]
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = controllability_matrix(A, B)[:, : m * min(horizon, n)]
+        for _ in range(min(horizon, B.shape[0]) - 1):
+            cols.append(A @ cols[-1])
+    blocks = np.hstack(cols)
     if not np.isfinite(blocks).all():
         return None, 0
     u, s, _ = np.linalg.svd(blocks, full_matrices=False)
@@ -648,33 +624,17 @@ def _frequency_sines(constraint: FrequencyConstraint, basis: np.ndarray) -> np.n
 
 
 def classify_normality_classic(A, B, horizon: int) -> NormalityVerdict:
-    """Fixed-endpoint LQ transfer without frequency constraints: every optimal
-    trajectory is normal when (A, B) is controllable and the horizon covers the
-    state dimension; otherwise undetermined.
+    """Fixed-endpoint LQ transfer without frequency constraints: the q = 0
+    case of :func:`classify_normality_freq`.
 
-    ``rank_reachability`` is the rank of [B, AB, ..., A^(n-1) B], the one SVD
-    (of an n x nm matrix); ``rank_augmented`` is the rank of the reachability
-    stack over the horizon, which by Cayley-Hamilton is that of the first
-    min(N, n) blocks, as in :func:`classify_normality_freq`.  With no
-    frequency rows there are no angles, and the margin is 1.0; when the
-    blocks overflow the verdict is UNDETERMINED, with margin 0.0 and both
-    ranks 0 (not computed).
+    ALL_ABNORMAL when n > m*N; else ALL_NORMAL when the states reachable in
+    the horizon, the range of [B, AB, ..., A^(k-1) B] with k = min(N, n),
+    are all n of them, and UNDETERMINED otherwise.  Both ranks are that rank,
+    and with no frequency rows there are no angles: the margin is 1.0, or
+    0.0 when those blocks overflow (the verdict is then UNDETERMINED, with
+    both ranks 0, not computed).
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    n, m = B.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        ctrl = controllability_matrix(A, B)
-    if not np.isfinite(ctrl).all():
-        return NormalityVerdict(NormalityClass.UNDETERMINED, 0, 0, (n, m, horizon, 0), 0.0)
-    rank_ctrl = numerical_rank(ctrl)
-    rank_aug = rank_ctrl if horizon >= n else numerical_rank(ctrl[:, : m * horizon])
-    cls = (
-        NormalityClass.ALL_NORMAL
-        if rank_ctrl == n and horizon >= n
-        else NormalityClass.UNDETERMINED
-    )
-    return NormalityVerdict(cls, rank_ctrl, rank_aug, (n, m, horizon, 0), 1.0)
+    return classify_normality_freq(A, B, horizon, FrequencyConstraint(horizon, np.shape(B)[1]))
 
 
 def classify_normality_freq(A, B, horizon: int, constraint: FrequencyConstraint) -> NormalityVerdict:
@@ -693,13 +653,14 @@ def classify_normality_freq(A, B, horizon: int, constraint: FrequencyConstraint)
     [B, AB, ..., A^(k-1) B], k = min(N, n), and ``rank_augmented`` is
     rank_reachability + q less the number of angles below that tolerance.
 
-    The basis of the range of R_stack is built from orthonormal factors
-    (:func:`_reachability_basis`), so the verdict does not depend on the size
-    of A^N, and every SVD is of a matrix with at most n columns or rows.  When the
-    factors overflow (rho(A)^N near 1e308) the verdict is UNDETERMINED
-    (unless q + n > m*N), with margin 0.0 and rank_augmented 0 (not
-    computed), and rank_reachability 0 too when already the controllability
-    blocks overflow.
+    With q = 0 (:func:`classify_normality_classic`) there are no angles, and
+    the rank alone decides.  Otherwise the basis of the range of R_stack is
+    built from orthonormal factors (:func:`_reachability_basis`), so the
+    verdict does not depend on the size of A^N, and every SVD is of a matrix
+    with at most n columns or rows.  When the factors overflow (rho(A)^N
+    near 1e308) the verdict is UNDETERMINED (unless q + n > m*N), with
+    margin 0.0 and rank_augmented 0 (not computed), and rank_reachability 0
+    too when already the controllability blocks overflow.
 
     The verdict depends on A, B and the frequency rows alone (the horizon is
     the constraint's), so the verdict of the most recent of them is kept in
@@ -728,7 +689,8 @@ def _classify_freq(A, B, horizon: int, constraint: FrequencyConstraint) -> Norma
     q = constraint.row_count
     dims = (n, m, horizon, q)
     over = q + n > m * horizon
-    basis, rank_reach = _reachability_basis(A, B, horizon)
+    # without frequency rows there are no angles, and the rank alone decides
+    basis, rank_reach = (_reachability_basis if q else _reachable_subspace)(A, B, horizon)
     if basis is None:
         cls = NormalityClass.ALL_ABNORMAL if over else NormalityClass.UNDETERMINED
         return NormalityVerdict(cls, rank_reach, 0, dims, 0.0)

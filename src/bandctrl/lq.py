@@ -7,11 +7,13 @@ Four entry points, all for x_{t+1} = A x_t + B u_t with stage cost
   closed-loop rollout (one recursive-doubling scan);
 * :func:`lq_pmp_solve` - the same problem read as its first-order two-point
   system, whose block elimination is that recursion;
-* :func:`lq_transfer_solve` - fixed endpoints x_0 = x0, x_N = xf;
-* :func:`lq_transfer_freq_solve` - fixed endpoints plus the banned-frequency
-  equality constraint sum_t F_t u_t = 0, with its multiplier nu.
+* :func:`lq_transfer_freq_solve` - fixed endpoints x_0 = x0, x_N = xf plus
+  the banned-frequency equality constraint sum_t F_t u_t = 0, with its
+  multiplier nu;
+* :func:`lq_transfer_solve` - the same transfer with no frequency rows
+  (q = 0), classified and solved by the same code.
 
-The last two solve their first-order system, in the row layout of
+A transfer solves its first-order system, in the row layout of
 :mod:`bandctrl.kkt`, with :func:`bandctrl.kkt.lti_solve`, which factors no
 matrix larger than (n + q)^2; when the multipliers are non-unique,
 (p_{N-1}, nu) is minimum-norm over those border unknowns.  A max-norm
@@ -187,11 +189,10 @@ def _solve_transfer(A, B, Q, R, N, x0, xf, constraint, normality=None) -> LqSolu
 
 
 def lq_transfer_solve(A, B, Q, R, horizon: int, x0, xf) -> LqSolution:
-    """Fixed-endpoint LQ transfer.  The adjoints p_0 and p_{N-1} are free
-    unknowns; an unreachable target surfaces as INFEASIBLE with the least
-    squares residual reported."""
-    n, m = np.asarray(B).shape
-    return _solve_transfer(A, B, Q, R, horizon, x0, xf, FrequencyConstraint(horizon, m))
+    """Fixed-endpoint LQ transfer: :func:`lq_transfer_freq_solve` with no
+    frequency rows, so it raises :class:`AbnormalRegimeError` when n > m*N."""
+    constraint = FrequencyConstraint(horizon, np.shape(B)[1])
+    return lq_transfer_freq_solve(A, B, Q, R, horizon, x0, xf, constraint)
 
 
 def lq_transfer_freq_solve(
@@ -208,8 +209,7 @@ def lq_transfer_freq_solve(
     border solution, so (p_{N-1}, nu) is minimum-norm among the multipliers
     consistent with the (unique) optimal controls.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A, B = _as_lq(A, B, Q, R, horizon, x0)[:2]  # shapes checked before the verdict
     verdict = classify_normality_freq(A, B, horizon, constraint)
     if verdict.classification is NormalityClass.ALL_ABNORMAL:
         raise AbnormalRegimeError(verdict)

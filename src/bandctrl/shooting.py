@@ -42,12 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kkt
+from ._norms import max_norm
 from .extremal import (
     AbnormalRegimeError,
     ExtremalLift,
     NormalityClass,
     NormalityVerdict,
-    _inf,
     classify_normality_freq,
     lift_from_solver,
 )
@@ -371,7 +371,7 @@ def newton_solve(
 
     z = init.z.copy()
     residual, terms = _evaluate(z, spec, x0, xf)
-    norm = _inf(residual)
+    norm = max_norm(residual)
     trace: list[tuple[int, float, float]] = [(0, norm, 0.0)]
     iterations = 0
     fd = opts.fd_jacobian or isinstance(spec.cost, GeneralCost)
@@ -389,7 +389,7 @@ def newton_solve(
         while alpha >= opts.min_step:
             z_try = z + alpha * step
             r_try, terms_try = _evaluate(z_try, spec, x0, xf)
-            norm_try = _inf(r_try)
+            norm_try = max_norm(r_try)
             if norm_try < norm:
                 accepted = True
                 break

@@ -132,9 +132,9 @@ class FrequencyConstraint:
     matrix product of ``samples`` with every channel, m times the flops of
     the rows' own channels, and a gather from it (a scatter into its
     transpose's input) at each row's channel by that index: a copy of the
-    samples split by channel would cost a second (horizon, q) table.  ``blocks``
-    (horizon, q, channels) and ``stacked`` (q, horizon * channels) are dense
-    copies, for tests and demonstrations.  The rows are orthogonal, with
+    samples split by channel would cost a second (horizon, q) table.
+    :meth:`columns` is the one dense copy, the F_t' that :mod:`bandctrl.kkt`
+    places in its border columns.  The rows are orthogonal, with
     norms ``row_norms``, so ``effective_rank == row_count``; a repeated
     (channel, bin up to its mirror N - xi, part) or the vanishing sin part
     of bin 0 or N/2 raises a "dependent" ValueError.
@@ -239,23 +239,11 @@ class FrequencyConstraint:
         out.setflags(write=False)
         return out
 
-    @property
-    def blocks(self) -> np.ndarray:
-        return self.columns().transpose(0, 2, 1)
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return self.columns().reshape(self.horizon * self.channels, -1).T
-
     def banned(self) -> tuple[tuple[int, ...], ...]:
         sets = [set() for _ in range(self.channels)]
         for k, xi in zip(self.row_channel.tolist(), self.row_bin.tolist()):
             sets[k].update((xi % self.horizon, -xi % self.horizon))
         return tuple(tuple(sorted(s)) for s in sets)
-
-    @property
-    def canonical_supports(self) -> SupportSpec:
-        return SupportSpec.from_banned(self.banned(), self.horizon)
 
 
 def build_frequency_constraint(

@@ -52,14 +52,8 @@ import numpy as np
 
 from bandctrl import extremal, kkt, problem
 from bandctrl._memo import LastValue
-from bandctrl._norms import largest
-from bandctrl.extremal import (
-    NormalityClass,
-    NormalityVerdict,
-    PmpCertificate,
-    _inf,
-    reachability_stack,
-)
+from bandctrl._norms import largest, max_norm as _inf
+from bandctrl.extremal import NormalityClass, NormalityVerdict, PmpCertificate
 from bandctrl.lq import INFEASIBILITY_TOL
 from bandctrl.problem import Box, Fixed, Free
 from bandctrl.shooting import _residual_vec, _unpack, assemble_residual, residual_jacobian
@@ -214,6 +208,16 @@ class DenseRows:
 
     def columns(self):
         return self.blocks.transpose(0, 2, 1)
+
+
+def dense_blocks(constraint):
+    """The F_t of a ``FrequencyConstraint`` as dense blocks, (N, q, m)."""
+    return constraint.columns().transpose(0, 2, 1)
+
+
+def stacked_rows(rows):
+    """[F_0 ... F_{N-1}], (q, N m), of a ``FrequencyConstraint`` or ``DenseRows``."""
+    return rows.columns().reshape(rows.horizon * rows.channels, rows.row_count).T
 
 
 def dense_first_order_system(A, B, Q, R, N, x0, xf, blocks):
@@ -426,7 +430,7 @@ def loop_verify_pmp(traj, lift, spec, tol=1e-7, active_tol=1e-8, comparisons=Non
     value <= threshold."""
     horizon, n, m = traj.horizon, traj.n, traj.m
     fc = spec.frequency_constraint
-    blocks = np.zeros((horizon, 0, m)) if fc is None else fc.blocks
+    blocks = np.zeros((horizon, 0, m)) if fc is None else dense_blocks(fc)
     q = blocks.shape[1]
     eta_c = float(lift.eta_c)
     nu = lift.nu if lift.nu.size else np.zeros(q)
@@ -705,7 +709,7 @@ def loop_residual_vec(zvec, spec, x0, xf):
     stage by stage."""
     n, m, N = spec.n, spec.m, spec.horizon
     states, controls, adjoints, nu = _unpack(zvec, spec, x0, xf)
-    blocks = spec.frequency_constraint.blocks
+    blocks = dense_blocks(spec.frequency_constraint)
     dyn, cost = spec.dynamics, spec.cost
 
     res = np.zeros(zvec.size)
@@ -829,6 +833,17 @@ def loop_riccati_sweep(A, B, Q, R, horizon, terminal=None, cross=None):
     return P, K, Hinv
 
 
+def reachability_stack(A, B, horizon: int) -> np.ndarray:
+    """Row-stacked transposed reachability matrix over the horizon:
+    [B'(A')^(N-1); ...; B'] of shape (m*N, n)."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    powers = [np.eye(A.shape[0])]
+    for _ in range(horizon - 1):
+        powers.append(A @ powers[-1])
+    return np.vstack([B.T @ powers[horizon - 1 - t].T for t in range(horizon)])
+
+
 def svd_classify_normality_freq(A, B, horizon, constraint):
     """Fixed-endpoint LQ transfer with frequency constraints.
 
@@ -852,7 +867,7 @@ def svd_classify_normality_freq(A, B, horizon, constraint):
             "frequency constraint rows are dependent; rebuild with build_frequency_constraint"
         )
     r_stack = reachability_stack(A, B, horizon)
-    gmat = constraint.blocks.transpose(0, 2, 1).reshape(m * horizon, q)  # rows t*m + i: F_t'
+    gmat = constraint.columns().reshape(m * horizon, q)  # rows t*m + i: F_t'
     augmented = np.hstack([r_stack, -gmat])
     rank_aug = numerical_rank(augmented)
     rank_reach = numerical_rank(r_stack)

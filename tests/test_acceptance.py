@@ -13,7 +13,6 @@ from bandctrl.extremal import (
     NormalityClass,
     classify_normality_freq,
     lift_from_solver,
-    reachability_stack,
     verify_pmp,
 )
 from bandctrl.lq import (
@@ -40,10 +39,13 @@ from bandctrl.spectrum import (
 )
 
 from oracles import (
+    dense_blocks,
     direct_transcription_oracle,
     has_nontrivial_nullspace,
     naive_dft,
     random_lq_matrices,
+    reachability_stack,
+    stacked_rows,
     transfer_qp_oracle,
 )
 
@@ -143,7 +145,7 @@ def test_criterion_2_frequency_nulling():
                 comp = forward_dft(sol.trajectory.controls[:, k])
                 ok &= bool(np.max(np.abs(comp[list(banned)])) <= 1e-9)
         for t in range(inst["N"]):
-            stat = R @ sol.trajectory.controls[t] - B.T @ sol.adjoints[t] + fc.blocks[t].T @ sol.nu
+            stat = R @ sol.trajectory.controls[t] - B.T @ sol.adjoints[t] + dense_blocks(fc)[t].T @ sol.nu
             ok &= bool(np.max(np.abs(stat)) <= 1e-9)
     _report(2, "frequency nulling + stationarity", ok)
 
@@ -154,7 +156,7 @@ def test_criterion_3_qp_oracle_equivalence():
     for inst in _freq_transfer_batch():
         oracle = transfer_qp_oracle(
             inst["A"], inst["B"], inst["Q"], inst["R"], inst["N"],
-            inst["x0"], xf=inst["xf"], freq_matrix=inst["fc"].stacked,
+            inst["x0"], xf=inst["xf"], freq_matrix=stacked_rows(inst["fc"]),
         )
         assert oracle["feasible"]
         sol = inst["sol"]
@@ -209,7 +211,7 @@ def test_criterion_5_normality_classification():
         fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, m)
         verdict = classify_normality_freq(A, B, horizon, fc)
         stack = reachability_stack(A, B, horizon)
-        aug = np.hstack([stack, -fc.stacked.T]) if fc.row_count else stack
+        aug = np.hstack([stack, -stacked_rows(fc).T]) if fc.row_count else stack
         nontrivial = has_nontrivial_nullspace(aug)
         if verdict.classification is NormalityClass.ALL_NORMAL:
             ok &= not nontrivial

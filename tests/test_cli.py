@@ -319,7 +319,13 @@ class TestRun:
         assert f"error: {field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "doc", [_transfer_doc(), _transfer_doc(solver="shooting")], ids=["transfer_freq", "shooting"]
+        "doc",
+        [
+            _transfer_doc(),
+            _transfer_doc(solver="shooting"),
+            _transfer_doc(solver="transfer", banned_frequencies=[[]]),
+        ],
+        ids=["transfer_freq", "shooting", "transfer"],
     )
     def test_one_normality_classification_per_solve(self, tmp_path, monkeypatch, doc):
         calls = []
@@ -383,6 +389,17 @@ STATUS_CASES = {
         2, "INFEASIBLE", True,
     ),
     "abnormal": (_ABNORMAL, 3, "ABNORMAL_REGIME", True),
+    # n = 2 > m N = 1 without a ban, though this target is reachable
+    "abnormal-transfer": (
+        {
+            "horizon": 1,
+            "dynamics": {"builtin": "double_integrator"},
+            "cost": {"Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]]},
+            "boundary": {"x0": [0.0, 0.0], "xf": [0.0, 1.0]},
+            "solver": "transfer",
+        },
+        3, "ABNORMAL_REGIME", True,
+    ),
     "abnormal-shooting": (dict(_ABNORMAL, solver="shooting"), 3, "ABNORMAL_REGIME", True),
     **{
         f"singular-{solver}": (

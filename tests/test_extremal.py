@@ -23,7 +23,6 @@ from bandctrl.extremal import (
     classify_normality_freq,
     evaluate_hamiltonian,
     lift_from_solver,
-    reachability_stack,
     verify_pmp,
 )
 from bandctrl.lq import lq_transfer_freq_solve, lq_transfer_solve
@@ -47,11 +46,14 @@ from bandctrl.spectrum import FrequencyConstraint, SupportSpec, build_frequency_
 
 from oracles import (
     DenseRows,
+    dense_blocks,
     has_nontrivial_nullspace,
     loop_verify_pmp,
     quadratic_cost,
     random_banned_sets,
     random_lq_matrices,
+    reachability_stack,
+    stacked_rows,
     stage_stack_verify_pmp,
     svd_classify_normality_freq,
 )
@@ -100,7 +102,7 @@ class TestHamiltonian:
             expected = (
                 p @ (spec.dynamics.A @ x + spec.dynamics.B @ u)
                 - eta * (0.5 * x @ spec.cost.Q @ x + 0.5 * u @ spec.cost.R @ u)
-                - nu @ (fc.blocks[t] @ u)
+                - nu @ (dense_blocks(fc)[t] @ u)
             )
             got = evaluate_hamiltonian(eta, nu, p, t, x, u, spec)
             assert abs(got - expected) < 1e-12
@@ -185,7 +187,7 @@ class TestVerifyPmp:
         with np.errstate(all="ignore"):
             cert = verify_pmp(Trajectory(np.zeros((horizon + 1, 2)), u), lift, spec, tol=1e-7)
         rowless = np.where(np.arange(3) == 2, 0.0, u)  # F_t has zero columns there
-        largest = np.max(np.abs(DenseRows(fc.blocks).stage_terms(rowless)), initial=0.0)
+        largest = np.max(np.abs(DenseRows(dense_blocks(fc)).stage_terms(rowless)), initial=0.0)
         assert cert.thresholds["freq_residual"] == 1e-7 * (1 + largest)
 
     def test_all_zero_lift_fails_nontriviality(self):
@@ -369,7 +371,7 @@ def _certificate_inputs(rng, model, n, m, horizon, eta_c):
     else:
         u = 0.3 * rng.standard_normal(horizon * m)
         if fc.row_count:
-            F = fc.stacked
+            F = stacked_rows(fc)
             u -= F.T @ np.linalg.solve(F @ F.T, F @ u)
         traj = rollout(spec.dynamics, x0, u.reshape(horizon, m))
         nu = rng.standard_normal(fc.row_count)
@@ -625,9 +627,49 @@ class TestNormalityClassic:
         assert verdict.classification is NormalityClass.UNDETERMINED
         assert verdict.rank_reachability == 1
 
-    def test_short_horizon_is_undetermined(self):
-        verdict = classify_normality_classic(np.eye(3), np.eye(3), 2)
-        assert verdict.classification is NormalityClass.UNDETERMINED
+    def test_short_horizon_that_reaches_every_state_is_normal(self):
+        # N = 2 < n = 3, but [B, AB] = [I, I] reaches every state
+        A, B = np.eye(3), np.eye(3)
+        verdict = classify_normality_classic(A, B, 2)
+        oracle = svd_classify_normality_freq(A, B, 2, FrequencyConstraint(2, 3))
+        assert verdict.classification is oracle.classification is NormalityClass.ALL_NORMAL
+        assert verdict.rank_reachability == oracle.rank_reachability == 3
+
+    def test_more_states_than_inputs_is_all_abnormal(self):
+        # the triple integrator over N = 2: n = 3 > m N = 2
+        verdict = classify_normality_classic(np.eye(3) + np.eye(3, k=1), [[0.0], [0.0], [1.0]], 2)
+        assert verdict.classification is NormalityClass.ALL_ABNORMAL
+        assert (verdict.rank_reachability, verdict.dims) == (2, (3, 1, 2, 0))
+
+    def test_growing_mode_past_the_floating_point_range_is_normal(self):
+        # 10^399 overflows, but the classic test raises no power past A^(n-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = classify_normality_classic([[10.0]], [[1.0]], 400)
+        assert verdict.classification is NormalityClass.ALL_NORMAL
+        assert (verdict.rank_reachability, verdict.rank_augmented, verdict.margin) == (1, 1, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 2),
+        horizon=st.integers(1, 11),
+        radius=st.floats(0.1, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_svd_oracle(self, n, m, horizon, radius, seed):
+        # the q = 0 case of the frequency test; about 30 % of the plants
+        # leave x_0 undriven: nothing moves it but itself
+        rng = np.random.default_rng(seed)
+        A, B, _, _ = random_lq_matrices(rng, n, m, spectral_radius=radius)
+        if rng.random() < 0.3:
+            A[0, 1:] = 0.0
+            B[0] = 0.0
+        verdict = classify_normality_classic(A, B, horizon)
+        oracle = svd_classify_normality_freq(A, B, horizon, FrequencyConstraint(horizon, m))
+        assert verdict.classification is oracle.classification
+        assert verdict.rank_reachability == oracle.rank_reachability
+        assert verdict.rank_augmented == oracle.rank_augmented
 
 
 # smallest sine of the principal angles on the baseline plant at N = 1024
@@ -658,12 +700,12 @@ class TestNormalityFreq:
         verdict = classify_normality_freq([[1.0]], [[1.0]], 2, fc)
         assert verdict.classification is NormalityClass.ALL_ABNORMAL
         # with everything banned the only feasible control is u = 0
-        assert np.linalg.matrix_rank(fc.stacked) == 2
+        assert np.linalg.matrix_rank(stacked_rows(fc)) == 2
 
     def test_single_ban_independent_rows(self):
         fc = build_frequency_constraint(SupportSpec.from_banned([[2]], 4), 4, 1)
         verdict = classify_normality_freq([[1.0]], [[1.0]], 4, fc)
-        aug = np.hstack([reachability_stack([[1.0]], [[1.0]], 4), -fc.stacked.T])
+        aug = np.hstack([reachability_stack([[1.0]], [[1.0]], 4), -stacked_rows(fc).T])
         assert np.linalg.matrix_rank(aug) == 2
         assert verdict.classification is NormalityClass.ALL_NORMAL
         assert verdict.rank_augmented == 2
@@ -682,7 +724,7 @@ class TestNormalityFreq:
             fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, m)
             verdict = classify_normality_freq(A, B, horizon, fc)
             aug = np.hstack(
-                [reachability_stack(A, B, horizon), -fc.stacked.T]
+                [reachability_stack(A, B, horizon), -stacked_rows(fc).T]
                 if fc.row_count
                 else [reachability_stack(A, B, horizon)]
             )
@@ -713,13 +755,13 @@ class TestNormalityFreq:
         monkeypatch.setattr(extremal, "_frequency_sines", spy)
         rng = np.random.default_rng(horizon)
         classify_normality_freq(rng.standard_normal((2, 2)), rng.standard_normal((2, m)), horizon, fc)
-        gmat = np.vstack([fc.blocks[t].T for t in range(horizon)])
+        gmat = np.vstack([dense_blocks(fc)[t].T for t in range(horizon)])
         if fc.row_count == 0:
             assert seen == []  # no frequency rows, no angles
         else:
             ((constraint, basis, got),) = seen
             assert constraint is fc
-            assert np.array_equal(constraint.stacked.T, gmat)
+            assert np.array_equal(stacked_rows(constraint).T, gmat)
             # the sines against the dense stacked transposes, normalized numerically
             norms = np.linalg.norm(gmat, axis=0)[:, None]
             cos = gmat.T @ basis / norms

@@ -23,6 +23,7 @@ from bandctrl.spectrum import FrequencyConstraint, SupportSpec, build_frequency_
 
 from oracles import (
     DenseRows,
+    dense_blocks,
     dense_first_order_solve,
     dense_first_order_system,
     dynamics_row_ulps,
@@ -411,8 +412,8 @@ class TestStructuredSolve:
             fc = build_frequency_constraint(SupportSpec.from_banned(banned, horizon), horizon, m)
             z, _, consistent = kkt.lti_solve(A, B, Q, R, fc, A @ x0, xf)
             unknowns = kkt.StackedUnknowns(z, n, m, horizon, fc.row_count)
-        z_dense, _, consistent_dense = dense_first_order_solve(A, B, Q, R, horizon, x0, xf, fc.blocks)
-        M, rhs = dense_first_order_system(A, B, Q, R, horizon, x0, xf, fc.blocks)
+        z_dense, _, consistent_dense = dense_first_order_solve(A, B, Q, R, horizon, x0, xf, dense_blocks(fc))
+        M, rhs = dense_first_order_system(A, B, Q, R, horizon, x0, xf, dense_blocks(fc))
         if consistent != consistent_dense:
             # only where rounding alone could cross the threshold: the residual a
             # backward-stable solve may leave, d eps |M| |z|, reaches a tenth of it
@@ -475,7 +476,7 @@ class TestStructuredSolve:
         x0, xf = np.array(x0), np.array(xf)
         fc = build_frequency_constraint(SupportSpec.from_banned(banned, N), N, 1)
         z, residual, consistent = kkt.lti_solve(A, B, Q, R, fc, A @ x0, xf)
-        z_dense, _, consistent_dense = dense_first_order_solve(A, B, Q, R, N, x0, xf, fc.blocks)
+        z_dense, _, consistent_dense = dense_first_order_solve(A, B, Q, R, N, x0, xf, dense_blocks(fc))
         assert consistent and consistent_dense
         assert residual <= 1e-14
         assert np.max(np.abs(z - z_dense)) <= 1e-12 * (1.0 + np.max(np.abs(z_dense)))
@@ -491,7 +492,7 @@ class TestStructuredSolve:
         ]:
             A, B, Q, R = random_lq_matrices(rng, n, m, spectral_radius=1.05)
             fc = build_frequency_constraint(SupportSpec.from_banned(banned, N), N, m)
-            M = _dense(A, B, Q, R, fc.blocks)
+            M = _dense(A, B, Q, R, dense_blocks(fc))
             ax0, xf = rng.standard_normal((2, n))  # any A x0, not only one of a drawn x0
             rhs = kkt.boundary_rhs(ax0, xf, n, m, N, fc.row_count)
             z, residual, _ = kkt.lti_solve(A, B, Q, R, fc, ax0, xf)
@@ -677,7 +678,7 @@ class TestStationaryGain:
         fc = build_frequency_constraint(SupportSpec.from_banned([[3]], 16), 16, 1)
         ends = (16, np.ones(1), -np.ones(1))
         z, residual, consistent = kkt.lti_solve(one, one, Q, one, fc, one @ ends[1], ends[2])
-        z_dense = dense_first_order_solve(one, one, Q, one, *ends, fc.blocks)[0]
+        z_dense = dense_first_order_solve(one, one, Q, one, *ends, dense_blocks(fc))[0]
         assert consistent and residual <= 1e-14
         assert np.max(np.abs(z - z_dense)) <= 1e-12 * np.max(np.abs(z_dense))
 

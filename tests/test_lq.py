@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from bandctrl import kkt
 from bandctrl.extremal import (
     AbnormalRegimeError,
+    NormalityClass,
     classify_normality_freq,
     lift_from_solver,
     verify_pmp,
@@ -25,6 +26,7 @@ from bandctrl.lq import (
 from bandctrl.problem import lti_spec
 from bandctrl.shooting import StackedUnknowns, assemble_residual
 from bandctrl.spectrum import (
+    FrequencyConstraint,
     SupportSpec,
     build_frequency_constraint,
     constraint_residual,
@@ -32,12 +34,14 @@ from bandctrl.spectrum import (
 )
 
 from oracles import (
+    dense_blocks,
     dense_first_order_solve,
     dynamics_row_ulps,
     empty_memos,
     loop_closed_loop_rollout,
     random_banned_sets,
     random_lq_matrices,
+    stacked_rows,
     transfer_qp_oracle,
     unstable_transfer_plant,
 )
@@ -206,6 +210,24 @@ class TestTransfer:
         oracle = transfer_qp_oracle([[1.0]], [[1.0]], [[0.0]], [[1.0]], 4, [0.0], xf=[4.0])
         assert abs(sol.cost - oracle["cost"]) < 1e-10
 
+    def test_more_states_than_inputs_is_all_abnormal(self):
+        # the triple integrator over N = 2: n = 3 > m N = 2, as with bans
+        A, B = np.eye(3) + np.eye(3, k=1), [[0.0], [0.0], [1.0]]
+        with pytest.raises(AbnormalRegimeError) as info:
+            lq_transfer_solve(A, B, np.eye(3), [[1.0]], 2, np.zeros(3), np.ones(3))
+        assert info.value.verdict.classification is NormalityClass.ALL_ABNORMAL
+        assert info.value.verdict.dims == (3, 1, 2, 0)
+        sol = lq_transfer_solve(A, B, np.eye(3), [[1.0]], 3, np.zeros(3), np.ones(3))
+        assert sol.status is SolveStatus.SOLVED
+        assert sol.normality.classification is NormalityClass.ALL_NORMAL
+
+    @pytest.mark.parametrize("solve", [lq_transfer_solve, lq_transfer_freq_solve])
+    def test_inconsistent_shapes_are_named_before_the_verdict(self, solve):
+        args = (np.eye(3), [[1.0], [0.0]], np.eye(3), [[1.0]], 4, np.zeros(3), np.ones(3))
+        extra = (FrequencyConstraint(4, 1),) if solve is lq_transfer_freq_solve else ()
+        with pytest.raises(ValueError, match=r"inconsistent shapes: A\(3, 3\) B\(2, 1\)"):
+            solve(*args, *extra)
+
     def test_unreachable_target_is_infeasible(self):
         A = np.zeros((2, 2))
         B = np.array([[1.0], [0.0]])
@@ -293,7 +315,7 @@ class TestTransferFreq:
         fc = build_frequency_constraint(SupportSpec.from_banned([[1, 3]], 4), 4, 1)
         sol = lq_transfer_freq_solve([[1.0]], [[1.0]], [[0.0]], [[1.0]], 4, [0.0], [4.0], fc)
         oracle = transfer_qp_oracle(
-            [[1.0]], [[1.0]], [[0.0]], [[1.0]], 4, [0.0], xf=[4.0], freq_matrix=fc.stacked
+            [[1.0]], [[1.0]], [[0.0]], [[1.0]], 4, [0.0], xf=[4.0], freq_matrix=stacked_rows(fc)
         )
         assert _rel_gap(sol.trajectory.controls, oracle["controls"]) < 1e-9
         assert abs(sol.cost - oracle["cost"]) < 1e-9
@@ -329,7 +351,7 @@ class TestTransferFreq:
                 stat = (
                     R @ sol.trajectory.controls[t]
                     - B.T @ sol.adjoints[t]
-                    + fc.blocks[t].T @ sol.nu
+                    + dense_blocks(fc)[t].T @ sol.nu
                 )
                 assert np.max(np.abs(stat)) <= 1e-9
             for k, b in enumerate(fc.banned()):

@@ -48,6 +48,7 @@ from oracles import (
     loop_residual_vec,
     random_banned_sets,
     random_lq_matrices,
+    stacked_rows,
 )
 
 
@@ -398,7 +399,7 @@ class TestNewtonSolve:
             spec.dynamics.step,
             lambda t, x, u: spec.cost.value(t, x, u),
             6, 1, [0.0], [1.0],
-            freq_matrix=spec.frequency_constraint.stacked,
+            freq_matrix=stacked_rows(spec.frequency_constraint),
         )
         assert abs(cost - oracle_cost) <= 1e-8 * (1.0 + abs(oracle_cost))
 
