@@ -1,9 +1,10 @@
 """A memo of one entry: the value computed for the most recent key.
 
 Some results depend on a plant alone, not on the endpoints of the transfer:
-the normality verdict of :mod:`bandctrl.extremal`, the stationary gain,
-border matrix and transfer map (the solution as a linear map of the
-boundary data) of :mod:`bandctrl.kkt`, and the frequency rows that
+the normality verdict of :mod:`bandctrl.extremal`, the plan of a
+fixed-end LTI transfer in :mod:`bandctrl.kkt` (the stationary gain, or None
+where there is none, the border matrix and the transfer map, the solution
+as a linear map of the boundary data), and the frequency rows that
 :func:`bandctrl.problem.validate` builds from a horizon, a channel count
 and a ban set, and the verdict of its checks of the plant and weight
 matrices.  Callers often solve one plant for many endpoint pairs, so

@@ -4,7 +4,7 @@ Problem files are JSON documents::
 
     {
       "horizon": 8,
-      "dynamics": {"kind": "lti", "A": [[1.0]], "B": [[1.0]]},   // or {"builtin": "scalar_integrator"}
+      "dynamics": {"kind": "lti", "A": [[1.0]], "B": [[1.0]]},
       "cost": {"Q": [[0.0]], "R": [[1.0]]},
       "boundary": {"x0": [0.0], "xf": [4.0]},
       "banned_frequencies": [[2, 6]],
@@ -12,9 +12,11 @@ Problem files are JSON documents::
       "options": {"tolerance": 1e-7, "max_iterations": 60}
     }
 
-Matrices are row-major nested lists of decimals.  Solvers: ``riccati`` and
-``lq_pmp`` (free final state; one computation, the Riccati recursion, which
-is also the block elimination of the first-order system), ``transfer_freq``
+The dynamics may also name a builtin model, as in
+``{"builtin": "scalar_integrator"}``.  Matrices are row-major nested lists
+of decimals.  Solvers: ``riccati`` and ``lq_pmp`` (free final state; one
+computation, the Riccati recursion, which is also the block elimination of
+the first-order system), ``transfer_freq``
 (fixed endpoints) and ``transfer`` (``transfer_freq`` without bans; one
 computation), ``shooting`` (fixed endpoints, LTI or builtin control-affine
 dynamics).  Every solver returns the same outcome to :func:`run`, and one

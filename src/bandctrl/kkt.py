@@ -32,57 +32,53 @@ and nu held as parameters, are a two-point LQ problem: a backward Riccati
 recursion gives u_t = K_t x_t + k_t and p_{t-1} = -P_t x_t + w_t.  What is
 left is the border: the last dynamics row (x_N = xf) and the frequency rows,
 a dense system of size n + q in (w_N, nu), where w_N = p_{N-1} at a
-solution.
-:func:`lti_solve` solves it by LU (once per plant at a stationary gain,
-below), or by least squares when LU fails or leaves a residual above
-INFEASIBILITY_TOL * (1 + |rhs|), so non-unique multipliers come out
-minimum-norm over (p_{N-1}, nu);
-:func:`time_varying_solve` by LU alone.  (With a free final state and no
-frequency rows, p_{N-1} = 0 is given and there is no border: the elimination
-is the Riccati recursion from P_N = 0 itself, which
-:func:`bandctrl.lq.riccati_solve` runs.)
+solution.  Since the end is fixed, the terminal weight P_N is free.
+:func:`time_varying_solve` solves the border by LU; :func:`lti_solve` by
+LU once per plant (its plan, below), and by least squares when that leaves
+a residual above INFEASIBILITY_TOL * (1 + |rhs|), so non-unique
+multipliers come out minimum-norm over (p_{N-1}, nu).  (With a free final
+state and no frequency rows, p_{N-1} = 0 is given and there is no border:
+the elimination is the Riccati recursion from P_N = 0 itself, which
+:func:`bandctrl.lq.riccati_solve` runs by the sweep, :func:`riccati_sweep`.)
 
-Since the end is fixed, the terminal weight P_N is free, and it is the
-stabilizing fixed point of the recursion, found by doubling: every stage
-then has the same gain K and closed loop Phi = A + B K, which must have
-decayed over the horizon (|Phi^N|_F <= 1/2, so rho(Phi) < 1).  The border
-comes in closed form, blocks by banned DFT bin (DFT orthogonality) plus a
-term of rank at most 2n (:func:`_stationary_border`), and its right-hand
-sides from the solve at zero border unknowns (:func:`_stationary_columns`),
-whose recursive-doubling scans, with one matrix each, carry any number of
-boundary data as columns.  Every constraint is an equality, so the solution
-is a linear map of v, z = Z v (the explicit-LQR observation of Bemporad,
-Morari, Dua & Pistikopoulos, Automatica 38, 2002, with no regions): Z
-(len z, 2n) comes from one pass over the 2n unit boundary data and one LU
-solve of the border with 2n right-hand sides.  Where no such fixed point
-is found (a mode on or outside the unit circle that B does not reach,
-overflow, a recursion that wanders in its last bits, or a closed loop too
-slow for the horizon), the sweep (:func:`riccati_sweep`) runs stage
-by stage from P_N = sigma I, stops once P_t reaches its floating-point fixed
-point and repeats that stage for the rest; the right-hand side and one unit
-column per border unknown are carried through a batched backward scan, and
-the border is the Gram product of those columns
-(:func:`_time_varying_border`); single-column passes then give the states,
-controls and adjoints.  :func:`time_varying_solve` takes the same border,
-from P_N = sigma I (the rule of :func:`lti_solve`'s sweep),
-with the recursion of every stage computed at once by an associative scan of
-the Riccati maps (:func:`riccati_scan`; about sigma I where an R_t has no
-inverse, so that a cost without curvature in u is solved too).
+An LTI plant takes for P_N the stabilizing fixed point of the recursion,
+found by doubling, where there is one: every stage then has the same gain K
+and closed loop Phi = A + B K, which must have decayed over the horizon
+(|Phi^N|_F <= 1/2, so rho(Phi) < 1).  The border comes in closed form,
+blocks by banned DFT bin (DFT orthogonality) plus a term of rank at most 2n
+(:func:`_stationary_border`), and its right-hand sides from the solve at
+zero border unknowns (:func:`_stationary_columns`), whose
+recursive-doubling scans, with one matrix each, carry any number of
+boundary data as columns.  Every other fixed-end border (a stage-varying
+one, or a plant without such a fixed point: a mode on or outside the unit
+circle that B does not reach, overflow, a recursion that wanders in its
+last bits, or a closed loop too slow for the horizon) comes from
+P_N = sigma I by :func:`_scanned_border`: the recursion of every stage at
+once by an associative scan of the Riccati maps (:func:`riccati_scan`;
+about sigma I where an R_t has no inverse, so that a cost without curvature
+in u is solved too), with the right-hand sides and one unit column per
+border unknown carried through a batched backward scan, and the border the
+Gram product of those columns (:func:`_time_varying_border`).
+:func:`_border` decides which of the two an LTI plant gets.
 :func:`lti_product` is ``assemble(...) @ z`` without the matrix, and
 :func:`lti_solve` checks its residual block by block.
 
-The stationary gain, the border matrix and Z depend on the plant
-(A, B, Q, R) and the frequency rows, not on v, in which alone the endpoints
-appear.  So :func:`lti_solve` keeps those of the most recent plant (its
-plan, :func:`_stationary_plan`), "no stationary gain" included, in one slot
+Every constraint is an equality, so an LTI solution is a linear map of v,
+z = Z v (the explicit-LQR observation of Bemporad, Morari, Dua &
+Pistikopoulos, Automatica 38, 2002, with no regions): Z (len z, 2n) comes
+from one border over the 2n unit boundary data and one LU solve with 2n
+right-hand sides.  The gain (or None), the border matrix S and Z depend on
+the plant (A, B, Q, R) and the frequency rows, not on v, in which alone the
+endpoints appear.  So :func:`lti_solve` keeps those of the most recent
+plant (its plan, :func:`_plant_plan`) in one slot
 (:class:`bandctrl._memo.LastValue`), keyed by the shapes and float64 bytes
-of A, B, Q and R and the constraint's ``row_key``.  Every stationary solve,
-on a new plant or a kept one, returns z = Z v once it passes the residual
-test, with no scan and no factorization after the plan; when it fails the
-test, or the LU solve of the plan failed and left no Z, the border is
-formed for v alone and solved by least squares.  The stored arrays are
-read-only, and a hit returns exactly what a fresh computation would, so
-results do not depend on what was solved before.  The slot retains
+of A, B, Q and R and the constraint's ``row_key``.  Every solve, on a new
+plant or a kept one, returns z = Z v once it passes the residual test, with
+no recursion and no factorization after the plan; when it fails the test,
+or the LU solve of the plan failed and left no Z, the border is formed for
+v alone and solved by least squares.  The stored arrays are read-only, and
+a hit returns exactly what a fresh computation would, so results do not
+depend on what was solved before.  The slot retains
 O((n + q)^2 + 2n len z) floats: 20.7 MiB after the baseline plant at
 N = 4096 (q = 1534), of which S is 18.1 MiB and Z 2.6 MiB.
 """
@@ -113,7 +109,7 @@ MAX_DOUBLINGS = 50
 # stages of the Riccati recursion that may refine the doubled fixed point
 MAX_REFINEMENTS = 8
 
-# the plant half of the most recent stationary solve (lti_solve)
+# the plan of the most recent fixed-end LTI plant (lti_solve)
 _PLANS = LastValue()
 
 __all__ = [
@@ -260,11 +256,13 @@ def assemble(jx, ju, Q, R, constraint, cross=None) -> np.ndarray:
 def boundary_rhs(ax0, xf, n: int, m: int, horizon: int, q: int) -> np.ndarray:
     """Right-hand side -r(0) of an LTI system.  At z = 0 every row vanishes
     but the first dynamics row, r = -A x_0 (``ax0`` is A x_0), and the last
-    one, r = x_N = ``xf`` (the same row when N = 1): see :func:`_boundary_rows`."""
-    rhs = np.zeros(segments(n, m, horizon, q)["nu"].stop)
-    first, last = _boundary_rows(ax0, xf, horizon)
-    rhs[:n] = first
-    rhs[(horizon - 1) * n : horizon * n] = last
+    one, r = x_N = ``xf`` (the same row when N = 1): see :func:`_boundary_rows`.
+    ``ax0`` and ``xf`` (c, n) give c right-hand sides, the columns of a
+    (len z, c) array."""
+    first, last = _boundary_rows(np.asarray(ax0, dtype=float), np.asarray(xf, dtype=float), horizon)
+    rhs = np.zeros((segments(n, m, horizon, q)["nu"].stop,) + first.shape[:-1])
+    rhs[:n] = first.T
+    rhs[(horizon - 1) * n : horizon * n] = last.T
     return rhs
 
 
@@ -277,9 +275,10 @@ def _boundary_rows(ax0, xf, horizon: int):
     return ax0, 0.0 - xf
 
 
-def riccati_sweep(A, B, Q, R, horizon: int, terminal=None):
+def riccati_sweep(A, B, Q, R, horizon: int):
     """Backward Riccati recursion of x_{t+1} = A x_t + B u_t under stage cost
-    0.5 x'Qx + 0.5 u'Ru, from P_N = ``terminal`` (zero when None):
+    0.5 x'Qx + 0.5 u'Ru from P_N = 0, the free end of
+    :func:`bandctrl.lq.riccati_solve`:
 
         H_t = R + B'P_{t+1}B,   K_t = -H_t^(-1) B'P_{t+1}A,
         P_t = Q + A'P_{t+1}(A + B K_t),
@@ -301,7 +300,7 @@ def riccati_sweep(A, B, Q, R, horizon: int, terminal=None):
     """
     n, m = np.shape(B)
     P = np.empty((horizon + 1, n, n))
-    P[horizon] = 0.0 if terminal is None else terminal
+    P[horizon] = 0.0
     K = np.empty((horizon, m, n))
     Hinv = np.empty((horizon, m, m))  # holds -H_t^(-1) until after the loop
     AB = np.concatenate([A, B], axis=1)
@@ -420,7 +419,7 @@ def riccati_scan(A, B, Q, R, terminal, cross=None):
         # (|R_t|_F |R_t^(-1)|_F)^2, NaN or inf where either is not finite
         kappa2 = np.sum(R * R, axis=(-2, -1)) * np.sum(Rinv * Rinv, axis=(-2, -1))
         if not (kappa2 <= 1.0 / EPS).all():  # scan D_t = P_t - sigma I
-            shift = _terminal_weight(R, B) or 1.0
+            shift = _terminal_weight(R, B)
             Q_scan = Q + shift * (A.transpose(0, 2, 1) @ A - np.eye(n))
             R_scan = R + shift * (BT @ B)
             cross_scan = (0.0 if cross is None else cross) - shift * (BT @ A)
@@ -612,36 +611,34 @@ def _confirmed_gain(A, B, Q, R, P, horizon: int):
 
 
 def _split_rows(rhs, n: int, m: int, horizon: int):
-    """Dynamics (N, n), adjoint (N-1, n), stationarity (N, m) and frequency
-    parts of a vector in the row layout of :func:`assemble`."""
-    N = horizon
+    """Dynamics (N, n, r), adjoint (N-1, n, r), stationarity (N, m, r) and
+    frequency (q, r) parts of r columns (len z, r) in the row layout of
+    :func:`assemble`."""
+    N, r = horizon, rhs.shape[1]
     r_adj, r_stat = N * n, (2 * N - 1) * n
     r_freq = r_stat + N * m
     return (
-        rhs[:r_adj].reshape(N, n),
-        rhs[r_adj:r_stat].reshape(N - 1, n),
-        rhs[r_stat:r_freq].reshape(N, m),
+        rhs[:r_adj].reshape(N, n, r),
+        rhs[r_adj:r_stat].reshape(N - 1, n, r),
+        rhs[r_stat:r_freq].reshape(N, m, r),
         rhs[r_freq:],
     )
 
 
-def _stationary_plan(A, B, Q, R, sigma: float, constraint):
+def _plant_plan(A, B, Q, R, constraint):
     """The half of a fixed-end solve that depends on the plant alone, not on
     the endpoints: (gain, S, Z), with ``gain`` = (P, K, H^(-1), Phi) of
-    :func:`_stationary_gain`, S the border matrix of
-    :func:`_stationary_border` and Z (len z, 2n) the transfer map: column k
-    is the solution z for the boundary data v = (A x0, xf) = e_k, so that
-    any v has z = Z v.  Z comes from one pass of :func:`_stationary_columns`
-    over the 2n unit columns and one LU solve of S with 2n right-hand sides;
-    it is None when that solve fails or is not finite.  Every array is
-    read-only; None when there is no stationary gain."""
-    gain = _stationary_gain(A, B, Q, R, sigma, constraint.horizon)
-    if gain is None:
-        return None
-    S = _stationary_border(A, B, constraint, gain)
+    :func:`_stationary_gain` (None when there is none), S the border matrix
+    of :func:`_border` and Z (len z, 2n) the transfer map: column k is the
+    solution z for the boundary data v = (A x0, xf) = e_k, so that any v has
+    z = Z v.  Z comes from one border over the 2n unit columns and one LU
+    solve of S with 2n right-hand sides; it is None when that solve fails
+    or is not finite.  Every array is read-only.  Raises
+    ``numpy.linalg.LinAlgError`` when a Riccati pivot is singular."""
+    gain = _stationary_gain(A, B, Q, R, _terminal_weight(R, B), constraint.horizon)
     n = len(A)
     unit = np.eye(2 * n)
-    b, stacked = _stationary_columns(B, constraint, gain, unit[:, :n], unit[:, n:])
+    S, b, stacked = _border(A, B, Q, R, constraint, gain, unit[:, :n], unit[:, n:])
     try:
         with np.errstate(all="ignore"):  # overflow ends in the check below
             Z = stacked(np.linalg.solve(S, b))
@@ -649,10 +646,29 @@ def _stationary_plan(A, B, Q, R, sigma: float, constraint):
         Z = None
     if Z is not None and not np.isfinite(Z).all():
         Z = None
-    for a in (*gain, S, Z):
+    for a in (*(gain or ()), S, Z):
         if a is not None:
             a.setflags(write=False)
     return gain, S, Z
+
+
+def _border(A, B, Q, R, constraint, gain, ax0, xf, S=None):
+    """Border matrix S, right-hand sides b (n + q, c) and the map theta -> z
+    (``stacked``, (n + q, c) to (len z, c)) of a fixed-end LTI transfer, for
+    c boundary data at once: row k of ``ax0`` and of ``xf`` (c, n) holds the
+    A x0 and xf of column k.  At a stationary ``gain``, S is that of
+    :func:`_stationary_border` (``S`` when given: it does not depend on the
+    data) and b and ``stacked`` are those of :func:`_stationary_columns`;
+    without one, all three come from :func:`_scanned_border` on broadcast A
+    and B, with the columns of :func:`boundary_rhs` as right-hand sides."""
+    if gain is None:
+        N, n = constraint.horizon, len(A)
+        rhs = boundary_rhs(ax0, xf, n, constraint.channels, N, constraint.row_count)
+        A, B = np.broadcast_to(A, (N, n, n)), np.broadcast_to(B, (N,) + B.shape)
+        return _scanned_border(A, B, Q, R, constraint, rhs)
+    if S is None:
+        S = _stationary_border(A, B, constraint, gain)
+    return (S, *_stationary_columns(B, constraint, gain, ax0, xf))
 
 
 def _stationary_columns(B, constraint, gain, ax0, xf):
@@ -714,7 +730,7 @@ def _stationary_columns(B, constraint, gain, ax0, xf):
 
 def _stationary_border(A, B, constraint, gain):
     """Border matrix S in (w_N, nu) of a fixed end, for the one gain of
-    :func:`_stationary_rhs`; it does not depend on the right-hand side.
+    :func:`_stationary_gain`; it does not depend on the right-hand side.
 
     The w_N columns of the backward pass are w_t = Phi'^(N-t), so
     e_t = T_t = B'Phi'^(N-1-t), with Gram matrix G = sum_t T_t'H^(-1)T_t.
@@ -797,81 +813,96 @@ def _product_blocks(A, B, Q, R, constraint, z):
     return dyn, adj, stat, constraint.apply(U)
 
 
-def _time_varying_border(A, B, constraint, rhs, sweep):
+def _time_varying_border(A, B, constraint, rhs, recursion):
     """Border (S, b) and the map theta -> z of stage-varying dynamics, from
-    a Riccati sweep ``sweep`` = (P, K, H^(-1)) (of :func:`riccati_sweep` or
-    :func:`riccati_scan`), with the right-hand side and one column per border
-    unknown carried through the backward scan.  ``A`` (N, n, n) and ``B``
-    (N, n, m) are the stage derivatives (broadcast views for LTI data).
+    a Riccati ``recursion`` = (P, K, H^(-1)) of :func:`riccati_scan`,
+    for the r right-hand sides that are the columns of ``rhs`` (len z, r):
+    they and one column per border unknown are carried through the backward
+    scan.  ``A`` (N, n, n) and ``B`` (N, n, m) are the stage derivatives
+    (broadcast views for LTI data).  b is (n + q, r), and ``stacked`` maps
+    theta (n + q, r) to z (len z, r).
 
     With e_t = B_t'w_{t+1} - g_t (less B_t'P_{t+1}d_t in the right-hand-side
-    column) and k_t = H_t^(-1) e_t, the border rows as affine functions of
+    columns) and k_t = H_t^(-1) e_t, the border rows as affine functions of
     theta are diag(I, -I) (E'K + W'd): the sum over stages of e_t'k_t, plus
-    w_{t+1}'d_t in the right-hand-side column only.  Over the theta columns
-    this is the Schur complement J H^(-1) J' that the sweep has factored stage
-    by stage; in the right-hand-side column it is the border value at
+    w_{t+1}'d_t in the right-hand-side columns only.  Over the theta columns
+    this is the Schur complement J H^(-1) J' that the recursion has factored
+    stage by stage; in a right-hand-side column it is the border value at
     theta = 0, the cross term of the LQ value function.  So the border needs
-    no forward pass: theta is folded into k_t and w_t, and one single-column
-    forward scan gives x, u and p.  A gain-state cross term enters only
-    through the sweep's P_t and K_t.
+    no forward pass: theta is folded into k_t and w_t, and one forward scan
+    with r columns gives x, u and p.  A gain-state cross term enters only
+    through the recursion's P_t and K_t.
     """
     N, q, m = constraint.horizon, constraint.row_count, constraint.channels
-    n = A.shape[1]
-    P, K, Hinv = sweep
+    n, r = A.shape[1], rhs.shape[1]
+    P, K, Hinv = recursion
     Phi = A + B @ K
     PhiT = Phi.transpose(0, 2, 1)
     BT = B.transpose(0, 2, 1)
 
-    # backward columns: the right-hand side, then w_N, then nu
-    c = 1 + n + q
+    # backward columns: the right-hand sides, then w_N, then nu
+    c = r + n + q
     d, adj, stat, freq = _split_rows(rhs, n, m, N)
     g = np.zeros((N, m, c))  # F_t'nu + s_t: R u_t = B_t'p_t - g_t
-    g[:, :, 0] = stat
-    g[:, :, 1 + n :] = constraint.columns()
+    g[:, :, :r] = stat
+    g[:, :, r + n :] = constraint.columns()
     wr = np.empty((N, n, c))  # w_N, w_{N-1}, ..., w_1: the scan order
     wr[0] = 0.0  # w_N = p_{N-1} + P_N x_N
-    wr[0, :, 1 : 1 + n] = np.eye(n)
-    Pd = P[1:] @ d[:, :, None]  # P_{t+1} d_t
+    wr[0, :, r : r + n] = np.eye(n)
+    Pd = P[1:] @ d  # P_{t+1} d_t
 
     # backward: w_t = Phi_t'(w_{t+1} - P_{t+1} d_t) - K_t' g_t + a_t from w_N,
     # for t = N-1..1; the G of w_N is never read
     wr[1:] = (K[1:].transpose(0, 2, 1) @ -g[1:])[::-1]
-    wr[1:, :, 0] += (adj - (PhiT[1:] @ Pd[1:])[:, :, 0])[::-1]
+    wr[1:, :, :r] += (adj - PhiT[1:] @ Pd[1:])[::-1]
     G = np.empty((N, n, n))
     G[0] = 0.0
     G[1:] = PhiT[:0:-1]
     _scan(G, wr)
     w = wr[::-1]  # w_1..w_N
     e = BT @ w - g
-    e[:, :, 0] -= (BT @ Pd)[:, :, 0]
+    e[:, :, :r] -= BT @ Pd
     k = Hinv @ e
 
     def stacked(theta):
         """z for the parameters theta, by one forward scan of
         x_{t+1} = Phi_t x_t + B_t k_t + d_t from x_0 = 0 (A x0 is in rhs)."""
-        kt = k[:, :, :1] + k[:, :, 1:] @ theta[:, None]
-        x_next = _scan(Phi.copy(), B @ kt + d[:, :, None])  # x_1..x_N
+        kt = k[:, :, :r] + k[:, :, r:] @ theta
+        x_next = _scan(Phi.copy(), B @ kt + d)  # x_1..x_N
         u = kt
         u[1:] += K[1:] @ x_next[:-1]
-        p = w[:, :, :1] + w[:, :, 1:] @ theta[:, None] - P[1:] @ x_next
-        return np.concatenate([x_next[:-1].ravel(), u.ravel(), p.ravel(), theta[n:]])
+        p = w[:, :, :r] + w[:, :, r:] @ theta - P[1:] @ x_next
+        return np.concatenate(
+            [x_next[:-1].reshape(-1, r), u.reshape(-1, r), p.reshape(-1, r), theta[n:]]
+        )
 
     # border rows x_N = 0 and sum_t F_t u_t = f, as functions of every
-    # column: diag(I, -I) (E'K + W'd), W'd in the rhs column only
+    # column: diag(I, -I) (E'K + W'd), W'd in the rhs columns only
     border = e.reshape(N * m, c).T @ k.reshape(N * m, c)
-    border[:, 0] += d[::-1].ravel() @ wr.reshape(N * n, c)
-    border = border[1:]
+    border[:, :r] += wr.reshape(N * n, c).T @ np.ascontiguousarray(d[::-1]).reshape(N * n, r)
+    border = border[r:]
     border[n:] *= -1.0
-    b = -border[:, 0]
+    b = -border[:, :r]
     b[n:] += freq
-    return border[:, 1:], b, stacked
+    return border[:, r:].copy(), b, stacked
+
+
+def _scanned_border(A, B, Q, R, constraint, rhs, cross=None):
+    """:func:`_time_varying_border` of the Riccati recursion of
+    :func:`riccati_scan` from the terminal weight P_N = sigma I
+    (:func:`_terminal_weight`): the border of every fixed end without a
+    stationary gain.  P_N = 0 would leave H_{N-1} = R_{N-1}, singular where
+    R is."""
+    sigma = _terminal_weight(R, B)
+    recursion = riccati_scan(A, B, Q, R, sigma * np.eye(A.shape[1]), cross)
+    return _time_varying_border(A, B, constraint, rhs, recursion)
 
 
 def _terminal_weight(R, B) -> float:
     """sigma of the fixed-end terminal weight sigma I: |R|_F / |B|_F^2, so that
-    B'P B is of the size of R (1.0 at zero gain or a non-finite ratio).  A
-    stack B (N, n, m) takes the mean of |B_t|_F^2 over its stages, a stack R
-    (N, m, m) the root mean square of |R_t|_F."""
+    B'P B is of the size of R (1.0 at a zero weight or gain, or a ratio that
+    is not finite).  A stack B (N, n, m) takes the mean of |B_t|_F^2 over its
+    stages, a stack R (N, m, m) the root mean square of |R_t|_F."""
     bb = float(np.sum(B * B))
     if np.ndim(B) == 3:
         bb /= len(B)
@@ -879,9 +910,7 @@ def _terminal_weight(R, B) -> float:
     if np.ndim(R) == 3:
         r /= math.sqrt(len(R))
     sigma = r / bb if bb > 0.0 else 1.0
-    if not sigma < np.inf:
-        return 1.0
-    return sigma
+    return sigma if 0.0 < sigma < np.inf else 1.0
 
 
 def time_varying_solve(A, B, Q, R, constraint, rhs, cross=None) -> np.ndarray:
@@ -890,22 +919,16 @@ def time_varying_solve(A, B, Q, R, constraint, rhs, cross=None) -> np.ndarray:
 
     ``A`` (N, n, n), ``B`` (N, n, m), ``Q``, ``R`` and ``cross`` (N, m, n)
     are the stage blocks of :func:`assemble`, ``Q`` and ``R`` constant or per
-    stage.  The terminal weight is sigma I (:func:`_terminal_weight`, over the
-    mean gain and weight; 1.0 where R is zero, which the scan allows), the
-    Riccati recursion comes from :func:`riccati_scan`, and the border in
-    (w_N, nu) from :func:`_time_varying_border`, solved by LU.  Raises
-    :class:`SingularSystemError` when a (shifted) R_t, a pivot or the border
-    is exactly singular or the solution is not finite: with block elimination
-    the matrix has rank ``len(rhs) - deficiency``.
+    stage.  The border in (w_N, nu) is that of :func:`_scanned_border`,
+    solved by LU.  Raises :class:`SingularSystemError` when a (shifted) R_t,
+    a pivot or the border is exactly singular or the solution is not finite:
+    with block elimination the matrix has rank ``len(rhs) - deficiency``.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    n = A.shape[1]
-    sigma = _terminal_weight(R, B) or 1.0  # P_N = 0 would leave H_{N-1} = R_{N-1}
-    sweep = riccati_scan(A, B, Q, R, sigma * np.eye(n), cross)
-    S, b, stacked = _time_varying_border(A, B, constraint, rhs, sweep)
+    S, b, stacked = _scanned_border(A, B, Q, R, constraint, rhs[:, None], cross)
     try:
         with np.errstate(all="ignore"):  # overflow ends in the check below
-            z = stacked(np.linalg.solve(S, b))
+            z = stacked(np.linalg.solve(S, b)).ravel()
         if np.isfinite(z).all():
             return z
     except np.linalg.LinAlgError:
@@ -935,18 +958,13 @@ def lti_solve(A, B, Q, R, constraint, ax0, xf):
     such mode makes the right-hand-side and p_{N-1} columns grow like
     rho(A)^N and cancel in x_t; a stabilizing weight avoids that.  So P_N is
     the stabilizing fixed point of the recursion (:func:`_stationary_gain`,
-    doubling about 0 and then about sigma I, with B'P B of the size of R):
-    every stage has one gain and a closed loop that decays over the horizon,
-    the border comes in closed form (:func:`_stationary_border`), with no
-    (N, q) array, and the solution is a fixed linear map of v = (ax0, xf),
-    z = Z v (:func:`_stationary_plan`, kept for the next call with the same
-    plant).  When that z fails the residual test, or there is no Z, the
-    border is formed for v (:func:`_stationary_columns`) and solved by least
-    squares.  When no stationary gain is found, the sweep runs stage by stage
-    from P_N = sigma I and carries the border columns through its backward
-    scan (:func:`_time_varying_border`); that border is solved by LU, and by
-    least squares when LU fails, gives non-finite values or fails the
-    residual test.
+    doubling about 0 and then about sigma I, with B'P B of the size of R)
+    where there is one, and sigma I where there is none
+    (:func:`_scanned_border`).  Either way the solution is a fixed linear map
+    of v = (ax0, xf), z = Z v (:func:`_plant_plan`, kept for the next call
+    with the same plant).  When that z fails the residual test, or there is
+    no Z, the border is formed for v alone (:func:`_border`) and solved by
+    least squares.
 
     The residual test is |``assemble(...) @ z`` - rhs|_max with the blocks of
     :func:`lti_product` reduced where they are computed, the rhs subtracted
@@ -955,13 +973,12 @@ def lti_solve(A, B, Q, R, constraint, ax0, xf):
     without a vector of the length of z.
     """
     A, B, Q, R, ax0, xf = (np.asarray(a, dtype=float) for a in (A, B, Q, R, ax0, xf))
-    n = A.shape[0]
     N = constraint.horizon
     first, last = _boundary_rows(ax0, xf, N)  # the rows of the rhs that are not zero
     threshold = INFEASIBILITY_TOL * (1.0 + abs(np.concatenate([first, last])).max(initial=0.0))
-    plan = _PLANS.get(
+    gain, S, Z = _PLANS.get(
         (content_key(A, B, Q, R), constraint.row_key),
-        lambda: _stationary_plan(A, B, Q, R, _terminal_weight(R, B), constraint),
+        lambda: _plant_plan(A, B, Q, R, constraint),
     )
 
     def residual(z):
@@ -973,33 +990,13 @@ def lti_solve(A, B, Q, R, constraint, ax0, xf):
             dyn[-1] -= last
         return largest(*max_norms(dyn, adj, stat, freq))
 
-    z = None
-    if plan is not None:
-        gain, S, Z = plan
-        if Z is not None:
-            z = Z.dot(np.concatenate([ax0, xf]))
-    else:
-        rhs = boundary_rhs(ax0, xf, n, constraint.channels, N, constraint.row_count)
-        S, b, stacked = _time_varying_border(
-            np.broadcast_to(A, (N,) + A.shape), np.broadcast_to(B, (N,) + B.shape),
-            constraint, rhs, riccati_sweep(A, B, Q, R, N, _terminal_weight(R, B) * np.eye(n)),
-        )
-        try:
-            z = stacked(np.linalg.solve(S, b))
-        except np.linalg.LinAlgError:
-            pass
+    z = None if Z is None else Z.dot(np.concatenate([ax0, xf]))
     res = np.inf if z is None else residual(z)
-    if not res <= threshold:
-        if plan is not None:  # the border of this v alone
-            b, columns = _stationary_columns(B, constraint, gain, ax0[None], xf[None])
-            b = b[:, 0]
-
-            def stacked(theta):
-                return columns(theta[:, None])[:, 0]
-
+    if not res <= threshold:  # least squares on the border of this v alone
+        S, b, stacked = _border(A, B, Q, R, constraint, gain, ax0[None], xf[None], S)
         if not (np.isfinite(S).all() and np.isfinite(b).all()):
             # LAPACK's least squares need not return on non-finite input
             raise np.linalg.LinAlgError("border system is not finite")
-        z = stacked(np.linalg.lstsq(S, b, rcond=None)[0])
+        z = stacked(np.linalg.lstsq(S, b, rcond=None)[0]).ravel()
         res = residual(z)
     return z, res, res <= threshold

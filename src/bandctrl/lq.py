@@ -3,8 +3,9 @@
 Four entry points, all for x_{t+1} = A x_t + B u_t with stage cost
 0.5 x'Qx + 0.5 u'Ru (Q psd, R pd):
 
-* :func:`riccati_solve` - free final state, backward value recursion and
-  closed-loop rollout (one recursive-doubling scan);
+* :func:`riccati_solve` - free final state, backward value recursion from
+  S_N = 0 (:func:`bandctrl.kkt.riccati_sweep`, which serves this free end
+  alone) and closed-loop rollout (one recursive-doubling scan);
 * :func:`lq_pmp_solve` - the same problem read as its first-order two-point
   system, whose block elimination is that recursion;
 * :func:`lq_transfer_freq_solve` - fixed endpoints x_0 = x0, x_N = xf plus
@@ -16,8 +17,11 @@ Four entry points, all for x_{t+1} = A x_t + B u_t with stage cost
 A transfer solves its first-order system, in the row layout of
 :mod:`bandctrl.kkt`, with :func:`bandctrl.kkt.lti_solve`, which factors no
 matrix larger than (n + q)^2; when the multipliers are non-unique,
-(p_{N-1}, nu) is minimum-norm over those border unknowns.  A max-norm
-residual of the whole first-order system above
+(p_{N-1}, nu) is minimum-norm over those border unknowns.  Its terminal
+weight is the stationary Riccati solution where there is one, else sigma I
+with the Riccati scan, which shifts a singular R: a transfer with R = 0
+solves, where the free end's recursion from S_N = 0 is SINGULAR.  A
+max-norm residual of the whole first-order system above
 INFEASIBILITY_TOL * (1 + |rhs|) flags the transfer as infeasible.
 
 The endpoints x0 and xf enter only the right-hand side, so what depends on
@@ -168,7 +172,7 @@ def _solve_transfer(A, B, Q, R, N, x0, xf, constraint, normality=None) -> LqSolu
     xf = np.asarray(xf, dtype=float).reshape(n)
     try:
         z, residual, consistent = kkt.lti_solve(A, B, Q, R, constraint, A @ x0, xf)
-    except np.linalg.LinAlgError:  # a singular Riccati pivot
+    except np.linalg.LinAlgError:  # a singular Riccati pivot, or a non-finite border
         return LqSolution(
             None, None, np.zeros(constraint.row_count), float("nan"), SolveStatus.SINGULAR,
             normality=normality,

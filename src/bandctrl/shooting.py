@@ -211,13 +211,19 @@ def assemble_residual(z: StackedUnknowns, spec: ProblemSpec, x0, xf) -> np.ndarr
     extremal of the fixed-endpoint problem.
     """
     _check_supported(spec)
+    _check_layout(z, spec)
+    return _residual_vec(z.z, spec, x0, xf)
+
+
+def _check_layout(z: StackedUnknowns, spec: ProblemSpec) -> None:
+    """Raise a ValueError naming both layouts when ``z`` is not laid out for
+    the (n, m, N, q) of ``spec``."""
     n, m, N, q = spec.n, spec.m, spec.horizon, spec.frequency_constraint.row_count
     if (z.n, z.m, z.horizon, z.q) != (n, m, N, q):
         raise ValueError(
             f"unknown layout ({z.n}, {z.m}, {z.horizon}, {z.q}) does not match the "
             f"spec ({n}, {m}, {N}, {q})"
         )
-    return _residual_vec(z.z, spec, x0, xf)
 
 
 def _fd_blocks(spec: ProblemSpec, states, controls, adjoints):
@@ -278,6 +284,7 @@ def residual_jacobian(
     stage blocks analytic or, with ``fd`` or a general cost, central
     differences of the stage gradients."""
     _check_supported(spec)
+    _check_layout(z, spec)
     unpacked = _unpack(z.z, spec, x0, xf)
     terms = _stage_terms(spec.dynamics, spec.cost, *unpacked[:2], step=False)
     fd = fd or isinstance(spec.cost, GeneralCost)
@@ -361,6 +368,8 @@ def newton_solve(
     init_warning, verdict = False, None
     if init is None:  # an LTI spec's initialization classifies the spec itself
         init, init_warning, verdict = _initialize(spec, x0, xf)
+    else:
+        _check_layout(init, spec)
     if isinstance(spec.dynamics, LtiDynamics):
         if verdict is None:
             verdict = classify_normality_freq(

@@ -137,7 +137,9 @@ class FrequencyConstraint:
     places in its border columns.  The rows are orthogonal, with
     norms ``row_norms``, so ``effective_rank == row_count``; a repeated
     (channel, bin up to its mirror N - xi, part) or the vanishing sin part
-    of bin 0 or N/2 raises a "dependent" ValueError.
+    of bin 0 or N/2 raises a "dependent" ValueError.  So do, naming the
+    field, a horizon below 1, row fields of unequal lengths and a
+    ``row_channel`` outside 0..channels - 1.
     """
 
     horizon: int
@@ -155,6 +157,16 @@ class FrequencyConstraint:
         bins = np.array(self.row_bin, dtype=int).ravel()
         imag = np.array(self.row_imag, dtype=bool).ravel()
         N = self.horizon
+        if N < 1:
+            raise ValueError(f"horizon must be >= 1, got {N}")
+        if not chan.size == bins.size == imag.size:
+            raise ValueError(
+                f"row_channel, row_bin and row_imag have lengths {chan.size}, {bins.size} "
+                f"and {imag.size}; they must be equal"
+            )
+        outside = sorted(set(chan[(chan < 0) | (chan >= self.channels)].tolist()))
+        if outside:
+            raise ValueError(f"row_channel: channels {outside} outside 0..{self.channels - 1}")
         rows = list(zip(chan.tolist(), [min(b % N, -b % N) for b in bins.tolist()], imag.tolist()))
         if len(set(rows)) < len(rows) or any(im and 2 * xi % N == 0 for _, xi, im in rows):
             raise ValueError(

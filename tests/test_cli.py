@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from bandctrl import cli, extremal, lq, shooting
+from bandctrl import cli, extremal, kkt, lq, shooting
 from bandctrl.cli import apply_overrides, parse_problem, run, serialize_problem, spectrum_report
 from bandctrl.problem import ProblemValidationError
 
@@ -249,6 +249,21 @@ class TestRun:
         inp = _write(tmp_path, "p.json", _transfer_doc())
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         assert run(inp, str(out1)) == 0
+        assert run(inp, str(out2)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_the_module_docstring_example_is_certified(self, tmp_path):
+        # the example document of cli's docstring: an integrator that Q does
+        # not weigh, which has no stationary gain, so its transfer map comes
+        # from the Riccati scan
+        path = tmp_path / "p.json"
+        path.write_text(cli.__doc__.split("::", 1)[1].split("\nThe dynamics", 1)[0])
+        inp = str(path)
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert run(inp, str(out1)) == 0
+        assert kkt._PLANS._entry[1][0] is None  # the plan of a plant without a gain
+        result = json.loads(out1.read_text())
+        assert result["status"] == "SOLVED" and result["certificate"]["passed"] is True
         assert run(inp, str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 

@@ -70,32 +70,31 @@ class TestRiccatiSweep:
         horizon=st.integers(1, 400),
         radius=st.floats(0.1, 1.1),
         q_rank=st.integers(0, 4),
-        sigma=st.one_of(st.none(), st.floats(0.1, 10.0)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_loop_oracle(self, n, m, horizon, radius, q_rank, sigma, seed):
+    def test_matches_loop_oracle(self, n, m, horizon, radius, q_rank, seed):
         rng = np.random.default_rng(seed)
         A, B, _, R = random_lq_matrices(rng, n, m, spectral_radius=radius)
         Mq = rng.standard_normal((min(q_rank, n), n))
         Q = Mq.T @ Mq  # rank-deficient unless q_rank >= n
-        terminal = None if sigma is None else sigma * np.eye(n)
-        P, K, Hinv = kkt.riccati_sweep(A, B, Q, R, horizon, terminal)
-        P_o, K_o, Hinv_o = loop_riccati_sweep(A, B, Q, R, horizon, terminal)
+        P, K, Hinv = kkt.riccati_sweep(A, B, Q, R, horizon)
+        P_o, K_o, Hinv_o = loop_riccati_sweep(A, B, Q, R, horizon)
         tol = 1e-12 * (1.0 + np.max(np.abs(P_o)))
         for a, b in [(P, P_o), (K, K_o), (Hinv, Hinv_o)]:
             assert np.max(np.abs(a - b)) <= tol
 
     def test_slow_convergence_never_stops_early(self):
-        # P_t = 1/(N - t + 1): the relative step 1/k stays far above rounding
+        # P_{N-k} = k Q (1 + O(k^2 Q)) for k << Q^(-1/2) = 1e6: the relative
+        # step 1/k stays far above rounding, and every stage is swept
         N = 2000
-        one, zero = np.ones((1, 1)), np.zeros((1, 1))
-        P, K, Hinv = kkt.riccati_sweep(one, one, zero, one, N, one)
-        assert np.all(P[:-1, 0, 0] < P[1:, 0, 0])
-        k = N - np.arange(N + 1) + 1.0
-        assert np.max(np.abs(P[:, 0, 0] * k - 1.0)) <= 1e-12
-        P_o, K_o, Hinv_o = loop_riccati_sweep(one, one, zero, one, N, one)
-        assert np.max(np.abs(P - P_o)) <= 1e-14
-        assert np.max(np.abs(K - K_o)) <= 1e-14
+        one, Q = np.ones((1, 1)), np.full((1, 1), 1e-12)
+        P, K, Hinv = kkt.riccati_sweep(one, one, Q, one, N)
+        assert np.all(P[:-1, 0, 0] > P[1:, 0, 0])
+        k = N - np.arange(N + 1.0)
+        assert np.max(np.abs(P[:, 0, 0] - k * Q[0, 0])) <= 1e-5 * N * Q[0, 0]
+        P_o, K_o, Hinv_o = loop_riccati_sweep(one, one, Q, one, N)
+        assert np.max(np.abs(P - P_o)) <= 1e-14 * np.max(np.abs(P_o))
+        assert np.max(np.abs(K - K_o)) <= 1e-14 * np.max(np.abs(K_o))
 
     def test_zero_weights_give_exact_zero(self):
         rng = np.random.default_rng(4)
@@ -108,9 +107,9 @@ class TestRiccatiSweep:
     def test_long_horizon_reaches_its_fixed_point(self):
         A, B, Q, R = _baseline_plant()
         N = 4096
-        P, K, Hinv = kkt.riccati_sweep(A, B, Q, R, N, np.eye(4))
+        P, K, Hinv = kkt.riccati_sweep(A, B, Q, R, N)
         assert np.all(P[:3800] == P[0]) and np.all(K[:3800] == K[0])
-        P_o, K_o, Hinv_o = loop_riccati_sweep(A, B, Q, R, N, np.eye(4))
+        P_o, K_o, Hinv_o = loop_riccati_sweep(A, B, Q, R, N)
         tol = 1e-12 * (1.0 + np.max(np.abs(P_o)))
         for a, b in [(P, P_o), (K, K_o), (Hinv, Hinv_o)]:
             assert np.max(np.abs(a - b)) <= tol
@@ -163,10 +162,13 @@ class TestRiccatiScan:
         A, B, Q, R = _baseline_plant()
         N = 256
         AN, BN = np.broadcast_to(A, (N, 4, 4)), np.broadcast_to(B, (N, 4, 2))
-        for terminal in (np.zeros((4, 4)), np.eye(4)):
+        # the sweep runs from P_N = 0 only; from P_N = I the loop is the reference
+        for terminal, oracle in [
+            (np.zeros((4, 4)), kkt.riccati_sweep(A, B, Q, R, N)),
+            (np.eye(4), loop_riccati_sweep(A, B, Q, R, N, np.eye(4))),
+        ]:
             P, K, Hinv = kkt.riccati_scan(AN, BN, Q, R, terminal)
-            P_o, K_o, Hinv_o = kkt.riccati_sweep(A, B, Q, R, N, terminal)
-            for a, b in [(P, P_o), (K, K_o), (Hinv, Hinv_o)]:
+            for a, b in zip((P, K, Hinv), oracle):
                 assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
 
     def test_singular_pivot_names_its_stage(self):
@@ -503,7 +505,7 @@ class TestStructuredSolve:
             assert abs(residual - np.max(np.abs(M @ z - rhs))) <= 1e-14 * scale
 
     def test_singular_pivot_raises(self):
-        # Q = -1.5 has no real stationary gain, so the sweep runs from
+        # Q = -1.5 has no real stationary gain, so the scan runs from
         # P_3 = sigma = 1: P_2 = -1.5 + 1 - 1/2 = -1 and H_1 = 1 + P_2 = 0
         with pytest.raises(np.linalg.LinAlgError):
             kkt.lti_solve([[1.0]], [[1.0]], [[-1.5]], [[1.0]], FrequencyConstraint(3, 1), [1.0], [1.0])
@@ -530,6 +532,14 @@ class TestPlanMemo:
         return [A, B, Q, R, fc]
 
     @staticmethod
+    def _unweighted_plant(N=32):
+        """A chain of three integrators with Q = 0: every mode is marginal,
+        so there is no stationary gain, and the plan comes from the scan."""
+        A, B = np.eye(3) + np.eye(3, k=1), np.eye(3)[:, 1:]
+        fc = build_frequency_constraint(SupportSpec.from_banned([[1, 4], [2]], N), N, 2)
+        return [A, B, np.zeros((3, 3)), np.eye(2), fc]
+
+    @staticmethod
     def _ends(plant, seed):
         rng = np.random.default_rng(seed)
         return plant[0] @ rng.standard_normal(3), rng.standard_normal(3)
@@ -544,24 +554,58 @@ class TestPlanMemo:
         return np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
 
     def test_interleaved_plants_give_the_empty_memo_answer(self, monkeypatch):
-        plant, other = self._plant(1), self._plant(2)
-        e1, e2, e3 = (self._ends(plant, seed) for seed in (1, 2, 3))
-        ref = self._fresh(plant, e2)
-        plans, planned = kkt._stationary_plan, []
+        plans, planned = kkt._plant_plan, []
 
         def spy(*args):
             planned.append(args[0])
             return plans(*args)
 
+        monkeypatch.setattr(kkt, "_plant_plan", spy)
+        # with a stationary gain, and without one
+        for plant, gained in [(self._plant(1), True), (self._unweighted_plant(), False)]:
+            other = self._plant(2)
+            e1, e2, e3 = (self._ends(plant, seed) for seed in (1, 2, 3))
+            ref = self._fresh(plant, e2)
+            monkeypatch.setattr(kkt, "_PLANS", LastValue())
+            planned.clear()
+            kkt.lti_solve(*plant, *e1)
+            hit = kkt.lti_solve(*plant, *e2)
+            assert (kkt._PLANS._entry[1][0] is not None) == gained
+            kkt.lti_solve(*other, *e3)
+            miss = kkt.lti_solve(*plant, *e2)
+            assert len(planned) == 3  # the second call reused the first one's plan
+            assert self._same(hit, ref) and self._same(miss, ref)
+            assert ref[2] and ref[1] <= 1e-12
+
+    def test_a_repeated_plant_without_a_stationary_gain_runs_no_recursion(self, monkeypatch):
+        # a miss scans the 2n unit boundary data once; a hit is z = Z v alone.
+        # No fixed end runs the sweep, which serves the free end
+        counted = {"riccati_scan": 0, "_stationary_gain": 0}
+
+        def spy(name):
+            function = getattr(kkt, name)
+
+            def call(*args, **kwargs):
+                counted[name] += 1
+                return function(*args, **kwargs)
+
+            return call
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("a fixed-end solve ran riccati_sweep")
+
         monkeypatch.setattr(kkt, "_PLANS", LastValue())
-        monkeypatch.setattr(kkt, "_stationary_plan", spy)
-        kkt.lti_solve(*plant, *e1)
-        hit = kkt.lti_solve(*plant, *e2)
-        kkt.lti_solve(*other, *e3)
-        miss = kkt.lti_solve(*plant, *e2)
-        assert len(planned) == 3  # the second call reused the first one's plan
-        assert self._same(hit, ref) and self._same(miss, ref)
-        assert ref[2] and ref[1] <= 1e-12
+        for name in counted:
+            monkeypatch.setattr(kkt, name, spy(name))
+        monkeypatch.setattr(kkt, "riccati_sweep", sweep)
+        for plant, misses in [(self._unweighted_plant(), (1, 1)), (self._plant(1), (1, 0))]:
+            for seed, hit in [(1, False), (2, True)]:
+                for name in counted:
+                    counted[name] = 0
+                _, residual, consistent = kkt.lti_solve(*plant, *self._ends(plant, seed))
+                assert consistent and residual <= 1e-12
+                expected = (0, 0) if hit else misses
+                assert (counted["_stationary_gain"], counted["riccati_scan"]) == expected
 
     @pytest.mark.parametrize("changed", [0, 2], ids=["A", "Q"])
     def test_a_plant_changed_in_place_is_planned_again(self, changed):
@@ -668,7 +712,7 @@ class TestStationaryGain:
         assert not P.any() and not K.any() and Phi[0, 0] == 0.9
 
 
-    def test_slow_closed_loop_over_a_short_horizon_is_solved_stage_by_stage(self):
+    def test_slow_closed_loop_over_a_short_horizon_is_solved_by_the_scan(self):
         # an integrator that Q weighs by 1e-6 closes to about 0.999: not decayed
         # over 16 stages, where the closed-form columns would cancel, and
         # decayed over 8192

@@ -11,6 +11,7 @@ from bandctrl import kkt
 from bandctrl.extremal import (
     AbnormalRegimeError,
     NormalityClass,
+    classify_normality_classic,
     classify_normality_freq,
     lift_from_solver,
     verify_pmp,
@@ -23,7 +24,7 @@ from bandctrl.lq import (
     riccati_adjoints,
     riccati_solve,
 )
-from bandctrl.problem import lti_spec
+from bandctrl.problem import QuadraticCost, lti_spec
 from bandctrl.shooting import StackedUnknowns, assemble_residual
 from bandctrl.spectrum import (
     FrequencyConstraint,
@@ -228,6 +229,13 @@ class TestTransfer:
         with pytest.raises(ValueError, match=r"inconsistent shapes: A\(3, 3\) B\(2, 1\)"):
             solve(*args, *extra)
 
+    def test_zero_horizon_is_named(self):
+        A, B = np.eye(2), [[1.0], [0.0]]
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            lq_transfer_solve(A, B, np.eye(2), [[1.0]], 0, np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            classify_normality_classic(A, B, 0)
+
     def test_unreachable_target_is_infeasible(self):
         A = np.zeros((2, 2))
         B = np.array([[1.0], [0.0]])
@@ -244,12 +252,24 @@ class TestTransfer:
         ],
         ids=["m2", "m1"],
     )
-    def test_singular_control_weight_is_singular(self, A, B, Q, R, x0, xf):
-        # R^-1 is taken in closed form, where a singular R raises
-        # ZeroDivisionError (m = 2) or warns of a division by zero (m = 1)
+    def test_singular_control_weight_solves_through_the_shifted_scan(self, A, B, Q, R, x0, xf):
+        # R = 0 has no stationary gain, and the Riccati scan from sigma I
+        # shifts its weights (kkt.riccati_scan): the transfer is the dense
+        # system's, and it certifies against the spec with R = 0, which
+        # validate refuses (R is not positive definite)
+        A, B, Q, R = (np.asarray(a, dtype=float) for a in (A, B, Q, R))
+        n, m = B.shape
         sol = lq_transfer_solve(A, B, Q, R, 4, x0, xf)
-        assert sol.status is SolveStatus.SINGULAR
-        assert sol.trajectory is None
+        assert sol.status is SolveStatus.SOLVED
+        fc = FrequencyConstraint(4, m)
+        z, _, consistent = dense_first_order_solve(A, B, Q, R, 4, x0, xf, dense_blocks(fc))
+        assert consistent
+        oracle = StackedUnknowns(z, n, m, 4, 0)
+        assert _rel_gap(sol.trajectory.controls, oracle.controls()) <= 1e-12
+        assert _rel_gap(sol.trajectory.states[1:4], oracle.states()) <= 1e-12
+        spec = dataclasses.replace(lti_spec(A, B, Q, np.eye(m), 4, x0, xf), cost=QuadraticCost(Q, R))
+        lift = lift_from_solver(spec, sol.trajectory, sol.adjoints, sol.nu)
+        assert verify_pmp(sol.trajectory, lift, spec).passed
 
     def test_single_step_transfer(self):
         # N = 1: the one control is pinned by the endpoint equation alone
@@ -519,7 +539,7 @@ class TestPlantMemo:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        calls=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=2, max_size=10),
+        calls=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=2, max_size=10),
     )
     def test_any_sequence_gives_the_empty_memo_answers(self, seed, calls):
         rng = np.random.default_rng(seed)
@@ -531,8 +551,10 @@ class TestPlantMemo:
             _memo_plant(rng, n, m, horizon, rng.uniform(0.1, 1.2)),
             first[:2] + (2.0 * first[2],) + first[3:],  # the verdict's key, another plan's
             first[:5] + (random_banned_sets(rng, horizon, m, 3),),  # other rows
+            # integrators that Q does not weigh: no stationary gain
+            (np.eye(n) + np.eye(n, k=1), first[1], np.zeros((n, n))) + first[3:],
         ]
-        ends = rng.standard_normal((4, 3, 2, n))
+        ends = rng.standard_normal((5, 3, 2, n))
         for p, e in calls:
             got = _transfer_record(plants[p], *ends[p, e])
             with empty_memos():

@@ -191,6 +191,19 @@ class TestAssembleResidual:
         # stationarity row t changes by -R*delta in that coordinate
         assert stat[t_hit, 0] == pytest.approx(-spec.cost.R[0, 0] * delta, rel=1e-6)
 
+    def test_mismatched_layout_is_named_by_every_entry(self):
+        spec, x0, xf = _lti_setup(seed=3)  # n = 2, m = 1, N = 6
+        q = spec.frequency_constraint.row_count
+        z = StackedUnknowns.zeros(2, 1, 7, q)
+        message = rf"unknown layout \(2, 1, 7, {q}\) does not match the spec \(2, 1, 6, {q}\)"
+        for call in (
+            lambda: assemble_residual(z, spec, x0, xf),
+            lambda: residual_jacobian(z, spec, x0, xf),
+            lambda: newton_solve(spec, x0, xf, init=z),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_unsupported_variant_is_named(self):
         spec, x0, xf = _lti_setup(seed=3)
         boxed = validate(dataclasses.replace(

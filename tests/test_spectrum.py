@@ -313,6 +313,24 @@ class TestFrequencyConstraint:
         with pytest.raises(ValueError, match="dependent"):
             FrequencyConstraint(8, 2, row_channel=channel, row_bin=bins, row_imag=imag)
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((0, 1), "horizon"),
+            ((-3, 1), "horizon"),
+            ((8, 1, [0, 0], [2], [False]), "row_channel, row_bin and row_imag"),
+            ((8, 1, [0], [2, 3], [False]), "row_channel, row_bin and row_imag"),
+            ((8, 1, [0], [2], [False, True]), "row_channel, row_bin and row_imag"),
+            ((8, 1, [1], [2], [False]), "row_channel"),
+            ((8, 2, [-1], [2], [False]), "row_channel"),
+        ],
+        ids=["zero-horizon", "negative-horizon", "more-channels", "more-bins", "more-parts",
+             "channel-past-the-last", "negative-channel"],
+    )
+    def test_malformed_fields_are_named(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            FrequencyConstraint(*args)
+
     def test_banned_sets_come_from_the_rows(self):
         fc = FrequencyConstraint(8, 2, row_channel=[1, 0, 1], row_bin=[3, 4, 3], row_imag=[0, 0, 1])
         assert fc.banned() == ((4,), (3, 5))
